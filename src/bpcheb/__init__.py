@@ -11,7 +11,7 @@ SystemSpec / assemble / solve for the library API and bpcheb.cli for the
 command-line front end.
 """
 
-from .basis import BasisConfig, HybridIndex, Partition, chebyshev_u_eval, hybrid_eval
+from .basis import BasisConfig, Partition, chebyshev_u_eval
 from .expansion import (
     CoeffVector,
     ExpansionError,
@@ -43,9 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisConfig",
     "Partition",
-    "HybridIndex",
     "chebyshev_u_eval",
-    "hybrid_eval",
     "WeightedRule",
     "gauss_u_rule",
     "project_scalar",

@@ -11,6 +11,7 @@ for k = 1..K and m = 0..M-1.  Everything here is immutable and pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 __all__ = [
     "Partition",
     "BasisConfig",
-    "HybridIndex",
     "chebyshev_u_eval",
     "chebyshev_u_all",
     "chebyshev_u_series",
@@ -26,7 +26,6 @@ __all__ = [
     "block_of",
     "to_local",
     "global_of_local",
-    "hybrid_eval",
 ]
 
 
@@ -41,6 +40,8 @@ class Partition:
         object.__setattr__(self, "breakpoints", bp)
         if len(bp) < 2:
             raise ValueError("partition needs at least two breakpoints")
+        if not all(math.isfinite(t) for t in bp):
+            raise ValueError(f"breakpoints must be finite, got {bp}")
         if any(b <= a for a, b in zip(bp, bp[1:])):
             raise ValueError(f"breakpoints must be strictly increasing, got {bp}")
 
@@ -98,20 +99,6 @@ class BasisConfig:
     def size(self) -> int:
         """Total number of hybrid basis functions, M*K."""
         return self.M * self.K
-
-
-@dataclass(frozen=True)
-class HybridIndex:
-    """Subscript pair (k, m): block k in 1..K, degree m in 0..M-1."""
-
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"block index must be >= 1, got {self.k}")
-        if self.m < 0:
-            raise ValueError(f"degree must be >= 0, got {self.m}")
 
 
 def chebyshev_u_eval(m: int, x: float) -> float:
@@ -198,11 +185,3 @@ def global_of_local(x: float, k: int, p: Partition) -> float:
     a, b = p.block_bounds(k)
     return 0.5 * ((b - a) * x + a + b)
 
-
-def hybrid_eval(idx: HybridIndex, t: float, cfg: BasisConfig) -> float:
-    """h_{km}(t): zero outside block k, else S_m at the local coordinate."""
-    if idx.k > cfg.K or idx.m >= cfg.M:
-        raise ValueError(f"index {idx} out of range for K={cfg.K}, M={cfg.M}")
-    if block_of(t, cfg.partition) != idx.k:
-        return 0.0
-    return chebyshev_u_eval(idx.m, to_local(t, idx.k, cfg.partition))

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from . import exprlang
+from .expansion import ExpansionError
 from .exprlang import ExprEvalError, ExprSyntaxError
 from .linalg import SingularMatrixError
 from .problem import Problem, ProblemError, load
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProblemError, ExprSyntaxError, ExprEvalError, ValueError) as exc:
+    except (ProblemError, ExprSyntaxError, ExprEvalError, ExpansionError, ValueError) as exc:
         print(f"bpcheb: input error: {exc}", file=sys.stderr)
         return 1
     except (SingularMatrixError, SolveError) as exc:

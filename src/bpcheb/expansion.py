@@ -28,7 +28,8 @@ __all__ = [
     "ProductTensor",
     "ExpansionError",
     "default_rule",
-    "expand_scalar_block",
+    "nodes",
+    "sample",
     "expand_vector",
     "expand_matrix",
     "product_coeff",
@@ -46,9 +47,9 @@ class ExpansionError(Exception):
     """Evaluation of user data failed during a projection."""
 
 
-def default_rule(cfg: BasisConfig, oversample: int = 1) -> WeightedRule:
-    """The library-default rule: M + 8 points; pass oversample=2 to double."""
-    return gauss_u_rule(oversample * (cfg.M + DEFAULT_EXTRA_ORDER))
+def default_rule(cfg: BasisConfig) -> WeightedRule:
+    """The library-default rule: M + 8 points."""
+    return gauss_u_rule(cfg.M + DEFAULT_EXTRA_ORDER)
 
 
 @dataclass(frozen=True)
@@ -133,26 +134,43 @@ class ProductTensor:
         return self.d.shape[0]
 
 
-def _pullback_nodes(k: int, cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
-    a, b = cfg.partition.block_bounds(k)
+def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
+    """The rule's nodes pulled back to every block: shape (K, q), row k-1 is block k."""
+    bp = np.asarray(cfg.partition.breakpoints)
+    a, b = bp[:-1, np.newaxis], bp[1:, np.newaxis]
     return 0.5 * ((b - a) * rule.nodes + a + b)
 
 
-def _eval_at(f: Callable, t: float, k: int, what: str):
-    try:
-        return f(t)
-    except Exception as exc:
-        raise ExpansionError(f"{what} failed at t={t} (block {k}): {exc}") from exc
+def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t: float | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Samples of f at every node of grid (shape (K, q)), stacked as (K, q) + sample shape.
+
+    With t given, f is a kernel and the samples are f(t, s) for s on the grid.
+    Each sample becomes a float array of at least ndim dimensions, written to
+    out when given, else to a new array shaped by the first sample.  A failing
+    call, or a sample whose shape differs from the others, raises
+    ExpansionError naming the point and its block.
+    """
+    shape = None if out is None else out.shape[2:]
+    for k, xs in enumerate(grid, start=1):
+        for y, x in enumerate(xs):
+            try:
+                val = np.array(f(x) if t is None else f(t, x), dtype=float, ndmin=ndim, copy=None)
+            except Exception as exc:
+                raise ExpansionError(f"{what} failed at {_where(t, x, k)}: {exc}") from exc
+            if out is None:
+                shape = val.shape
+                out = np.empty(grid.shape + shape)
+            if val.shape != shape:
+                raise ExpansionError(
+                    f"{what} at {_where(t, x, k)} has shape {val.shape}, expected {shape}"
+                )
+            out[k - 1, y] = val
+    return out
 
 
-def expand_scalar_block(
-    f: Callable[[float], float], k: int, cfg: BasisConfig, rule: WeightedRule | None = None
-) -> np.ndarray:
-    """Coefficients [f_{k0}, ..., f_{k,M-1}] of a scalar f on block k."""
-    rule = rule or default_rule(cfg)
-    ts = _pullback_nodes(k, cfg, rule)
-    fx = np.array([_eval_at(f, t, k, "scalar function") for t in ts], dtype=float)
-    return projection_matrix(cfg.M - 1, rule) @ fx
+def _where(t: float | None, x: float, k: int) -> str:
+    return f"t={x} (block {k})" if t is None else f"(t={t}, s={x}) (inner block {k})"
 
 
 def expand_vector(
@@ -161,14 +179,8 @@ def expand_vector(
     """Componentwise expansion of a vector function into CoeffVector layout."""
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
-    blocks = []
-    for k in range(1, cfg.K + 1):
-        ts = _pullback_nodes(k, cfg, rule)
-        fx = np.array(
-            [np.atleast_1d(np.asarray(_eval_at(f, t, k, "vector function"), dtype=float)) for t in ts]
-        )
-        blocks.append(proj @ fx)  # (M, n)
-    return CoeffVector.from_tensor(np.stack(blocks))
+    fx = sample(f, nodes(cfg, rule), "vector function", 1)  # (K, q, n)
+    return CoeffVector.from_tensor(np.stack([proj @ block for block in fx]))
 
 
 def expand_matrix(
@@ -177,14 +189,8 @@ def expand_matrix(
     """Entrywise expansion of a matrix function of t."""
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
-    blocks = []
-    for k in range(1, cfg.K + 1):
-        ts = _pullback_nodes(k, cfg, rule)
-        fx = np.array(
-            [np.atleast_2d(np.asarray(_eval_at(mfun, t, k, "matrix function"), dtype=float)) for t in ts]
-        )
-        blocks.append(np.einsum("mq,qab->mab", proj, fx))
-    return MatrixCoeffSet(np.stack(blocks), cfg)
+    fx = sample(mfun, nodes(cfg, rule), "matrix function", 2)  # (K, q, n_out, n_in)
+    return MatrixCoeffSet(np.stack([np.einsum("mq,qab->mab", proj, block) for block in fx]), cfg)
 
 
 def product_coeff(i: int, j: int, m: int) -> float:

@@ -1,14 +1,15 @@
-"""Two-stage hybrid expansion of Fredholm kernels.
+"""Hybrid expansion of Fredholm kernels.
 
 Kernels are functions N(t, s) with t the free (outer) variable and s the
 integration (inner) variable of
 
     w(t) = integral over [t_0, t_f] of N(t, s) f(s) ds.
 
-Stage 1 projects the inner variable: for inner block k and degree i,
-C_{ki}(t) is the matrix coefficient function of the outer variable.  Stage 2
-projects those functions onto the basis in t.  Combining the stage-2 data
-with the triple-product tensor and the closed-form block integrals
+N is sampled once on the (K q) x (K q) grid of quadrature nodes in t and s,
+and the weighted projection is applied in s, then in t.  Combining the
+resulting coefficients C^{(jl)}_{ki} (outer block j, outer degree l, inner
+block k, inner degree i) with the triple-product tensor and the closed-form
+block integrals
 
     integral of S_m over [-1, 1] = 2/(m+1) for even m, 0 for odd m
 
@@ -24,19 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisConfig
-from .expansion import CoeffVector, ExpansionError, ProductTensor, default_rule, product_tensor
+from .expansion import CoeffVector, default_rule, nodes, product_tensor, sample
 from .quadrature import WeightedRule, projection_matrix
 
-__all__ = [
-    "KernelStage1",
-    "KernelStage2",
-    "FredholmOperator",
-    "block_integral",
-    "expand_kernel_stage1",
-    "expand_kernel_stage2",
-    "build_fredholm_operator",
-    "fredholm_operator",
-]
+__all__ = ["FredholmOperator", "block_integral", "fredholm_operator"]
 
 
 def block_integral(m: int) -> float:
@@ -44,67 +36,6 @@ def block_integral(m: int) -> float:
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     return 2.0 / (m + 1) if m % 2 == 0 else 0.0
-
-
-class KernelStage1:
-    """Inner-variable projections C_{ki} of a kernel, as functions of t.
-
-    eval(k, i, t) returns the (n_out, n_in) matrix coefficient of degree i on
-    inner block k.  Evaluation is pure; instances are immutable.
-    """
-
-    def __init__(self, kernel: Callable[[float, float], np.ndarray], cfg: BasisConfig,
-                 rule: WeightedRule):
-        self.kernel = kernel
-        self.cfg = cfg
-        self.rule = rule
-        self._proj = projection_matrix(cfg.M - 1, rule)
-        t0 = cfg.partition.t0
-        try:
-            probe = np.atleast_2d(np.asarray(kernel(t0, t0), dtype=float))
-        except Exception as exc:
-            raise ExpansionError(f"kernel failed at probe point (t={t0}, s={t0}): {exc}") from exc
-        self.shape = probe.shape
-
-    def _inner_nodes(self, k: int) -> np.ndarray:
-        a, b = self.cfg.partition.block_bounds(k)
-        return 0.5 * ((b - a) * self.rule.nodes + a + b)
-
-    def eval_block(self, k: int, t: float) -> np.ndarray:
-        """All inner degrees at once: shape (M, n_out, n_in)."""
-        svals = []
-        for s in self._inner_nodes(k):
-            try:
-                svals.append(np.atleast_2d(np.asarray(self.kernel(t, s), dtype=float)))
-            except Exception as exc:
-                raise ExpansionError(
-                    f"kernel failed at (t={t}, s={s}) while projecting inner block {k}: {exc}"
-                ) from exc
-        return np.einsum("mq,qac->mac", self._proj, np.array(svals))
-
-    def eval(self, k: int, i: int, t: float) -> np.ndarray:
-        if not 0 <= i < self.cfg.M:
-            raise ValueError(f"inner degree {i} out of range 0..{self.cfg.M - 1}")
-        return self.eval_block(k, t)[i]
-
-
-@dataclass(frozen=True)
-class KernelStage2:
-    """Fully projected kernel data, shape (K, M, K, M, n_out, n_in).
-
-    Index order: (outer block, outer degree, inner block, inner degree).
-    """
-
-    data: np.ndarray
-    cfg: BasisConfig
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        K, M = self.cfg.K, self.cfg.M
-        if data.shape[:4] != (K, M, K, M):
-            raise ValueError(f"expected leading shape (K, M, K, M), got {data.shape}")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
 
 
 @dataclass(frozen=True)
@@ -128,65 +59,44 @@ class FredholmOperator:
         return CoeffVector(self.Q @ fhat.data, fhat.K, fhat.M, self.Q.shape[0] // (fhat.K * fhat.M))
 
 
-def expand_kernel_stage1(
-    kernel: Callable[[float, float], np.ndarray],
-    cfg: BasisConfig,
-    rule: WeightedRule | None = None,
-) -> KernelStage1:
-    """Project the integration variable of the kernel on every inner block."""
-    return KernelStage1(kernel, cfg, rule or default_rule(cfg))
-
-
-def expand_kernel_stage2(
-    s1: KernelStage1, cfg: BasisConfig, rule: WeightedRule | None = None
-) -> KernelStage2:
-    """Project the free variable of every stage-1 coefficient function."""
-    rule = rule or default_rule(cfg)
-    proj = projection_matrix(cfg.M - 1, rule)
-    K, M = cfg.K, cfg.M
-    n_out, n_in = s1.shape
-    data = np.empty((K, M, K, M, n_out, n_in))
-    for j in range(1, K + 1):  # outer block
-        a, b = cfg.partition.block_bounds(j)
-        ts = 0.5 * ((b - a) * rule.nodes + a + b)
-        # vals[q, k-1, i] = C_{ki}(t_q)
-        vals = np.array([[s1.eval_block(k, t) for k in range(1, K + 1)] for t in ts])
-        data[j - 1] = np.einsum("lq,qkiac->lkiac", proj, vals)
-    return KernelStage2(data, cfg)
-
-
-def build_fredholm_operator(
-    s2: KernelStage2, d: ProductTensor | None, cfg: BasisConfig
-) -> FredholmOperator:
-    """Assemble Q from stage-2 data: the (outer j, inner k) block is
-
-        sum over even m of (d_k / (m+1)) * sum over i of d^{(i j')}_m C^{(jl)}_{ki},
-
-    laid out so Q acts on CoeffVector stackings.
-    """
-    K, M = cfg.K, cfg.M
-    n_out, n_in = s2.data.shape[4], s2.data.shape[5]
-    if d is None:
-        d = product_tensor(M)
-    if d.M != M:
-        raise ValueError(f"product tensor built for M={d.M}, config has M={M}")
-    # fold the block integrals of the product degrees into the d-tensor
-    weights = np.array([block_integral(m) for m in range(M)])  # only even m survive
-    g = np.einsum("ipm,m->ip", d.d, weights)  # (inner degree i, f degree j')
-    # q[j, l, a, k, jp, c] = (d_k/2) * sum_i s2[j,l,k,i,a,c] g[i,jp]
-    q = np.einsum("jlkiac,ip->jlakpc", s2.data, g)
-    q *= 0.5 * np.asarray(cfg.partition.widths)[np.newaxis, np.newaxis, np.newaxis, :,
-                                                np.newaxis, np.newaxis]
-    return FredholmOperator(q.reshape(K * M * n_out, K * M * n_in), cfg)
-
-
 def fredholm_operator(
     kernel: Callable[[float, float], np.ndarray],
     cfg: BasisConfig,
     rule: WeightedRule | None = None,
 ) -> FredholmOperator:
-    """Convenience chain: stage 1, stage 2, assembly."""
+    """Project the kernel on both variables and fold in the block integrals.
+
+    The (outer j, inner k) block of Q is
+
+        sum over even m of (d_k / (m+1)) * sum over i of d^{(i j')}_m C^{(jl)}_{ki},
+
+    laid out so Q acts on CoeffVector stackings.
+    """
     rule = rule or default_rule(cfg)
-    s1 = expand_kernel_stage1(kernel, cfg, rule)
-    s2 = expand_kernel_stage2(s1, cfg, rule)
-    return build_fredholm_operator(s2, product_tensor(cfg.M), cfg)
+    proj = projection_matrix(cfg.M - 1, rule)
+    K, M = cfg.K, cfg.M
+    grid = nodes(cfg, rule)
+    q = grid.shape[1]
+    # slab[x, k-1, y] = N(t_x, s_y) for outer node t_x of one outer block and
+    # node s_y of inner block k; allocated once the first sample gives N's shape
+    slab = data = None
+    for j, ts in enumerate(grid):
+        for x, t in enumerate(ts):
+            if slab is None:
+                first = sample(kernel, grid, "kernel", 2, t=t)
+                slab = np.empty((q,) + first.shape)
+                slab[x] = first
+                data = np.empty((K, M, K, M) + first.shape[2:])
+            else:
+                sample(kernel, grid, "kernel", 2, t=t, out=slab[x])
+        inner = np.einsum("my,xkyac->xkmac", proj, slab)
+        data[j] = np.einsum("lx,xkiac->lkiac", proj, inner)
+    n_out, n_in = data.shape[4:]
+    # fold the block integrals of the product degrees into the d-tensor
+    weights = np.array([block_integral(m) for m in range(M)])  # only even m survive
+    g = np.einsum("ipm,m->ip", product_tensor(M).d, weights)  # (inner degree i, f degree j')
+    # out[j, l, a, k, jp, c] = (d_k/2) * sum_i data[j,l,k,i,a,c] g[i,jp]
+    out = np.einsum("jlkiac,ip->jlakpc", data, g)
+    out *= 0.5 * np.asarray(cfg.partition.widths)[np.newaxis, np.newaxis, np.newaxis, :,
+                                                  np.newaxis, np.newaxis]
+    return FredholmOperator(out.reshape(K * M * n_out, K * M * n_in), cfg)

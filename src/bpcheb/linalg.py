@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SingularMatrixError", "kron", "unit_matrix_e", "lu_solve", "LU", "inf_norm"]
+__all__ = ["SingularMatrixError", "kron", "unit_matrix_e", "LU", "inf_norm"]
 
 # pivots below this times the matrix inf-norm count as singular
 PIVOT_RTOL = 1e-13
@@ -77,8 +77,3 @@ class LU:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve((self._lu, self._piv), np.asarray(b, dtype=float))
-
-
-def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by pivoted LU; raises SingularMatrixError on tiny pivots."""
-    return LU(a).solve(b)

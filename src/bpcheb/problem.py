@@ -33,6 +33,7 @@ section and key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -171,9 +172,12 @@ def _int_value(raw: str, where: str) -> int:
 
 def _float_value(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ProblemError(f"{where}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ProblemError(f"{where}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_expr(src, where: str, allow_s: bool) -> Expr:
@@ -216,6 +220,8 @@ def _number_list(raw: str, where: str) -> tuple[float, ...]:
     value = _json_value(raw, where)
     if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
         raise ProblemError(f"{where}: expected a list of numbers")
+    if not all(math.isfinite(v) for v in value):
+        raise ProblemError(f"{where}: values must be finite, got {raw}")
     return tuple(float(v) for v in value)
 
 

@@ -17,6 +17,7 @@ both the control-to-state map and the free response reuse it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -76,11 +77,16 @@ class SystemSpec:
     def __post_init__(self):
         if self.n < 1 or self.r < 1:
             raise ValueError(f"dimensions must be positive, got n={self.n}, r={self.r}")
+        for key in ("t0", "tf"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if not self.tf > self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.size != self.n:
             raise ValueError(f"x0 has {x0.size} components, expected n={self.n}")
+        if not np.isfinite(x0).all():
+            raise ValueError(f"x0 must be finite, got {x0}")
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
 
@@ -146,7 +152,11 @@ def assemble(spec: SystemSpec, cfg: BasisConfig, rule: WeightedRule | None = Non
             sl = slice((k - 1) * M * n, k * M * n)
             Phi[sl, sl] += build_product_matrix(aset, k)
     if spec.N is not None:
-        Phi += fredholm_operator(spec.N, cfg, rule).Q
+        Q = fredholm_operator(spec.N, cfg, rule).Q
+        if Q.shape != Phi.shape:
+            shape = (Q.shape[0] // (M * K), Q.shape[1] // (M * K))
+            raise ValueError(f"N(t, s) has shape {shape}, expected {(n, n)}")
+        Phi += Q
 
     Bop = np.zeros((size, M * K * r))
     if spec.B is not None:

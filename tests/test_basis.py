@@ -5,7 +5,6 @@ import pytest
 
 from bpcheb.basis import (
     BasisConfig,
-    HybridIndex,
     Partition,
     block_of,
     chebyshev_u_all,
@@ -13,7 +12,6 @@ from bpcheb.basis import (
     chebyshev_u_eval,
     chebyshev_u_series,
     global_of_local,
-    hybrid_eval,
     to_local,
 )
 
@@ -36,6 +34,11 @@ class TestPartition:
         with pytest.raises(ValueError, match="strictly increasing"):
             Partition((0.0, 0.7, 0.3))
 
+    @pytest.mark.parametrize("bp", [(0.0, math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_rejects_non_finite(self, bp):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            Partition(bp)
+
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
             Partition((1.0,))
@@ -56,15 +59,6 @@ class TestBasisConfig:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             BasisConfig.uniform(0, 1, 3, 0)
-
-
-class TestHybridIndex:
-    def test_validates(self):
-        HybridIndex(1, 0)
-        with pytest.raises(ValueError):
-            HybridIndex(0, 0)
-        with pytest.raises(ValueError):
-            HybridIndex(1, -1)
 
 
 class TestChebyshevU:
@@ -165,29 +159,3 @@ class TestBlockMaps:
                 back = to_local(global_of_local(x, k, p), k, p)
                 assert back == pytest.approx(x, abs=1e-14)
 
-
-class TestHybridEval:
-    @pytest.fixture
-    def cfg(self):
-        return BasisConfig.uniform(0, 1, 3, 4)
-
-    def test_degree_zero_inside_own_block(self, cfg):
-        assert hybrid_eval(HybridIndex(1, 0), 0.1, cfg) == 1.0
-
-    def test_outside_support(self, cfg):
-        assert hybrid_eval(HybridIndex(2, 0), 0.1, cfg) == 0.0
-
-    def test_degree_one_at_block_midpoint(self, cfg):
-        assert hybrid_eval(HybridIndex(1, 1), 1 / 6, cfg) == pytest.approx(0.0, abs=1e-14)
-
-    def test_support_disjointness(self, cfg):
-        t = 0.45  # interior of block 2
-        for j in (1, 3):
-            for m in range(4):
-                assert hybrid_eval(HybridIndex(j, m), t, cfg) == 0.0
-
-    def test_out_of_range_index(self, cfg):
-        with pytest.raises(ValueError):
-            hybrid_eval(HybridIndex(4, 0), 0.1, cfg)
-        with pytest.raises(ValueError):
-            hybrid_eval(HybridIndex(1, 4), 0.1, cfg)

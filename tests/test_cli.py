@@ -116,6 +116,25 @@ class TestSolveCommand:
         assert out.out.splitlines()[0].endswith("breakpoints=explicit")
         assert float(out.err.strip().split()[-1]) <= 1e-10
 
+    @pytest.mark.parametrize("old,new,where", [
+        ('A = [["2"]]', 'A = [["2"]]\nB = [["1"]]\nu = ["ln(t-0.5)"]',
+         "vector function failed at t="),
+        ('A = [["2"]]', 'A = [["2"]]\nN = [["sqrt(s-0.5)"]]', "kernel failed at (t="),
+    ])
+    def test_data_evaluation_failure_exits_1(self, tmp_path, capsys, old, new, where):
+        cfgfile = tmp_path / "domain.prob"
+        cfgfile.write_text(SINGULAR.replace(old, new).replace("M = 1", "M = 3"))
+        assert main(["solve", "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bpcheb: input error: ")
+        assert where in err
+
+    def test_non_finite_x0_exits_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "nan.prob"
+        cfgfile.write_text(SINGULAR.replace("x0 = [1]", "x0 = [NaN]"))
+        assert main(["solve", "--config", str(cfgfile)]) == 1
+        assert "[system].x0" in capsys.readouterr().err
+
     def test_bad_expression_exits_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.prob"
         cfgfile.write_text(SINGULAR.replace('A = [["2"]]', 'A = [["3t"]]'))

@@ -6,11 +6,13 @@ from bpcheb.expansion import (
     CoeffVector,
     ExpansionError,
     build_product_matrix,
+    default_rule,
     expand_matrix,
-    expand_scalar_block,
     expand_vector,
+    nodes,
     product_coeff,
     product_tensor,
+    sample,
     synthesize,
 )
 from bpcheb.quadrature import gauss_u_rule
@@ -40,22 +42,48 @@ class TestCoeffVector:
         assert not cv.data.any()
 
 
+class TestNodesAndSample:
+    def test_nodes_pull_back_to_every_block(self):
+        cfg = BasisConfig(Partition((0.0, 0.25, 0.6, 1.0)), 4)
+        rule = default_rule(cfg)
+        grid = nodes(cfg, rule)
+        assert grid.shape == (3, len(rule.nodes))
+        for k in (1, 2, 3):
+            for x, t in zip(rule.nodes, grid[k - 1]):
+                assert t == global_of_local(x, k, cfg.partition)
+
+    def test_sample_stacks_by_block_and_node(self):
+        grid = np.array([[0.1, 0.2], [0.6, 0.9]])
+        got = sample(lambda t: [t, 2 * t], grid, "vector function", 1)
+        np.testing.assert_array_equal(got, np.stack([grid, 2 * grid], axis=-1))
+        kern = sample(lambda t, s: t - s, grid, "kernel", 2, t=0.5)
+        np.testing.assert_array_equal(kern, (0.5 - grid)[:, :, None, None])
+
+    def test_sample_shape_change_names_the_point(self):
+        grid = np.array([[0.1, 0.2], [0.6, 0.9]])
+        f = lambda t: [1.0, 2.0] if t < 0.5 else [1.0]
+        expected = r"t=0.6 \(block 2\) has shape \(1,\), expected \(2,\)"
+        with pytest.raises(ExpansionError, match=expected):
+            sample(f, grid, "vector function", 1)
+
+
 class TestExpandScalarBlock:
+    """Scalar functions through expand_vector, checked block by block."""
+
     def test_constant(self):
         cfg = BasisConfig.uniform(0, 2, 3, 5)
-        for k in (1, 2, 3):
-            coeffs = expand_scalar_block(lambda t: 1.0, k, cfg)
-            np.testing.assert_allclose(coeffs, [1, 0, 0, 0, 0], atol=1e-14)
+        coeffs = expand_vector(lambda t: 1.0, cfg).tensor()[:, :, 0]
+        np.testing.assert_allclose(coeffs, [[1, 0, 0, 0, 0]] * 3, atol=1e-14)
 
     def test_linear_single_block(self):
         # t on [0, 1] pulls back to (x+1)/2 = (1/2) S_0 + (1/4) S_1
         cfg = BasisConfig.uniform(0, 1, 1, 4)
-        coeffs = expand_scalar_block(lambda t: t, 1, cfg)
+        coeffs = expand_vector(lambda t: t, cfg).block(1)[:, 0]
         np.testing.assert_allclose(coeffs, [0.5, 0.25, 0, 0], atol=1e-14)
 
     def test_quadratic_reconstructs(self):
         cfg = BasisConfig.uniform(0, 1, 3, 4)
-        coeffs = expand_scalar_block(lambda t: t**2, 1, cfg)
+        coeffs = expand_vector(lambda t: t**2, cfg).block(1)[:, 0]
         for x in np.linspace(-1, 1, 50):
             t = global_of_local(x, 1, cfg.partition)
             val = sum(c * chebyshev_u_eval(m, x) for m, c in enumerate(coeffs))
@@ -65,10 +93,12 @@ class TestExpandScalarBlock:
         cfg = BasisConfig.uniform(0, 1, 2, 3)
 
         def bad(t):
-            raise ArithmeticError("boom")
+            if t > 0.5:
+                raise ArithmeticError("boom")
+            return 1.0
 
-        with pytest.raises(ExpansionError, match="block 2"):
-            expand_scalar_block(bad, 2, cfg)
+        with pytest.raises(ExpansionError, match=r"failed at t=.* \(block 2\): boom"):
+            expand_vector(bad, cfg)
 
 
 class TestExpandVector:

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
+from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.expansion import expand_scalar_block, expand_vector, product_tensor
-from bpcheb.kernel import (
-    block_integral,
-    build_fredholm_operator,
-    expand_kernel_stage1,
-    expand_kernel_stage2,
-    fredholm_operator,
-)
-from bpcheb.quadrature import gauss_u_rule
+from bpcheb.expansion import ExpansionError, default_rule, expand_vector, nodes, product_tensor
+from bpcheb.kernel import block_integral, fredholm_operator
+from bpcheb.quadrature import gauss_u_rule, projection_matrix
 
 from conftest import expdecay_N, poly_N
 
@@ -23,17 +18,17 @@ def oracle_fredholm_image(kernel, f, cfg, inner_order=80):
     resulting function of t.
     """
     glx, glw = np.polynomial.legendre.leggauss(inner_order)
-    nodes, weights = [], []
+    points, weights = [], []
     for k in range(1, cfg.K + 1):
         a, b = cfg.partition.block_bounds(k)
-        nodes.append(0.5 * ((b - a) * glx + a + b))
+        points.append(0.5 * ((b - a) * glx + a + b))
         weights.append(0.5 * (b - a) * glw)
-    nodes = np.concatenate(nodes)
+    points = np.concatenate(points)
     weights = np.concatenate(weights)
-    fvals = np.array([np.atleast_1d(f(s)) for s in nodes])
+    fvals = np.array([np.atleast_1d(f(s)) for s in points])
 
     def w(t):
-        kv = np.array([np.atleast_2d(kernel(t, s)) for s in nodes])
+        kv = np.array([np.atleast_2d(kernel(t, s)) for s in points])
         return np.einsum("q,qac,qc->a", weights, kv, fvals)
 
     return expand_vector(w, cfg, gauss_u_rule(cfg.M + 20))
@@ -56,89 +51,145 @@ class TestBlockIntegral:
             block_integral(-1)
 
 
-class TestStage1:
-    def test_zero_kernel(self):
+def separable_q(ahat, bhat, cfg):
+    """Q of the scalar kernel a(t) b(s) from the coefficients of a and b.
+
+    ahat and bhat have shape (K, M); the (j, l), (k, p) entry is
+    (d_k / 2) * ahat[j, l] * sum over i of bhat[k, i] * g[i, p], with g the
+    product tensor folded with the block integrals.
+    """
+    weights = np.array([block_integral(m) for m in range(cfg.M)])
+    g = np.einsum("ipm,m->ip", product_tensor(cfg.M).d, weights)
+    inner = 0.5 * np.asarray(cfg.partition.widths)[:, None] * (np.asarray(bhat) @ g)
+    return np.outer(np.asarray(ahat).reshape(-1), inner.reshape(-1))
+
+
+class TestProjection:
+    def test_zero_scalar_kernel(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
-        s1 = expand_kernel_stage1(lambda t, s: np.zeros((2, 2)), cfg)
-        for k in (1, 2):
-            for t in (0.0, 0.37, 1.0):
-                assert not s1.eval_block(k, t).any()
-
-    def test_kernel_constant_in_inner_variable(self):
-        # N(t, s) = g(t): only the degree-0 inner coefficient survives and
-        # carries g evaluated at the free variable
-        cfg = BasisConfig.uniform(0, 1, 1, 4)
-        g = np.exp
-        s1 = expand_kernel_stage1(lambda t, s: np.array([[g(t)]]), cfg)
-        for t in (0.0, 0.3, 0.9):
-            block = s1.eval_block(1, t)
-            assert block[0, 0, 0] == pytest.approx(g(t), abs=1e-13)
-            np.testing.assert_allclose(block[1:], 0.0, atol=1e-13)
-
-    def test_inner_variable_kernel_projects_like_scalar_expansion(self):
-        # N(t, s) = s: the stage-1 coefficients are the expansion of s itself,
-        # constant in t; cross-checked against expand_scalar_block
-        cfg = BasisConfig.uniform(0, 1, 1, 4)
-        s1 = expand_kernel_stage1(lambda t, s: np.array([[s]]), cfg)
-        expected = expand_scalar_block(lambda s: s, 1, cfg)
-        for t in (0.1, 0.5):
-            np.testing.assert_allclose(s1.eval_block(1, t)[:, 0, 0], expected, atol=1e-13)
-        np.testing.assert_allclose(expected, [0.5, 0.25, 0, 0], atol=1e-13)
-
-    def test_eval_single_degree_and_range_check(self):
-        cfg = BasisConfig.uniform(0, 1, 2, 3)
-        s1 = expand_kernel_stage1(lambda t, s: np.array([[t + s]]), cfg)
-        np.testing.assert_allclose(s1.eval(1, 0, 0.2), s1.eval_block(1, 0.2)[0])
-        with pytest.raises(ValueError):
-            s1.eval(1, 3, 0.2)
-
-    def test_kernel_failure_carries_context(self):
-        from bpcheb.expansion import ExpansionError
-
-        cfg = BasisConfig.uniform(0, 1, 2, 3)
-
-        def bad(t, s):
-            if s > 0.4:
-                raise ArithmeticError("nope")
-            return 1.0
-
-        s1 = expand_kernel_stage1(bad, cfg)
-        with pytest.raises(ExpansionError, match="inner block 2"):
-            s1.eval_block(2, 0.1)
-
-        def bad_everywhere(t, s):
-            raise ArithmeticError("nope")
-
-        with pytest.raises(ExpansionError, match="probe"):
-            expand_kernel_stage1(bad_everywhere, cfg)
-
-
-class TestStage2:
-    def test_zero_kernel(self):
-        cfg = BasisConfig.uniform(0, 1, 2, 3)
-        s2 = expand_kernel_stage2(expand_kernel_stage1(lambda t, s: 0.0, cfg), cfg)
-        assert not s2.data.any()
+        q = fredholm_operator(lambda t, s: 0.0, cfg)
+        assert q.Q.shape == (6, 6)
+        assert not q.Q.any()
 
     def test_constant_kernel_single_block(self):
+        # only C_{00} = 1 survives; row 0 holds the integrals of S_p(2s-1)
+        # over [0, 1]: 1 for p = 0, 1/3 for p = 2, 0 otherwise
         cfg = BasisConfig.uniform(0, 1, 1, 3)
-        s2 = expand_kernel_stage2(expand_kernel_stage1(lambda t, s: 1.0, cfg), cfg)
-        dense = s2.data[:, :, :, :, 0, 0]
-        assert dense[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-13)
-        mask = np.ones_like(dense, dtype=bool)
-        mask[0, 0, 0, 0] = False
-        np.testing.assert_allclose(dense[mask], 0.0, atol=1e-13)
+        q = fredholm_operator(lambda t, s: 1.0, cfg)
+        expected = np.zeros((3, 3))
+        expected[0, 0], expected[0, 2] = 1.0, 1.0 / 3.0
+        np.testing.assert_allclose(q.Q, expected, rtol=0, atol=1e-13)
+
+    def test_kernel_constant_in_inner_variable(self):
+        # N(t, s) = exp(t): only the degree-0 inner coefficient survives
+        cfg = BasisConfig.uniform(0, 1, 1, 4)
+        q = fredholm_operator(lambda t, s: np.array([[np.exp(t)]]), cfg)
+        ahat = expand_vector(np.exp, cfg).tensor()[:, :, 0]
+        expected = separable_q(ahat, [[1.0, 0, 0, 0]], cfg)
+        np.testing.assert_allclose(q.Q, expected, rtol=0, atol=1e-13)
+
+    def test_inner_variable_kernel(self):
+        # N(t, s) = s: constant in t, and s on [0, 1] is (1/2) S_0 + (1/4) S_1
+        cfg = BasisConfig.uniform(0, 1, 1, 4)
+        q = fredholm_operator(lambda t, s: np.array([[s]]), cfg)
+        expected = separable_q([[1.0, 0, 0, 0]], [[0.5, 0.25, 0, 0]], cfg)
+        np.testing.assert_allclose(q.Q, expected, rtol=0, atol=1e-13)
 
     def test_separable_kernel_is_outer_product(self):
         cfg = BasisConfig(Partition((0.0, 0.4, 1.0)), 4)
         rule = gauss_u_rule(24)
         a = lambda t: np.cos(t)
         b = lambda s: s**2 - 0.5
-        s1 = expand_kernel_stage1(lambda t, s: a(t) * b(s), cfg, rule)
-        s2 = expand_kernel_stage2(s1, cfg, rule)
+        q = fredholm_operator(lambda t, s: a(t) * b(s), cfg, rule)
         ahat = expand_vector(lambda t: np.array([a(t)]), cfg, rule).tensor()[:, :, 0]
         bhat = expand_vector(lambda s: np.array([b(s)]), cfg, rule).tensor()[:, :, 0]
-        expected = np.einsum("jl,ki->jlki", ahat, bhat)
-        np.testing.assert_allclose(s2.data[:, :, :, :, 0, 0], expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q.Q, separable_q(ahat, bhat, cfg), rtol=0, atol=1e-12)
+
+
+def pointwise_fredholm_q(kernel, cfg, rule):
+    """Reference Q by one inner projection per (outer node, inner block).
+
+    Same arithmetic as fredholm_operator, one point at a time, so the two
+    must agree exactly.
+    """
+    proj = projection_matrix(cfg.M - 1, rule)
+    grid = nodes(cfg, rule)
+    data = np.array([
+        np.einsum("lq,qkiac->lkiac", proj, np.array([
+            [np.einsum("mq,qac->mac", proj, np.array([np.atleast_2d(kernel(t, s)) for s in ss]))
+             for ss in grid]
+            for t in ts
+        ]))
+        for ts in grid
+    ])
+    weights = np.array([block_integral(m) for m in range(cfg.M)])
+    g = np.einsum("ipm,m->ip", product_tensor(cfg.M).d, weights)
+    out = np.einsum("jlkiac,ip->jlakpc", data, g)
+    out *= 0.5 * np.asarray(cfg.partition.widths)[None, None, None, :, None, None]
+    size = cfg.K * cfg.M
+    return out.reshape(size * data.shape[4], size * data.shape[5])
+
+
+class TestSampling:
+    @pytest.mark.parametrize("kernel,bp,M", [
+        (expdecay_N, (0.0, 1 / 3, 2 / 3, 1.0), 4),
+        (poly_N, (0.0, 0.25, 1.0), 5),
+        (lambda t, s: np.array([[t, s, t * s], [np.exp(t - s), 1.0, s**2]]),
+         (-0.5, 0.1, 0.3, 1.2), 3),
+        (lambda t, s: np.cos(t * s), (0.0, 2.0), 6),
+    ])
+    def test_matches_pointwise_reference_exactly(self, kernel, bp, M):
+        cfg = BasisConfig(Partition(bp), M)
+        rule = default_rule(cfg)
+        want = pointwise_fredholm_q(kernel, cfg, rule)
+        assert np.array_equal(fredholm_operator(kernel, cfg, rule).Q, want)
+
+    def test_kernel_called_once_per_grid_point(self):
+        cfg = BasisConfig(Partition((0.0, 0.3, 1.0)), 4)
+        q = len(default_rule(cfg).nodes)
+        calls = []
+
+        def kernel(t, s):
+            calls.append((t, s))
+            return np.array([[t * s]])
+
+        fredholm_operator(kernel, cfg)
+        assert len(calls) == (cfg.K * q) ** 2
+        assert len(set(calls)) == len(calls)
+
+    def test_kernel_failure_names_t_and_s(self):
+        cfg = BasisConfig.uniform(0, 1, 2, 3)
+
+        def bad(t, s):
+            if s > 0.5:
+                raise ArithmeticError("nope")
+            return 1.0
+
+        # the first failing sample: the first outer node, the first node of block 2
+        grid = nodes(cfg, default_rule(cfg))
+        where = rf"\(t={grid[0, 0]}, s={grid[1, 0]}\) \(inner block 2\): nope"
+        with pytest.raises(ExpansionError, match=f"kernel failed at {where}"):
+            fredholm_operator(bad, cfg)
+
+    @pytest.mark.parametrize("late", [np.zeros((2, 1)), 0.0])
+    def test_kernel_shape_change_names_t_and_s(self, late):
+        # a preallocated slab would broadcast these silently
+        cfg = BasisConfig.uniform(0, 1, 2, 3)
+        kernel = lambda t, s: late if t > 0.6 and s > 0.6 else np.ones((2, 2))
+        expected = r"\(t=.*, s=.*\) .* has shape .* expected \(2, 2\)"
+        with pytest.raises(ExpansionError, match=expected):
+            fredholm_operator(kernel, cfg)
+
+    def test_kernel_singular_at_endpoint(self):
+        # ln(s) raises at s = 0, which no Gauss node reaches; w(t) is the
+        # integral of ln(s) over [0, 1] = -1 on every block
+        ln_s = exprlang.as_function(exprlang.parse("ln(s)"))
+        with pytest.raises(exprlang.ExprEvalError):
+            ln_s(0.0, 0.0)
+        cfg = BasisConfig.uniform(0, 1, 4, 6)
+        q = fredholm_operator(ln_s, cfg)
+        what = q.apply(expand_vector(lambda t: 1.0, cfg)).tensor()
+        np.testing.assert_allclose(what[:, 0, 0], -1.0, rtol=0, atol=1e-2)
 
 
 class TestFredholmOperator:
@@ -209,30 +260,6 @@ class TestFredholmOperator:
         exact = expand_vector(lambda t: 0.2, cfg)  # integral of s^4 over [0,1]
         assert np.max(np.abs(got.data - exact.data)) == pytest.approx(1 / 1280, rel=1e-10)
 
-    def test_even_degree_selection(self):
-        # reassemble with explicit weights: odd inner degrees contribute
-        # nothing, and zeroing the even ones kills the whole operator
-        cfg = BasisConfig(Partition((0.0, 0.6, 1.0)), 5)
-        rule = gauss_u_rule(24)
-        kernel = lambda t, s: 1.0 + 0.3 * t * s + s**2
-        s1 = expand_kernel_stage1(kernel, cfg, rule)
-        s2 = expand_kernel_stage2(s1, cfg, rule)
-        q = build_fredholm_operator(s2, product_tensor(cfg.M), cfg)
-
-        def reassemble(weights):
-            d = product_tensor(cfg.M).d
-            g = np.einsum("ipm,m->ip", d, weights)
-            out = np.einsum("jlkiac,ip->jlakpc", s2.data, g)
-            out *= 0.5 * np.asarray(cfg.partition.widths)[None, None, None, :, None, None]
-            size = cfg.K * cfg.M
-            return out.reshape(size, size)
-
-        true_weights = np.array([block_integral(m) for m in range(cfg.M)])
-        np.testing.assert_allclose(reassemble(true_weights), q.Q, atol=1e-14)
-        zeroed = true_weights.copy()
-        zeroed[0::2] = 0.0  # remove the even-degree block integrals
-        assert not reassemble(zeroed).any()
-
     def test_separable_kernel_has_rank_one(self):
         cfg = BasisConfig.uniform(0, 1, 2, 5)
         q = fredholm_operator(lambda t, s: np.sin(t) * (1.0 + s), cfg)
@@ -257,9 +284,3 @@ class TestFredholmOperator:
         with pytest.raises(ValueError, match="does not match"):
             q.apply(wrong)
 
-    def test_product_tensor_m_mismatch(self):
-        cfg = BasisConfig.uniform(0, 1, 1, 3)
-        s1 = expand_kernel_stage1(lambda t, s: 1.0, cfg)
-        s2 = expand_kernel_stage2(s1, cfg)
-        with pytest.raises(ValueError, match="product tensor"):
-            build_fredholm_operator(s2, product_tensor(5), cfg)

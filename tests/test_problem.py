@@ -100,6 +100,19 @@ class TestLoads:
         with pytest.raises(ProblemError, match="1x1 grid"):
             loads(bad)
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("x0 = [0]", "x0 = [NaN]", r"\[system\].x0"),
+        ("x0 = [0]", "x0 = [Infinity]", r"\[system\].x0"),
+        ("tf = 1", "tf = Infinity", r"\[system\].tf"),
+        ("tf = 1", "tf = inf", r"\[system\].tf"),
+        ("t0 = 0", "t0 = nan", r"\[system\].t0"),
+        ("M = 3", "M = 3\nbreakpoints = [0, NaN, 1]", r"\[solve\].breakpoints"),
+        ("M = 3", "M = 3\n[output]\npoints = [0.5, -Infinity]", r"\[output\].points"),
+    ])
+    def test_rejects_non_finite_numbers(self, old, new, key):
+        with pytest.raises(ProblemError, match=f"{key}: .*finite"):
+            loads(MINIMAL.replace(old, new))
+
     def test_x0_length(self):
         bad = MINIMAL.replace("x0 = [0]", "x0 = [0, 1]")
         with pytest.raises(ProblemError, match="x0"):

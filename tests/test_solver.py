@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
+from bpcheb.expansion import ExpansionError
 from bpcheb.linalg import SingularMatrixError
 from bpcheb.solver import SystemSpec, assemble, hybrid_solve, residual, solve
 
@@ -16,6 +20,16 @@ class TestSystemSpec:
             SystemSpec(n=1, r=1, t0=1, tf=1, x0=[0.0])
         with pytest.raises(ValueError, match="components"):
             SystemSpec(n=2, r=1, t0=0, tf=1, x0=[0.0])
+
+    @pytest.mark.parametrize("key,value", [
+        ("t0", math.nan), ("t0", -math.inf), ("tf", math.inf), ("tf", math.nan),
+        ("x0", [math.nan]), ("x0", [math.inf]),
+    ])
+    def test_rejects_non_finite(self, key, value):
+        fields = dict(n=1, r=1, t0=0.0, tf=1.0, x0=[0.0])
+        fields[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            SystemSpec(**fields)
 
     def test_x0_read_only(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[1.0])
@@ -50,6 +64,19 @@ class TestAssemble:
         spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[0.0, 0.0], A=lambda t: np.eye(3))
         with pytest.raises(Exception, match="shape"):
             assemble(spec, BasisConfig.uniform(0, 1, 2, 3))
+
+    def test_kernel_shape_mismatch_names_n(self):
+        spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[0.0, 0.0], N=lambda t, s: np.eye(3))
+        with pytest.raises(ValueError, match=r"N\(t, s\) has shape \(3, 3\), expected \(2, 2\)"):
+            assemble(spec, BasisConfig.uniform(0, 1, 2, 3))
+
+    def test_control_failure_names_t_and_block(self):
+        # ln(t-0.5) fails on the first block's nodes, all below 0.5
+        ln = exprlang.as_function(exprlang.parse("ln(t-0.5)"))
+        spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], B=lambda t: np.array([[1.0]]),
+                          u=lambda t: np.array([ln(t)]))
+        with pytest.raises(ExpansionError, match=r"failed at t=.* \(block 1\): .*ln"):
+            hybrid_solve(spec, BasisConfig.uniform(0, 1, 2, 3))
 
 
 class TestSolve:
