@@ -71,6 +71,12 @@ class TestProjection:
         assert q.Q.shape == (6, 6)
         assert not q.Q.any()
 
+    def test_zero_matrix_kernel(self):
+        cfg = BasisConfig.uniform(0, 1, 2, 3)
+        q = fredholm_operator(lambda t, s: np.zeros((2, 2)), cfg)
+        assert q.Q.shape == (12, 12)
+        assert not q.Q.any()
+
     def test_constant_kernel_single_block(self):
         # only C_{00} = 1 survives; row 0 holds the integrals of S_p(2s-1)
         # over [0, 1]: 1 for p = 0, 1/3 for p = 2, 0 otherwise
