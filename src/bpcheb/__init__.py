@@ -5,8 +5,8 @@ The state equation
 
     x'(t) = A(t) x(t) + integral over [t0, tf] of N(t, s) x(s) ds + B(t) u(t)
 
-with x(t0) = x0 is reduced to one dense linear system by expanding all data
-in products of block pulses and second-kind Chebyshev polynomials.  See
+with x(t0) = x0 is reduced to one linear system by expanding all data in
+products of block pulses and second-kind Chebyshev polynomials.  See
 SystemSpec / assemble / solve for the library API and bpcheb.cli for the
 command-line front end.
 """

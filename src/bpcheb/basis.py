@@ -134,7 +134,8 @@ def chebyshev_u_series(coeffs: np.ndarray, x: float) -> np.ndarray:
     """Evaluate sum_m coeffs[m] * S_m(x) by the Clenshaw backward recurrence.
 
     coeffs may be shape (M,) or (M, n); vector coefficients are summed
-    componentwise.
+    componentwise.  x may also be an array that broadcasts against coeffs[0],
+    evaluating many series at once.
     """
     c = np.asarray(coeffs, dtype=float)
     b1 = np.zeros_like(c[0])

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisConfig, block_of, chebyshev_u_series, to_local
+from .basis import BasisConfig, chebyshev_u_series
 from .quadrature import WeightedRule, gauss_u_rule, projection_matrix
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "expand_matrix",
     "product_coeff",
     "product_tensor",
-    "build_product_matrix",
+    "product_blocks",
     "synthesize",
 ]
 
@@ -212,28 +212,35 @@ def product_tensor(M: int) -> ProductTensor:
     return ProductTensor(d)
 
 
-def build_product_matrix(mset: MatrixCoeffSet, k: int) -> np.ndarray:
-    """The block-k operator sending coefficients of f to coefficients of M(t) f(t).
+def product_blocks(mset: MatrixCoeffSet) -> np.ndarray:
+    """The per-block operators sending coefficients of f to coefficients of M(t) f(t).
 
-    Returns the (M*n_out) x (M*n_in) matrix with (m, j) sub-block
-    sum_i d^{(ij)}_m M_{ki}; rows are (degree, out-component)-major to match
-    CoeffVector stacking.
+    Returns shape (K, M*n_out, M*n_in); entry k-1 is the block-k matrix with
+    (m, j) sub-block sum_i d^{(ij)}_m M_{ki}, rows (degree, out-component)-major
+    to match CoeffVector stacking.
     """
     cfg = mset.cfg
     d = product_tensor(cfg.M).d
-    mk = mset.blocks[k - 1]  # (M, n_out, n_in)
-    hat = np.einsum("ijm,iab->majb", d, mk)
+    hat = np.einsum("ijm,kiab->kmajb", d, mset.blocks)
     n_out, n_in = mset.shape
-    return np.ascontiguousarray(hat).reshape(cfg.M * n_out, cfg.M * n_in)
+    return np.ascontiguousarray(hat).reshape(cfg.K, cfg.M * n_out, cfg.M * n_in)
 
 
-def synthesize(coeffs: CoeffVector, cfg: BasisConfig, t: float) -> np.ndarray:
-    """Pointwise reconstruction sum_{km} f_{km} h_{km}(t); zero outside the domain.
+def synthesize(coeffs: CoeffVector, cfg: BasisConfig, t) -> np.ndarray:
+    """Reconstruction sum_{km} f_{km} h_{km}(t); zero outside the domain.
 
-    Only the block containing t contributes.
+    t is a time or an array of times; the result has shape t.shape + (n,).
+    Only the block containing a time contributes (t_{k-1} <= t < t_k, and
+    t_f in block K), evaluated by one Clenshaw pass over all times.
     """
-    k = block_of(t, cfg.partition)
-    if k is None:
-        return np.zeros(coeffs.n)
-    x = to_local(t, k, cfg.partition)
-    return np.asarray(chebyshev_u_series(coeffs.block(k), x))
+    p = cfg.partition
+    ts = np.asarray(t, dtype=float)
+    flat = ts.reshape(-1)
+    bp = np.asarray(p.breakpoints)
+    inside = (flat >= p.t0) & (flat <= p.tf)
+    k = np.clip(np.searchsorted(bp, flat, side="right"), 1, p.num_blocks)
+    a, b = bp[k - 1], bp[k]
+    x = np.where(inside, (2.0 * flat - a - b) / (b - a), 0.0)
+    vals = chebyshev_u_series(np.moveaxis(coeffs.tensor()[k - 1], 1, 0), x[:, np.newaxis])
+    vals[~inside] = 0.0
+    return vals.reshape(ts.shape + (coeffs.n,))

@@ -1,4 +1,4 @@
-"""Dense matrix utilities: Kronecker products, unit matrices, pivoted LU.
+"""Dense matrix utilities: Kronecker products, pivoted LU.
 
 Matrices are plain 2-D numpy arrays.  The LU solve is scipy's partial-pivot
 factorization plus an explicit pivot-magnitude check so that singular systems
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SingularMatrixError", "kron", "unit_matrix_e", "LU", "inf_norm"]
+__all__ = ["SingularMatrixError", "kron", "LU", "inf_norm"]
 
 # pivots below this times the matrix inf-norm count as singular
 PIVOT_RTOL = 1e-13
@@ -20,14 +20,20 @@ MAX_KRON_ENTRIES = 2**30
 
 
 class SingularMatrixError(Exception):
-    """A pivot fell below the singularity threshold."""
+    """A pivot fell below the singularity threshold.
 
-    def __init__(self, pivot_index: int, pivot: float, threshold: float):
+    block, when given, is the 1-based diagonal block whose factorization failed.
+    """
+
+    def __init__(self, pivot_index: int, pivot: float, threshold: float,
+                 block: int | None = None):
         self.pivot_index = pivot_index
         self.pivot = pivot
         self.threshold = threshold
+        self.block = block
+        where = "" if block is None else f" in diagonal block {block}"
         super().__init__(
-            f"matrix numerically singular: |pivot {pivot_index}| = {abs(pivot):.3e} "
+            f"matrix numerically singular{where}: |pivot {pivot_index}| = {abs(pivot):.3e} "
             f"is at or below the threshold {threshold:.3e}"
         )
 
@@ -40,15 +46,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if entries > MAX_KRON_ENTRIES:
         raise ValueError(f"kron result would have {entries} entries")
     return np.kron(a, b)
-
-
-def unit_matrix_e(i: int, j: int, m: int) -> np.ndarray:
-    """E_ij: the m x m matrix with a single 1 at (i, j), indices 1-based."""
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise ValueError(f"indices ({i}, {j}) out of range for size {m}")
-    e = np.zeros((m, m))
-    e[i - 1, j - 1] = 1.0
-    return e
 
 
 def inf_norm(a: np.ndarray) -> float:

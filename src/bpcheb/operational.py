@@ -15,6 +15,7 @@ whose row m+1 holds the degree-truncated coefficients of the antiderivative
 of S_m on [-1, 1].  The full matrix has diagonal K-blocks (d_k/2) Phat and,
 for every later block j > i, the first-column entries d_i/(2kappa-1) at rows
 2kappa-1 (the full-block integrals of the even-degree polynomials).
+apply_pt applies P^T kron I_n from these two pieces without forming P.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .basis import BasisConfig
 
-__all__ = ["OperationalMatrix", "build_phat", "build_p"]
+__all__ = ["OperationalMatrix", "build_phat", "build_p", "pt_parts", "apply_pt"]
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,38 @@ def build_p(cfg: BasisConfig) -> OperationalMatrix:
     # block (i, j), j > i: completed blocks contribute their full integral,
     # a constant, i.e. the first column of the later block
     rows = np.arange(0, M, 2)  # even degrees m = 2kappa-2
-    vals = 1.0 / (rows + 1.0)
+    vals = _block_integral_weights(M)[rows]
     for i in range(K):
         for j in range(i + 1, K):
             P[i * M + rows, j * M] = widths[i] * vals
     return OperationalMatrix(P, cfg)
+
+
+def _block_integral_weights(M: int) -> np.ndarray:
+    """v_m = 1/(m+1) for even m, 0 for odd m: half the integral of S_m over [-1, 1]."""
+    m = np.arange(M)
+    return np.where(m % 2 == 0, 1.0 / (m + 1.0), 0.0)
+
+
+def pt_parts(cfg: BasisConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two parts of P^T applied to coefficients z of shape (K, M, ...).
+
+    Returns (within, totals): within[k-1] = (d_k/2) Phat^T z[k-1], the running
+    integral inside block k, shaped like z; and totals[k-1] =
+    d_k sum_m v_m z[k-1, m], the full integral over block k, shape (K, ...).
+    Every later block adds totals[k-1] to its degree-0 coefficient.
+    """
+    z = np.asarray(z, dtype=float)
+    d = np.asarray(cfg.partition.widths).reshape((cfg.K,) + (1,) * (z.ndim - 2))
+    within = np.einsum("pm,kp...->km...", build_phat(cfg.M), z)
+    within *= 0.5 * d[:, np.newaxis]
+    totals = d * np.einsum("m,km...->k...", _block_integral_weights(cfg.M), z)
+    return within, totals
+
+
+def apply_pt(cfg: BasisConfig, z: np.ndarray) -> np.ndarray:
+    """(P^T kron I_n) z without forming it: z is any array of K*M*n entries in
+    CoeffVector order; the result has the shape of z."""
+    within, totals = pt_parts(cfg, np.reshape(z, (cfg.K, cfg.M, -1)))
+    within[1:, 0] += np.cumsum(totals[:-1], axis=0)
+    return within.reshape(np.shape(z))

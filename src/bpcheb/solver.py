@@ -11,8 +11,19 @@ single linear system
     [I - (P^T kron I_n) Phi] Xhat = (P^T kron I_n) Bop Uhat + X0hat,
 
 with Phi the sum of the block-diagonal product operator of A and the
-Fredholm operator of N.  One LU factorization serves any number of controls:
-both the control-to-state map and the free response reuse it.
+Fredholm operator Q of N.  It is solved one of two ways:
+
+* Without a kernel, Phi is block diagonal, and P is block upper-triangular:
+  a finished block adds only a constant, its full integral, to each later
+  block.  The system matrix is then block lower-triangular, and solve
+  marches forward over the blocks with K factorizations of size Mn x Mn.
+  Nothing of size (KMn)^2 is formed.
+* With a kernel, Q couples every pair of blocks, so the dense system matrix
+  is formed and LU-factored.
+
+Either way the factors are computed at the first solve and serve any number
+of controls, and every solve checks the defect of its answer by applying
+the operator blockwise.
 """
 
 from __future__ import annotations
@@ -31,10 +42,10 @@ from .basis import (
     chebyshev_u_series,
     to_local,
 )
-from .expansion import CoeffVector, build_product_matrix, expand_matrix, expand_vector, synthesize
+from .expansion import CoeffVector, expand_matrix, expand_vector, product_blocks, synthesize
 from .kernel import fredholm_operator
-from .linalg import LU, inf_norm, kron
-from .operational import build_p
+from .linalg import LU, SingularMatrixError, inf_norm, kron
+from .operational import apply_pt, build_p, pt_parts
 from .quadrature import WeightedRule
 
 __all__ = [
@@ -104,33 +115,107 @@ def _shape_checked(f, shape: tuple[int, int], what: str):
 class AssembledSystem:
     """Discretized operators of one system on one basis; immutable.
 
-    The LU factorization of I - (P^T kron I_n) Phi is computed at the first
-    solve and shared by later solves (concurrent reads are safe).
+    phi_blocks (K, Mn, Mn) holds the block-k product operator of A at index
+    k-1 and b_blocks (K, Mn, Mr) that of B; Q is the (KMn x KMn) Fredholm
+    operator of N, or None without a kernel.
+
+    Without a kernel, the first solve factors the diagonal blocks
+    D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and keeps beside them the rows
+    S_k = d_k (v^T kron I_n) Phi_k (v_m = 1/(m+1) for even m, else 0) that
+    carry block k's full integral into later blocks; block k then solves
+    D_k x_k = rhs_k + e_0 kron sum_{i<k} S_i x_i.  With a kernel, the first
+    solve LU-factors the dense system_matrix I - PkronT @ Phi.  Later solves
+    share the factors (concurrent reads are safe).
     """
 
-    def __init__(self, cfg: BasisConfig, n: int, r: int, Phi: np.ndarray,
-                 PkronT: np.ndarray, Bop: np.ndarray, X0hat: CoeffVector,
+    def __init__(self, cfg: BasisConfig, n: int, r: int, phi_blocks: np.ndarray,
+                 b_blocks: np.ndarray, Q: np.ndarray | None, X0hat: CoeffVector,
                  rule: WeightedRule | None):
-        for arr in (Phi, PkronT, Bop):
-            arr.flags.writeable = False
+        for arr in (phi_blocks, b_blocks, Q):
+            if arr is not None:
+                arr.flags.writeable = False
         self.cfg = cfg
         self.n = n
         self.r = r
-        self.Phi = Phi
-        self.PkronT = PkronT
-        self.Bop = Bop
+        self.phi_blocks = phi_blocks
+        self.b_blocks = b_blocks
+        self.Q = Q
         self.X0hat = X0hat
         self.rule = rule
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """[I - (P^T kron I_n) Phi] x, without forming the matrix."""
+        phix = _apply_blocks(self.phi_blocks, x)
+        if self.Q is not None:
+            phix += self.Q @ x
+        return x - apply_pt(self.cfg, phix)
+
+    # dense operators, which solve uses only for systems with a kernel
+
+    @cached_property
+    def PkronT(self) -> np.ndarray:
+        return _read_only(kron(build_p(self.cfg).P.T, np.eye(self.n)))
+
+    @cached_property
+    def Bop(self) -> np.ndarray:
+        return _read_only(_block_diagonal(self.b_blocks))
+
     @cached_property
     def system_matrix(self) -> np.ndarray:
-        m = np.eye(self.Phi.shape[0]) - self.PkronT @ self.Phi
-        m.flags.writeable = False
-        return m
+        Phi = _block_diagonal(self.phi_blocks)
+        if self.Q is not None:
+            Phi += self.Q
+        return _read_only(np.eye(len(Phi)) - self.PkronT @ Phi)
 
     @cached_property
     def _lu(self) -> LU:
         return LU(self.system_matrix)
+
+    # block forward substitution, for systems without a kernel
+
+    @cached_property
+    def _march(self) -> tuple[list[LU], np.ndarray]:
+        """LU factors of every D_k, and the S_k stacked as (K, n, Mn)."""
+        K, M, n = self.cfg.K, self.cfg.M, self.n
+        within, totals = pt_parts(self.cfg, self.phi_blocks.reshape(K, M, n, M * n))
+        lus = []
+        for k, block in enumerate(np.eye(M * n) - within.reshape(K, M * n, M * n), start=1):
+            try:
+                lus.append(LU(block))
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(exc.pivot_index, exc.pivot, exc.threshold,
+                                          block=k) from None
+        return lus, totals
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self.Q is not None:
+            return self._lu.solve(rhs)
+        lus, totals = self._march
+        x = rhs.reshape(self.cfg.K, -1).copy()
+        carry = np.zeros(self.n)
+        for xk, lu, sk in zip(x, lus, totals):
+            xk[: self.n] += carry
+            xk[:] = lu.solve(xk)
+            carry += sk @ xk
+        return x.reshape(-1)
+
+
+def _apply_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix times vector, from the stacked diagonal blocks."""
+    return np.matmul(blocks, np.reshape(z, (len(blocks), -1, 1))).reshape(-1)
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    K, rows, cols = blocks.shape
+    out = np.zeros((K * rows, K * cols))
+    for k, block in enumerate(blocks):
+        out[k * rows : (k + 1) * rows, k * cols : (k + 1) * cols] = block
+    return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def assemble(spec: SystemSpec, cfg: BasisConfig, rule: WeightedRule | None = None) -> AssembledSystem:
@@ -141,34 +226,26 @@ def assemble(spec: SystemSpec, cfg: BasisConfig, rule: WeightedRule | None = Non
             f"but the system lives on [{spec.t0}, {spec.tf}]"
         )
     M, K, n, r = cfg.M, cfg.K, spec.n, spec.r
-    size = M * K * n
 
-    PkronT = kron(build_p(cfg).P.T, np.eye(n))
-
-    Phi = np.zeros((size, size))
-    if spec.A is not None:
-        aset = expand_matrix(_shape_checked(spec.A, (n, n), "A"), cfg, rule)
-        for k in range(1, K + 1):
-            sl = slice((k - 1) * M * n, k * M * n)
-            Phi[sl, sl] += build_product_matrix(aset, k)
+    if spec.A is None:
+        phi_blocks = np.zeros((K, M * n, M * n))
+    else:
+        phi_blocks = product_blocks(expand_matrix(_shape_checked(spec.A, (n, n), "A"), cfg, rule))
+    if spec.B is None:
+        b_blocks = np.zeros((K, M * n, M * r))
+    else:
+        b_blocks = product_blocks(expand_matrix(_shape_checked(spec.B, (n, r), "B"), cfg, rule))
+    Q = None
     if spec.N is not None:
         Q = fredholm_operator(spec.N, cfg, rule).Q
-        if Q.shape != Phi.shape:
+        if Q.shape != (K * M * n, K * M * n):
             shape = (Q.shape[0] // (M * K), Q.shape[1] // (M * K))
             raise ValueError(f"N(t, s) has shape {shape}, expected {(n, n)}")
-        Phi += Q
-
-    Bop = np.zeros((size, M * K * r))
-    if spec.B is not None:
-        bset = expand_matrix(_shape_checked(spec.B, (n, r), "B"), cfg, rule)
-        for k in range(1, K + 1):
-            Bop[(k - 1) * M * n : k * M * n, (k - 1) * M * r : k * M * r] = build_product_matrix(
-                bset, k
-            )
 
     x0tensor = np.zeros((K, M, n))
     x0tensor[:, 0, :] = spec.x0
-    return AssembledSystem(cfg, n, r, Phi, PkronT, Bop, CoeffVector.from_tensor(x0tensor), rule)
+    return AssembledSystem(cfg, n, r, phi_blocks, b_blocks, Q, CoeffVector.from_tensor(x0tensor),
+                           rule)
 
 
 def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "HybridSolution":
@@ -182,10 +259,13 @@ def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "Hyb
                 raise ValueError(f"u({t}) has {val.size} components, expected r={asm.r}")
             return val
 
-        uhat = expand_vector(u_vec, cfg, asm.rule)
-        rhs += asm.PkronT @ (asm.Bop @ uhat.data)
-    xhat = asm._lu.solve(rhs)
-    defect = inf_norm(asm.system_matrix @ xhat - rhs)
+        uhat = expand_vector(u_vec, cfg, asm.rule).data
+        if asm.Q is None:
+            rhs += apply_pt(cfg, _apply_blocks(asm.b_blocks, uhat))
+        else:
+            rhs += asm.PkronT @ (asm.Bop @ uhat)
+    xhat = asm._solve(rhs)
+    defect = inf_norm(asm.apply(xhat) - rhs)
     bound = RESIDUAL_RTOL * (1.0 + inf_norm(rhs))
     if defect > bound:
         raise SolveError(
@@ -216,7 +296,13 @@ class HybridSolution:
         return synthesize(self.xhat, self.cfg, t)
 
     def evaluate_many(self, ts: Sequence[float]) -> np.ndarray:
-        return np.array([self.evaluate(t) for t in ts])
+        """State vectors at every t in ts, shape (len(ts), n); same values as evaluate."""
+        p = self.cfg.partition
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        outside = ~((ts >= p.t0) & (ts <= p.tf))
+        if outside.any():
+            raise ValueError(f"t={ts[np.argmax(outside)]} outside [{p.t0}, {p.tf}]")
+        return synthesize(self.xhat, self.cfg, ts)
 
     def derivative(self, t: float) -> np.ndarray:
         """d/dt of the reconstruction, by exact per-block series differentiation."""
@@ -246,7 +332,7 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
             ts = 0.5 * ((b - a) * glx + a + b)
             inner_nodes.append(ts)
             inner_weights.append(0.5 * (b - a) * glw)
-            inner_states.append(np.array([sol.evaluate(s) for s in ts]))
+            inner_states.append(sol.evaluate_many(ts))
 
     worst = 0.0
     for t in tgrid:

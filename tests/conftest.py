@@ -10,8 +10,9 @@ Two closed-form benchmark systems are used throughout:
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bpcheb import SystemSpec
+from bpcheb import SystemSpec, build_p, expand_vector
 
 E1 = np.exp(-1.0)
 
@@ -100,3 +101,28 @@ def rk4_reference(spec: SystemSpec, ts, step: float = 1e-4) -> np.ndarray:
         t = target
         results.append(x.copy())
     return np.array(results)
+
+
+def dense_reference_system(asm, u) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for solve: the dense matrix I - kron(P^T, I_n) Phi and its right-hand side.
+
+    Phi is the block diagonal of asm.phi_blocks plus the Fredholm operator;
+    the control enters through kron(P^T, I_n) times the block diagonal of
+    asm.b_blocks.  Every system was solved this way before the block march,
+    and kernel systems still are.
+    """
+    pkron = np.kron(build_p(asm.cfg).P.T, np.eye(asm.n))
+    phi = scipy.linalg.block_diag(*asm.phi_blocks)
+    if asm.Q is not None:
+        phi += asm.Q
+    rhs = asm.X0hat.data.copy()
+    if u is not None:
+        uhat = expand_vector(lambda t: np.atleast_1d(u(t)), asm.cfg, asm.rule).data
+        rhs += pkron @ (scipy.linalg.block_diag(*asm.b_blocks) @ uhat)
+    return np.eye(rhs.size) - pkron @ phi, rhs
+
+
+def dense_reference_solve(asm, u) -> np.ndarray:
+    """The oracle system solved by one dense LU factorization."""
+    matrix, rhs = dense_reference_system(asm, u)
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(matrix), rhs)

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from bpcheb.basis import BasisConfig, Partition, chebyshev_u_eval, global_of_local
+from bpcheb.basis import (
+    BasisConfig,
+    Partition,
+    block_of,
+    chebyshev_u_eval,
+    chebyshev_u_series,
+    global_of_local,
+    to_local,
+)
 from bpcheb.expansion import (
     CoeffVector,
     ExpansionError,
-    build_product_matrix,
     default_rule,
     expand_matrix,
     expand_vector,
     nodes,
+    product_blocks,
     product_coeff,
     product_tensor,
     sample,
@@ -200,19 +208,19 @@ class TestBuildProductMatrix:
         cfg = BasisConfig.uniform(0, 1, 2, 4)
         mset = expand_matrix(lambda t: np.eye(3), cfg)
         for k in (1, 2):
-            np.testing.assert_allclose(build_product_matrix(mset, k), np.eye(12), atol=1e-13)
+            np.testing.assert_allclose(product_blocks(mset)[k - 1], np.eye(12), atol=1e-13)
 
     def test_scalar_constant(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         mset = expand_matrix(lambda t: np.array([[2.5]]), cfg)
-        np.testing.assert_allclose(build_product_matrix(mset, 1), 2.5 * np.eye(3), atol=1e-13)
+        np.testing.assert_allclose(product_blocks(mset)[0], 2.5 * np.eye(3), atol=1e-13)
 
     def test_t_times_t_single_block(self):
         # on [-1, 1]: t * t = t^2 = (1/4) S_0 + (1/4) S_2
         cfg = BasisConfig(Partition((-1.0, 1.0)), 4)
         mset = expand_matrix(lambda t: np.array([[t]]), cfg)
         fhat = expand_vector(lambda t: np.array([t]), cfg)
-        got = build_product_matrix(mset, 1) @ fhat.block(1).reshape(-1)
+        got = product_blocks(mset)[0] @ fhat.block(1).reshape(-1)
         direct = expand_vector(lambda t: np.array([t * t]), cfg).block(1).reshape(-1)
         np.testing.assert_allclose(got, direct, atol=1e-12)
         np.testing.assert_allclose(direct, [0.25, 0, 0.25, 0], atol=1e-13)
@@ -231,7 +239,7 @@ class TestBuildProductMatrix:
             fhat = expand_vector(ffun, cfg, rule)
             prod = expand_vector(lambda t: mfun(t) @ ffun(t), cfg, rule)
             for k in (1, 2):
-                got = build_product_matrix(mset, k) @ fhat.block(k).reshape(-1)
+                got = product_blocks(mset)[k - 1] @ fhat.block(k).reshape(-1)
                 np.testing.assert_allclose(got, prod.block(k).reshape(-1), rtol=0, atol=1e-10)
 
     def test_truncation_matches_projection_of_exact_product(self):
@@ -245,15 +253,31 @@ class TestBuildProductMatrix:
         fhat = expand_vector(ffun, cfg, rule)
         prod = expand_vector(lambda t: mfun(t) @ ffun(t), cfg, rule)
         for k in (1, 2):
-            got = build_product_matrix(mset, k) @ fhat.block(k).reshape(-1)
+            got = product_blocks(mset)[k - 1] @ fhat.block(k).reshape(-1)
             np.testing.assert_allclose(got, prod.block(k).reshape(-1), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("K,M,shape", [(1, 1, (1, 1)), (3, 4, (2, 2)), (5, 7, (2, 1)),
+                                           (8, 12, (3, 2)), (16, 16, (2, 2))])
+    def test_matches_per_block_reference(self, K, M, shape):
+        # the batched einsum sums in the same order as one einsum per block
+        rng = np.random.default_rng(K * M)
+        bp = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, K - 1)), [1.0]])
+        cfg = BasisConfig(Partition(tuple(bp)), M)
+        phase = rng.uniform(0, 3, shape)
+        mset = expand_matrix(lambda t: np.cos(phase * t) + t * t, cfg)
+        d = product_tensor(M).d
+        got = product_blocks(mset)
+        assert got.shape == (K, M * shape[0], M * shape[1])
+        for k in range(K):
+            hat = np.einsum("ijm,iab->majb", d, mset.blocks[k])
+            assert np.array_equal(got[k], hat.reshape(M * shape[0], M * shape[1]))
 
     def test_dimension_mismatch(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         mset = expand_matrix(lambda t: np.eye(2), cfg)
         fhat = expand_vector(lambda t: np.array([1.0, 2.0, 3.0]), cfg)
         with pytest.raises(ValueError):
-            build_product_matrix(mset, 1) @ fhat.block(1).reshape(-1)
+            product_blocks(mset)[0] @ fhat.block(1).reshape(-1)
 
 
 class TestSynthesize:
@@ -283,7 +307,22 @@ class TestSynthesize:
         for t in np.linspace(0, 2, 60):
             np.testing.assert_allclose(synthesize(cv, cfg, t), f(t), rtol=0, atol=1e-12)
 
+    def test_many_times_match_pointwise_reference_exactly(self):
+        # reference: the per-point block lookup, local map and Clenshaw sum
+        rng = np.random.default_rng(12)
+        cfg = BasisConfig(Partition((0.0, 0.25, 0.6, 1.0)), 6)
+        cv = CoeffVector.from_tensor(rng.uniform(-1, 1, size=(3, 6, 2)))
+        ts = np.concatenate([cfg.partition.breakpoints, rng.uniform(0, 1, 40)])
+        got = synthesize(cv, cfg, ts)
+        assert got.shape == (ts.size, 2)
+        for t, row in zip(ts, got):
+            k = block_of(t, cfg.partition)
+            expected = chebyshev_u_series(cv.block(k), to_local(t, k, cfg.partition))
+            assert np.array_equal(row, expected)
+        assert synthesize(cv, cfg, ts.reshape(2, -1)).shape == (2, ts.size // 2, 2)
+
     def test_zero_outside_domain(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         cv = expand_vector(lambda t: np.array([1.0]), cfg)
         np.testing.assert_allclose(synthesize(cv, cfg, 1.5), [0.0])
+        np.testing.assert_allclose(synthesize(cv, cfg, [-0.5, 0.5, 1.5]), [[0.0], [1.0], [0.0]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bpcheb.linalg import LU, SingularMatrixError, inf_norm, kron, unit_matrix_e
+from bpcheb.linalg import LU, SingularMatrixError, inf_norm, kron
 
 
 class TestKron:
@@ -13,7 +13,7 @@ class TestKron:
 
     def test_unit_matrix_placement(self):
         b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        got = kron(unit_matrix_e(1, 2, 2), b)
+        got = kron(np.array([[0.0, 1.0], [0.0, 0.0]]), b)  # E_12
         assert not got[:2, :2].any()
         np.testing.assert_allclose(got[:2, 2:], b)
         assert not got[2:, :].any()
@@ -35,20 +35,6 @@ class TestKron:
         huge = np.broadcast_to(0.0, (40000, 40000))
         with pytest.raises(ValueError, match="entries"):
             kron(huge, huge)
-
-
-class TestUnitMatrixE:
-    def test_fixtures(self):
-        np.testing.assert_allclose(unit_matrix_e(1, 1, 1), [[1.0]])
-        np.testing.assert_allclose(unit_matrix_e(2, 1, 2), [[0.0, 0.0], [1.0, 0.0]])
-        e = unit_matrix_e(2, 3, 3)
-        assert e[1, 2] == 1.0 and e.sum() == 1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            unit_matrix_e(0, 1, 2)
-        with pytest.raises(ValueError):
-            unit_matrix_e(1, 3, 2)
 
 
 class TestLuSolve:

@@ -3,7 +3,7 @@ import pytest
 
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import expand_vector
-from bpcheb.operational import build_p, build_phat
+from bpcheb.operational import apply_pt, build_p, build_phat, pt_parts
 from bpcheb.quadrature import gauss_u_rule, project_scalar
 
 
@@ -153,3 +153,34 @@ class TestIntegrationProperty:
         P = build_p(BasisConfig.uniform(0, 1, 2, 2)).P
         with pytest.raises(ValueError):
             P[0, 0] = 5.0
+
+
+class TestApplyPt:
+    @pytest.mark.parametrize("M,K,n", [(1, 1, 1), (3, 1, 2), (4, 2, 1), (5, 3, 3), (8, 6, 2)])
+    def test_matches_kron_oracle(self, M, K, n):
+        rng = np.random.default_rng(10 * M + K + n)
+        edges = np.sort(rng.uniform(0.1, 1.9, size=K - 1))
+        cfg = BasisConfig(Partition((0.0, *edges, 2.0)), M)
+        z = rng.standard_normal(M * K * n)
+        expected = np.kron(build_p(cfg).P.T, np.eye(n)) @ z
+        np.testing.assert_allclose(apply_pt(cfg, z), expected, rtol=0, atol=1e-14)
+
+    def test_keeps_shape_and_columns(self):
+        # a (K, M, n, c) stack is c independent coefficient vectors
+        rng = np.random.default_rng(3)
+        cfg = BasisConfig(Partition((0.0, 0.3, 0.5, 1.0)), 4)
+        z = rng.standard_normal((3, 4, 2, 5))
+        got = apply_pt(cfg, z)
+        assert got.shape == z.shape
+        pkron = np.kron(build_p(cfg).P.T, np.eye(2))
+        for c in range(5):
+            np.testing.assert_allclose(got[..., c].reshape(-1), pkron @ z[..., c].reshape(-1),
+                                       rtol=0, atol=1e-14)
+
+    def test_parts(self):
+        # totals are the full block integrals: d_k times the even-degree weights 1/(m+1)
+        cfg = BasisConfig(Partition((0.0, 0.25, 1.0)), 3)
+        z = np.arange(6.0).reshape(2, 3, 1)
+        within, totals = pt_parts(cfg, z)
+        np.testing.assert_allclose(totals, [[0.25 * (0 + 2 / 3)], [0.75 * (3 + 5 / 3)]])
+        np.testing.assert_allclose(within[1, :, 0], 0.375 * build_phat(3).T @ z[1, :, 0])

@@ -1,15 +1,33 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.expansion import ExpansionError
-from bpcheb.linalg import SingularMatrixError
+from bpcheb.expansion import ExpansionError, expand_vector
+from bpcheb.linalg import SingularMatrixError, inf_norm
 from bpcheb.solver import SystemSpec, assemble, hybrid_solve, residual, solve
 
-from conftest import EXP_K, EXP_TS, rk4_reference
+from conftest import (
+    EXP_K,
+    EXP_TS,
+    dense_reference_solve,
+    dense_reference_system,
+    expdecay_A,
+    rk4_reference,
+)
+
+
+def _manufactured_B(t):
+    """With expdecay_A, no kernel and u = exp(-t): exact solution [exp(-t), 3 exp(-t)]."""
+    return np.array([[-2.0 - 3.0 * t], [-6.0 - t - 3.0 * t**2]])
+
+
+def _decay_u(t):
+    return np.array([np.exp(-t)])
 
 
 class TestSystemSpec:
@@ -42,8 +60,9 @@ class TestAssemble:
         spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, -2.0])
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         asm = assemble(spec, cfg)
-        assert not asm.Phi.any()
-        assert not asm.Bop.any()
+        assert asm.phi_blocks.shape == (2, 6, 6) and not asm.phi_blocks.any()
+        assert asm.b_blocks.shape == (2, 6, 3) and not asm.b_blocks.any()
+        assert asm.Q is None
         sol = solve(asm, None)
         np.testing.assert_allclose(sol.xhat.tensor()[:, 0, :], [[1.0, -2.0]] * 2, atol=1e-12)
         np.testing.assert_allclose(sol.xhat.tensor()[:, 1:, :], 0.0, atol=1e-12)
@@ -53,7 +72,7 @@ class TestAssemble:
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], A=lambda t: np.array([[a]]))
         cfg = BasisConfig.uniform(0, 1, 2, 4)
         asm = assemble(spec, cfg)
-        np.testing.assert_allclose(asm.Phi, a * np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(asm.phi_blocks, [a * np.eye(4)] * 2, atol=1e-12)
 
     def test_basis_domain_mismatch(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=2, x0=[0.0])
@@ -145,9 +164,6 @@ class TestSolve:
         assert np.max(np.abs(sol.evaluate_many(ts) - exact)) <= 1e-10
 
     def test_linear_system_residual_contract(self, expdecay_system):
-        from bpcheb.expansion import expand_vector
-        from bpcheb.linalg import inf_norm
-
         asm = assemble(expdecay_system, BasisConfig.uniform(0, 1, 4, 7))
         sol = solve(asm, expdecay_system.u)
         # rebuild the right-hand side the way solve does and check the defect
@@ -155,6 +171,15 @@ class TestSolve:
         rhs = asm.X0hat.data + asm.PkronT @ (asm.Bop @ uhat.data)
         defect = inf_norm(asm.system_matrix @ sol.xhat.data - rhs)
         assert defect <= 1e-10 * (1.0 + inf_norm(rhs))
+
+    def test_linear_system_residual_contract_without_kernel(self):
+        asm = assemble(SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, 3.0], A=expdecay_A,
+                                  B=_manufactured_B), BasisConfig.uniform(0, 1, 8, 9))
+        sol = solve(asm, _decay_u)
+        matrix, rhs = dense_reference_system(asm, _decay_u)
+        assert inf_norm(matrix @ sol.xhat.data - rhs) <= 1e-10 * (1.0 + inf_norm(rhs))
+        np.testing.assert_allclose(asm.apply(sol.xhat.data), matrix @ sol.xhat.data,
+                                   rtol=0, atol=1e-13)
 
     def test_zero_kernel_matches_reference_integrator(self):
         spec = SystemSpec(
@@ -174,8 +199,19 @@ class TestSolve:
         # the eigenvalue-one resonance of the discretized operator
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[1.0], A=lambda t: np.array([[2.0]]))
         asm = assemble(spec, BasisConfig.uniform(0, 1, 1, 1))
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match=r"diagonal block 1: \|pivot 0\|"):
             solve(asm, None)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_block_is_named(self):
+        # D_2 = I - (d_2/2) diag(4, 0) = diag(0, 1) on a block of width 1/2;
+        # block 1 (A = diag(1, 0)) is regular
+        spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, 1.0],
+                          A=lambda t: np.diag([1.0 if t < 0.5 else 4.0, 0.0]))
+        asm = assemble(spec, BasisConfig.uniform(0, 1, 2, 1))
+        with pytest.raises(SingularMatrixError, match="diagonal block 2") as excinfo:
+            solve(asm, None)
+        assert (excinfo.value.block, excinfo.value.pivot_index) == (2, 0)
 
     def test_factorization_reused_across_controls(self):
         spec = SystemSpec(
@@ -183,15 +219,81 @@ class TestSolve:
         )
         asm = assemble(spec, BasisConfig.uniform(0, 1, 2, 4))
         solve(asm, lambda t: np.array([1.0]))
+        first = asm._march
+        solve(asm, lambda t: np.array([t]))
+        assert asm._march is first
+        # no dense operator is formed without a kernel
+        assert not {"PkronT", "Bop", "system_matrix", "_lu"} & set(vars(asm))
+
+    def test_factorization_reused_across_controls_with_kernel(self, expdecay_system):
+        asm = assemble(expdecay_system, BasisConfig.uniform(0, 1, 2, 4))
+        solve(asm, lambda t: np.array([1.0]))
         first = asm._lu
         solve(asm, lambda t: np.array([t]))
         assert asm._lu is first
+        assert "_march" not in vars(asm)
 
     def test_control_shape_mismatch(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], B=lambda t: np.array([[1.0]]))
         asm = assemble(spec, BasisConfig.uniform(0, 1, 2, 3))
         with pytest.raises(Exception, match="components"):
             solve(asm, lambda t: np.array([1.0, 2.0]))
+
+
+def _random_system(rng, n, r, with_a, with_b, with_u):
+    """Smooth random data on a random non-uniform partition of a random interval."""
+    t0 = float(rng.uniform(-1, 1))
+    K, M = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    inner = np.sort(rng.uniform(0, 1, K - 1))
+    width = float(rng.uniform(0.5, 2))
+    cfg = BasisConfig(Partition((t0, *(t0 + width * inner), t0 + width)), M)
+    a0, a1 = rng.uniform(-1, 1, (2, n, n))
+    b0, b1 = rng.uniform(-1, 1, (2, n, r))
+    w = rng.uniform(0.5, 3, r)
+    spec = SystemSpec(
+        n=n, r=r, t0=t0, tf=t0 + width, x0=rng.uniform(-1, 1, n),
+        A=(lambda t: a0 + a1 * np.sin(t)) if with_a else None,
+        B=(lambda t: b0 + b1 * t * t) if with_b else None,
+        u=(lambda t: np.cos(w * t)) if with_u else None,
+    )
+    return spec, cfg
+
+
+class TestBlockMarch:
+    @pytest.mark.parametrize("n,r,with_a,with_b,with_u", [
+        (n, r, *mask) for n in (1, 2, 3) for r in (1, 2)
+        for mask in itertools.product((True, False), repeat=3)
+    ])
+    def test_agrees_with_dense_oracle(self, n, r, with_a, with_b, with_u):
+        rng = np.random.default_rng([n, r, with_a, with_b, with_u])
+        for _ in range(3):
+            spec, cfg = _random_system(rng, n, r, with_a, with_b, with_u)
+            asm = assemble(spec, cfg)
+            got = solve(asm, spec.u).xhat.data
+            expected = dense_reference_solve(asm, spec.u)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+
+    def test_kernel_path_is_the_dense_oracle(self, poly_system, expdecay_system):
+        for spec, cfg in ((poly_system, BasisConfig(Partition((0.0, 0.2, 0.5, 1.0)), 4)),
+                          (expdecay_system, BasisConfig.uniform(0, 1, 3, 7))):
+            asm = assemble(spec, cfg)
+            assert np.array_equal(solve(asm, spec.u).xhat.data, dense_reference_solve(asm, spec.u))
+
+    def test_fine_mesh_without_dense_matrix(self):
+        # K=512, M=16, n=2: the dense system matrix alone would take 2 GiB
+        spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, 3.0], A=expdecay_A, B=_manufactured_B,
+                          u=_decay_u)
+        tracemalloc.start()
+        try:
+            sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, 512, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        ts = np.linspace(0, 1, 201)
+        exact = np.stack([np.exp(-ts), 3 * np.exp(-ts)], axis=1)
+        assert np.max(np.abs(sol.evaluate_many(ts) - exact)) <= 1e-12
 
 
 class TestEvaluate:
@@ -201,6 +303,22 @@ class TestEvaluate:
             sol.evaluate(1.2)
         with pytest.raises(ValueError, match="outside"):
             sol.evaluate(-0.1)
+
+    def test_evaluate_many_matches_pointwise(self, expdecay_system):
+        cfg = BasisConfig(Partition((0.0, 0.15, 0.4, 0.9, 1.0)), 6)
+        sol = hybrid_solve(expdecay_system, cfg)
+        rng = np.random.default_rng(31)
+        ts = np.concatenate([cfg.partition.breakpoints, rng.uniform(0, 1, 50), [0.0, 1.0]])
+        got = sol.evaluate_many(ts)
+        assert got.shape == (ts.size, 2)
+        assert np.array_equal(got, np.array([sol.evaluate(t) for t in ts]))
+        assert np.array_equal(sol.evaluate_many([1.0]), [sol.evaluate(1.0)])
+
+    @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+    def test_evaluate_many_out_of_domain_names_t(self, poly_system, bad):
+        sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
+        with pytest.raises(ValueError, match=f"t={bad} outside"):
+            sol.evaluate_many([0.5, bad, 0.25])
 
     def test_polynomial_benchmark_midpoint(self, poly_system):
         sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
