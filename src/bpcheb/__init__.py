@@ -15,6 +15,7 @@ from .basis import BasisConfig, Partition, chebyshev_u_eval
 from .expansion import (
     CoeffVector,
     ExpansionError,
+    GridFunction,
     MatrixCoeffSet,
     ProductTensor,
     expand_matrix,
@@ -51,6 +52,7 @@ __all__ = [
     "MatrixCoeffSet",
     "ProductTensor",
     "ExpansionError",
+    "GridFunction",
     "expand_vector",
     "expand_matrix",
     "product_coeff",

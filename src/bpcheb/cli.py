@@ -39,8 +39,8 @@ def _meta_line(problem: Problem) -> str:
 def _exact_values(problem: Problem, ts) -> np.ndarray | None:
     if problem.output.exact is None:
         return None
-    fns = [exprlang.as_function(e) for e in problem.output.exact]
-    return np.array([[f(t) for f in fns] for t in ts])
+    ts = np.asarray(ts, dtype=float)
+    return np.stack([exprlang.as_function(e)(ts) for e in problem.output.exact], axis=1)
 
 
 def emit_csv(ts, values: np.ndarray, exact: np.ndarray | None = None, meta: str = "") -> str:

@@ -27,6 +27,7 @@ __all__ = [
     "MatrixCoeffSet",
     "ProductTensor",
     "ExpansionError",
+    "GridFunction",
     "default_rule",
     "nodes",
     "sample",
@@ -45,6 +46,22 @@ DEFAULT_EXTRA_ORDER = 8
 
 class ExpansionError(Exception):
     """Evaluation of user data failed during a projection."""
+
+
+@dataclass(frozen=True)
+class GridFunction:
+    """A datum that evaluates whole arrays of points in one call.
+
+    fn(t), or fn(t, s) for a kernel, takes floats or arrays and returns an
+    array of shape value_shape + np.broadcast(t, s).shape whose every point
+    equals the call at that point alone.  sample calls it once on the whole
+    node grid; a plain callable is called once per point.
+    """
+
+    fn: Callable
+
+    def __call__(self, *args):
+        return self.fn(*args)
 
 
 def default_rule(cfg: BasisConfig) -> WeightedRule:
@@ -141,55 +158,108 @@ def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
     return 0.5 * ((b - a) * rule.nodes + a + b)
 
 
-def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t: float | None = None,
-           out: np.ndarray | None = None) -> np.ndarray:
+def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
+           out: np.ndarray | None = None,
+           expect: tuple[str, tuple[int, ...]] | None = None) -> np.ndarray:
     """Samples of f at every node of grid (shape (K, q)), stacked as (K, q) + sample shape.
 
-    With t given, f is a kernel and the samples are f(t, s) for s on the grid.
-    Each sample becomes a float array of at least ndim dimensions, written to
-    out when given, else to a new array shaped by the first sample.  A failing
-    call, or a sample whose shape differs from the others, raises
-    ExpansionError naming the point and its block.
+    With t given, f is a kernel and the samples are f(t, s) for s on the grid;
+    an array t of outer times prefixes its shape.  Each sample becomes a
+    float array of at least ndim dimensions (ndim 1: flattened to a vector),
+    written to out when given, else to a new array shaped by the first
+    sample.  expect = (name, shape) names the datum and the shape its samples
+    must have.  A GridFunction is called once on the whole grid; if that
+    call fails or gives another shape than out or expect, sampling falls back
+    to one call per point.  A failing call, or a sample whose shape differs
+    from the others or from expect, raises ExpansionError naming the point
+    and its block.
     """
-    shape = None if out is None else out.shape[2:]
-    for k, xs in enumerate(grid, start=1):
-        for y, x in enumerate(xs):
-            try:
-                val = np.array(f(x) if t is None else f(t, x), dtype=float, ndmin=ndim, copy=None)
-            except Exception as exc:
-                raise ExpansionError(f"{what} failed at {_where(t, x, k)}: {exc}") from exc
+    lead = np.shape(t) + grid.shape
+    shape = out.shape[len(lead):] if out is not None else expect[1] if expect else None
+    if isinstance(f, GridFunction):
+        try:
+            vals = _sample_grid(f, grid, ndim, t, lead)
+        except Exception:
+            vals = None  # the pointwise loop below raises the located error
+        if vals is not None and shape in (None, vals.shape[len(lead):]):
             if out is None:
-                shape = val.shape
-                out = np.empty(grid.shape + shape)
-            if val.shape != shape:
-                raise ExpansionError(
-                    f"{what} at {_where(t, x, k)} has shape {val.shape}, expected {shape}"
-                )
-            out[k - 1, y] = val
+                return vals
+            out[...] = vals
+            return out
+    for i, ti in np.ndenumerate(t) if np.ndim(t) else [((), t)]:
+        for k, xs in enumerate(grid, start=1):
+            for y, x in enumerate(xs):
+                try:
+                    val = np.array(f(x) if ti is None else f(ti, x), dtype=float, ndmin=ndim,
+                                   copy=None)
+                except Exception as exc:
+                    raise ExpansionError(f"{what} failed at {_where(ti, x, k)}: {exc}") from exc
+                if ndim == 1:
+                    val = val.reshape(-1)
+                if out is None:
+                    if shape is not None and val.shape != shape:  # shape is expect's
+                        raise ExpansionError(
+                            f"{what} failed at {_where(ti, x, k)}: {_misfit(expect, x, val)}"
+                        )
+                    shape = val.shape
+                    out = np.empty(lead + shape)
+                if val.shape != shape:
+                    raise ExpansionError(
+                        f"{what} at {_where(ti, x, k)} has shape {val.shape}, expected {shape}"
+                    )
+                out[i + (k - 1, y)] = val
     return out
+
+
+def _sample_grid(f: GridFunction, grid: np.ndarray, ndim: int, t, lead: tuple) -> np.ndarray:
+    """One call of f on the whole grid, laid out C-contiguous as lead + sample shape."""
+    vals = np.asarray(f(grid) if t is None else f(np.reshape(t, np.shape(t) + (1, 1)), grid),
+                      dtype=float)
+    nv = vals.ndim - len(lead)
+    if nv < 0 or vals.shape[nv:] != lead:
+        raise ValueError(f"grid call gave shape {vals.shape} for points of shape {lead}")
+    vals = vals.reshape((1,) * (ndim - nv) + vals.shape)  # pad in front, like ndmin
+    nv = max(nv, ndim)
+    # C-contiguous like the pointwise result: einsum sums a strided view in another order
+    return np.ascontiguousarray(np.moveaxis(vals, range(nv), range(-nv, 0)))
 
 
 def _where(t: float | None, x: float, k: int) -> str:
     return f"t={x} (block {k})" if t is None else f"(t={t}, s={x}) (inner block {k})"
 
 
+def _misfit(expect: tuple[str, tuple[int, ...]], x: float, val: np.ndarray) -> str:
+    name, shape = expect
+    if len(shape) == 1:
+        return f"{name}({x}) has {val.size} components, expected {shape[0]}"
+    return f"{name}({x}) has shape {val.shape}, expected {shape}"
+
+
 def expand_vector(
-    f: Callable[[float], np.ndarray], cfg: BasisConfig, rule: WeightedRule | None = None
+    f: Callable[[float], np.ndarray], cfg: BasisConfig, rule: WeightedRule | None = None,
+    expect: tuple[str, tuple[int]] | None = None,
 ) -> CoeffVector:
-    """Componentwise expansion of a vector function into CoeffVector layout."""
+    """Componentwise expansion of a vector function into CoeffVector layout.
+
+    expect = (name, (n,)) names f and its length for sample's shape check.
+    """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
-    fx = sample(f, nodes(cfg, rule), "vector function", 1)  # (K, q, n)
+    fx = sample(f, nodes(cfg, rule), "vector function", 1, expect=expect)  # (K, q, n)
     return CoeffVector.from_tensor(np.stack([proj @ block for block in fx]))
 
 
 def expand_matrix(
-    mfun: Callable[[float], np.ndarray], cfg: BasisConfig, rule: WeightedRule | None = None
+    mfun: Callable[[float], np.ndarray], cfg: BasisConfig, rule: WeightedRule | None = None,
+    expect: tuple[str, tuple[int, int]] | None = None,
 ) -> MatrixCoeffSet:
-    """Entrywise expansion of a matrix function of t."""
+    """Entrywise expansion of a matrix function of t.
+
+    expect = (name, (n_out, n_in)) names mfun and its shape for sample's check.
+    """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
-    fx = sample(mfun, nodes(cfg, rule), "matrix function", 2)  # (K, q, n_out, n_in)
+    fx = sample(mfun, nodes(cfg, rule), "matrix function", 2, expect=expect)  # (K, q, n_out, n_in)
     return MatrixCoeffSet(np.stack([np.einsum("mq,qab->mab", proj, block) for block in fx]), cfg)
 
 

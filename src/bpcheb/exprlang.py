@@ -12,6 +12,16 @@ Unary minus binds tighter than '*' but looser than '^', so "-t^2" means
 -(t^2) and "-(t-1)^2" negates the whole square.  Variables are t (time) and
 s (kernel integration variable); functions exp, sin, cos, sqrt, ln, abs;
 constants pi and e.
+
+as_function compiles a tree once into a closure f(t, s=0.0) over floats or
+numpy arrays (broadcast together), bit-identical to evaluate element by
+element: + - * / and negation run as numpy array operations, whose IEEE
+results equal the scalar ones, while every function call and ^ apply the
+interpreter's own math function to each element, because numpy's exp, log
+and power round differently.  When any element fails (division by zero,
+domain error, overflow), the closure re-runs evaluate element by element,
+so the ExprEvalError raised is the interpreter's and names the first failing
+(t, s).  evaluate stays as the reference and as that error locator.
 """
 
 from __future__ import annotations
@@ -19,7 +29,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -305,6 +317,87 @@ def variables(e: Expr) -> set[str]:
     return set()
 
 
-def as_function(e: Expr):
-    """Compile to a plain (t, s) -> float callable."""
-    return lambda t, s=0.0: evaluate(e, t, s)
+# what the compiled nodes raise where evaluate raises ExprEvalError
+_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
+# functions and ^ apply the interpreter's math functions to each element
+# (np.frompyfunc): numpy's exp, log and power round differently
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def as_function(e: Expr) -> Callable:
+    """Compile to a (t, s=0.0) callable, bit-identical to evaluate.
+
+    Floats in give a float out; arrays in give an array of shape
+    np.broadcast(t, s).shape whose every element equals evaluate at that
+    element.  A failure raises evaluate's own ExprEvalError for the first
+    failing element, in C order.
+    """
+    node = _compile(e)
+
+    def f(t, s=0.0):
+        if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
+            try:
+                return float(node(t, s))
+            except _FAILURES:
+                return float(evaluate(e, t, s))
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        shape = np.broadcast_shapes(t.shape, s.shape)
+        try:
+            with np.errstate(all="ignore"):  # overflow to inf is silent, as for floats
+                val = node(t, s)
+        except _FAILURES:
+            tt, ss = np.broadcast_arrays(t, s)
+            val = [evaluate(e, a, b) for a, b in zip(tt.flat, ss.flat)]
+            return np.array(val, dtype=float).reshape(shape)
+        return np.array(np.broadcast_to(val, shape))
+
+    return f
+
+
+def _compile(e: Expr) -> Callable:
+    """Node closure (t, s) -> value; a value is a float or an array."""
+    if isinstance(e, (Num, Const)):
+        value = e.value if isinstance(e, Num) else CONSTANTS[e.name]
+        return lambda t, s: value
+    if isinstance(e, Var):
+        return (lambda t, s: t) if e.name == "t" else (lambda t, s: s)
+    if isinstance(e, Neg):
+        operand = _compile(e.operand)
+        return lambda t, s: -operand(t, s)
+    if isinstance(e, Call):
+        fn, arg = FUNCTIONS[e.func], _compile(e.arg)
+        ufunc = np.frompyfunc(fn, 1, 1)
+
+        def call(t, s):
+            x = arg(t, s)
+            if isinstance(x, np.ndarray):
+                return np.asarray(ufunc(x), dtype=float)
+            return float(fn(x))
+
+        return call
+    if isinstance(e, BinOp):
+        left, right = _compile(e.left), _compile(e.right)
+        if e.op == "+":
+            return lambda t, s: left(t, s) + right(t, s)
+        if e.op == "-":
+            return lambda t, s: left(t, s) - right(t, s)
+        if e.op == "*":
+            return lambda t, s: left(t, s) * right(t, s)
+        if e.op == "/":
+            def divide(t, s):
+                a, b = left(t, s), right(t, s)
+                if (b == 0.0).any() if isinstance(b, np.ndarray) else b == 0.0:
+                    raise ZeroDivisionError
+                return a / b
+
+            return divide
+
+        def power(t, s):
+            a, b = left(t, s), right(t, s)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                return np.asarray(_POW(a, b), dtype=float)
+            return math.pow(a, b)
+
+        return power
+    raise TypeError(f"not an expression node: {e!r}")
+

@@ -5,11 +5,12 @@ integration (inner) variable of
 
     w(t) = integral over [t_0, t_f] of N(t, s) f(s) ds.
 
-N is sampled once on the (K q) x (K q) grid of quadrature nodes in t and s,
-and the weighted projection is applied in s, then in t.  Combining the
-resulting coefficients C^{(jl)}_{ki} (outer block j, outer degree l, inner
-block k, inner degree i) with the triple-product tensor and the closed-form
-block integrals
+N is sampled on the (K q) x (K q) grid of quadrature nodes in t and s, one
+outer block at a time (a GridFunction in one call per outer block), and the
+weighted projection is applied in s, then in t.  Combining the resulting
+coefficients C^{(jl)}_{ki} (outer block j, outer degree l, inner block k,
+inner degree i) with the triple-product tensor and the closed-form block
+integrals
 
     integral of S_m over [-1, 1] = 2/(m+1) for even m, 0 for odd m
 
@@ -76,19 +77,13 @@ def fredholm_operator(
     proj = projection_matrix(cfg.M - 1, rule)
     K, M = cfg.K, cfg.M
     grid = nodes(cfg, rule)
-    q = grid.shape[1]
     # slab[x, k-1, y] = N(t_x, s_y) for outer node t_x of one outer block and
-    # node s_y of inner block k; allocated once the first sample gives N's shape
+    # node s_y of inner block k; allocated by the first sample, reused after
     slab = data = None
     for j, ts in enumerate(grid):
-        for x, t in enumerate(ts):
-            if slab is None:
-                first = sample(kernel, grid, "kernel", 2, t=t)
-                slab = np.empty((q,) + first.shape)
-                slab[x] = first
-                data = np.empty((K, M, K, M) + first.shape[2:])
-            else:
-                sample(kernel, grid, "kernel", 2, t=t, out=slab[x])
+        slab = sample(kernel, grid, "kernel", 2, t=ts, out=slab)
+        if data is None:
+            data = np.empty((K, M, K, M) + slab.shape[3:])
         inner = np.einsum("my,xkyac->xkmac", proj, slab)
         data[j] = np.einsum("lx,xkiac->lkiac", proj, inner)
     n_out, n_in = data.shape[4:]

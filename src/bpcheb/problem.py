@@ -40,6 +40,7 @@ import numpy as np
 
 from . import exprlang
 from .basis import BasisConfig, Partition
+from .expansion import GridFunction
 from .exprlang import Expr, ExprSyntaxError
 from .solver import SystemSpec
 
@@ -90,17 +91,14 @@ class Problem:
         return BasisConfig(Partition(self.breakpoints), self.M)
 
     def system_spec(self) -> SystemSpec:
-        def grid_fn(grid):
+        """The system with every datum a GridFunction over compiled expressions."""
+        def grid_fn(grid):  # A, B of t, or N of (t, s)
             fns = [[exprlang.as_function(e) for e in row] for row in grid]
-            return lambda t: np.array([[f(t) for f in row] for row in fns])
-
-        def kernel_fn(grid):
-            fns = [[exprlang.as_function(e) for e in row] for row in grid]
-            return lambda t, s: np.array([[f(t, s) for f in row] for row in fns])
+            return GridFunction(lambda *ts: np.array([[f(*ts) for f in row] for row in fns]))
 
         def vec_fn(entries):
             fns = [exprlang.as_function(e) for e in entries]
-            return lambda t: np.array([f(t) for f in fns])
+            return GridFunction(lambda t: np.array([f(t) for f in fns]))
 
         return SystemSpec(
             n=self.n,
@@ -110,7 +108,7 @@ class Problem:
             x0=np.array(self.x0),
             A=grid_fn(self.A) if self.A is not None else None,
             B=grid_fn(self.B) if self.B is not None else None,
-            N=kernel_fn(self.N) if self.N is not None else None,
+            N=grid_fn(self.N) if self.N is not None else None,
             u=vec_fn(self.u) if self.u is not None else None,
         )
 

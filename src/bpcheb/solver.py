@@ -42,7 +42,14 @@ from .basis import (
     chebyshev_u_series,
     to_local,
 )
-from .expansion import CoeffVector, expand_matrix, expand_vector, product_blocks, synthesize
+from .expansion import (
+    CoeffVector,
+    expand_matrix,
+    expand_vector,
+    product_blocks,
+    sample,
+    synthesize,
+)
 from .kernel import fredholm_operator
 from .linalg import LU, SingularMatrixError, inf_norm, kron
 from .operational import apply_pt, build_p, pt_parts
@@ -100,16 +107,6 @@ class SystemSpec:
             raise ValueError(f"x0 must be finite, got {x0}")
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
-
-
-def _shape_checked(f, shape: tuple[int, int], what: str):
-    def wrapped(t: float) -> np.ndarray:
-        val = np.atleast_2d(np.asarray(f(t), dtype=float))
-        if val.shape != shape:
-            raise ValueError(f"{what}({t}) has shape {val.shape}, expected {shape}")
-        return val
-
-    return wrapped
 
 
 class AssembledSystem:
@@ -230,11 +227,11 @@ def assemble(spec: SystemSpec, cfg: BasisConfig, rule: WeightedRule | None = Non
     if spec.A is None:
         phi_blocks = np.zeros((K, M * n, M * n))
     else:
-        phi_blocks = product_blocks(expand_matrix(_shape_checked(spec.A, (n, n), "A"), cfg, rule))
+        phi_blocks = product_blocks(expand_matrix(spec.A, cfg, rule, expect=("A", (n, n))))
     if spec.B is None:
         b_blocks = np.zeros((K, M * n, M * r))
     else:
-        b_blocks = product_blocks(expand_matrix(_shape_checked(spec.B, (n, r), "B"), cfg, rule))
+        b_blocks = product_blocks(expand_matrix(spec.B, cfg, rule, expect=("B", (n, r))))
     Q = None
     if spec.N is not None:
         Q = fredholm_operator(spec.N, cfg, rule).Q
@@ -253,13 +250,7 @@ def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "Hyb
     cfg = asm.cfg
     rhs = asm.X0hat.data.copy()
     if u is not None:
-        def u_vec(t: float) -> np.ndarray:
-            val = np.atleast_1d(np.asarray(u(t), dtype=float)).reshape(-1)
-            if val.size != asm.r:
-                raise ValueError(f"u({t}) has {val.size} components, expected r={asm.r}")
-            return val
-
-        uhat = expand_vector(u_vec, cfg, asm.rule).data
+        uhat = expand_vector(u, cfg, asm.rule, expect=("u", (asm.r,))).data
         if asm.Q is None:
             rhs += apply_pt(cfg, _apply_blocks(asm.b_blocks, uhat))
         else:
@@ -321,18 +312,16 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
 
     The time derivative uses the exact per-block Chebyshev differentiation;
     the Fredholm term integrates the reconstructed solution with Gauss-
-    Legendre quadrature on every block.
+    Legendre quadrature on every block, sampling N(t, .) on all those nodes
+    with expansion.sample.
     """
-    p = sol.cfg.partition
     glx, glw = np.polynomial.legendre.leggauss(quad_order)
-    inner_nodes, inner_weights, inner_states = [], [], []
     if spec.N is not None:
-        for k in range(1, p.num_blocks + 1):
-            a, b = p.block_bounds(k)
-            ts = 0.5 * ((b - a) * glx + a + b)
-            inner_nodes.append(ts)
-            inner_weights.append(0.5 * (b - a) * glw)
-            inner_states.append(sol.evaluate_many(ts))
+        bp = np.asarray(sol.cfg.partition.breakpoints)
+        a, b = bp[:-1, np.newaxis], bp[1:, np.newaxis]
+        inner_nodes = 0.5 * ((b - a) * glx + a + b)  # (K, quad_order)
+        inner_weights = 0.5 * (b - a) * glw
+        inner_states = [sol.evaluate_many(ts) for ts in inner_nodes]
 
     worst = 0.0
     for t in tgrid:
@@ -341,10 +330,10 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
         if spec.A is not None:
             defect = defect - np.atleast_2d(np.asarray(spec.A(t), dtype=float)) @ xt
         if spec.N is not None:
+            kvals = sample(spec.N, inner_nodes, "kernel", 2, t=t)  # (K, quad_order, n, n)
             acc = np.zeros(spec.n)
-            for ts, ws, xs in zip(inner_nodes, inner_weights, inner_states):
-                kvals = np.array([np.atleast_2d(np.asarray(spec.N(t, s), dtype=float)) for s in ts])
-                acc += np.einsum("q,qac,qc->a", ws, kvals, xs)
+            for ws, kv, xs in zip(inner_weights, kvals, inner_states):
+                acc += np.einsum("q,qac,qc->a", ws, kv, xs)
             defect = defect - acc
         if spec.B is not None and spec.u is not None:
             bt = np.atleast_2d(np.asarray(spec.B(t), dtype=float))

@@ -8,6 +8,7 @@ from bpcheb.cli import emit_csv, emit_text_table, main
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 POLY = os.path.join(PROBLEMS_DIR, "polynomial_ivp.prob")
 EXPDECAY = os.path.join(PROBLEMS_DIR, "exp_decay_ivp.prob")
+GOLDENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "goldens")
 
 SINGULAR = """
 [system]
@@ -64,6 +65,15 @@ class TestSolveCommand:
         assert "max error vs exact" in out.err
         err = float(out.err.strip().split()[-1])
         assert err <= 1e-10
+
+    @pytest.mark.parametrize("path", [POLY, EXPDECAY])
+    @pytest.mark.parametrize("suffix, extra", [("", []), (".K8M12", ["--K", "8", "--M", "12"])])
+    def test_matches_benchmark_golden_byte_for_byte(self, tmp_path, capsys, path, suffix, extra):
+        out = tmp_path / "out.csv"
+        assert main(["solve", "--config", path, "--out", str(out)] + extra) == 0
+        stem = os.path.splitext(os.path.basename(path))[0]
+        with open(os.path.join(GOLDENS_DIR, f"{stem}{suffix}.csv"), "rb") as golden:
+            assert out.read_bytes() == golden.read()
 
     def test_deterministic_output(self, capsys):
         main(["solve", "--config", POLY])

@@ -13,6 +13,7 @@ from bpcheb.basis import (
 from bpcheb.expansion import (
     CoeffVector,
     ExpansionError,
+    GridFunction,
     default_rule,
     expand_matrix,
     expand_vector,
@@ -73,6 +74,75 @@ class TestNodesAndSample:
         expected = r"t=0.6 \(block 2\) has shape \(1,\), expected \(2,\)"
         with pytest.raises(ExpansionError, match=expected):
             sample(f, grid, "vector function", 1)
+
+
+class _Recorder:
+    """Counts calls and records whether any argument was an array."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.array_calls = fn, 0, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        self.array_calls += any(np.ndim(a) for a in args)
+        return self.fn(*args)
+
+
+def _matrix_fn(t):
+    return np.array([[np.sin(t) + 0.0 * t, t * t], [np.ones_like(t), np.exp(-t)]])
+
+
+class TestGridSampling:
+    GRID = np.array([[0.1, 0.2, 0.35], [0.6, 0.7, 0.9]])
+
+    def test_matrix_one_call_equals_pointwise(self):
+        grid_fn = _Recorder(_matrix_fn)
+        got = sample(GridFunction(grid_fn), self.GRID, "matrix function", 2)
+        assert (grid_fn.calls, grid_fn.array_calls) == (1, 1)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, sample(_matrix_fn, self.GRID, "matrix function", 2))
+
+    def test_vector_and_scalar_results(self):
+        vec = sample(GridFunction(lambda t: np.array([t, 2 * t])), self.GRID, "vector function", 1)
+        np.testing.assert_array_equal(vec, np.stack([self.GRID, 2 * self.GRID], axis=-1))
+        scalar = sample(GridFunction(lambda t: 3 * t), self.GRID, "matrix function", 2)
+        np.testing.assert_array_equal(scalar, 3 * self.GRID[:, :, None, None])
+
+    def test_kernel_over_outer_times(self):
+        kern = lambda t, s: np.array([[t - s, t * s]])  # noqa: E731
+        ts = np.array([0.15, 0.5, 0.8])
+        grid_fn = _Recorder(kern)
+        got = sample(GridFunction(grid_fn), self.GRID, "kernel", 2, t=ts)
+        assert grid_fn.calls == 1
+        assert got.shape == (3, 2, 3, 1, 2) and got.flags.c_contiguous
+        want = np.stack([sample(kern, self.GRID, "kernel", 2, t=t) for t in ts])
+        assert np.array_equal(got, want)
+
+    def test_failure_falls_back_to_the_located_error(self):
+        def fn(t):
+            if np.any(t == 0.7):
+                raise ZeroDivisionError("boom")
+            return t
+
+        grid_fn = _Recorder(fn)
+        with pytest.raises(ExpansionError, match=r"vector function failed at t=0.7 \(block 2\): boom"):
+            sample(GridFunction(grid_fn), self.GRID, "vector function", 1)
+        assert grid_fn.array_calls == 1 and grid_fn.calls == 1 + 5  # then point by point
+
+    def test_wrong_grid_shape_falls_back(self):
+        # a callable that ignores its argument's shape is sampled point by point
+        got = sample(GridFunction(lambda t: np.array([1.0, 2.0])), self.GRID, "vector function", 1)
+        np.testing.assert_array_equal(got, np.broadcast_to([1.0, 2.0], (2, 3, 2)))
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_expected_shape_names_the_datum(self, grid):
+        f = GridFunction(_matrix_fn) if grid else _matrix_fn
+        with pytest.raises(ExpansionError, match=r"failed at t=0.1 \(block 1\): A\(0.1\) has "
+                                                 r"shape \(2, 2\), expected \(3, 3\)"):
+            sample(f, self.GRID, "matrix function", 2, expect=("A", (3, 3)))
+        vec = GridFunction(lambda t: np.array([t, t])) if grid else (lambda t: np.array([t, t]))
+        with pytest.raises(ExpansionError, match=r"u\(0.1\) has 2 components, expected 1"):
+            sample(vec, self.GRID, "vector function", 1, expect=("u", (1,)))
 
 
 class TestExpandScalarBlock:

@@ -1,9 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpcheb.exprlang import (
+    CONSTANTS,
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -206,3 +211,109 @@ class TestBenchmarkEntryStrings:
         for t in np.linspace(0.0, 1.0, 50):
             s = 1.0 - t
             assert evaluate(tree, t, s) == pytest.approx(closure(t, s), abs=1e-14)
+
+
+# every node kind, every function and constant, ^ with integer and
+# non-integer exponents, and numbers that round-trip through repr
+_numbers = st.one_of(
+    st.integers(0, 4).map(float),
+    st.sampled_from([0.5, 1.5, 2.5, 0.1, 1e-3]),
+    st.floats(0.0, 10.0),
+)
+_leaves = st.one_of(
+    _numbers.map(Num),
+    st.sampled_from([Var("t"), Var("s")] + [Const(c) for c in sorted(CONSTANTS)]),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), kids),
+    ),
+    max_leaves=12,
+)
+
+# a grid of (t, s) pairs with zeros and negatives, so that division by zero
+# and domain errors occur, and one away from them
+_T = np.array([-2.0, -1.0, -0.5, 0.0, 0.3, 1.0, 2.5])[:, np.newaxis]
+_S = np.array([-1.5, 0.0, 0.5, 2.0])[np.newaxis, :]
+_T_POS = np.linspace(0.1, 2.0, 5)[:, np.newaxis]
+_S_POS = np.array([0.2, 0.9, 1.7])[np.newaxis, :]
+
+
+def _reference(tree, t, s):
+    """evaluate at every element, in C order: the first failure raises."""
+    tt, ss = np.broadcast_arrays(t, s)
+    return np.array([evaluate(tree, a, b) for a, b in zip(tt.flat, ss.flat)],
+                    dtype=float).reshape(tt.shape)
+
+
+def _assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))  # -0.0 vs 0.0
+
+
+class TestCompiled:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_array_evaluation_matches_interpreter(self, tree):
+        f = as_function(tree)
+        for t, s in ((_T, _S), (_T_POS, _S_POS)):
+            try:
+                want = _reference(tree, t, s)
+            except ExprEvalError as exc:
+                with pytest.raises(ExprEvalError) as info:
+                    f(t, s)
+                assert str(info.value) == str(exc)
+            else:
+                _assert_bit_equal(f(t, s), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_trees, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_float_evaluation_matches_interpreter(self, tree, t, s):
+        f = as_function(tree)
+        try:
+            want = evaluate(tree, t, s)
+        except ExprEvalError as exc:
+            with pytest.raises(ExprEvalError) as info:
+                f(t, s)
+            assert str(info.value) == str(exc)
+        else:
+            got = f(t, s)
+            assert type(got) is float
+            _assert_bit_equal(np.array(got), np.array(want, dtype=float))
+
+    def test_result_has_the_broadcast_shape(self):
+        t, s = np.linspace(0, 1, 3)[:, np.newaxis], np.linspace(0, 1, 4)
+        assert as_function(parse("2*pi"))(t, s).shape == (3, 4)
+        assert as_function(parse("exp(-t)"))(t).shape == (3, 1)
+        assert as_function(parse("s^1.5"))(0.5, s).shape == (4,)
+
+    def test_failure_names_the_first_failing_element(self):
+        f = as_function(parse("1/(t-s)"))
+        t = np.array([0.25, 0.5, 0.75])
+        with pytest.raises(ExprEvalError, match=r"division by zero .* at t=0.5, s=0.5"):
+            f(t, np.array([0.0, 0.5, 0.75]))
+        with pytest.raises(ExprEvalError, match=r"domain error in ln\(-0.5\) at t=-0.5"):
+            as_function(parse("ln(t)"))(np.array([1.0, -0.5, -1.0]))
+
+    @pytest.mark.parametrize("src", ["exp(t)", "t^t", "exp(t)*exp(t)-exp(t)"])
+    def test_overflow_matches_interpreter(self, src):
+        tree, t = parse(src), np.array([1.0, 400.0, 800.0])
+        try:
+            want = _reference(tree, t, 0.0)
+        except ExprEvalError as exc:
+            with pytest.raises(ExprEvalError, match=re.escape(str(exc))):
+                as_function(tree)(t)
+        else:
+            _assert_bit_equal(as_function(tree)(t), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees)
+    def test_print_parse_round_trip(self, tree):
+        printed = to_str(tree)
+        assert parse(printed) == tree
+        assert to_str(parse(printed)) == printed

@@ -3,7 +3,14 @@ import pytest
 
 from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.expansion import ExpansionError, default_rule, expand_vector, nodes, product_tensor
+from bpcheb.expansion import (
+    ExpansionError,
+    GridFunction,
+    default_rule,
+    expand_vector,
+    nodes,
+    product_tensor,
+)
 from bpcheb.kernel import block_integral, fredholm_operator
 from bpcheb.quadrature import gauss_u_rule, projection_matrix
 
@@ -185,6 +192,36 @@ class TestSampling:
         expected = r"\(t=.*, s=.*\) .* has shape .* expected \(2, 2\)"
         with pytest.raises(ExpansionError, match=expected):
             fredholm_operator(kernel, cfg)
+
+    def test_grid_kernel_failing_at_one_interior_node_is_named(self):
+        cfg = BasisConfig.uniform(0, 1, 3, 4)
+        grid = nodes(cfg, default_rule(cfg))
+        c = float(grid[1, 2])  # 1/(s - c) fails only where s is this node of block 2
+        compiled = exprlang.as_function(exprlang.parse(f"1/(s-{c!r})"))
+        shapes = []
+
+        def kernel(t, s):
+            shapes.append(np.broadcast_shapes(np.shape(t), np.shape(s)))
+            return compiled(t, s)
+
+        where = rf"\(t={grid[0, 0]}, s={c}\) \(inner block 2\): division by zero"
+        with pytest.raises(ExpansionError, match=f"kernel failed at {where}"):
+            fredholm_operator(GridFunction(kernel), cfg)
+        q = grid.shape[1]
+        assert shapes[0] == (q, 3, q) and set(shapes[1:]) == {()}  # one grid call, then points
+
+    def test_grid_kernel_called_once_per_outer_block(self):
+        cfg = BasisConfig(Partition((0.0, 0.3, 0.7, 1.0)), 4)
+        calls = []
+
+        def kernel(t, s):
+            calls.append(np.broadcast_shapes(np.shape(t), np.shape(s)))
+            return np.array([[t * s, np.cos(t - s)]])
+
+        q = len(default_rule(cfg).nodes)
+        got = fredholm_operator(GridFunction(kernel), cfg).Q
+        assert calls == [(q, cfg.K, q)] * cfg.K
+        assert np.array_equal(got, fredholm_operator(kernel, cfg).Q)
 
     def test_kernel_singular_at_endpoint(self):
         # ln(s) raises at s = 0, which no Gauss node reaches; w(t) is the

@@ -3,8 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from bpcheb.exprlang import parse
+from bpcheb.basis import BasisConfig, Partition
+from bpcheb.expansion import GridFunction
+from bpcheb.exprlang import evaluate, parse
 from bpcheb.problem import OutputSpec, ProblemError, dumps, load, loads
+from bpcheb.solver import SystemSpec, assemble, residual, solve
 
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -163,3 +166,63 @@ class TestOverrides:
         text = MINIMAL.replace("K = 2", "K = 2\nbreakpoints = [0, 0.25, 1.0]")
         with pytest.raises(ProblemError, match="breakpoints"):
             loads(text).with_overrides(K=3)
+
+
+def interpreter_spec(p) -> SystemSpec:
+    """The system with plain callables that walk the expression trees per point."""
+    def grid_fn(grid):
+        return lambda *ts: np.array([[evaluate(e, *ts) for e in row] for row in grid])
+
+    def vec_fn(entries):
+        return lambda t: np.array([evaluate(e, t) for e in entries])
+
+    return SystemSpec(
+        n=p.n, r=p.r, t0=p.t0, tf=p.tf, x0=np.array(p.x0),
+        A=grid_fn(p.A) if p.A is not None else None,
+        B=grid_fn(p.B) if p.B is not None else None,
+        N=grid_fn(p.N) if p.N is not None else None,
+        u=vec_fn(p.u) if p.u is not None else None,
+    )
+
+
+class TestSystemSpec:
+    @pytest.mark.parametrize("fname", ["polynomial_ivp.prob", "exp_decay_ivp.prob"])
+    @pytest.mark.parametrize("K, M, jitter", [(3, 4, False), (4, 5, False), (8, 12, False),
+                                              (6, 7, True)])
+    def test_grid_sampling_is_bit_identical_to_interpreter(self, fname, K, M, jitter):
+        p = load(os.path.join(PROBLEMS_DIR, fname)).with_overrides(K=K, M=M)
+        cfg = p.basis_config()
+        if jitter:
+            bp = np.linspace(0.0, 1.0, K + 1)
+            bp[1:-1] += np.random.default_rng(K).uniform(-0.3, 0.3, K - 1) / K
+            cfg = BasisConfig(Partition(tuple(bp)), M)
+        spec, ref = p.system_spec(), interpreter_spec(p)
+        assert all(isinstance(f, GridFunction) for f in (spec.A, spec.B, spec.N, spec.u))
+        asm, want = assemble(spec, cfg), assemble(ref, cfg)
+        for name in ("phi_blocks", "b_blocks", "Q"):
+            assert np.array_equal(getattr(asm, name), getattr(want, name)), name
+        assert np.array_equal(solve(asm, spec.u).xhat.data, solve(want, ref.u).xhat.data)
+
+    @pytest.mark.parametrize("fname", ["polynomial_ivp.prob", "exp_decay_ivp.prob"])
+    def test_residual_matches_interpreter(self, fname):
+        p = load(os.path.join(PROBLEMS_DIR, fname))
+        spec, ref = p.system_spec(), interpreter_spec(p)
+        sol = solve(assemble(ref, p.basis_config()), ref.u)
+        ts = np.linspace(p.t0, p.tf, 7)
+        assert residual(spec, sol, ts, quad_order=12) == residual(ref, sol, ts, quad_order=12)
+
+    def test_values_at_a_point_match_interpreter(self):
+        p = load(os.path.join(PROBLEMS_DIR, "exp_decay_ivp.prob"))
+        spec, ref = p.system_spec(), interpreter_spec(p)
+        for name in ("A", "B", "u"):
+            got = getattr(spec, name)(0.3)
+            assert got.shape == getattr(ref, name)(0.3).shape
+            assert np.array_equal(got, getattr(ref, name)(0.3))
+        assert np.array_equal(spec.N(0.3, 0.7), ref.N(0.3, 0.7))
+
+    def test_grid_call_shape(self):
+        spec = load(os.path.join(PROBLEMS_DIR, "exp_decay_ivp.prob")).system_spec()
+        t, s = np.linspace(0, 1, 3)[:, np.newaxis, np.newaxis], np.full((2, 4), 0.5)
+        assert spec.A(s).shape == (2, 2, 2, 4)
+        assert spec.u(s).shape == (1, 2, 4)
+        assert spec.N(t, s).shape == (2, 2, 3, 2, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.expansion import ExpansionError, expand_vector
+from bpcheb.expansion import ExpansionError, GridFunction, expand_vector
 from bpcheb.linalg import SingularMatrixError, inf_norm
 from bpcheb.solver import SystemSpec, assemble, hybrid_solve, residual, solve
 
@@ -239,6 +240,23 @@ class TestSolve:
         with pytest.raises(Exception, match="components"):
             solve(asm, lambda t: np.array([1.0, 2.0]))
 
+    def test_grid_data_shape_mismatch_names_the_datum(self):
+        cfg = BasisConfig.uniform(0, 1, 2, 3)
+        spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], B=lambda t: np.array([[1.0]]),
+                          A=GridFunction(lambda t: np.array([[t, t], [t, t]])))
+        with pytest.raises(ExpansionError, match=r"A\(.*\) has shape \(2, 2\), expected \(1, 1\)"):
+            assemble(spec, cfg)
+        asm = assemble(dataclasses.replace(spec, A=None), cfg)
+        with pytest.raises(ExpansionError, match=r"u\(.*\) has 2 components, expected 1"):
+            solve(asm, GridFunction(lambda t: np.array([t, t])))
+
+    def test_scalar_control_flattened(self):
+        spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], B=lambda t: np.array([[1.0]]))
+        asm = assemble(spec, BasisConfig.uniform(0, 1, 2, 3))
+        want = solve(asm, lambda t: np.array([2.0 * t])).xhat.data
+        for u in (lambda t: 2.0 * t, lambda t: np.array([[2.0 * t]]), GridFunction(lambda t: 2.0 * t)):
+            assert np.array_equal(solve(asm, u).xhat.data, want)
+
 
 def _random_system(rng, n, r, with_a, with_b, with_u):
     """Smooth random data on a random non-uniform partition of a random interval."""
@@ -346,6 +364,33 @@ class TestEvaluate:
 
 
 class TestResidual:
+    def test_grid_kernel_sampled_once_per_time(self, expdecay_system):
+        sol = hybrid_solve(expdecay_system, BasisConfig.uniform(0, 1, EXP_K, 5))
+        calls = []
+
+        def kernel(t, s):
+            calls.append(np.shape(s))
+            t, s = np.broadcast_arrays(t, s)
+            return np.array([[t * s, t - s], [s, t + s]])
+
+        grid_spec = dataclasses.replace(expdecay_system, N=GridFunction(kernel))
+        got = residual(grid_spec, sol, EXP_TS, quad_order=10)
+        assert calls == [(EXP_K, 10)] * len(EXP_TS)
+        plain_spec = dataclasses.replace(expdecay_system, N=kernel)
+        assert got == residual(plain_spec, sol, EXP_TS, quad_order=10)
+
+    def test_kernel_failure_names_t_s_and_block(self, expdecay_system):
+        sol = hybrid_solve(expdecay_system, BasisConfig.uniform(0, 1, EXP_K, 5))
+
+        def kernel(t, s):
+            if s > 0.5:
+                raise ArithmeticError("nope")
+            return expdecay_system.N(t, s)
+
+        spec = dataclasses.replace(expdecay_system, N=kernel)
+        with pytest.raises(ExpansionError, match=r"kernel failed at \(t=0.1, s=.*\) \(inner block 3\): nope"):
+            residual(spec, sol, EXP_TS, quad_order=10)
+
     def test_zero_system_zero_residual(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[2.0])
         sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, 2, 3))
