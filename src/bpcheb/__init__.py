@@ -15,7 +15,6 @@ from .basis import BasisConfig, Partition, chebyshev_u_eval
 from .expansion import (
     CoeffVector,
     ExpansionError,
-    GridFunction,
     MatrixCoeffSet,
     ProductTensor,
     expand_matrix,
@@ -52,7 +51,6 @@ __all__ = [
     "MatrixCoeffSet",
     "ProductTensor",
     "ExpansionError",
-    "GridFunction",
     "expand_vector",
     "expand_matrix",
     "product_coeff",

@@ -39,8 +39,12 @@ def _meta_line(problem: Problem) -> str:
 def _exact_values(problem: Problem, ts) -> np.ndarray | None:
     if problem.output.exact is None:
         return None
-    ts = np.asarray(ts, dtype=float)
-    return np.stack([exprlang.as_function(e)(ts) for e in problem.output.exact], axis=1)
+    fns = [exprlang.as_function(e) for e in problem.output.exact]
+    try:
+        return np.stack([f(np.asarray(ts, dtype=float)) for f in fns], axis=1)
+    except ExprEvalError:
+        # point by point, so the error names the first failing t of the first failing column
+        return np.array([[f(t) for f in fns] for t in ts])
 
 
 def emit_csv(ts, values: np.ndarray, exact: np.ndarray | None = None, meta: str = "") -> str:

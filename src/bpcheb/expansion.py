@@ -221,7 +221,8 @@ def _sample_grid(f: GridFunction, grid: np.ndarray, ndim: int, t, lead: tuple) -
     vals = vals.reshape((1,) * (ndim - nv) + vals.shape)  # pad in front, like ndmin
     nv = max(nv, ndim)
     # C-contiguous like the pointwise result: einsum sums a strided view in another order
-    return np.ascontiguousarray(np.moveaxis(vals, range(nv), range(-nv, 0)))
+    vals = np.ascontiguousarray(np.moveaxis(vals, range(nv), range(-nv, 0)))
+    return vals.reshape(lead + (-1,)) if ndim == 1 else vals
 
 
 def _where(t: float | None, x: float, k: int) -> str:

@@ -13,15 +13,17 @@ Unary minus binds tighter than '*' but looser than '^', so "-t^2" means
 s (kernel integration variable); functions exp, sin, cos, sqrt, ln, abs;
 constants pi and e.
 
-as_function compiles a tree once into a closure f(t, s=0.0) over floats or
-numpy arrays (broadcast together), bit-identical to evaluate element by
-element: + - * / and negation run as numpy array operations, whose IEEE
-results equal the scalar ones, while every function call and ^ apply the
-interpreter's own math function to each element, because numpy's exp, log
-and power round differently.  When any element fails (division by zero,
-domain error, overflow), the closure re-runs evaluate element by element,
-so the ExprEvalError raised is the interpreter's and names the first failing
-(t, s).  evaluate stays as the reference and as that error locator.
+as_function compiles a tree once into a closure f(t, s=0.0).  Floats are
+passed to evaluate.  Numpy arrays (broadcast together) run through the
+compiled tree, bit-identical to evaluate element by element: + - * / and
+negation run as numpy array operations, whose IEEE results equal the scalar
+ones, while every function call and ^ apply the interpreter's own math
+function to each element, because numpy's exp, log and power round
+differently.  When any element fails (division by zero, domain error,
+overflow), the closure re-runs evaluate element by element, so the
+ExprEvalError raised is the interpreter's and names the first failing
+(t, s).  evaluate stays as the reference, the scalar path and that error
+locator.
 """
 
 from __future__ import annotations
@@ -327,7 +329,7 @@ _POW = np.frompyfunc(math.pow, 2, 1)
 def as_function(e: Expr) -> Callable:
     """Compile to a (t, s=0.0) callable, bit-identical to evaluate.
 
-    Floats in give a float out; arrays in give an array of shape
+    Floats in give evaluate's float out; arrays in give an array of shape
     np.broadcast(t, s).shape whose every element equals evaluate at that
     element.  A failure raises evaluate's own ExprEvalError for the first
     failing element, in C order.
@@ -336,10 +338,7 @@ def as_function(e: Expr) -> Callable:
 
     def f(t, s=0.0):
         if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
-            try:
-                return float(node(t, s))
-            except _FAILURES:
-                return float(evaluate(e, t, s))
+            return float(evaluate(e, t, s))
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
         shape = np.broadcast_shapes(t.shape, s.shape)
         try:
@@ -355,7 +354,7 @@ def as_function(e: Expr) -> Callable:
 
 
 def _compile(e: Expr) -> Callable:
-    """Node closure (t, s) -> value; a value is a float or an array."""
+    """Node closure (t, s) -> value over arrays (constants stay floats)."""
     if isinstance(e, (Num, Const)):
         value = e.value if isinstance(e, Num) else CONSTANTS[e.name]
         return lambda t, s: value
@@ -365,16 +364,8 @@ def _compile(e: Expr) -> Callable:
         operand = _compile(e.operand)
         return lambda t, s: -operand(t, s)
     if isinstance(e, Call):
-        fn, arg = FUNCTIONS[e.func], _compile(e.arg)
-        ufunc = np.frompyfunc(fn, 1, 1)
-
-        def call(t, s):
-            x = arg(t, s)
-            if isinstance(x, np.ndarray):
-                return np.asarray(ufunc(x), dtype=float)
-            return float(fn(x))
-
-        return call
+        ufunc, arg = np.frompyfunc(FUNCTIONS[e.func], 1, 1), _compile(e.arg)
+        return lambda t, s: np.asarray(ufunc(arg(t, s)), dtype=float)
     if isinstance(e, BinOp):
         left, right = _compile(e.left), _compile(e.right)
         if e.op == "+":
@@ -386,18 +377,10 @@ def _compile(e: Expr) -> Callable:
         if e.op == "/":
             def divide(t, s):
                 a, b = left(t, s), right(t, s)
-                if (b == 0.0).any() if isinstance(b, np.ndarray) else b == 0.0:
+                if np.any(b == 0.0):
                     raise ZeroDivisionError
                 return a / b
 
             return divide
-
-        def power(t, s):
-            a, b = left(t, s), right(t, s)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                return np.asarray(_POW(a, b), dtype=float)
-            return math.pow(a, b)
-
-        return power
+        return lambda t, s: np.asarray(_POW(left(t, s), right(t, s)), dtype=float)
     raise TypeError(f"not an expression node: {e!r}")
-

@@ -139,6 +139,16 @@ class TestSolveCommand:
         assert err.startswith("bpcheb: input error: ")
         assert where in err
 
+    def test_failing_exact_column_names_the_first_failing_point(self, tmp_path, capsys):
+        # both columns fail; the first point that fails, t=0, is named, in column 2
+        text = open(POLY).read().replace('exact = ["t^2", "t^3"]', 'exact = ["1/(t-1)", "1/t"]')
+        cfgfile = tmp_path / "exact.prob"
+        cfgfile.write_text(text)
+        assert main(["solve", "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bpcheb: input error: ")
+        assert "division by zero in '1.0/t' at t=0.0" in err
+
     def test_non_finite_x0_exits_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "nan.prob"
         cfgfile.write_text(SINGULAR.replace("x0 = [1]", "x0 = [NaN]"))

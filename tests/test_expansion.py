@@ -105,6 +105,9 @@ class TestGridSampling:
     def test_vector_and_scalar_results(self):
         vec = sample(GridFunction(lambda t: np.array([t, 2 * t])), self.GRID, "vector function", 1)
         np.testing.assert_array_equal(vec, np.stack([self.GRID, 2 * self.GRID], axis=-1))
+        column = sample(GridFunction(lambda t: np.array([[t]])), self.GRID, "vector function", 1)
+        assert column.shape == (2, 3, 1) and column.flags.c_contiguous
+        np.testing.assert_array_equal(column, self.GRID[:, :, None])
         scalar = sample(GridFunction(lambda t: 3 * t), self.GRID, "matrix function", 2)
         np.testing.assert_array_equal(scalar, 3 * self.GRID[:, :, None, None])
 
