@@ -26,7 +26,7 @@ from .kernel import FredholmOperator, fredholm_operator
 from .linalg import SingularMatrixError
 from .operational import OperationalMatrix, build_p, build_phat
 from .problem import Problem, ProblemError, load, loads
-from .quadrature import WeightedRule, gauss_u_rule, project_scalar
+from .quadrature import WeightedRule, gauss_u_rule
 from .solver import (
     AssembledSystem,
     HybridSolution,
@@ -46,7 +46,6 @@ __all__ = [
     "chebyshev_u_eval",
     "WeightedRule",
     "gauss_u_rule",
-    "project_scalar",
     "CoeffVector",
     "MatrixCoeffSet",
     "ProductTensor",

@@ -13,6 +13,7 @@ the rule S_i S_j = sum over r = 0..min(i,j) of S_{i+j-2r}.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,7 +28,6 @@ __all__ = [
     "MatrixCoeffSet",
     "ProductTensor",
     "ExpansionError",
-    "GridFunction",
     "default_rule",
     "nodes",
     "sample",
@@ -42,26 +42,13 @@ __all__ = [
 # extra quadrature points beyond M; exact for the polynomial data of interest
 # and near machine precision for smooth data
 DEFAULT_EXTRA_ORDER = 8
+# a whole-grid call is kept when its samples at the probe nodes agree with
+# single-point calls to this times its largest magnitude
+PROBE_RTOL = 1e-13
 
 
 class ExpansionError(Exception):
     """Evaluation of user data failed during a projection."""
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A datum that evaluates whole arrays of points in one call.
-
-    fn(t), or fn(t, s) for a kernel, takes floats or arrays and returns an
-    array of shape value_shape + np.broadcast(t, s).shape whose every point
-    equals the call at that point alone.  sample calls it once on the whole
-    node grid; a plain callable is called once per point.
-    """
-
-    fn: Callable
-
-    def __call__(self, *args):
-        return self.fn(*args)
 
 
 def default_rule(cfg: BasisConfig) -> WeightedRule:
@@ -168,34 +155,28 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
     float array of at least ndim dimensions (ndim 1: flattened to a vector),
     written to out when given, else to a new array shaped by the first
     sample.  expect = (name, shape) names the datum and the shape its samples
-    must have.  A GridFunction is called once on the whole grid; if that
-    call fails or gives another shape than out or expect, sampling falls back
-    to one call per point.  A failing call, or a sample whose shape differs
-    from the others or from expect, raises ExpansionError naming the point
-    and its block.
+    must have.
+
+    f is first called once on the whole grid (see _sample_grid).  When that
+    result is not kept, f is called once per point: a failing call, or a
+    sample whose shape differs from the others or from expect, raises
+    ExpansionError naming the point and its block.
     """
     lead = np.shape(t) + grid.shape
     shape = out.shape[len(lead):] if out is not None else expect[1] if expect else None
-    if isinstance(f, GridFunction):
-        try:
-            vals = _sample_grid(f, grid, ndim, t, lead)
-        except Exception:
-            vals = None  # the pointwise loop below raises the located error
-        if vals is not None and shape in (None, vals.shape[len(lead):]):
-            if out is None:
-                return vals
-            out[...] = vals
-            return out
+    vals = _sample_grid(f, grid, ndim, t, lead, shape)
+    if vals is not None:
+        if out is None:
+            return vals
+        out[...] = vals
+        return out
     for i, ti in np.ndenumerate(t) if np.ndim(t) else [((), t)]:
         for k, xs in enumerate(grid, start=1):
             for y, x in enumerate(xs):
                 try:
-                    val = np.array(f(x) if ti is None else f(ti, x), dtype=float, ndmin=ndim,
-                                   copy=None)
+                    val = _sample_point(f, ti, x, ndim)
                 except Exception as exc:
                     raise ExpansionError(f"{what} failed at {_where(ti, x, k)}: {exc}") from exc
-                if ndim == 1:
-                    val = val.reshape(-1)
                 if out is None:
                     if shape is not None and val.shape != shape:  # shape is expect's
                         raise ExpansionError(
@@ -211,13 +192,59 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
     return out
 
 
-def _sample_grid(f: GridFunction, grid: np.ndarray, ndim: int, t, lead: tuple) -> np.ndarray:
-    """One call of f on the whole grid, laid out C-contiguous as lead + sample shape."""
-    vals = np.asarray(f(grid) if t is None else f(np.reshape(t, np.shape(t) + (1, 1)), grid),
-                      dtype=float)
+def _sample_point(f: Callable, t, x, ndim: int) -> np.ndarray:
+    """One sample, f(x) or f(t, x), as a float array of at least ndim dimensions."""
+    val = np.array(f(x) if t is None else f(t, x), dtype=float, ndmin=ndim, copy=None)
+    return val.reshape(-1) if ndim == 1 else val
+
+
+def _sample_grid(f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
+                 shape: tuple | None) -> np.ndarray | None:
+    """One call of f on the whole grid, laid out C-contiguous as lead + sample shape.
+
+    f gets read-only arrays of shape lead: the grid, or for a kernel the
+    outer times and the grid broadcast against each other.  The result is
+    kept when the call raises nothing and gives shape value_shape + lead
+    with no NaN, value_shape matches shape when given, and the samples at
+    the first and the last point agree with single-point calls there to
+    PROBE_RTOL times the largest magnitude (exactly, where that is 0 or not
+    finite).  Else the result is None and the warnings raised on the way
+    are dropped; a kept result re-emits them.  Recording them swaps the
+    process-wide warning filters for the call (warnings.catch_warnings).
+    """
+    points = (grid,) if t is None else (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            vals = _grid_layout(f(*(np.broadcast_to(p, lead) for p in points)), ndim, lead)
+            if vals is None or shape not in (None, vals.shape[len(lead):]):
+                return None
+            scale = np.abs(vals).max()
+            if np.isnan(scale):
+                return None
+            nt = np.ndim(t)
+            for end in (0, -1):  # the probe points
+                idx = (end,) * len(lead)
+                got = vals[idx]
+                want = _sample_point(f, np.asarray(t)[idx[:nt]] if nt else t, grid[idx[nt:]], ndim)
+                # with an infinite sample anywhere, only an exact match (inf == inf) counts
+                close = got == want if scale == np.inf else abs(got - want) <= PROBE_RTOL * scale
+                if got.shape != want.shape or not close.all():
+                    return None
+        except Exception:
+            return None  # the pointwise loop raises the located error, if any
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return vals
+
+
+def _grid_layout(vals, ndim: int, lead: tuple) -> np.ndarray | None:
+    """A grid call's value_shape + lead result as lead + sample shape; None
+    for another shape."""
+    vals = np.asarray(vals, dtype=float)
     nv = vals.ndim - len(lead)
     if nv < 0 or vals.shape[nv:] != lead:
-        raise ValueError(f"grid call gave shape {vals.shape} for points of shape {lead}")
+        return None
     vals = vals.reshape((1,) * (ndim - nv) + vals.shape)  # pad in front, like ndmin
     nv = max(nv, ndim)
     # C-contiguous like the pointwise result: einsum sums a strided view in another order

@@ -19,11 +19,13 @@ compiled tree, bit-identical to evaluate element by element: + - * / and
 negation run as numpy array operations, whose IEEE results equal the scalar
 ones, while every function call and ^ apply the interpreter's own math
 function to each element, because numpy's exp, log and power round
-differently.  When any element fails (division by zero, domain error,
-overflow), the closure re-runs evaluate element by element, so the
-ExprEvalError raised is the interpreter's and names the first failing
-(t, s).  evaluate stays as the reference, the scalar path and that error
-locator.
+differently.  Zero-stride axes of the inputs (np.broadcast_to views) are
+cut to length 1 first, so a sub-expression of t alone makes one math call
+per distinct t, not one per (t, s).  When any element fails (division by
+zero, domain error, overflow), the closure re-runs evaluate element by
+element, so the ExprEvalError raised is the interpreter's and names the
+first failing (t, s).  evaluate stays as the reference, the scalar path
+and that error locator.
 """
 
 from __future__ import annotations
@@ -340,17 +342,25 @@ def as_function(e: Expr) -> Callable:
         if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
             return float(evaluate(e, t, s))
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-        shape = np.broadcast_shapes(t.shape, s.shape)
+        shape = np.broadcast(t, s).shape
         try:
             with np.errstate(all="ignore"):  # overflow to inf is silent, as for floats
-                val = node(t, s)
+                val = node(_compact(t), _compact(s))
         except _FAILURES:
             tt, ss = np.broadcast_arrays(t, s)
             val = [evaluate(e, a, b) for a, b in zip(tt.flat, ss.flat)]
             return np.array(val, dtype=float).reshape(shape)
-        return np.array(np.broadcast_to(val, shape))
+        out = np.empty(shape)
+        out[...] = val
+        return out
 
     return f
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """a with every zero-stride axis cut to length 1, so a broadcast input
+    is computed on once per distinct value; it broadcasts back to a."""
+    return a[tuple(slice(None, 1 if st == 0 else None) for st in a.strides) + (...,)]
 
 
 def _compile(e: Expr) -> Callable:

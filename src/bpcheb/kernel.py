@@ -6,11 +6,11 @@ integration (inner) variable of
     w(t) = integral over [t_0, t_f] of N(t, s) f(s) ds.
 
 N is sampled on the (K q) x (K q) grid of quadrature nodes in t and s, one
-outer block at a time (a GridFunction in one call per outer block), and the
-weighted projection is applied in s, then in t.  Combining the resulting
-coefficients C^{(jl)}_{ki} (outer block j, outer degree l, inner block k,
-inner degree i) with the triple-product tensor and the closed-form block
-integrals
+outer block at a time (one call per outer block when N broadcasts over
+arrays), and the weighted projection is applied in s, then in t.  Combining
+the resulting coefficients C^{(jl)}_{ki} (outer block j, outer degree l,
+inner block k, inner degree i) with the triple-product tensor and the
+closed-form block integrals
 
     integral of S_m over [-1, 1] = 2/(m+1) for even m, 0 for odd m
 

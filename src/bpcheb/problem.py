@@ -40,7 +40,6 @@ import numpy as np
 
 from . import exprlang
 from .basis import BasisConfig, Partition
-from .expansion import GridFunction
 from .exprlang import Expr, ExprSyntaxError
 from .solver import SystemSpec
 
@@ -91,14 +90,14 @@ class Problem:
         return BasisConfig(Partition(self.breakpoints), self.M)
 
     def system_spec(self) -> SystemSpec:
-        """The system with every datum a GridFunction over compiled expressions."""
+        """The system with every datum a function of compiled expressions."""
         def grid_fn(grid):  # A, B of t, or N of (t, s)
             fns = [[exprlang.as_function(e) for e in row] for row in grid]
-            return GridFunction(lambda *ts: np.array([[f(*ts) for f in row] for row in fns]))
+            return lambda *ts: np.array([[f(*ts) for f in row] for row in fns])
 
         def vec_fn(entries):
             fns = [exprlang.as_function(e) for e in entries]
-            return GridFunction(lambda t: np.array([f(t) for f in fns]))
+            return lambda t: np.array([f(t) for f in fns])
 
         return SystemSpec(
             n=self.n,

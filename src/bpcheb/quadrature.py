@@ -15,13 +15,12 @@ i = 1..n, and integrates p(x) sqrt(1 - x^2) exactly for deg p <= 2n - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .basis import chebyshev_u_all
 
-__all__ = ["WeightedRule", "gauss_u_rule", "project_scalar"]
+__all__ = ["WeightedRule", "gauss_u_rule"]
 
 
 @dataclass(frozen=True)
@@ -51,17 +50,6 @@ def gauss_u_rule(n: int) -> WeightedRule:
     i = np.arange(1, n + 1, dtype=float)
     theta = i * np.pi / (n + 1)
     return WeightedRule(np.cos(theta), (np.pi / (n + 1)) * np.sin(theta) ** 2)
-
-
-def project_scalar(f: Callable[[float], float], m: int, rule: WeightedRule) -> float:
-    """Coefficient of S_m in f: (2/pi) * sum_i w_i f(x_i) S_m(x_i).
-
-    Exact when f is a polynomial with deg f + m <= 2n - 1; the caller picks
-    the rule order accordingly.
-    """
-    fx = np.array([f(x) for x in rule.nodes], dtype=float)
-    sm = chebyshev_u_all(m, rule.nodes)[m]
-    return float((2.0 / np.pi) * np.dot(rule.weights, fx * sm))
 
 
 def projection_matrix(max_degree: int, rule: WeightedRule) -> np.ndarray:

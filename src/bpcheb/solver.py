@@ -79,7 +79,8 @@ class SystemSpec:
 
     A maps t to an (n, n) matrix, B to (n, r), N maps (t, s) to (n, n) with s
     the integration variable, u maps t to an r-vector.  Any of A, B, N, u may
-    be None, meaning identically zero.
+    be None, meaning identically zero.  Each is first called on whole arrays
+    of nodes, with one call per node as the fallback (see expansion.sample).
     """
 
     n: int

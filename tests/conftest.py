@@ -69,6 +69,12 @@ def expdecay_system() -> SystemSpec:
     )
 
 
+def pointwise(f):
+    """f on expansion.sample's pointwise path: float() of a whole grid
+    raises, so the grid call is dropped and f sees one point per call."""
+    return lambda *args: f(*(float(a) for a in args))
+
+
 def rk4_reference(spec: SystemSpec, ts, step: float = 1e-4) -> np.ndarray:
     """Classic fixed-step 4th-order integrator for zero-kernel systems.
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,6 @@ from bpcheb.basis import (
 from bpcheb.expansion import (
     CoeffVector,
     ExpansionError,
-    GridFunction,
     default_rule,
     expand_matrix,
     expand_vector,
@@ -26,7 +28,7 @@ from bpcheb.expansion import (
 )
 from bpcheb.quadrature import gauss_u_rule
 
-from conftest import poly_A
+from conftest import expdecay_A, pointwise, poly_A
 
 
 class TestCoeffVector:
@@ -97,29 +99,39 @@ class TestGridSampling:
 
     def test_matrix_one_call_equals_pointwise(self):
         grid_fn = _Recorder(_matrix_fn)
-        got = sample(GridFunction(grid_fn), self.GRID, "matrix function", 2)
-        assert (grid_fn.calls, grid_fn.array_calls) == (1, 1)
+        got = sample(grid_fn, self.GRID, "matrix function", 2)
+        assert (grid_fn.calls, grid_fn.array_calls) == (3, 1)  # the grid, then two probes
         assert got.flags.c_contiguous
-        assert np.array_equal(got, sample(_matrix_fn, self.GRID, "matrix function", 2))
+        assert np.array_equal(got, sample(pointwise(_matrix_fn), self.GRID, "matrix function", 2))
 
     def test_vector_and_scalar_results(self):
-        vec = sample(GridFunction(lambda t: np.array([t, 2 * t])), self.GRID, "vector function", 1)
+        vec = sample(lambda t: np.array([t, 2 * t]), self.GRID, "vector function", 1)
         np.testing.assert_array_equal(vec, np.stack([self.GRID, 2 * self.GRID], axis=-1))
-        column = sample(GridFunction(lambda t: np.array([[t]])), self.GRID, "vector function", 1)
+        column = sample(lambda t: np.array([[t]]), self.GRID, "vector function", 1)
         assert column.shape == (2, 3, 1) and column.flags.c_contiguous
         np.testing.assert_array_equal(column, self.GRID[:, :, None])
-        scalar = sample(GridFunction(lambda t: 3 * t), self.GRID, "matrix function", 2)
+        scalar = sample(lambda t: 3 * t, self.GRID, "matrix function", 2)
         np.testing.assert_array_equal(scalar, 3 * self.GRID[:, :, None, None])
 
     def test_kernel_over_outer_times(self):
         kern = lambda t, s: np.array([[t - s, t * s]])  # noqa: E731
         ts = np.array([0.15, 0.5, 0.8])
         grid_fn = _Recorder(kern)
-        got = sample(GridFunction(grid_fn), self.GRID, "kernel", 2, t=ts)
-        assert grid_fn.calls == 1
+        got = sample(grid_fn, self.GRID, "kernel", 2, t=ts)
+        assert (grid_fn.calls, grid_fn.array_calls) == (3, 1)
         assert got.shape == (3, 2, 3, 1, 2) and got.flags.c_contiguous
-        want = np.stack([sample(kern, self.GRID, "kernel", 2, t=t) for t in ts])
+        want = np.stack([sample(pointwise(kern), self.GRID, "kernel", 2, t=t) for t in ts])
         assert np.array_equal(got, want)
+
+    def test_kernel_gets_full_read_only_views(self):
+        seen = []
+
+        def kern(t, s):
+            seen.append((t.shape, s.shape, t.flags.writeable, s.flags.writeable))
+            return t * s
+
+        sample(kern, self.GRID, "kernel", 2, t=np.array([0.15, 0.5, 0.8]))
+        assert seen[0] == ((3, 2, 3), (3, 2, 3), False, False)
 
     def test_failure_falls_back_to_the_located_error(self):
         def fn(t):
@@ -129,23 +141,92 @@ class TestGridSampling:
 
         grid_fn = _Recorder(fn)
         with pytest.raises(ExpansionError, match=r"vector function failed at t=0.7 \(block 2\): boom"):
-            sample(GridFunction(grid_fn), self.GRID, "vector function", 1)
+            sample(grid_fn, self.GRID, "vector function", 1)
         assert grid_fn.array_calls == 1 and grid_fn.calls == 1 + 5  # then point by point
+
+    def test_failing_kernel_grid_call_names_t_s_and_block(self):
+        def kern(t, s):
+            if np.any((t == 0.5) & (s == 0.7)):
+                raise ArithmeticError("nope")
+            return t * s
+
+        with pytest.raises(ExpansionError,
+                           match=r"kernel failed at \(t=0.5, s=0.7\) \(inner block 2\): nope"):
+            sample(kern, self.GRID, "kernel", 2, t=np.array([0.15, 0.5, 0.8]))
 
     def test_wrong_grid_shape_falls_back(self):
         # a callable that ignores its argument's shape is sampled point by point
-        got = sample(GridFunction(lambda t: np.array([1.0, 2.0])), self.GRID, "vector function", 1)
+        got = sample(lambda t: np.array([1.0, 2.0]), self.GRID, "vector function", 1)
         np.testing.assert_array_equal(got, np.broadcast_to([1.0, 2.0], (2, 3, 2)))
+
+    @pytest.mark.parametrize("fn", [
+        expdecay_A,  # the constant entries make the array ragged
+        lambda t: math.exp(-t),
+        lambda t: np.array([t, 1.0]) if t < 0.5 else np.array([np.sin(t), t]),
+    ])
+    def test_scalar_only_callables_fall_back(self, fn):
+        grid_fn = _Recorder(fn)
+        got = sample(grid_fn, self.GRID, "matrix function", 2)
+        assert (grid_fn.calls, grid_fn.array_calls) == (1 + self.GRID.size, 1)
+        assert np.array_equal(got, sample(pointwise(fn), self.GRID, "matrix function", 2))
+
+    def test_probe_catches_wrong_values_of_the_right_shape(self):
+        # at K=2, C @ [sin t, cos t] broadcasts to the shape of a vector sample
+        # but mixes the blocks; only a probe can tell
+        c = np.array([[1.0, 2.0], [3.0, 4.0]])
+        u = lambda t: c @ np.array([np.sin(t), np.cos(t)])  # noqa: E731
+        assert u(self.GRID).shape == (2,) + self.GRID.shape
+        grid_fn = _Recorder(u)
+        got = sample(grid_fn, self.GRID, "vector function", 1)
+        assert grid_fn.calls == 1 + 1 + self.GRID.size  # the first probe fails
+        assert np.array_equal(got, sample(pointwise(u), self.GRID, "vector function", 1))
+
+    def test_nan_from_the_grid_falls_back(self):
+        def fn(t):
+            out = np.array(t, dtype=float)
+            if out.ndim:
+                out[1, 1] = np.nan  # not a probe point
+            return out
+
+        grid_fn = _Recorder(fn)
+        got = sample(grid_fn, self.GRID, "vector function", 1)
+        assert grid_fn.calls == 1 + self.GRID.size
+        np.testing.assert_array_equal(got, self.GRID[:, :, None])
+
+    def test_probe_tolerance(self):
+        # off by 1e-14 relative: kept; by 1e-12: dropped; inf needs an exact match
+        for eps, kept in ((1e-14, True), (1e-12, False)):
+            fn = lambda t, eps=eps: t * (1.0 + eps) if np.ndim(t) else t  # noqa: E731
+            grid_fn = _Recorder(fn)
+            got = sample(grid_fn, self.GRID, "vector function", 1)
+            assert grid_fn.calls == (3 if kept else 2 + self.GRID.size)  # the first probe fails
+            assert np.array_equal(got, fn(self.GRID)[:, :, None] if kept else self.GRID[:, :, None])
+        inf = _Recorder(lambda t: np.full(np.shape(t), np.inf))
+        assert np.all(sample(inf, self.GRID, "vector function", 1) == np.inf) and inf.calls == 3
+
+    def test_warnings_only_from_a_kept_grid_call(self):
+        def fn(t, keep):
+            if np.ndim(t):
+                warnings.warn("grid call", UserWarning)
+                return t if keep else t[:1]
+            return t
+
+        for keep in (True, False):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sample(lambda t: fn(t, keep), self.GRID, "vector function", 1)
+            assert [str(w.message) for w in caught] == (["grid call"] if keep else [])
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_expected_shape_names_the_datum(self, grid):
-        f = GridFunction(_matrix_fn) if grid else _matrix_fn
+        f = _matrix_fn if grid else pointwise(_matrix_fn)
         with pytest.raises(ExpansionError, match=r"failed at t=0.1 \(block 1\): A\(0.1\) has "
                                                  r"shape \(2, 2\), expected \(3, 3\)"):
             sample(f, self.GRID, "matrix function", 2, expect=("A", (3, 3)))
-        vec = GridFunction(lambda t: np.array([t, t])) if grid else (lambda t: np.array([t, t]))
+        vec = lambda t: np.array([t, t])  # noqa: E731
         with pytest.raises(ExpansionError, match=r"u\(0.1\) has 2 components, expected 1"):
-            sample(vec, self.GRID, "vector function", 1, expect=("u", (1,)))
+            sample(vec if grid else pointwise(vec), self.GRID, "vector function", 1,
+                   expect=("u", (1,)))
 
 
 class TestExpandScalarBlock:

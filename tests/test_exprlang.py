@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bpcheb.exprlang import (
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -224,6 +225,20 @@ def _assert_bit_equal(got, want):
 
 
 class TestCompiled:
+    def test_broadcast_views_are_compacted(self, monkeypatch):
+        # a kernel gets t and s broadcast to one full shape; exp(-t) must still
+        # make one math call per distinct t
+        args = []
+        monkeypatch.setitem(FUNCTIONS, "exp", lambda x: args.append(x) or math.exp(x))
+        tree = parse("3*t^2+s*exp(-t)")
+        shape = (5, 3, 4)
+        t = np.broadcast_to(np.linspace(0.0, 1.0, 5)[:, None, None], shape)
+        s = np.broadcast_to(np.linspace(0.1, 0.9, 12).reshape(3, 4), shape)
+        got = as_function(tree)(t, s)
+        assert args == list(np.linspace(0.0, 1.0, 5) * -1.0)
+        assert got.shape == shape and got.flags.writeable
+        assert np.array_equal(got, _reference(tree, t, s))
+
     def test_result_has_the_broadcast_shape(self):
         t, s = np.linspace(0, 1, 3)[:, np.newaxis], np.linspace(0, 1, 4)
         assert as_function(parse("2*pi"))(t, s).shape == (3, 4)

@@ -52,12 +52,20 @@ _T_POS = np.linspace(0.1, 2.0, 5)[:, np.newaxis]
 _S_POS = np.array([0.2, 0.9, 1.7])[np.newaxis, :]
 
 
+def _broadcast_views(t, s):
+    """t and s as the zero-stride views of one full shape that
+    expansion.sample passes to a kernel."""
+    shape = np.broadcast_shapes(t.shape, s.shape)
+    return np.broadcast_to(t, shape), np.broadcast_to(s, shape)
+
+
 class TestCompiledProperties:
     @settings(max_examples=300, deadline=None)
     @given(_trees)
     def test_array_evaluation_matches_interpreter(self, tree):
         f = as_function(tree)
-        for t, s in ((_T, _S), (_T_POS, _S_POS)):
+        for t, s in ((_T, _S), (_T_POS, _S_POS), _broadcast_views(_T, _S),
+                     _broadcast_views(_T_POS, _S_POS)):
             try:
                 want = _reference(tree, t, s)
             except ExprEvalError as exc:

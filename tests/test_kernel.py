@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import (
     ExpansionError,
-    GridFunction,
     default_rule,
     expand_vector,
     nodes,
@@ -14,7 +15,7 @@ from bpcheb.expansion import (
 from bpcheb.kernel import block_integral, fredholm_operator
 from bpcheb.quadrature import gauss_u_rule, projection_matrix
 
-from conftest import expdecay_N, poly_N
+from conftest import expdecay_N, pointwise, poly_N
 
 
 def oracle_fredholm_image(kernel, f, cfg, inner_order=80):
@@ -155,16 +156,30 @@ class TestSampling:
         cfg = BasisConfig(Partition(bp), M)
         rule = default_rule(cfg)
         want = pointwise_fredholm_q(kernel, cfg, rule)
-        assert np.array_equal(fredholm_operator(kernel, cfg, rule).Q, want)
+        assert np.array_equal(fredholm_operator(pointwise(kernel), cfg, rule).Q, want)
+
+    @pytest.mark.parametrize("kernel,bp,M", [
+        (expdecay_N, (0.0, 1 / 3, 2 / 3, 1.0), 4),
+        (expdecay_N, (0.0, 0.1, 0.45, 0.5, 1.0), 12),
+        (lambda t, s: np.cos(t * s) + s**3, (0.0, 2.0), 6),
+    ])
+    def test_grid_path_matches_pointwise_reference(self, kernel, bp, M):
+        # numpy rounds some array powers and functions differently from scalar ones
+        cfg = BasisConfig(Partition(bp), M)
+        rule = default_rule(cfg)
+        want = pointwise_fredholm_q(kernel, cfg, rule)
+        np.testing.assert_allclose(fredholm_operator(kernel, cfg, rule).Q, want,
+                                   rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_kernel_called_once_per_grid_point(self):
         cfg = BasisConfig(Partition((0.0, 0.3, 1.0)), 4)
         q = len(default_rule(cfg).nodes)
         calls = []
 
-        def kernel(t, s):
+        def kernel(t, s):  # scalar-only: math.sin of a whole grid raises
+            val = math.sin(t) * s
             calls.append((t, s))
-            return np.array([[t * s]])
+            return np.array([[val]])
 
         fredholm_operator(kernel, cfg)
         assert len(calls) == (cfg.K * q) ** 2
@@ -206,7 +221,7 @@ class TestSampling:
 
         where = rf"\(t={grid[0, 0]}, s={c}\) \(inner block 2\): division by zero"
         with pytest.raises(ExpansionError, match=f"kernel failed at {where}"):
-            fredholm_operator(GridFunction(kernel), cfg)
+            fredholm_operator(kernel, cfg)
         q = grid.shape[1]
         assert shapes[0] == (q, 3, q) and set(shapes[1:]) == {()}  # one grid call, then points
 
@@ -219,9 +234,9 @@ class TestSampling:
             return np.array([[t * s, np.cos(t - s)]])
 
         q = len(default_rule(cfg).nodes)
-        got = fredholm_operator(GridFunction(kernel), cfg).Q
-        assert calls == [(q, cfg.K, q)] * cfg.K
-        assert np.array_equal(got, fredholm_operator(kernel, cfg).Q)
+        got = fredholm_operator(kernel, cfg).Q
+        assert calls == [(q, cfg.K, q), (), ()] * cfg.K  # the grid, then the two probes
+        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg).Q)
 
     def test_kernel_singular_at_endpoint(self):
         # ln(s) raises at s = 0, which no Gauss node reaches; w(t) is the

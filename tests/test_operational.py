@@ -4,7 +4,9 @@ import pytest
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import expand_vector
 from bpcheb.operational import apply_pt, build_p, build_phat, pt_parts
-from bpcheb.quadrature import gauss_u_rule, project_scalar
+from bpcheb.quadrature import gauss_u_rule
+
+from test_quadrature import project_scalar
 
 
 class TestBuildPhat:

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.expansion import GridFunction
 from bpcheb.exprlang import evaluate, parse
 from bpcheb.problem import OutputSpec, ProblemError, dumps, load, loads
 from bpcheb.solver import SystemSpec, assemble, residual, solve
@@ -197,11 +197,21 @@ class TestSystemSpec:
             bp[1:-1] += np.random.default_rng(K).uniform(-0.3, 0.3, K - 1) / K
             cfg = BasisConfig(Partition(tuple(bp)), M)
         spec, ref = p.system_spec(), interpreter_spec(p)
-        assert all(isinstance(f, GridFunction) for f in (spec.A, spec.B, spec.N, spec.u))
         asm, want = assemble(spec, cfg), assemble(ref, cfg)
         for name in ("phi_blocks", "b_blocks", "Q"):
             assert np.array_equal(getattr(asm, name), getattr(want, name)), name
         assert np.array_equal(solve(asm, spec.u).xhat.data, solve(want, ref.u).xhat.data)
+
+    def test_every_datum_is_sampled_on_the_grid(self, monkeypatch):
+        # the only scalar evaluations are the two probes per sample call and
+        # entry: 2 * (4 A + 2 B + 1 u + 8 outer blocks * 4 N) = 78
+        calls = []
+        real = exprlang.evaluate
+        monkeypatch.setattr(exprlang, "evaluate", lambda *args: calls.append(args) or real(*args))
+        p = load(os.path.join(PROBLEMS_DIR, "exp_decay_ivp.prob")).with_overrides(K=8, M=12)
+        spec = p.system_spec()
+        solve(assemble(spec, p.basis_config()), spec.u)
+        assert len(calls) == 78
 
     @pytest.mark.parametrize("fname", ["polynomial_ivp.prob", "exp_decay_ivp.prob"])
     def test_residual_matches_interpreter(self, fname):

@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from bpcheb.basis import chebyshev_u_eval
-from bpcheb.quadrature import gauss_u_rule, project_scalar, projection_matrix
+from bpcheb.basis import chebyshev_u_all, chebyshev_u_eval
+from bpcheb.quadrature import gauss_u_rule, projection_matrix
+
+
+def project_scalar(f, m, rule):
+    """Oracle: the coefficient of S_m in f, (2/pi) * sum_i w_i f(x_i) S_m(x_i),
+    one call of f per node.
+
+    Exact when f is a polynomial with deg f + m <= 2n - 1 for the n-point rule.
+    """
+    fx = np.array([f(x) for x in rule.nodes], dtype=float)
+    sm = chebyshev_u_all(m, rule.nodes)[m]
+    return float((2.0 / np.pi) * np.dot(rule.weights, fx * sm))
 
 
 class TestGaussURule:

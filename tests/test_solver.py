@@ -8,7 +8,7 @@ import pytest
 
 from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.expansion import ExpansionError, GridFunction, expand_vector
+from bpcheb.expansion import ExpansionError, expand_vector
 from bpcheb.linalg import SingularMatrixError, inf_norm
 from bpcheb.solver import SystemSpec, assemble, hybrid_solve, residual, solve
 
@@ -18,6 +18,7 @@ from conftest import (
     dense_reference_solve,
     dense_reference_system,
     expdecay_A,
+    pointwise,
     rk4_reference,
 )
 
@@ -243,18 +244,18 @@ class TestSolve:
     def test_grid_data_shape_mismatch_names_the_datum(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], B=lambda t: np.array([[1.0]]),
-                          A=GridFunction(lambda t: np.array([[t, t], [t, t]])))
+                          A=lambda t: np.array([[t, t], [t, t]]))
         with pytest.raises(ExpansionError, match=r"A\(.*\) has shape \(2, 2\), expected \(1, 1\)"):
             assemble(spec, cfg)
         asm = assemble(dataclasses.replace(spec, A=None), cfg)
         with pytest.raises(ExpansionError, match=r"u\(.*\) has 2 components, expected 1"):
-            solve(asm, GridFunction(lambda t: np.array([t, t])))
+            solve(asm, lambda t: np.array([t, t]))
 
     def test_scalar_control_flattened(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], B=lambda t: np.array([[1.0]]))
         asm = assemble(spec, BasisConfig.uniform(0, 1, 2, 3))
         want = solve(asm, lambda t: np.array([2.0 * t])).xhat.data
-        for u in (lambda t: 2.0 * t, lambda t: np.array([[2.0 * t]]), GridFunction(lambda t: 2.0 * t)):
+        for u in (lambda t: 2.0 * t, lambda t: np.array([[2.0 * t]]), pointwise(lambda t: 2.0 * t)):
             assert np.array_equal(solve(asm, u).xhat.data, want)
 
 
@@ -363,6 +364,43 @@ class TestEvaluate:
             assert sol.evaluate(t)[0] == pytest.approx(t * t, abs=1e-11)
 
 
+class TestGridPath:
+    """The exp-decay system (the data of the benchmark workloads) sampled
+    with one grid call per sample call, against the pointwise path."""
+
+    @pytest.mark.parametrize("K,M", [(4, 9), (8, 12), (16, 12)])
+    def test_agrees_with_pointwise_sampling(self, expdecay_system, K, M):
+        rng = np.random.default_rng(K)
+        bp = np.arange(K + 1) / K
+        bp[1:-1] += rng.uniform(-0.3, 0.3, K - 1) / K
+        cfg = BasisConfig(Partition(tuple(bp)), M)
+        grid_calls = {name: [] for name in "ABNu"}
+
+        def recorded(name, f):
+            def g(*args):
+                grid_calls[name].append(np.ndim(args[-1]) > 0)
+                return f(*args)
+            return g
+
+        data = {name: getattr(expdecay_system, name) for name in "ABNu"}
+        spec = dataclasses.replace(expdecay_system, **{k: recorded(k, f) for k, f in data.items()})
+        asm = assemble(spec, cfg)
+        sol = solve(asm, spec.u)
+        assert grid_calls["N"] == [True, False, False] * K  # the grid, then two probes
+        assert grid_calls["B"] == grid_calls["u"] == [True, False, False]
+        q = M + 8
+        assert grid_calls["A"] == [True] + [False] * (K * q)  # ragged constants fall back
+
+        ref_spec = dataclasses.replace(expdecay_system,
+                                       **{k: pointwise(f) for k, f in data.items()})
+        ref_asm = assemble(ref_spec, cfg)
+        ref = solve(ref_asm, ref_spec.u)
+        ts = np.sort(rng.uniform(0.0, 1.0, 101))
+        for got, want in ((asm.Q, ref_asm.Q), (sol.xhat.data, ref.xhat.data),
+                          (sol.evaluate_many(ts), ref.evaluate_many(ts))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 class TestResidual:
     def test_grid_kernel_sampled_once_per_time(self, expdecay_system):
         sol = hybrid_solve(expdecay_system, BasisConfig.uniform(0, 1, EXP_K, 5))
@@ -370,13 +408,12 @@ class TestResidual:
 
         def kernel(t, s):
             calls.append(np.shape(s))
-            t, s = np.broadcast_arrays(t, s)
             return np.array([[t * s, t - s], [s, t + s]])
 
-        grid_spec = dataclasses.replace(expdecay_system, N=GridFunction(kernel))
+        grid_spec = dataclasses.replace(expdecay_system, N=kernel)
         got = residual(grid_spec, sol, EXP_TS, quad_order=10)
-        assert calls == [(EXP_K, 10)] * len(EXP_TS)
-        plain_spec = dataclasses.replace(expdecay_system, N=kernel)
+        assert calls == [(EXP_K, 10), (), ()] * len(EXP_TS)  # the grid, then two probes
+        plain_spec = dataclasses.replace(expdecay_system, N=pointwise(kernel))
         assert got == residual(plain_spec, sol, EXP_TS, quad_order=10)
 
     def test_kernel_failure_names_t_s_and_block(self, expdecay_system):
