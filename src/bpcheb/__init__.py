@@ -15,8 +15,6 @@ from .basis import BasisConfig, Partition, chebyshev_u_eval
 from .expansion import (
     CoeffVector,
     ExpansionError,
-    MatrixCoeffSet,
-    ProductTensor,
     expand_matrix,
     expand_vector,
     product_coeff,
@@ -47,8 +45,6 @@ __all__ = [
     "WeightedRule",
     "gauss_u_rule",
     "CoeffVector",
-    "MatrixCoeffSet",
-    "ProductTensor",
     "ExpansionError",
     "expand_vector",
     "expand_matrix",

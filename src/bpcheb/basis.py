@@ -12,6 +12,7 @@ for k = 1..K and m = 0..M-1.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "chebyshev_u_derivative_coeffs",
     "block_of",
     "to_local",
-    "global_of_local",
 ]
 
 
@@ -47,6 +47,7 @@ class Partition:
 
     @classmethod
     def uniform(cls, t0: float, tf: float, num_blocks: int) -> "Partition":
+        num_blocks = as_index("num_blocks", num_blocks)
         if num_blocks < 1:
             raise ValueError("need at least one block")
         edges = np.linspace(float(t0), float(tf), num_blocks + 1)
@@ -84,6 +85,7 @@ class BasisConfig:
     M: int
 
     def __post_init__(self):
+        object.__setattr__(self, "M", as_index("M", self.M))
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
 
@@ -95,10 +97,13 @@ class BasisConfig:
     def K(self) -> int:
         return self.partition.num_blocks
 
-    @property
-    def size(self) -> int:
-        """Total number of hybrid basis functions, M*K."""
-        return self.M * self.K
+
+def as_index(key: str, value) -> int:
+    """value as a Python int; integers of any kind pass, else TypeError naming key."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{key} must be an integer, got {value!r}") from None
 
 
 def chebyshev_u_eval(m: int, x: float) -> float:
@@ -161,10 +166,10 @@ def chebyshev_u_derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
 def block_of(t: float, p: Partition) -> int | None:
     """Block index k with t_{k-1} <= t < t_k; t = t_f maps to block K.
 
-    Returns None outside [t_0, t_f].
+    Returns None unless t_0 <= t <= t_f (so for NaN too).
     """
     bp = p.breakpoints
-    if t < bp[0] or t > bp[-1]:
+    if not bp[0] <= t <= bp[-1]:
         return None
     if t == bp[-1]:
         return p.num_blocks
@@ -179,10 +184,3 @@ def to_local(t: float, k: int, p: Partition) -> float:
     if t < a or t > b:
         raise ValueError(f"t={t} outside block {k} = [{a}, {b}]")
     return (2.0 * t - a - b) / (b - a)
-
-
-def global_of_local(x: float, k: int, p: Partition) -> float:
-    """Inverse of to_local: x in [-1, 1] back to global time in block k."""
-    a, b = p.block_bounds(k)
-    return 0.5 * ((b - a) * x + a + b)
-

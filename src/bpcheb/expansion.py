@@ -25,8 +25,6 @@ from .quadrature import WeightedRule, gauss_u_rule, projection_matrix
 
 __all__ = [
     "CoeffVector",
-    "MatrixCoeffSet",
-    "ProductTensor",
     "ExpansionError",
     "default_rule",
     "nodes",
@@ -81,10 +79,6 @@ class CoeffVector:
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def zeros(cls, cfg: BasisConfig, n: int) -> "CoeffVector":
-        return cls(np.zeros(cfg.M * cfg.K * n), cfg.K, cfg.M, n)
-
-    @classmethod
     def from_tensor(cls, tensor: np.ndarray) -> "CoeffVector":
         """Build from an array of shape (K, M, n)."""
         K, M, n = tensor.shape
@@ -97,45 +91,6 @@ class CoeffVector:
     def block(self, k: int) -> np.ndarray:
         """Coefficients of block k as shape (M, n)."""
         return self.tensor()[k - 1]
-
-    @staticmethod
-    def flat_index(k: int, m: int, c: int, M: int, n: int) -> int:
-        return ((k - 1) * M + m) * n + c
-
-
-@dataclass(frozen=True)
-class MatrixCoeffSet:
-    """Hybrid coefficients M_{km} of a matrix function, shape (K, M, n_out, n_in)."""
-
-    blocks: np.ndarray
-    cfg: BasisConfig
-
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=float)
-        if blocks.ndim != 4 or blocks.shape[:2] != (self.cfg.K, self.cfg.M):
-            raise ValueError(f"expected shape (K, M, n_out, n_in), got {blocks.shape}")
-        blocks.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.blocks.shape[2], self.blocks.shape[3]
-
-
-@dataclass(frozen=True)
-class ProductTensor:
-    """d[i, j, m]: coefficient of S_m in S_i S_j, for i, j, m < M."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        d.flags.writeable = False
-        object.__setattr__(self, "d", d)
-
-    @property
-    def M(self) -> int:
-        return self.d.shape[0]
 
 
 def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
@@ -280,15 +235,18 @@ def expand_vector(
 def expand_matrix(
     mfun: Callable[[float], np.ndarray], cfg: BasisConfig, rule: WeightedRule | None = None,
     expect: tuple[str, tuple[int, int]] | None = None,
-) -> MatrixCoeffSet:
-    """Entrywise expansion of a matrix function of t.
+) -> np.ndarray:
+    """Entrywise expansion of a matrix function of t: the read-only hybrid
+    coefficients, shape (K, M, n_out, n_in), entry [k-1, m] for block k, degree m.
 
     expect = (name, (n_out, n_in)) names mfun and its shape for sample's check.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
     fx = sample(mfun, nodes(cfg, rule), "matrix function", 2, expect=expect)  # (K, q, n_out, n_in)
-    return MatrixCoeffSet(np.stack([np.einsum("mq,qab->mab", proj, block) for block in fx]), cfg)
+    coeffs = np.stack([np.einsum("mq,qab->mab", proj, block) for block in fx])
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def product_coeff(i: int, j: int, m: int) -> float:
@@ -300,28 +258,28 @@ def product_coeff(i: int, j: int, m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def product_tensor(M: int) -> ProductTensor:
-    """Dense (M, M, M) tensor of product_coeff values, cached per M."""
+def product_tensor(M: int) -> np.ndarray:
+    """Read-only (M, M, M) tensor d[i, j, m] of product_coeff values, cached per M."""
     d = np.zeros((M, M, M))
     for i in range(M):
         for j in range(M):
             lo, hi = abs(i - j), min(i + j, M - 1)
             d[i, j, lo : hi + 1 : 2] = 1.0
-    return ProductTensor(d)
+    d.flags.writeable = False
+    return d
 
 
-def product_blocks(mset: MatrixCoeffSet) -> np.ndarray:
+def product_blocks(blocks: np.ndarray) -> np.ndarray:
     """The per-block operators sending coefficients of f to coefficients of M(t) f(t).
 
-    Returns shape (K, M*n_out, M*n_in); entry k-1 is the block-k matrix with
-    (m, j) sub-block sum_i d^{(ij)}_m M_{ki}, rows (degree, out-component)-major
-    to match CoeffVector stacking.
+    blocks holds the coefficients M_{km} of M(t), shape (K, M, n_out, n_in),
+    as expand_matrix returns them.  Returns shape (K, M*n_out, M*n_in); entry
+    k-1 is the block-k matrix with (m, j) sub-block sum_i d^{(ij)}_m M_{ki},
+    rows (degree, out-component)-major to match CoeffVector stacking.
     """
-    cfg = mset.cfg
-    d = product_tensor(cfg.M).d
-    hat = np.einsum("ijm,kiab->kmajb", d, mset.blocks)
-    n_out, n_in = mset.shape
-    return np.ascontiguousarray(hat).reshape(cfg.K, cfg.M * n_out, cfg.M * n_in)
+    K, M, n_out, n_in = np.shape(blocks)
+    hat = np.einsum("ijm,kiab->kmajb", product_tensor(M), blocks)
+    return np.ascontiguousarray(hat).reshape(K, M * n_out, M * n_in)
 
 
 def synthesize(coeffs: CoeffVector, cfg: BasisConfig, t) -> np.ndarray:

@@ -14,8 +14,8 @@ closed-form block integrals
 
     integral of S_m over [-1, 1] = 2/(m+1) for even m, 0 for odd m
 
-yields one dense matrix Q with coeffs(w) = Q coeffs(f), exact up to basis
-truncation.
+(twice operational.block_integral_weights) yields one dense matrix Q with
+coeffs(w) = Q coeffs(f), exact up to basis truncation.
 """
 
 from __future__ import annotations
@@ -27,16 +27,10 @@ import numpy as np
 
 from .basis import BasisConfig
 from .expansion import CoeffVector, default_rule, nodes, product_tensor, sample
+from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
 
-__all__ = ["FredholmOperator", "block_integral", "fredholm_operator"]
-
-
-def block_integral(m: int) -> float:
-    """Integral of S_m over [-1, 1]: 2/(m+1) for even m, 0 for odd m."""
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
-    return 2.0 / (m + 1) if m % 2 == 0 else 0.0
+__all__ = ["FredholmOperator", "fredholm_operator"]
 
 
 @dataclass(frozen=True)
@@ -88,8 +82,8 @@ def fredholm_operator(
         data[j] = np.einsum("lx,xkiac->lkiac", proj, inner)
     n_out, n_in = data.shape[4:]
     # fold the block integrals of the product degrees into the d-tensor
-    weights = np.array([block_integral(m) for m in range(M)])  # only even m survive
-    g = np.einsum("ipm,m->ip", product_tensor(M).d, weights)  # (inner degree i, f degree j')
+    weights = 2.0 * block_integral_weights(M)  # only even m survive
+    g = np.einsum("ipm,m->ip", product_tensor(M), weights)  # (inner degree i, f degree j')
     # out[j, l, a, k, jp, c] = (d_k/2) * sum_i data[j,l,k,i,a,c] g[i,jp]
     out = np.einsum("jlkiac,ip->jlakpc", data, g)
     out *= 0.5 * np.asarray(cfg.partition.widths)[np.newaxis, np.newaxis, np.newaxis, :,

@@ -1,7 +1,6 @@
-"""Dense matrix utilities: Kronecker products, pivoted LU.
+"""Checked LU: scipy's partial-pivot factorization plus a pivot-magnitude check.
 
-Matrices are plain 2-D numpy arrays.  The LU solve is scipy's partial-pivot
-factorization plus an explicit pivot-magnitude check so that singular systems
+Matrices are plain 2-D numpy arrays.  The pivot check makes singular systems
 fail loudly with the offending pivot, instead of returning garbage.
 """
 
@@ -10,13 +9,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SingularMatrixError", "kron", "LU", "inf_norm"]
+__all__ = ["SingularMatrixError", "LU", "inf_norm"]
 
 # pivots below this times the matrix inf-norm count as singular
 PIVOT_RTOL = 1e-13
-
-# refuse Kronecker results over ~one billion entries
-MAX_KRON_ENTRIES = 2**30
 
 
 class SingularMatrixError(Exception):
@@ -36,16 +32,6 @@ class SingularMatrixError(Exception):
             f"matrix numerically singular{where}: |pivot {pivot_index}| = {abs(pivot):.3e} "
             f"is at or below the threshold {threshold:.3e}"
         )
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of 2-D arrays."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    entries = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if entries > MAX_KRON_ENTRIES:
-        raise ValueError(f"kron result would have {entries} entries")
-    return np.kron(a, b)
 
 
 def inf_norm(a: np.ndarray) -> float:

@@ -15,7 +15,11 @@ whose row m+1 holds the degree-truncated coefficients of the antiderivative
 of S_m on [-1, 1].  The full matrix has diagonal K-blocks (d_k/2) Phat and,
 for every later block j > i, the first-column entries d_i/(2kappa-1) at rows
 2kappa-1 (the full-block integrals of the even-degree polynomials).
-apply_pt applies P^T kron I_n from these two pieces without forming P.
+
+pt_parts is the only code that writes this structure down.  apply_pt
+applies P^T kron I_n from its two pieces without forming P, and every dense
+form is apply_pt of an identity: build_p gives P, and the solver's
+P^T kron I_n is apply_pt(cfg, I_{KMn}).
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ import numpy as np
 
 from .basis import BasisConfig
 
-__all__ = ["OperationalMatrix", "build_phat", "build_p", "pt_parts", "apply_pt"]
+__all__ = [
+    "OperationalMatrix",
+    "build_phat",
+    "build_p",
+    "block_integral_weights",
+    "pt_parts",
+    "apply_pt",
+]
 
 
 @dataclass(frozen=True)
@@ -60,25 +71,14 @@ def build_phat(M: int) -> np.ndarray:
 
 
 def build_p(cfg: BasisConfig) -> OperationalMatrix:
-    """Assemble the full MK x MK operational matrix for cfg."""
-    M, K = cfg.M, cfg.K
-    widths = cfg.partition.widths
-    phat = build_phat(M)
-    P = np.zeros((M * K, M * K))
-    for i in range(K):
-        P[i * M : (i + 1) * M, i * M : (i + 1) * M] = 0.5 * widths[i] * phat
-    # block (i, j), j > i: completed blocks contribute their full integral,
-    # a constant, i.e. the first column of the later block
-    rows = np.arange(0, M, 2)  # even degrees m = 2kappa-2
-    vals = _block_integral_weights(M)[rows]
-    for i in range(K):
-        for j in range(i + 1, K):
-            P[i * M + rows, j * M] = widths[i] * vals
-    return OperationalMatrix(P, cfg)
+    """The full MK x MK operational matrix for cfg, read off apply_pt."""
+    return OperationalMatrix(apply_pt(cfg, np.eye(cfg.M * cfg.K)).T, cfg)
 
 
-def _block_integral_weights(M: int) -> np.ndarray:
-    """v_m = 1/(m+1) for even m, 0 for odd m: half the integral of S_m over [-1, 1]."""
+def block_integral_weights(M: int) -> np.ndarray:
+    """v_m = 1/(m+1) for even m, 0 for odd m, m < M: half the integral of S_m over [-1, 1]."""
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     m = np.arange(M)
     return np.where(m % 2 == 0, 1.0 / (m + 1.0), 0.0)
 
@@ -95,7 +95,7 @@ def pt_parts(cfg: BasisConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = np.asarray(cfg.partition.widths).reshape((cfg.K,) + (1,) * (z.ndim - 2))
     within = np.einsum("pm,kp...->km...", build_phat(cfg.M), z)
     within *= 0.5 * d[:, np.newaxis]
-    totals = d * np.einsum("m,km...->k...", _block_integral_weights(cfg.M), z)
+    totals = d * np.einsum("m,km...->k...", block_integral_weights(cfg.M), z)
     return within, totals
 
 

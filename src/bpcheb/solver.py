@@ -19,7 +19,11 @@ Fredholm operator Q of N.  It is solved one of two ways:
   marches forward over the blocks with K factorizations of size Mn x Mn.
   Nothing of size (KMn)^2 is formed.
 * With a kernel, Q couples every pair of blocks, so the dense system matrix
-  is formed and LU-factored.
+  is formed and LU-factored.  Its P^T kron I_n is operational.apply_pt
+  applied to the identity; no Kronecker product is taken.
+
+The stages pass plain arrays: the product operators of A and B are stacked
+diagonal blocks (K, Mn, Mn) and (K, Mn, Mr), Q is a (KMn, KMn) array.
 
 Either way the factors are computed at the first solve and serve any number
 of controls, and every solve checks the defect of its answer by applying
@@ -34,9 +38,11 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .basis import (
     BasisConfig,
+    as_index,
     block_of,
     chebyshev_u_derivative_coeffs,
     chebyshev_u_series,
@@ -51,8 +57,8 @@ from .expansion import (
     synthesize,
 )
 from .kernel import fredholm_operator
-from .linalg import LU, SingularMatrixError, inf_norm, kron
-from .operational import apply_pt, build_p, pt_parts
+from .linalg import LU, SingularMatrixError, inf_norm
+from .operational import apply_pt, pt_parts
 from .quadrature import WeightedRule
 
 __all__ = [
@@ -94,6 +100,8 @@ class SystemSpec:
     u: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
+        for key in ("n", "r"):
+            object.__setattr__(self, key, as_index(key, getattr(self, key)))
         if self.n < 1 or self.r < 1:
             raise ValueError(f"dimensions must be positive, got n={self.n}, r={self.r}")
         for key in ("t0", "tf"):
@@ -152,15 +160,15 @@ class AssembledSystem:
 
     @cached_property
     def PkronT(self) -> np.ndarray:
-        return _read_only(kron(build_p(self.cfg).P.T, np.eye(self.n)))
+        return _read_only(apply_pt(self.cfg, np.eye(self.cfg.K * self.cfg.M * self.n)))
 
     @cached_property
     def Bop(self) -> np.ndarray:
-        return _read_only(_block_diagonal(self.b_blocks))
+        return _read_only(scipy.linalg.block_diag(*self.b_blocks))
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
-        Phi = _block_diagonal(self.phi_blocks)
+        Phi = scipy.linalg.block_diag(*self.phi_blocks)
         if self.Q is not None:
             Phi += self.Q
         return _read_only(np.eye(len(Phi)) - self.PkronT @ Phi)
@@ -201,14 +209,6 @@ class AssembledSystem:
 def _apply_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Block-diagonal matrix times vector, from the stacked diagonal blocks."""
     return np.matmul(blocks, np.reshape(z, (len(blocks), -1, 1))).reshape(-1)
-
-
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    K, rows, cols = blocks.shape
-    out = np.zeros((K * rows, K * cols))
-    for k, block in enumerate(blocks):
-        out[k * rows : (k + 1) * rows, k * cols : (k + 1) * cols] = block
-    return out
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -281,11 +281,7 @@ class HybridSolution:
 
     def evaluate(self, t: float) -> np.ndarray:
         """State vector at time t (t0 <= t <= tf)."""
-        if block_of(t, self.cfg.partition) is None:
-            raise ValueError(
-                f"t={t} outside [{self.cfg.partition.t0}, {self.cfg.partition.tf}]"
-            )
-        return synthesize(self.xhat, self.cfg, t)
+        return self.evaluate_many([t])[0]
 
     def evaluate_many(self, ts: Sequence[float]) -> np.ndarray:
         """State vectors at every t in ts, shape (len(ts), n); same values as evaluate."""

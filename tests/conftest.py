@@ -16,6 +16,12 @@ from bpcheb import SystemSpec, build_p, expand_vector
 
 E1 = np.exp(-1.0)
 
+
+def global_of_local(x, k, p):
+    """Inverse of basis.to_local: x in [-1, 1] back to global time in block k."""
+    a, b = p.block_bounds(k)
+    return 0.5 * ((b - a) * x + a + b)
+
 # ten-point comparison grid and high-precision reference values for the
 # exponential benchmark (14 significant digits)
 EXP_TS = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])

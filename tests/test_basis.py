@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from bpcheb.basis import (
     chebyshev_u_derivative_coeffs,
     chebyshev_u_eval,
     chebyshev_u_series,
-    global_of_local,
     to_local,
 )
+from bpcheb.operational import build_p
+
+from conftest import global_of_local
 
 
 class TestPartition:
@@ -52,13 +55,25 @@ class TestPartition:
 
 class TestBasisConfig:
     def test_size(self):
+        # M*K hybrid functions, which P integrates
         cfg = BasisConfig.uniform(0, 1, 3, 4)
-        assert cfg.size == 12
-        assert cfg.K == 3
+        assert (cfg.K, cfg.M) == (3, 4)
+        assert build_p(cfg).P.shape == (12, 12)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             BasisConfig.uniform(0, 1, 3, 0)
+
+    @pytest.mark.parametrize("key,bad", [("M", 2.5), ("M", 3.0), ("M", "3"),
+                                         ("num_blocks", 2.0), ("num_blocks", 1.5)])
+    def test_rejects_non_integer_sizes(self, key, bad):
+        sizes = {"num_blocks": 2, "M": 3, key: bad}
+        with pytest.raises(TypeError, match=re.escape(f"{key} must be an integer, got {bad!r}")):
+            BasisConfig.uniform(0, 1, sizes["num_blocks"], sizes["M"])
+
+    def test_accepts_numpy_integers(self):
+        cfg = BasisConfig.uniform(0, 1, np.int64(2), np.int32(3))
+        assert (cfg.K, cfg.M) == (2, 3) and type(cfg.M) is int
 
 
 class TestChebyshevU:
@@ -138,6 +153,7 @@ class TestBlockMaps:
     def test_block_of_outside(self, p3):
         assert block_of(-0.01, p3) is None
         assert block_of(1.01, p3) is None
+        assert block_of(math.nan, p3) is None
 
     def test_to_local_endpoints_and_midpoint(self, p3):
         assert to_local(0.0, 1, p3) == pytest.approx(-1.0)

@@ -10,7 +10,6 @@ from bpcheb.basis import (
     block_of,
     chebyshev_u_eval,
     chebyshev_u_series,
-    global_of_local,
     to_local,
 )
 from bpcheb.expansion import (
@@ -28,7 +27,7 @@ from bpcheb.expansion import (
 )
 from bpcheb.quadrature import gauss_u_rule
 
-from conftest import expdecay_A, pointwise, poly_A
+from conftest import expdecay_A, global_of_local, pointwise, poly_A
 
 
 class TestCoeffVector:
@@ -39,16 +38,16 @@ class TestCoeffVector:
         for k in range(1, K + 1):
             for m in range(M):
                 for c in range(n):
-                    flat = CoeffVector.flat_index(k, m, c, M, n)
-                    assert cv.data[flat] == tensor[k - 1, m, c]
+                    assert cv.data[((k - 1) * M + m) * n + c] == tensor[k - 1, m, c]
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
             CoeffVector(np.zeros(5), K=2, M=2, n=2)
 
     def test_zeros(self):
+        # the zero function expands to exactly zero coefficients, M*K*n of them
         cfg = BasisConfig.uniform(0, 1, 2, 3)
-        cv = CoeffVector.zeros(cfg, 2)
+        cv = expand_vector(lambda t: np.zeros(2), cfg)
         assert cv.data.shape == (12,)
         assert not cv.data.any()
 
@@ -298,13 +297,20 @@ class TestExpandMatrix:
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         mset = expand_matrix(lambda t: np.eye(2), cfg)
         for k in range(2):
-            np.testing.assert_allclose(mset.blocks[k, 0], np.eye(2), atol=1e-14)
-            np.testing.assert_allclose(mset.blocks[k, 1:], 0.0, atol=1e-14)
+            np.testing.assert_allclose(mset[k, 0], np.eye(2), atol=1e-14)
+            np.testing.assert_allclose(mset[k, 1:], 0.0, atol=1e-14)
 
     def test_zero(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         mset = expand_matrix(lambda t: np.zeros((2, 2)), cfg)
-        assert not mset.blocks.any()
+        assert not mset.any()
+
+    def test_returns_read_only_array(self):
+        cfg = BasisConfig.uniform(0, 1, 2, 3)
+        mset = expand_matrix(lambda t: np.ones((2, 1)), cfg)
+        assert type(mset) is np.ndarray and mset.shape == (2, 3, 2, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            mset[0, 0, 0, 0] = 1.0
 
     def test_polynomial_matrix_reconstructs(self):
         cfg = BasisConfig.uniform(0, 1, 3, 4)
@@ -314,7 +320,7 @@ class TestExpandMatrix:
             a, b = cfg.partition.block_bounds(k)
             x = (2 * t - a - b) / (b - a)
             rec = sum(
-                mset.blocks[k - 1, m] * chebyshev_u_eval(m, x) for m in range(4)
+                mset[k - 1, m] * chebyshev_u_eval(m, x) for m in range(4)
             )
             np.testing.assert_allclose(rec, poly_A(t), rtol=0, atol=1e-13)
 
@@ -347,8 +353,14 @@ class TestProductCoeff:
                     brute = float(np.dot(integrand, vals_i * vals_j * vals_m))
                     assert abs(product_coeff(i, j, m) - brute) <= 1e-12
 
+    def test_cached_read_only_array(self):
+        d = product_tensor(5)
+        assert d is product_tensor(5) and d.shape == (5, 5, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            d[0, 0, 0] = 2.0
+
     def test_symmetry_and_binary_values(self):
-        d = product_tensor(8).d
+        d = product_tensor(8)
         np.testing.assert_allclose(d, np.swapaxes(d, 0, 1), atol=0)
         assert set(np.unique(d)) <= {0.0, 1.0}
 
@@ -419,11 +431,11 @@ class TestBuildProductMatrix:
         cfg = BasisConfig(Partition(tuple(bp)), M)
         phase = rng.uniform(0, 3, shape)
         mset = expand_matrix(lambda t: np.cos(phase * t) + t * t, cfg)
-        d = product_tensor(M).d
+        d = product_tensor(M)
         got = product_blocks(mset)
         assert got.shape == (K, M * shape[0], M * shape[1])
         for k in range(K):
-            hat = np.einsum("ijm,iab->majb", d, mset.blocks[k])
+            hat = np.einsum("ijm,iab->majb", d, mset[k])
             assert np.array_equal(got[k], hat.reshape(M * shape[0], M * shape[1]))
 
     def test_dimension_mismatch(self):

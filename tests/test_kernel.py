@@ -12,7 +12,8 @@ from bpcheb.expansion import (
     nodes,
     product_tensor,
 )
-from bpcheb.kernel import block_integral, fredholm_operator
+from bpcheb.kernel import fredholm_operator
+from bpcheb.operational import block_integral_weights
 from bpcheb.quadrature import gauss_u_rule, projection_matrix
 
 from conftest import expdecay_N, pointwise, poly_N
@@ -43,20 +44,23 @@ def oracle_fredholm_image(kernel, f, cfg, inner_order=80):
 
 
 class TestBlockIntegral:
+    """block_integral_weights(M)[m] is half the integral of S_m over [-1, 1]."""
+
     @pytest.mark.parametrize("m", range(13))
     def test_closed_form_matches_legendre(self, m):
         from bpcheb.basis import chebyshev_u_eval
 
         glx, glw = np.polynomial.legendre.leggauss(40)
         brute = float(np.dot(glw, [chebyshev_u_eval(m, x) for x in glx]))
-        assert block_integral(m) == pytest.approx(brute, abs=1e-13)
+        assert 2.0 * block_integral_weights(13)[m] == pytest.approx(brute, abs=1e-13)
+        assert block_integral_weights(m + 1)[m] == block_integral_weights(13)[m]
 
     def test_odd_degrees_vanish_exactly(self):
-        assert all(block_integral(m) == 0.0 for m in (1, 3, 5, 7, 9))
+        assert not block_integral_weights(10)[1::2].any()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            block_integral(-1)
+            block_integral_weights(-1)
 
 
 def separable_q(ahat, bhat, cfg):
@@ -66,8 +70,8 @@ def separable_q(ahat, bhat, cfg):
     (d_k / 2) * ahat[j, l] * sum over i of bhat[k, i] * g[i, p], with g the
     product tensor folded with the block integrals.
     """
-    weights = np.array([block_integral(m) for m in range(cfg.M)])
-    g = np.einsum("ipm,m->ip", product_tensor(cfg.M).d, weights)
+    weights = 2.0 * block_integral_weights(cfg.M)
+    g = np.einsum("ipm,m->ip", product_tensor(cfg.M), weights)
     inner = 0.5 * np.asarray(cfg.partition.widths)[:, None] * (np.asarray(bhat) @ g)
     return np.outer(np.asarray(ahat).reshape(-1), inner.reshape(-1))
 
@@ -136,8 +140,8 @@ def pointwise_fredholm_q(kernel, cfg, rule):
         ]))
         for ts in grid
     ])
-    weights = np.array([block_integral(m) for m in range(cfg.M)])
-    g = np.einsum("ipm,m->ip", product_tensor(cfg.M).d, weights)
+    weights = 2.0 * block_integral_weights(cfg.M)
+    g = np.einsum("ipm,m->ip", product_tensor(cfg.M), weights)
     out = np.einsum("jlkiac,ip->jlakpc", data, g)
     out *= 0.5 * np.asarray(cfg.partition.widths)[None, None, None, :, None, None]
     size = cfg.K * cfg.M

@@ -1,40 +1,7 @@
 import numpy as np
 import pytest
 
-from bpcheb.linalg import LU, SingularMatrixError, inf_norm, kron
-
-
-class TestKron:
-    def test_identity_left(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        got = kron(np.eye(2), b)
-        expected = np.block([[b, np.zeros((2, 2))], [np.zeros((2, 2)), b]])
-        np.testing.assert_allclose(got, expected)
-
-    def test_unit_matrix_placement(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        got = kron(np.array([[0.0, 1.0], [0.0, 0.0]]), b)  # E_12
-        assert not got[:2, :2].any()
-        np.testing.assert_allclose(got[:2, 2:], b)
-        assert not got[2:, :].any()
-
-    def test_hand_expansion(self):
-        got = kron(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_allclose(got, [[3.0, 6.0], [4.0, 8.0]])
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(13)
-        a, c = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
-        b, d = rng.standard_normal((2, 2)), rng.standard_normal((2, 4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
-
-    def test_dimension_overflow_guard(self):
-        # zero-stride inputs: the guard must fire before anything is allocated
-        huge = np.broadcast_to(0.0, (40000, 40000))
-        with pytest.raises(ValueError, match="entries"):
-            kron(huge, huge)
+from bpcheb.linalg import LU, SingularMatrixError, inf_norm
 
 
 class TestLuSolve:

@@ -5,8 +5,34 @@ from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import expand_vector
 from bpcheb.operational import apply_pt, build_p, build_phat, pt_parts
 from bpcheb.quadrature import gauss_u_rule
+from bpcheb.solver import SystemSpec, assemble
 
 from test_quadrature import project_scalar
+
+
+def loop_built_p(cfg):
+    """Oracle for build_p: P filled entry by entry from its definition.
+
+    Diagonal blocks (d_i/2) Phat; every later block j > i gets block i's full
+    integral d_i/(m+1) for even degree m in its degree-0 column.
+    """
+    M, K = cfg.M, cfg.K
+    widths = cfg.partition.widths
+    phat = build_phat(M)
+    P = np.zeros((M * K, M * K))
+    for i in range(K):
+        P[i * M : (i + 1) * M, i * M : (i + 1) * M] = 0.5 * widths[i] * phat
+    rows = np.arange(0, M, 2)  # even degrees
+    for i in range(K):
+        for j in range(i + 1, K):
+            P[i * M + rows, j * M] = widths[i] * (1.0 / (rows + 1.0))
+    return P
+
+
+def random_cfg(rng, K, M):
+    t0 = rng.uniform(-2, 2)
+    edges = np.sort(rng.uniform(t0, t0 + 3, size=K - 1))
+    return BasisConfig(Partition((t0, *edges, t0 + 3)), M)
 
 
 class TestBuildPhat:
@@ -157,6 +183,21 @@ class TestIntegrationProperty:
             P[0, 0] = 5.0
 
 
+class TestDenseFromApplyPt:
+    """P and P^T kron I_n are apply_pt of identities, equal to the loop-built P."""
+
+    @pytest.mark.parametrize("K", [1, 2, 7])
+    @pytest.mark.parametrize("M", [1, 2, 5, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exactly_equal_to_loop_built_oracle(self, K, M, n):
+        cfg = random_cfg(np.random.default_rng(100 * K + 10 * M + n), K, M)
+        oracle = loop_built_p(cfg)
+        assert np.array_equal(build_p(cfg).P, oracle)
+        p = cfg.partition
+        asm = assemble(SystemSpec(n, 1, p.t0, p.tf, np.zeros(n)), cfg)
+        assert np.array_equal(asm.PkronT, np.kron(oracle.T, np.eye(n)))
+
+
 class TestApplyPt:
     @pytest.mark.parametrize("M,K,n", [(1, 1, 1), (3, 1, 2), (4, 2, 1), (5, 3, 3), (8, 6, 2)])
     def test_matches_kron_oracle(self, M, K, n):
@@ -164,7 +205,7 @@ class TestApplyPt:
         edges = np.sort(rng.uniform(0.1, 1.9, size=K - 1))
         cfg = BasisConfig(Partition((0.0, *edges, 2.0)), M)
         z = rng.standard_normal(M * K * n)
-        expected = np.kron(build_p(cfg).P.T, np.eye(n)) @ z
+        expected = np.kron(loop_built_p(cfg).T, np.eye(n)) @ z
         np.testing.assert_allclose(apply_pt(cfg, z), expected, rtol=0, atol=1e-14)
 
     def test_keeps_shape_and_columns(self):
@@ -174,7 +215,7 @@ class TestApplyPt:
         z = rng.standard_normal((3, 4, 2, 5))
         got = apply_pt(cfg, z)
         assert got.shape == z.shape
-        pkron = np.kron(build_p(cfg).P.T, np.eye(2))
+        pkron = np.kron(loop_built_p(cfg).T, np.eye(2))
         for c in range(5):
             np.testing.assert_allclose(got[..., c].reshape(-1), pkron @ z[..., c].reshape(-1),
                                        rtol=0, atol=1e-14)

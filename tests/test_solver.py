@@ -51,6 +51,17 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             SystemSpec(**fields)
 
+    @pytest.mark.parametrize("key,value", [("n", 1.5), ("n", 1.0), ("r", 2.0), ("r", "1")])
+    def test_rejects_non_integer_dimensions(self, key, value):
+        fields = dict(n=1, r=1, t0=0.0, tf=1.0, x0=[0.0])
+        fields[key] = value
+        with pytest.raises(TypeError, match=f"{key} must be an integer, got {value!r}"):
+            SystemSpec(**fields)
+
+    def test_accepts_numpy_integer_dimensions(self):
+        spec = SystemSpec(n=np.int64(2), r=np.int32(1), t0=0, tf=1, x0=[0.0, 1.0])
+        assert (spec.n, spec.r) == (2, 1) and type(spec.n) is int
+
     def test_x0_read_only(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[1.0])
         with pytest.raises(ValueError):
@@ -317,11 +328,13 @@ class TestBlockMarch:
 
 class TestEvaluate:
     def test_out_of_domain(self, poly_system):
+        # NaN is outside too: no silent zeros, no IndexError
         sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
-        with pytest.raises(ValueError, match="outside"):
-            sol.evaluate(1.2)
-        with pytest.raises(ValueError, match="outside"):
-            sol.evaluate(-0.1)
+        for bad in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError, match=f"t={bad} outside"):
+                sol.evaluate(bad)
+            with pytest.raises(ValueError, match=f"t={bad} outside"):
+                sol.derivative(bad)
 
     def test_evaluate_many_matches_pointwise(self, expdecay_system):
         cfg = BasisConfig(Partition((0.0, 0.15, 0.4, 0.9, 1.0)), 6)
@@ -427,6 +440,12 @@ class TestResidual:
         spec = dataclasses.replace(expdecay_system, N=kernel)
         with pytest.raises(ExpansionError, match=r"kernel failed at \(t=0.1, s=.*\) \(inner block 3\): nope"):
             residual(spec, sol, EXP_TS, quad_order=10)
+
+    @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
+    def test_rejects_bad_t(self, poly_system, bad):
+        sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
+        with pytest.raises(ValueError, match=f"t={bad} outside"):
+            residual(poly_system, sol, [0.5, bad])
 
     def test_zero_system_zero_residual(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[2.0])
