@@ -29,6 +29,7 @@ __all__ = [
     "default_rule",
     "nodes",
     "sample",
+    "require_finite",
     "expand_vector",
     "expand_matrix",
     "product_coeff",
@@ -207,6 +208,21 @@ def _grid_layout(vals, ndim: int, lead: tuple) -> np.ndarray | None:
     return vals.reshape(lead + (-1,)) if ndim == 1 else vals
 
 
+def require_finite(vals: np.ndarray, grid: np.ndarray, name: str, t=None) -> None:
+    """Raise ExpansionError naming the first non-finite sample of vals, laid out
+    as sample(f, grid, ..., t=t) returns it: its value, its t (or (t, s)) and block."""
+    finite = np.isfinite(vals)
+    if finite.all():
+        return
+    lead = np.shape(t) + grid.shape
+    i = np.unravel_index(np.argmin(finite.reshape(lead + (-1,)).all(axis=-1)), lead)
+    bad = vals[i][~finite[i]].flat[0]
+    nt = np.ndim(t)
+    ti = np.asarray(t)[i[:nt]] if nt else t
+    k, y = i[nt:]
+    raise ExpansionError(f"{name} is {bad} at {_where(ti, grid[k, y], k + 1)}")
+
+
 def _where(t: float | None, x: float, k: int) -> str:
     return f"t={x} (block {k})" if t is None else f"(t={t}, s={x}) (inner block {k})"
 
@@ -225,10 +241,13 @@ def expand_vector(
     """Componentwise expansion of a vector function into CoeffVector layout.
 
     expect = (name, (n,)) names f and its length for sample's shape check.
+    A non-finite sample raises ExpansionError naming f, the t and the block.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
-    fx = sample(f, nodes(cfg, rule), "vector function", 1, expect=expect)  # (K, q, n)
+    grid = nodes(cfg, rule)
+    fx = sample(f, grid, "vector function", 1, expect=expect)  # (K, q, n)
+    require_finite(fx, grid, expect[0] if expect else "vector function")
     return CoeffVector.from_tensor(np.stack([proj @ block for block in fx]))
 
 
@@ -240,10 +259,13 @@ def expand_matrix(
     coefficients, shape (K, M, n_out, n_in), entry [k-1, m] for block k, degree m.
 
     expect = (name, (n_out, n_in)) names mfun and its shape for sample's check.
+    A non-finite sample raises ExpansionError naming mfun, the t and the block.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
-    fx = sample(mfun, nodes(cfg, rule), "matrix function", 2, expect=expect)  # (K, q, n_out, n_in)
+    grid = nodes(cfg, rule)
+    fx = sample(mfun, grid, "matrix function", 2, expect=expect)  # (K, q, n_out, n_in)
+    require_finite(fx, grid, expect[0] if expect else "matrix function")
     coeffs = np.stack([np.einsum("mq,qab->mab", proj, block) for block in fx])
     coeffs.flags.writeable = False
     return coeffs
@@ -278,8 +300,10 @@ def product_blocks(blocks: np.ndarray) -> np.ndarray:
     rows (degree, out-component)-major to match CoeffVector stacking.
     """
     K, M, n_out, n_in = np.shape(blocks)
-    hat = np.einsum("ijm,kiab->kmajb", product_tensor(M), blocks)
-    return np.ascontiguousarray(hat).reshape(K, M * n_out, M * n_in)
+    # one matmul over degree i: rows (k, a, b), columns (j, m) of the d-tensor
+    rows = np.moveaxis(np.asarray(blocks, dtype=float), 1, -1).reshape(-1, M)
+    hat = (rows @ product_tensor(M).reshape(M, M * M)).reshape(K, n_out, n_in, M, M)
+    return hat.transpose(0, 4, 1, 3, 2).reshape(K, M * n_out, M * n_in)
 
 
 def synthesize(coeffs: CoeffVector, cfg: BasisConfig, t) -> np.ndarray:

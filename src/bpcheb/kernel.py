@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import BasisConfig
-from .expansion import CoeffVector, default_rule, nodes, product_tensor, sample
+from .expansion import CoeffVector, default_rule, nodes, product_tensor, require_finite, sample
 from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
 
@@ -65,7 +65,8 @@ def fredholm_operator(
 
         sum over even m of (d_k / (m+1)) * sum over i of d^{(i j')}_m C^{(jl)}_{ki},
 
-    laid out so Q acts on CoeffVector stackings.
+    laid out so Q acts on CoeffVector stackings.  A non-finite kernel sample
+    raises ExpansionError naming (t, s) and the inner block.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
@@ -76,6 +77,7 @@ def fredholm_operator(
     slab = data = None
     for j, ts in enumerate(grid):
         slab = sample(kernel, grid, "kernel", 2, t=ts, out=slab)
+        require_finite(slab, grid, "kernel", t=ts)
         if data is None:
             data = np.empty((K, M, K, M) + slab.shape[3:])
         inner = np.einsum("my,xkyac->xkmac", proj, slab)

@@ -1,7 +1,9 @@
 """Checked LU: scipy's partial-pivot factorization plus a pivot-magnitude check.
 
-Matrices are plain 2-D numpy arrays.  The pivot check makes singular systems
-fail loudly with the offending pivot, instead of returning garbage.
+Matrices are plain numpy arrays: one (m, m) matrix, or a stack (K, m, m) of
+independent ones factored and solved in one call each.  The pivot check
+makes singular systems fail loudly with the offending pivot (and, in a
+stack, the offending matrix), instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -45,18 +47,40 @@ def inf_norm(a: np.ndarray) -> float:
 
 
 class LU:
-    """Partial-pivot LU factorization reusable across many right-hand sides."""
+    """Partial-pivot LU factorization reusable across many right-hand sides.
+
+    a is one square matrix (m, m) or a stack (K, m, m) of them.  A stack is
+    factored by one scipy call, and a singular or non-finite matrix in it is
+    named by its 1-based index as SingularMatrixError.block or in the
+    ValueError.
+    """
 
     def __init__(self, a: np.ndarray):
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {a.shape}")
-        self._lu, self._piv = scipy.linalg.lu_factor(a)
-        threshold = PIVOT_RTOL * inf_norm(a)
-        diag = np.abs(np.diag(self._lu))
-        worst = int(np.argmin(diag))
-        if diag[worst] <= threshold:
-            raise SingularMatrixError(worst, float(diag[worst]), threshold)
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+            raise ValueError(f"need a square matrix or a stack of them, got shape {a.shape}")
+        stack = a if a.ndim == 3 else a[np.newaxis]
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            where = f" (diagonal block {np.argmin(finite) + 1})" if a.ndim == 3 else ""
+            raise ValueError(f"matrix must not contain infs or NaNs{where}")
+        self._lu, self._piv = scipy.linalg.lu_factor(a, check_finite=False)
+        thresholds = PIVOT_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
+        diag = np.abs(np.diagonal(self._lu, axis1=-2, axis2=-1)).reshape(len(stack), -1)
+        singular = (diag <= thresholds[:, np.newaxis]).any(axis=1)
+        if singular.any():
+            k = int(np.argmax(singular))
+            worst = int(np.argmin(diag[k]))
+            raise SingularMatrixError(worst, float(diag[k, worst]), float(thresholds[k]),
+                                      block=k + 1 if a.ndim == 3 else None)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve((self._lu, self._piv), np.asarray(b, dtype=float))
+        """x with a x = b: b is (m,) or (m, p) for one matrix, (K, m) or
+        (K, m, p) for a stack."""
+        b = np.asarray(b, dtype=float)
+        if not np.isfinite(b).all():  # one check for the whole stack, not one per slice
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        lu_piv = (self._lu, self._piv)
+        if self._lu.ndim == 3 and b.ndim == 2:  # scipy reads a 2-D b as one (m, p) matrix
+            return scipy.linalg.lu_solve(lu_piv, b[..., np.newaxis], check_finite=False)[..., 0]
+        return scipy.linalg.lu_solve(lu_piv, b, check_finite=False)

@@ -92,11 +92,13 @@ def pt_parts(cfg: BasisConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Every later block adds totals[k-1] to its degree-0 coefficient.
     """
     z = np.asarray(z, dtype=float)
-    d = np.asarray(cfg.partition.widths).reshape((cfg.K,) + (1,) * (z.ndim - 2))
-    within = np.einsum("pm,kp...->km...", build_phat(cfg.M), z)
+    K, M = cfg.K, cfg.M
+    cols = z.reshape(K, M, -1)
+    d = np.asarray(cfg.partition.widths)[:, np.newaxis]
+    within = build_phat(M).T @ cols
     within *= 0.5 * d[:, np.newaxis]
-    totals = d * np.einsum("m,km...->k...", block_integral_weights(cfg.M), z)
-    return within, totals
+    totals = d * (block_integral_weights(M) @ cols)
+    return within.reshape(z.shape), totals.reshape((K,) + z.shape[2:])
 
 
 def apply_pt(cfg: BasisConfig, z: np.ndarray) -> np.ndarray:

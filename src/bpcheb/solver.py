@@ -15,9 +15,11 @@ Fredholm operator Q of N.  It is solved one of two ways:
 
 * Without a kernel, Phi is block diagonal, and P is block upper-triangular:
   a finished block adds only a constant, its full integral, to each later
-  block.  The system matrix is then block lower-triangular, and solve
-  marches forward over the blocks with K factorizations of size Mn x Mn.
-  Nothing of size (KMn)^2 is formed.
+  block.  The system matrix is then block lower-triangular.  The K diagonal
+  blocks (Mn x Mn) are factored as one stack, every block's right-hand side
+  is solved in one call, and the only loop over the blocks carries an
+  n-vector forward (see AssembledSystem).  Nothing of size (KMn)^2 is
+  formed.
 * With a kernel, Q couples every pair of blocks, so the dense system matrix
   is formed and LU-factored.  Its P^T kron I_n is operational.apply_pt
   applied to the identity; no Kronecker product is taken.
@@ -38,7 +40,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .basis import (
     BasisConfig,
@@ -57,7 +58,7 @@ from .expansion import (
     synthesize,
 )
 from .kernel import fredholm_operator
-from .linalg import LU, SingularMatrixError, inf_norm
+from .linalg import LU, inf_norm
 from .operational import apply_pt, pt_parts
 from .quadrature import WeightedRule
 
@@ -125,13 +126,17 @@ class AssembledSystem:
     k-1 and b_blocks (K, Mn, Mr) that of B; Q is the (KMn x KMn) Fredholm
     operator of N, or None without a kernel.
 
-    Without a kernel, the first solve factors the diagonal blocks
-    D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and keeps beside them the rows
-    S_k = d_k (v^T kron I_n) Phi_k (v_m = 1/(m+1) for even m, else 0) that
-    carry block k's full integral into later blocks; block k then solves
-    D_k x_k = rhs_k + e_0 kron sum_{i<k} S_i x_i.  With a kernel, the first
-    solve LU-factors the dense system_matrix I - PkronT @ Phi.  Later solves
-    share the factors (concurrent reads are safe).
+    Without a kernel, block k satisfies D_k x_k = rhs_k + (e_0 kron I_n) c_k
+    with D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and the carry
+    c_k = sum_{i<k} S_i x_i, where the rows S_k = d_k (v^T kron I_n) Phi_k
+    (v_m = 1/(m+1) for even m, else 0) give block k's full integral.  The
+    first solve factors all D_k as one stack and keeps S_k,
+    G_k = D_k^-1 (e_0 kron I_n) and T_k = I_n + S_k G_k.  A solve is then
+    y_k = D_k^-1 rhs_k for all blocks at once, the n-dimensional recurrence
+    c_1 = 0, c_{k+1} = T_k c_k + S_k y_k, and x_k = y_k + G_k c_k.  With a
+    kernel, the first solve LU-factors the dense system_matrix
+    I - PkronT @ Phi.  Later solves share the factors (concurrent reads are
+    safe).
     """
 
     def __init__(self, cfg: BasisConfig, n: int, r: int, phi_blocks: np.ndarray,
@@ -164,11 +169,11 @@ class AssembledSystem:
 
     @cached_property
     def Bop(self) -> np.ndarray:
-        return _read_only(scipy.linalg.block_diag(*self.b_blocks))
+        return _read_only(_block_diagonal(self.b_blocks))
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
-        Phi = scipy.linalg.block_diag(*self.phi_blocks)
+        Phi = _block_diagonal(self.phi_blocks)
         if self.Q is not None:
             Phi += self.Q
         return _read_only(np.eye(len(Phi)) - self.PkronT @ Phi)
@@ -177,38 +182,45 @@ class AssembledSystem:
     def _lu(self) -> LU:
         return LU(self.system_matrix)
 
-    # block forward substitution, for systems without a kernel
+    # block march, for systems without a kernel
 
     @cached_property
-    def _march(self) -> tuple[list[LU], np.ndarray]:
-        """LU factors of every D_k, and the S_k stacked as (K, n, Mn)."""
+    def _march(self) -> tuple[LU, np.ndarray, np.ndarray, np.ndarray]:
+        """The stacked LU of every D_k, G_k = D_k^-1 (e_0 kron I_n) as
+        (K, Mn, n), S_k as (K, n, Mn), and T_k = I_n + S_k G_k as (K, n, n)."""
         K, M, n = self.cfg.K, self.cfg.M, self.n
-        within, totals = pt_parts(self.cfg, self.phi_blocks.reshape(K, M, n, M * n))
-        lus = []
-        for k, block in enumerate(np.eye(M * n) - within.reshape(K, M * n, M * n), start=1):
-            try:
-                lus.append(LU(block))
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(exc.pivot_index, exc.pivot, exc.threshold,
-                                          block=k) from None
-        return lus, totals
+        within, S = pt_parts(self.cfg, self.phi_blocks.reshape(K, M, n, M * n))
+        D = within.reshape(K, M * n, M * n)
+        lu = LU(np.subtract(np.eye(M * n), D, out=D))  # in place: one stack fewer
+        E = np.zeros((K, M * n, n))
+        E[:, :n, :] = np.eye(n)
+        G = lu.solve(E)
+        return lu, G, S, np.eye(n) + S @ G
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.Q is not None:
             return self._lu.solve(rhs)
-        lus, totals = self._march
-        x = rhs.reshape(self.cfg.K, -1).copy()
-        carry = np.zeros(self.n)
-        for xk, lu, sk in zip(x, lus, totals):
-            xk[: self.n] += carry
-            xk[:] = lu.solve(xk)
-            carry += sk @ xk
-        return x.reshape(-1)
+        lu, G, S, T = self._march
+        y = lu.solve(rhs.reshape(self.cfg.K, -1))
+        Sy = (S @ y[..., np.newaxis])[..., 0]
+        c = np.zeros((self.cfg.K, self.n))  # c_k: sum over i < k of S_i x_i
+        for k in range(self.cfg.K - 1):
+            c[k + 1] = T[k] @ c[k] + Sy[k]
+        return (y + (G @ c[..., np.newaxis])[..., 0]).reshape(-1)
 
 
 def _apply_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Block-diagonal matrix times vector, from the stacked diagonal blocks."""
     return np.matmul(blocks, np.reshape(z, (len(blocks), -1, 1))).reshape(-1)
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the stacked blocks (K, p, q), shape (Kp, Kq)."""
+    K, p, q = blocks.shape
+    out = np.zeros((K, p, K, q))
+    k = np.arange(K)
+    out[k, :, k, :] = blocks
+    return out.reshape(K * p, K * q)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -259,7 +271,7 @@ def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "Hyb
     xhat = asm._solve(rhs)
     defect = inf_norm(asm.apply(xhat) - rhs)
     bound = RESIDUAL_RTOL * (1.0 + inf_norm(rhs))
-    if defect > bound:
+    if not defect <= bound:  # a NaN defect fails too
         raise SolveError(
             f"linear-system residual {defect:.3e} exceeds {bound:.3e}; "
             "the discretized operator is too ill-conditioned to trust"

@@ -155,6 +155,20 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfgfile)]) == 1
         assert "[system].x0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,line,named", [
+        ("u", 'u = ["1e308*1e308"]', "u is inf at t="),
+        ("A", 'A = [["1", "t*1e308*1e308 - t*1e308*1e308"], ["t", "t^2+1"]]', "A is nan at t="),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_data_exits_1_naming_the_datum(self, tmp_path, capsys, key, line, named):
+        text = open(EXPDECAY).read()
+        old = next(row for row in text.splitlines() if row.startswith(f"{key} = "))
+        cfgfile = tmp_path / "nonfinite.prob"
+        cfgfile.write_text(text.replace(old, line))
+        assert main(["solve", "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bpcheb: input error: {named}") and "(block 1)" in err
+
     def test_bad_expression_exits_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.prob"
         cfgfile.write_text(SINGULAR.replace('A = [["2"]]', 'A = [["3t"]]'))

@@ -292,6 +292,40 @@ class TestExpandVector:
         np.testing.assert_allclose(cv.tensor()[0, :, 0], [2.5, 0, 0], atol=1e-14)
 
 
+def _first_flat(grid, mask):
+    """The first node of grid (flat order, as the samples are stored) where mask
+    holds, and its 1-based block."""
+    i = int(np.argmax(mask.reshape(-1)))
+    return grid.reshape(-1)[i], i // grid.shape[1] + 1
+
+
+class TestNonFiniteData:
+    """Non-finite samples are named where they enter; sample itself passes them on."""
+
+    CFG = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("grid_call", [True, False])
+    def test_vector_names_datum_first_t_and_block(self, bad, grid_call):
+        f = lambda t: np.where(t > 0.6, bad, 1.0)
+        grid = nodes(self.CFG, default_rule(self.CFG))
+        t, k = _first_flat(grid, grid > 0.6)
+        with pytest.raises(ExpansionError, match=rf"^u is {bad} at t={t} \(block {k}\)$"):
+            expand_vector(f if grid_call else pointwise(f), self.CFG, expect=("u", (1,)))
+        with pytest.raises(ExpansionError, match=rf"^vector function is {bad} at t={t} "):
+            expand_vector(f, self.CFG)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_matrix_nan_on_part_of_the_domain(self):
+        A = lambda t: np.array([[1.0, np.sqrt(t - 0.4)], [t, 1.0]])  # ragged: per node
+        grid = nodes(self.CFG, default_rule(self.CFG))
+        t, k = _first_flat(grid, grid < 0.4)
+        with pytest.raises(ExpansionError, match=rf"^A is nan at t={t} \(block {k}\)$"):
+            expand_matrix(A, self.CFG, expect=("A", (2, 2)))
+        with pytest.raises(ExpansionError, match=rf"^matrix function is nan at t={t} "):
+            expand_matrix(A, self.CFG)
+
+
 class TestExpandMatrix:
     def test_identity(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
@@ -425,7 +459,7 @@ class TestBuildProductMatrix:
     @pytest.mark.parametrize("K,M,shape", [(1, 1, (1, 1)), (3, 4, (2, 2)), (5, 7, (2, 1)),
                                            (8, 12, (3, 2)), (16, 16, (2, 2))])
     def test_matches_per_block_reference(self, K, M, shape):
-        # the batched einsum sums in the same order as one einsum per block
+        # on this smooth data the matmul sums like one einsum per block
         rng = np.random.default_rng(K * M)
         bp = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, K - 1)), [1.0]])
         cfg = BasisConfig(Partition(tuple(bp)), M)
@@ -437,6 +471,19 @@ class TestBuildProductMatrix:
         for k in range(K):
             hat = np.einsum("ijm,iab->majb", d, mset[k])
             assert np.array_equal(got[k], hat.reshape(M * shape[0], M * shape[1]))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_einsum_oracle_on_random_shapes(self, seed):
+        # oracle: product_blocks as one einsum; the matmul sums in another
+        # order, so random coefficients can differ in the last bit
+        rng = np.random.default_rng(seed)
+        K, M, n_out, n_in = (int(v) for v in rng.integers(1, [9, 20, 4, 4], endpoint=True))
+        blocks = rng.standard_normal((K, M, n_out, n_in))
+        want = np.einsum("ijm,kiab->kmajb", product_tensor(M), blocks)
+        want = np.ascontiguousarray(want).reshape(K, M * n_out, M * n_in)
+        got = product_blocks(blocks)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(blocks).max())
 
     def test_dimension_mismatch(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)

@@ -212,6 +212,18 @@ class TestSampling:
         with pytest.raises(ExpansionError, match=expected):
             fredholm_operator(kernel, cfg)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_kernel_names_t_s_and_inner_block(self, bad):
+        cfg = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 4)
+        grid = nodes(cfg, default_rule(cfg))
+        ts = grid.reshape(-1)
+        t = ts[np.argmax((ts > 0.5) & (ts < 0.7))]  # the first outer time where N is bad
+        s = grid[1][np.argmax(grid[1] > 0.4)]  # its first bad inner node: block 2
+        kernel = lambda t, s: np.where((t > 0.5) & (t < 0.7) & (s > 0.4), bad, 1.0 + 0 * s)
+        where = rf"\(t={t}, s={s}\) \(inner block 2\)"
+        with pytest.raises(ExpansionError, match=rf"^kernel is {bad} at {where}$"):
+            fredholm_operator(kernel, cfg)
+
     def test_grid_kernel_failing_at_one_interior_node_is_named(self):
         cfg = BasisConfig.uniform(0, 1, 3, 4)
         grid = nodes(cfg, default_rule(cfg))

@@ -3,7 +3,7 @@ import pytest
 
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import expand_vector
-from bpcheb.operational import apply_pt, build_p, build_phat, pt_parts
+from bpcheb.operational import apply_pt, block_integral_weights, build_p, build_phat, pt_parts
 from bpcheb.quadrature import gauss_u_rule
 from bpcheb.solver import SystemSpec, assemble
 
@@ -219,6 +219,23 @@ class TestApplyPt:
         for c in range(5):
             np.testing.assert_allclose(got[..., c].reshape(-1), pkron @ z[..., c].reshape(-1),
                                        rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_parts_match_einsum_oracle_on_random_shapes(self, seed):
+        # oracle: pt_parts as two einsums; the matmuls sum in another order,
+        # so random coefficients can differ in the last bit
+        rng = np.random.default_rng(seed)
+        K, M, n, c = (int(v) for v in rng.integers(1, [9, 20, 4, 6], endpoint=True))
+        cfg = random_cfg(rng, K, M)
+        z = rng.standard_normal((K, M, n, c)[: int(rng.integers(2, 4, endpoint=True))])
+        d = np.asarray(cfg.partition.widths).reshape((K,) + (1,) * (z.ndim - 2))
+        within = np.einsum("pm,kp...->km...", build_phat(M), z) * (0.5 * d[:, np.newaxis])
+        totals = d * np.einsum("m,km...->k...", block_integral_weights(M), z)
+        got_within, got_totals = pt_parts(cfg, z)
+        assert got_within.shape == within.shape and got_totals.shape == totals.shape
+        tol = 1e-13 * np.abs(z).max()
+        np.testing.assert_allclose(got_within, within, rtol=0, atol=tol)
+        np.testing.assert_allclose(got_totals, totals, rtol=0, atol=tol)
 
     def test_parts(self):
         # totals are the full block integrals: d_k times the even-degree weights 1/(m+1)

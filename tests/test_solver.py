@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from bpcheb import exprlang
+from bpcheb import exprlang, solver
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import ExpansionError, expand_vector
-from bpcheb.linalg import SingularMatrixError, inf_norm
-from bpcheb.solver import SystemSpec, assemble, hybrid_solve, residual, solve
+from bpcheb.linalg import LU, SingularMatrixError, inf_norm
+from bpcheb.solver import SolveError, SystemSpec, assemble, hybrid_solve, residual, solve
 
 from conftest import (
     EXP_K,
@@ -238,6 +239,21 @@ class TestSolve:
         # no dense operator is formed without a kernel
         assert not {"PkronT", "Bop", "system_matrix", "_lu"} & set(vars(asm))
 
+    def test_factorization_reused_across_controls_on_non_uniform_partition(self, monkeypatch):
+        spec = SystemSpec(n=2, r=2, t0=-0.5, tf=1.5, x0=[1.0, -2.0], A=expdecay_A,
+                          B=lambda t: np.array([[1.0, t], [np.cos(t), -1.0]]))
+        cfg = BasisConfig(Partition((-0.5, -0.4, 0.1, 0.15, 0.9, 1.5)), 9)
+        asm = assemble(spec, cfg)
+        factored = []
+        monkeypatch.setattr(solver, "LU", lambda a: factored.append(a.shape) or LU(a))
+        controls = [lambda t: np.array([1.0, 0.0]), lambda t: np.array([np.sin(3 * t), t]),
+                    None, lambda t: np.array([np.exp(t), -t * t])]
+        for u in controls:
+            got = solve(asm, u).xhat.data
+            expected = dense_reference_solve(asm, u)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+        assert factored == [(5, 18, 18)]  # one stack of K = 5 blocks, factored once
+
     def test_factorization_reused_across_controls_with_kernel(self, expdecay_system):
         asm = assemble(expdecay_system, BasisConfig.uniform(0, 1, 2, 4))
         solve(asm, lambda t: np.array([1.0]))
@@ -245,6 +261,20 @@ class TestSolve:
         solve(asm, lambda t: np.array([t]))
         assert asm._lu is first
         assert "_march" not in vars(asm)
+
+    @pytest.mark.parametrize("with_kernel", [False, True])
+    def test_non_finite_answer_is_rejected(self, with_kernel, expdecay_system, monkeypatch):
+        spec = expdecay_system if with_kernel else dataclasses.replace(expdecay_system, N=None)
+        asm = assemble(spec, BasisConfig.uniform(0, 1, 2, 4))
+        monkeypatch.setattr(asm, "_solve", lambda rhs: np.full_like(rhs, np.nan))
+        with pytest.raises(SolveError, match="residual nan exceeds"):
+            solve(asm, spec.u)
+
+    def test_dense_block_diagonals_match_scipy(self, expdecay_system):
+        asm = assemble(expdecay_system, BasisConfig(Partition((0.0, 0.2, 0.7, 1.0)), 6))
+        assert np.array_equal(asm.Bop, scipy.linalg.block_diag(*asm.b_blocks))
+        phi = scipy.linalg.block_diag(*asm.phi_blocks) + asm.Q
+        assert np.array_equal(asm.system_matrix, np.eye(len(phi)) - asm.PkronT @ phi)
 
     def test_control_shape_mismatch(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], B=lambda t: np.array([[1.0]]))
