@@ -13,9 +13,11 @@ the rule S_i S_j = sum over r = 0..min(i,j) of S_{i+j-2r}.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -114,43 +116,101 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
     must have.
 
     f is first called once on the whole grid (see _sample_grid).  When that
-    result is not kept, f is called once per point: a failing call, or a
-    sample whose shape differs from the others or from expect, raises
+    result is not kept, f is called once per point, with numpy scalars, and
+    the results are converted in one call when they are numeric arrays of
+    one fitting shape.  Else they are converted one by one: a failing call
+    or conversion, a sample with a non-zero imaginary part, or a sample
+    whose shape differs from the others or from expect raises
     ExpansionError naming the point and its block.
     """
     lead = np.shape(t) + grid.shape
     shape = out.shape[len(lead):] if out is not None else expect[1] if expect else None
     vals = _sample_grid(f, grid, ndim, t, lead, shape)
-    if vals is not None:
-        if out is None:
-            return vals
-        out[...] = vals
-        return out
-    for i, ti in np.ndenumerate(t) if np.ndim(t) else [((), t)]:
-        for k, xs in enumerate(grid, start=1):
-            for y, x in enumerate(xs):
-                try:
-                    val = _sample_point(f, ti, x, ndim)
-                except Exception as exc:
-                    raise ExpansionError(f"{what} failed at {_where(ti, x, k)}: {exc}") from exc
-                if out is None:
-                    if shape is not None and val.shape != shape:  # shape is expect's
-                        raise ExpansionError(
-                            f"{what} failed at {_where(ti, x, k)}: {_misfit(expect, x, val)}"
-                        )
+    if vals is None:
+        points = list(product(np.asarray(t).flat if np.ndim(t) else [t], grid.flat))
+
+        def where(i: int) -> str:  # the i-th point, its t (or (t, s)) and block
+            ti, x = points[i]
+            return _where(ti, x, i % grid.size // grid.shape[1] + 1)
+
+        raw, first = [], None
+        for ti, x in points:
+            try:
+                val = f(x) if ti is None else f(ti, x)
+            except Exception as exc:
+                raise ExpansionError(f"{what} failed at {where(len(raw))}: {exc}") from exc
+            if first is None:
+                first = val
+            if val is first and isinstance(val, np.ndarray):
+                val = val.copy()  # f may return one array that it overwrites at every call
+            raw.append(val)
+        vals = _stack_samples(raw, ndim, lead, shape)
+    if vals is None:  # convert one by one, to accept mixed shapes or name the bad sample
+        for i, val in enumerate(raw):
+            try:
+                val = _as_float(val, ndim)
+            except _ComplexSample as exc:
+                name = expect[0] if expect else what
+                msg = f"{name} is {exc.value} at {where(i)}: data must be real"
+                raise ExpansionError(msg) from None
+            except Exception as exc:
+                raise ExpansionError(f"{what} failed at {where(i)}: {exc}") from exc
+            if vals is None:
+                if shape is None:
                     shape = val.shape
-                    out = np.empty(lead + shape)
-                if val.shape != shape:
+                elif out is None and val.shape != shape:  # shape is expect's
                     raise ExpansionError(
-                        f"{what} at {_where(ti, x, k)} has shape {val.shape}, expected {shape}"
+                        f"{what} failed at {where(i)}: {_misfit(expect, points[i][1], val)}"
                     )
-                out[i + (k - 1, y)] = val
+                vals = np.empty((len(raw),) + shape)
+            if val.shape != shape:
+                raise ExpansionError(
+                    f"{what} at {where(i)} has shape {val.shape}, expected {shape}"
+                )
+            vals[i] = val
+        vals = vals.reshape(lead + shape)
+    if out is None:
+        return vals
+    out[...] = vals
     return out
 
 
-def _sample_point(f: Callable, t, x, ndim: int) -> np.ndarray:
-    """One sample, f(x) or f(t, x), as a float array of at least ndim dimensions."""
-    val = np.array(f(x) if t is None else f(t, x), dtype=float, ndmin=ndim, copy=None)
+def _stack_samples(raw: list, ndim: int, lead: tuple, shape: tuple | None) -> np.ndarray | None:
+    """The pointwise results converted by one np.array call, as lead + sample
+    shape; None unless they are numeric (not complex) arrays of one shape that
+    matches shape when given."""
+    try:
+        vals = np.array(raw)
+    except Exception:
+        return None  # ragged, or not numbers
+    if vals.dtype.kind not in "biuf":
+        return None
+    one = (1,) * (ndim + 1 - vals.ndim) + vals.shape[1:]  # one sample, padded like ndmin
+    if ndim == 1:
+        one = (math.prod(one),)
+    if shape not in (None, one):
+        return None
+    return vals.astype(float, copy=False).reshape(lead + one)
+
+
+class _ComplexSample(ValueError):
+    """A sample with a non-zero imaginary part; value is its first such entry."""
+
+    def __init__(self, value):
+        super().__init__(f"complex sample {value}")
+        self.value = value
+
+
+def _as_float(val, ndim: int) -> np.ndarray:
+    """One sample as a float array of at least ndim dimensions (ndim 1: a
+    vector); raises _ComplexSample when it has a non-zero imaginary part."""
+    val = np.asarray(val)
+    if val.dtype.kind == "c":
+        imag = val.imag != 0
+        if imag.any():
+            raise _ComplexSample(val[imag].flat[0] if val.ndim else val[()])
+        val = val.real
+    val = np.array(val, dtype=float, ndmin=ndim, copy=None)
     return val.reshape(-1) if ndim == 1 else val
 
 
@@ -160,9 +220,9 @@ def _sample_grid(f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
 
     f gets read-only arrays of shape lead: the grid, or for a kernel the
     outer times and the grid broadcast against each other.  The result is
-    kept when the call raises nothing and gives shape value_shape + lead
-    with no NaN, value_shape matches shape when given, and the samples at
-    the first and the last point agree with single-point calls there to
+    kept when the call raises nothing and gives a real shape value_shape +
+    lead with no NaN, value_shape matches shape when given, and the samples
+    at the first and the last point agree with single-point calls there to
     PROBE_RTOL times the largest magnitude (exactly, where that is 0 or not
     finite).  Else the result is None and the warnings raised on the way
     are dropped; a kept result re-emits them.  Recording them swaps the
@@ -182,7 +242,9 @@ def _sample_grid(f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
             for end in (0, -1):  # the probe points
                 idx = (end,) * len(lead)
                 got = vals[idx]
-                want = _sample_point(f, np.asarray(t)[idx[:nt]] if nt else t, grid[idx[nt:]], ndim)
+                ti = np.asarray(t)[idx[:nt]] if nt else t
+                x = grid[idx[nt:]]
+                want = _as_float(f(x) if ti is None else f(ti, x), ndim)
                 # with an infinite sample anywhere, only an exact match (inf == inf) counts
                 close = got == want if scale == np.inf else abs(got - want) <= PROBE_RTOL * scale
                 if got.shape != want.shape or not close.all():
@@ -196,8 +258,8 @@ def _sample_grid(f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
 
 def _grid_layout(vals, ndim: int, lead: tuple) -> np.ndarray | None:
     """A grid call's value_shape + lead result as lead + sample shape; None
-    for another shape."""
-    vals = np.asarray(vals, dtype=float)
+    for another shape or a non-zero imaginary part."""
+    vals = _as_float(vals, 0)
     nv = vals.ndim - len(lead)
     if nv < 0 or vals.shape[nv:] != lead:
         return None
@@ -248,7 +310,7 @@ def expand_vector(
     grid = nodes(cfg, rule)
     fx = sample(f, grid, "vector function", 1, expect=expect)  # (K, q, n)
     require_finite(fx, grid, expect[0] if expect else "vector function")
-    return CoeffVector.from_tensor(np.stack([proj @ block for block in fx]))
+    return CoeffVector.from_tensor(proj @ fx)
 
 
 def expand_matrix(
@@ -266,7 +328,7 @@ def expand_matrix(
     grid = nodes(cfg, rule)
     fx = sample(mfun, grid, "matrix function", 2, expect=expect)  # (K, q, n_out, n_in)
     require_finite(fx, grid, expect[0] if expect else "matrix function")
-    coeffs = np.stack([np.einsum("mq,qab->mab", proj, block) for block in fx])
+    coeffs = np.einsum("mq,kqab->kmab", proj, fx)
     coeffs.flags.writeable = False
     return coeffs
 

@@ -1,20 +1,25 @@
-"""Checked LU: scipy's partial-pivot factorization plus a pivot-magnitude check.
+"""Checked LU: LAPACK's partial-pivot getrf/getrs plus a pivot-magnitude check.
 
 Matrices are plain numpy arrays: one (m, m) matrix, or a stack (K, m, m) of
-independent ones factored and solved in one call each.  The pivot check
-makes singular systems fail loudly with the offending pivot (and, in a
-stack, the offending matrix), instead of returning garbage.
+independent ones; a single matrix is handled as a stack of one.  Each matrix
+is factored by one direct getrf call into Fortran-ordered storage, which
+getrs then reads without a copy, so the factors and solutions are those of
+scipy.linalg.lu_factor/lu_solve without their per-call wrappers.  The pivot
+check makes singular systems fail loudly with the offending pivot (and, in
+a stack, the offending matrix), instead of returning garbage.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 __all__ = ["SingularMatrixError", "LU", "inf_norm"]
 
 # pivots below this times the matrix inf-norm count as singular
 PIVOT_RTOL = 1e-13
+
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 class SingularMatrixError(Exception):
@@ -49,10 +54,9 @@ def inf_norm(a: np.ndarray) -> float:
 class LU:
     """Partial-pivot LU factorization reusable across many right-hand sides.
 
-    a is one square matrix (m, m) or a stack (K, m, m) of them.  A stack is
-    factored by one scipy call, and a singular or non-finite matrix in it is
-    named by its 1-based index as SingularMatrixError.block or in the
-    ValueError.
+    a is one square matrix (m, m) or a stack (K, m, m) of them.  A singular
+    or non-finite matrix in a stack is named by its 1-based index as
+    SingularMatrixError.block or in the ValueError.
     """
 
     def __init__(self, a: np.ndarray):
@@ -64,23 +68,50 @@ class LU:
         if not finite.all():
             where = f" (diagonal block {np.argmin(finite) + 1})" if a.ndim == 3 else ""
             raise ValueError(f"matrix must not contain infs or NaNs{where}")
-        self._lu, self._piv = scipy.linalg.lu_factor(a, check_finite=False)
+        K, m, _ = stack.shape
+        lu = np.empty((K, m, m)).transpose(0, 2, 1)  # every slice Fortran-ordered
+        lu[...] = stack
+        piv = np.empty(stack.shape[:2], dtype=np.int32)
+        for k, lu_k in enumerate(lu):
+            _, piv[k], info = _getrf(lu_k, overwrite_a=True)  # factors lu_k in place
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of getrf")
         thresholds = PIVOT_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
-        diag = np.abs(np.diagonal(self._lu, axis1=-2, axis2=-1)).reshape(len(stack), -1)
+        diag = np.abs(np.diagonal(lu, axis1=1, axis2=2))
         singular = (diag <= thresholds[:, np.newaxis]).any(axis=1)
         if singular.any():
             k = int(np.argmax(singular))
             worst = int(np.argmin(diag[k]))
             raise SingularMatrixError(worst, float(diag[k, worst]), float(thresholds[k]),
                                       block=k + 1 if a.ndim == 3 else None)
+        # factors and pivots in the shape of a: (K, m, m) and (K, m), or (m, m) and (m,)
+        self._lu, self._piv = (lu, piv) if a.ndim == 3 else (lu[0], piv[0])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with a x = b: b is (m,) or (m, p) for one matrix, (K, m) or
         (K, m, p) for a stack."""
         b = np.asarray(b, dtype=float)
-        if not np.isfinite(b).all():  # one check for the whole stack, not one per slice
+        lu, piv = self._lu, self._piv
+        single = lu.ndim == 2
+        lead = lu.shape[:-1]  # (m,) or (K, m)
+        if b.shape[:len(lead)] != lead or b.ndim - len(lead) not in (0, 1):
+            dims = ", ".join(map(str, lead))
+            raise ValueError(
+                f"right-hand side of shape {b.shape} does not fit the "
+                f"{'matrix' if single else 'stack'} of shape {lu.shape}: "
+                f"expected ({dims}) or ({dims}, p)"
+            )
+        if not np.isfinite(b).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
-        lu_piv = (self._lu, self._piv)
-        if self._lu.ndim == 3 and b.ndim == 2:  # scipy reads a 2-D b as one (m, p) matrix
-            return scipy.linalg.lu_solve(lu_piv, b[..., np.newaxis], check_finite=False)[..., 0]
-        return scipy.linalg.lu_solve(lu_piv, b, check_finite=False)
+        p = b.shape[-1] if b.ndim > len(lead) else 1
+        if single:
+            lu, piv, b = lu[np.newaxis], piv[np.newaxis], b[np.newaxis]
+        K, m = b.shape[:2]
+        x = np.empty((K, p, m)).transpose(0, 2, 1)  # Fortran-ordered (m, p) slices
+        x[...] = b.reshape(K, m, p)
+        for lu_k, piv_k, x_k in zip(lu, piv, x):
+            _, info = _getrs(lu_k, piv_k, x_k, overwrite_b=True)
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of getrs")
+        x = np.ascontiguousarray(x).reshape(b.shape)
+        return x[0] if single else x

@@ -16,10 +16,10 @@ Fredholm operator Q of N.  It is solved one of two ways:
 * Without a kernel, Phi is block diagonal, and P is block upper-triangular:
   a finished block adds only a constant, its full integral, to each later
   block.  The system matrix is then block lower-triangular.  The K diagonal
-  blocks (Mn x Mn) are factored as one stack, every block's right-hand side
-  is solved in one call, and the only loop over the blocks carries an
-  n-vector forward (see AssembledSystem).  Nothing of size (KMn)^2 is
-  formed.
+  blocks (Mn x Mn) are factored as one linalg.LU stack (one LAPACK getrf
+  per block), every block's right-hand side is solved by one LU.solve, and
+  the only Python loop over the blocks carries an n-vector forward (see
+  AssembledSystem).  Nothing of size (KMn)^2 is formed.
 * With a kernel, Q couples every pair of blocks, so the dense system matrix
   is formed and LU-factored.  Its P^T kron I_n is operational.apply_pt
   applied to the identity; no Kronecker product is taken.
@@ -130,7 +130,7 @@ class AssembledSystem:
     with D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and the carry
     c_k = sum_{i<k} S_i x_i, where the rows S_k = d_k (v^T kron I_n) Phi_k
     (v_m = 1/(m+1) for even m, else 0) give block k's full integral.  The
-    first solve factors all D_k as one stack and keeps S_k,
+    first solve factors all D_k as one LU stack and keeps S_k,
     G_k = D_k^-1 (e_0 kron I_n) and T_k = I_n + S_k G_k.  A solve is then
     y_k = D_k^-1 rhs_k for all blocks at once, the n-dimensional recurrence
     c_1 = 0, c_{k+1} = T_k c_k + S_k y_k, and x_k = y_k + G_k c_k.  With a

@@ -326,6 +326,107 @@ class TestNonFiniteData:
             expand_matrix(A, self.CFG)
 
 
+class TestPointwiseSampling:
+    """The per-node path: one call per node, converted together when it can be."""
+
+    GRID = np.array([[0.1, 0.2, 0.35], [0.6, 0.7, 0.9]])
+
+    def test_each_node_once_in_order_with_numpy_scalars(self):
+        args = []
+
+        def ragged(*xs):  # a constant entry makes a whole-grid call fail
+            args.append(xs)
+            return np.array([[1.0, xs[-1]], [xs[-1], 2.0]])
+
+        got = sample(ragged, self.GRID, "matrix function", 2, expect=("A", (2, 2)))
+        scalar_calls = [a for a in args if not np.ndim(a[0])]
+        assert len(args) == 1 + self.GRID.size  # the failed grid call, then each node
+        assert [x for (x,) in scalar_calls] == list(self.GRID.flat)
+        assert all(type(x) is np.float64 for (x,) in scalar_calls)
+        assert got.shape == (2, 3, 2, 2) and got.flags.c_contiguous
+        assert np.array_equal(got[..., 0, 1], self.GRID)
+
+        args.clear()
+        ts = np.array([0.15, 0.8])
+        kern = sample(ragged, self.GRID, "kernel", 2, t=ts)
+        scalar_calls = [a for a in args if not np.ndim(a[0])]
+        assert len(args) == 1 + ts.size * self.GRID.size
+        assert scalar_calls == [(t, s) for t in ts for s in self.GRID.flat]
+        assert all(type(t) is np.float64 and type(s) is np.float64 for t, s in scalar_calls)
+        assert np.array_equal(kern[..., 0, 1], np.broadcast_to(self.GRID, (2, 2, 3)))
+
+    def test_matches_per_sample_conversion(self):
+        # a float32 datum, an int datum and a list datum all convert as one sample at a time
+        for f in (lambda t: np.float32(t) * np.ones((1, 2), np.float32) + 0 * float(t),
+                  lambda t: [[int(10 * t), 1]],
+                  lambda t: [[t, 1.0]]):
+            got = sample(f, self.GRID, "matrix function", 2)
+            want = np.array([np.array(f(x), dtype=float, ndmin=2) for x in self.GRID.flat])
+            assert got.dtype == float and np.array_equal(got, want.reshape(2, 3, 1, 2))
+
+    def test_vector_mixing_scalars_and_one_vectors(self):
+        f = lambda t: float(t) if t < 0.5 else np.array([2 * float(t)])  # noqa: E731
+        got = sample(f, self.GRID, "vector function", 1, expect=("u", (1,)))
+        assert np.array_equal(got[..., 0], np.where(self.GRID < 0.5, self.GRID, 2 * self.GRID))
+        cfg = BasisConfig(Partition((0.0, 0.5, 1.0)), 3)
+        assert np.array_equal(expand_vector(f, cfg, expect=("u", (1,))).data,
+                              expand_vector(lambda t: np.array([f(t)]).reshape(-1), cfg).data)
+
+    def test_array_overwritten_by_the_callable(self):
+        buffer = np.zeros((2, 2))
+
+        def reused(t):
+            float(t)  # scalar-only
+            buffer[...] = [[1.0, t], [t, t * t]]
+            return buffer
+
+        got = sample(reused, self.GRID, "matrix function", 2)
+        assert np.array_equal(got, sample(pointwise(expdecay_like), self.GRID, "matrix function", 2))
+
+    def test_ragged_sample_names_the_point(self):
+        f = lambda t: [[1.0, t], [t]] if t > 0.5 else [[1.0, t], [t, 1.0]]  # noqa: E731
+        with pytest.raises(ExpansionError, match=r"^matrix function failed at t=0.6 \(block 2\): "
+                                                 r"setting an array element"):
+            sample(pointwise(f), self.GRID, "matrix function", 2)
+
+
+def expdecay_like(t):
+    return np.array([[1.0, t], [t, t * t]])
+
+
+class TestComplexData:
+    """A sample with a non-zero imaginary part is named where it enters."""
+
+    CFG = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 5)
+
+    @pytest.mark.parametrize("grid_call", [True, False])
+    def test_vector_and_matrix(self, grid_call):
+        grid = nodes(self.CFG, default_rule(self.CFG))
+        t, k = _first_flat(grid, grid > 0.6)
+        u = lambda t: np.array([1.0 + 1j * np.maximum(t - 0.6, 0.0)])  # noqa: E731
+        A = lambda t: np.array([[1.0 + 0 * t, t], [1j * (t > 0.6), t]])  # noqa: E731
+        wrap = (lambda f: f) if grid_call else pointwise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(ExpansionError, match=rf"^u is \(1\+{t - 0.6}j\) at t={t} "
+                                                     rf"\(block {k}\): data must be real$"):
+                expand_vector(wrap(u), self.CFG, expect=("u", (1,)))
+            with pytest.raises(ExpansionError, match=rf"^A is 1j at t={t} \(block {k}\)"):
+                expand_matrix(wrap(A), self.CFG, expect=("A", (2, 2)))
+            with pytest.raises(ExpansionError, match=rf"^vector function is .* at t={t} "):
+                expand_vector(wrap(u), self.CFG)
+
+    @pytest.mark.parametrize("grid_call", [True, False])
+    def test_zero_imaginary_part_is_real(self, grid_call):
+        wrap = (lambda f: f) if grid_call else pointwise
+        u = lambda t: np.array([np.exp(-t) + 0j])  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expand_vector(wrap(u), self.CFG, expect=("u", (1,))).data
+        want = expand_vector(wrap(lambda t: np.array([np.exp(-t)])), self.CFG).data
+        assert np.array_equal(got, want)
+
+
 class TestExpandMatrix:
     def test_identity(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)

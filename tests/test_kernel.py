@@ -189,6 +189,33 @@ class TestSampling:
         assert len(calls) == (cfg.K * q) ** 2
         assert len(set(calls)) == len(calls)
 
+    def test_ragged_kernel_reuses_the_slab_and_matches_the_grid_path(self):
+        # the constant entry makes the whole-grid call fail, so every outer block is
+        # sampled per node and written into the slab the first block allocated
+        cfg = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 4)
+        q = len(default_rule(cfg).nodes)
+        calls = []
+
+        def ragged(t, s):
+            calls.append(np.ndim(t))
+            return np.array([[1.0, t * s], [s, t - s]])
+
+        broadcasting = lambda t, s: np.array([[np.ones_like(t * s), t * s],  # noqa: E731
+                                              [s + 0 * t, t - s]])
+        got = fredholm_operator(ragged, cfg).Q
+        assert calls.count(0) == (cfg.K * q) ** 2 and calls.count(3) == cfg.K
+        assert np.array_equal(got, fredholm_operator(broadcasting, cfg).Q)
+
+    @pytest.mark.parametrize("grid_call", [True, False])
+    def test_complex_kernel_names_t_s_and_inner_block(self, grid_call):
+        cfg = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 4)
+        grid = nodes(cfg, default_rule(cfg))
+        s = grid[1][np.argmax(grid[1] > 0.4)]  # the first bad inner node: block 2
+        kernel = lambda t, s: np.array([[1.0 + 0 * t, 2j * (s > 0.4)]])  # noqa: E731
+        where = rf"\(t={grid[0, 0]}, s={s}\) \(inner block 2\)"
+        with pytest.raises(ExpansionError, match=rf"^kernel is 2j at {where}: data must be real$"):
+            fredholm_operator(kernel if grid_call else pointwise(kernel), cfg)
+
     def test_kernel_failure_names_t_and_s(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from bpcheb import linalg
 from bpcheb.linalg import LU, SingularMatrixError, inf_norm
 
 
@@ -104,6 +106,87 @@ class TestStack:
             LU(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="square"):
             LU(np.zeros((2, 2, 2, 2)))
+
+
+class TestAgainstScipy:
+    """The direct getrf/getrs calls give scipy.linalg.lu_factor/lu_solve's
+    factors, pivots and solutions bit for bit."""
+
+    @staticmethod
+    def _scipy_solve(a, b):
+        """scipy's solution of every a_k x = b_k, with b (K, m) or (K, m, p)."""
+        lu_piv = scipy.linalg.lu_factor(a, check_finite=False)
+        if b.ndim == 2:
+            return scipy.linalg.lu_solve(lu_piv, b[..., np.newaxis], check_finite=False)[..., 0]
+        return scipy.linalg.lu_solve(lu_piv, b, check_finite=False)
+
+    @pytest.mark.parametrize("K", [1, 5, 64])
+    @pytest.mark.parametrize("m", [1, 2, 32])
+    def test_stack_matches_scipy_exactly(self, K, m):
+        rng = np.random.default_rng(1000 * K + m)
+        a = rng.standard_normal((K, m, m)) + np.eye(m)
+        lu = LU(a)
+        factors, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        assert np.array_equal(lu._lu, factors) and np.array_equal(lu._piv, piv)
+        assert all(lu_k.flags.f_contiguous for lu_k in lu._lu)
+        for b in (rng.standard_normal((K, m)), rng.standard_normal((K, m, 3))):
+            x = lu.solve(b)
+            assert x.shape == b.shape and x.flags.c_contiguous
+            assert np.array_equal(x, self._scipy_solve(a, b))
+
+    def test_single_matrix_matches_scipy_exactly(self):
+        rng = np.random.default_rng(192)
+        a = rng.standard_normal((192, 192))
+        lu = LU(a)
+        lu_piv = scipy.linalg.lu_factor(a)
+        assert np.array_equal(lu._lu, lu_piv[0]) and np.array_equal(lu._piv, lu_piv[1])
+        assert lu._lu.shape == (192, 192) and lu._lu.flags.f_contiguous
+        for b in (rng.standard_normal(192), rng.standard_normal((192, 4))):
+            assert np.array_equal(lu.solve(b), scipy.linalg.lu_solve(lu_piv, b))
+
+    def test_fortran_ordered_input(self):
+        rng = np.random.default_rng(7)
+        a = np.asfortranarray(rng.standard_normal((4, 6, 6)) + 2 * np.eye(6))
+        lu = LU(a)
+        assert all(lu_k.flags.f_contiguous for lu_k in lu._lu)
+        assert np.array_equal(lu._lu, scipy.linalg.lu_factor(a)[0])
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_block_in_a_large_stack(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((64, 32, 32)) + np.eye(32)
+        a[40, 7] = 2.0 * a[40, 3]  # rank-deficient block 41
+        with pytest.raises(SingularMatrixError, match="diagonal block 41") as excinfo:
+            LU(a)
+        assert excinfo.value.block == 41
+
+
+class TestRightHandSideShape:
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 4), (5,), (5, 4, 2, 1), (5, 3)])
+    def test_stack_rejects(self, shape):
+        lu = LU(np.stack([np.eye(4)] * 5))
+        match = rf"shape \({shape[0]},.*\) does not fit the stack of shape \(5, 4, 4\)"
+        with pytest.raises(ValueError, match=match):
+            lu.solve(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 4), (4, 2, 1), ()])
+    def test_single_matrix_rejects(self, shape):
+        with pytest.raises(ValueError, match=r"does not fit the matrix of shape \(4, 4\)"):
+            LU(np.eye(4)).solve(np.ones(shape))
+
+    def test_accepted_shapes(self):
+        assert LU(np.eye(4)).solve(np.ones((4, 1))).shape == (4, 1)
+        assert LU(np.stack([np.eye(4)] * 5)).solve(np.ones((5, 4, 1))).shape == (5, 4, 1)
+
+    def test_illegal_lapack_argument_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_getrf", lambda a, overwrite_a: (a, np.arange(len(a)), -4))
+        with pytest.raises(ValueError, match="argument 4 of getrf"):
+            LU(np.eye(3))
+        monkeypatch.undo()
+        lu = LU(np.eye(3))
+        monkeypatch.setattr(linalg, "_getrs", lambda lu, piv, b, overwrite_b: (b, -2))
+        with pytest.raises(ValueError, match="argument 2 of getrs"):
+            lu.solve(np.ones(3))
 
 
 class TestInfNorm:

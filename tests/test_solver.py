@@ -270,6 +270,19 @@ class TestSolve:
         with pytest.raises(SolveError, match="residual nan exceeds"):
             solve(asm, spec.u)
 
+    @pytest.mark.parametrize("datum", ["A", "N", "u"])
+    def test_complex_data_are_rejected(self, datum, expdecay_system):
+        # the imaginary part was once dropped with only a ComplexWarning
+        complex_data = {
+            "A": lambda t: np.array([[1.0 + 0 * t, t], [t, 1j * t]]),
+            "N": lambda t, s: np.array([[1j * s, 0 * t], [0 * s, t]]),
+            "u": lambda t: np.array([1 + 1j * t]),
+        }
+        spec = dataclasses.replace(expdecay_system, **{datum: complex_data[datum]})
+        name = "kernel" if datum == "N" else datum
+        with pytest.raises(ExpansionError, match=rf"^{name} is .*j\)? at .*: data must be real$"):
+            hybrid_solve(spec, BasisConfig.uniform(0, 1, 2, 4))
+
     def test_dense_block_diagonals_match_scipy(self, expdecay_system):
         asm = assemble(expdecay_system, BasisConfig(Partition((0.0, 0.2, 0.7, 1.0)), 6))
         assert np.array_equal(asm.Bop, scipy.linalg.block_diag(*asm.b_blocks))
