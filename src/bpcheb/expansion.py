@@ -151,7 +151,7 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
                 val = _as_float(val, ndim)
             except _ComplexSample as exc:
                 name = expect[0] if expect else what
-                msg = f"{name} is {exc.value} at {where(i)}: data must be real"
+                msg = f"{name} is {exc.args[0]} at {where(i)}: data must be real"
                 raise ExpansionError(msg) from None
             except Exception as exc:
                 raise ExpansionError(f"{what} failed at {where(i)}: {exc}") from exc
@@ -194,11 +194,7 @@ def _stack_samples(raw: list, ndim: int, lead: tuple, shape: tuple | None) -> np
 
 
 class _ComplexSample(ValueError):
-    """A sample with a non-zero imaginary part; value is its first such entry."""
-
-    def __init__(self, value):
-        super().__init__(f"complex sample {value}")
-        self.value = value
+    """A sample with a non-zero imaginary part; args[0] is its first such entry."""
 
 
 def _as_float(val, ndim: int) -> np.ndarray:
@@ -208,7 +204,7 @@ def _as_float(val, ndim: int) -> np.ndarray:
     if val.dtype.kind == "c":
         imag = val.imag != 0
         if imag.any():
-            raise _ComplexSample(val[imag].flat[0] if val.ndim else val[()])
+            raise _ComplexSample(val[imag].flat[0])
         val = val.real
     val = np.array(val, dtype=float, ndmin=ndim, copy=None)
     return val.reshape(-1) if ndim == 1 else val

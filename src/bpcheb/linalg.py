@@ -113,5 +113,5 @@ class LU:
             _, info = _getrs(lu_k, piv_k, x_k, overwrite_b=True)
             if info < 0:
                 raise ValueError(f"illegal value in argument {-info} of getrs")
-        x = np.ascontiguousarray(x).reshape(b.shape)
+        x = np.ascontiguousarray(x).reshape(b.shape)  # C order, like b
         return x[0] if single else x
