@@ -13,11 +13,9 @@ the rule S_i S_j = sum over r = 0..min(i,j) of S_{i+j-2r}.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -117,80 +115,43 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
 
     f is first called once on the whole grid (see _sample_grid).  When that
     result is not kept, f is called once per point, with numpy scalars, and
-    the results are converted in one call when they are numeric arrays of
-    one fitting shape.  Else they are converted one by one: a failing call
-    or conversion, a sample with a non-zero imaginary part, or a sample
-    whose shape differs from the others or from expect raises
+    each result is converted and copied into the samples as it comes back:
+    a failing call or conversion, a sample with a non-zero imaginary part,
+    or a sample whose shape differs from the others or from expect raises
     ExpansionError naming the point and its block.
     """
     lead = np.shape(t) + grid.shape
     shape = out.shape[len(lead):] if out is not None else expect[1] if expect else None
     vals = _sample_grid(f, grid, ndim, t, lead, shape)
-    if vals is None:
-        points = list(product(np.asarray(t).flat if np.ndim(t) else [t], grid.flat))
-
-        def where(i: int) -> str:  # the i-th point, its t (or (t, s)) and block
-            ti, x = points[i]
-            return _where(ti, x, i % grid.size // grid.shape[1] + 1)
-
-        raw, first = [], None
-        for ti, x in points:
-            try:
-                val = f(x) if ti is None else f(ti, x)
-            except Exception as exc:
-                raise ExpansionError(f"{what} failed at {where(len(raw))}: {exc}") from exc
-            if first is None:
-                first = val
-            if val is first and isinstance(val, np.ndarray):
-                val = val.copy()  # f may return one array that it overwrites at every call
-            raw.append(val)
-        vals = _stack_samples(raw, ndim, lead, shape)
-    if vals is None:  # convert one by one, to accept mixed shapes or name the bad sample
-        for i, val in enumerate(raw):
-            try:
-                val = _as_float(val, ndim)
-            except _ComplexSample as exc:
-                name = expect[0] if expect else what
-                msg = f"{name} is {exc.args[0]} at {where(i)}: data must be real"
-                raise ExpansionError(msg) from None
-            except Exception as exc:
-                raise ExpansionError(f"{what} failed at {where(i)}: {exc}") from exc
-            if vals is None:
-                if shape is None:
+    if vals is not None:
+        if out is None:
+            return vals
+        out[...] = vals
+        return out
+    for i, ti in np.ndenumerate(t) if np.ndim(t) else [((), t)]:
+        for k, xs in enumerate(grid, start=1):
+            for y, x in enumerate(xs):
+                try:
+                    val = _as_float(f(x) if ti is None else f(ti, x), ndim)
+                except _ComplexSample as exc:
+                    name = expect[0] if expect else what
+                    msg = f"{name} is {exc.args[0]} at {_where(ti, x, k)}: data must be real"
+                    raise ExpansionError(msg) from None
+                except Exception as exc:
+                    raise ExpansionError(f"{what} failed at {_where(ti, x, k)}: {exc}") from exc
+                if out is None:
+                    if shape is not None and val.shape != shape:  # shape is expect's
+                        raise ExpansionError(
+                            f"{what} failed at {_where(ti, x, k)}: {_misfit(expect, x, val)}"
+                        )
                     shape = val.shape
-                elif out is None and val.shape != shape:  # shape is expect's
+                    out = np.empty(lead + shape)
+                if val.shape != shape:
                     raise ExpansionError(
-                        f"{what} failed at {where(i)}: {_misfit(expect, points[i][1], val)}"
+                        f"{what} at {_where(ti, x, k)} has shape {val.shape}, expected {shape}"
                     )
-                vals = np.empty((len(raw),) + shape)
-            if val.shape != shape:
-                raise ExpansionError(
-                    f"{what} at {where(i)} has shape {val.shape}, expected {shape}"
-                )
-            vals[i] = val
-        vals = vals.reshape(lead + shape)
-    if out is None:
-        return vals
-    out[...] = vals
+                out[i + (k - 1, y)] = val  # a copy: f may overwrite what it returned
     return out
-
-
-def _stack_samples(raw: list, ndim: int, lead: tuple, shape: tuple | None) -> np.ndarray | None:
-    """The pointwise results converted by one np.array call, as lead + sample
-    shape; None unless they are numeric (not complex) arrays of one shape that
-    matches shape when given."""
-    try:
-        vals = np.array(raw)
-    except Exception:
-        return None  # ragged, or not numbers
-    if vals.dtype.kind not in "biuf":
-        return None
-    one = (1,) * (ndim + 1 - vals.ndim) + vals.shape[1:]  # one sample, padded like ndmin
-    if ndim == 1:
-        one = (math.prod(one),)
-    if shape not in (None, one):
-        return None
-    return vals.astype(float, copy=False).reshape(lead + one)
 
 
 class _ComplexSample(ValueError):

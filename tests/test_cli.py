@@ -108,7 +108,6 @@ class TestSolveCommand:
         assert not target.exists()
         assert "input error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "singular.prob"
         cfgfile.write_text(SINGULAR)

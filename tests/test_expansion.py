@@ -327,7 +327,7 @@ class TestNonFiniteData:
 
 
 class TestPointwiseSampling:
-    """The per-node path: one call per node, converted together when it can be."""
+    """The per-node path: one call per node, each sample converted as it comes back."""
 
     GRID = np.array([[0.1, 0.2, 0.35], [0.6, 0.7, 0.9]])
 
@@ -382,6 +382,56 @@ class TestPointwiseSampling:
 
         got = sample(reused, self.GRID, "matrix function", 2)
         assert np.array_equal(got, sample(pointwise(expdecay_like), self.GRID, "matrix function", 2))
+
+    def test_view_of_a_reused_buffer(self):
+        buffer = np.zeros(4)
+        for view in (lambda: buffer[:].reshape(2, 2), lambda: buffer.reshape(2, 2).T.T):
+            def reused(t, view=view):
+                float(t)  # scalar-only
+                buffer[...] = [1.0, t, t, t * t]
+                return view()
+
+            got = sample(reused, self.GRID, "matrix function", 2)
+            assert np.array_equal(got, sample(pointwise(expdecay_like), self.GRID,
+                                              "matrix function", 2))
+
+    def test_buffer_taken_up_after_the_first_node(self):
+        buffer = np.zeros((2, 2))
+
+        def switching(t):
+            float(t)  # scalar-only
+            if t < 0.15:
+                return expdecay_like(t)
+            buffer[...] = expdecay_like(t)
+            return buffer
+
+        got = sample(switching, self.GRID, "matrix function", 2)
+        assert np.array_equal(got, sample(pointwise(expdecay_like), self.GRID, "matrix function", 2))
+
+    def test_list_mutated_and_returned_again(self):
+        row = [0.0, 0.0]
+
+        def mutated(t):
+            row[:] = [float(t), 2.0 * float(t)]
+            return row
+
+        got = sample(mutated, self.GRID, "vector function", 1)
+        want = sample(pointwise(lambda t: np.array([t, 2.0 * t])), self.GRID, "vector function", 1)
+        assert np.array_equal(got, want)
+
+    def test_bad_sample_is_named_before_later_nodes_run(self):
+        seen = []
+
+        def f(t):
+            seen.append(float(t))
+            if t > 0.65:
+                raise RuntimeError("later failure")
+            return "x" if t > 0.5 else [1.0]
+
+        with pytest.raises(ExpansionError, match=r"^vector function failed at t=0.6 \(block 2\): "
+                                                 r"could not convert"):
+            sample(f, self.GRID, "vector function", 1)
+        assert seen == [0.1, 0.2, 0.35, 0.6]
 
     def test_ragged_sample_names_the_point(self):
         f = lambda t: [[1.0, t], [t]] if t > 0.5 else [[1.0, t], [t, 1.0]]  # noqa: E731

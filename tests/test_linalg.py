@@ -27,7 +27,6 @@ class TestLuSolve:
         x = rng.standard_normal(30)
         np.testing.assert_allclose(LU(a).solve(a @ x), x, rtol=0, atol=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_matrix_reports_pivot(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError, match="pivot") as excinfo:
@@ -66,7 +65,6 @@ class TestStack:
             assert got.shape == b.shape
             assert np.array_equal(got, np.stack([lu.solve(bk) for lu, bk in zip(singles, b)]))
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_names_the_first_singular_block(self):
         a, _ = self._stack(37)
         a[2, :, 4] = 0.0  # blocks 3 and 5 are singular; block 3 is named
@@ -151,7 +149,6 @@ class TestAgainstScipy:
         assert all(lu_k.flags.f_contiguous for lu_k in lu._lu)
         assert np.array_equal(lu._lu, scipy.linalg.lu_factor(a)[0])
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_block_in_a_large_stack(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((64, 32, 32)) + np.eye(32)

@@ -207,7 +207,6 @@ class TestSolve:
         ref = rk4_reference(spec, ts)
         assert np.max(np.abs(sol.evaluate_many(ts) - ref)) < 1e-6
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_discretization_raises(self):
         # x' = 2x on one block with one polynomial: I - P^T Phi = 1 - 0.5*2 = 0,
         # the eigenvalue-one resonance of the discretized operator
@@ -216,7 +215,6 @@ class TestSolve:
         with pytest.raises(SingularMatrixError, match=r"diagonal block 1: \|pivot 0\|"):
             solve(asm, None)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_block_is_named(self):
         # D_2 = I - (d_2/2) diag(4, 0) = diag(0, 1) on a block of width 1/2;
         # block 1 (A = diag(1, 0)) is regular
@@ -272,7 +270,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("datum", ["A", "N", "u"])
     def test_complex_data_are_rejected(self, datum, expdecay_system):
-        # the imaginary part was once dropped with only a ComplexWarning
+        # solving for the real part alone would answer a different problem, silently
         complex_data = {
             "A": lambda t: np.array([[1.0 + 0 * t, t], [t, 1j * t]]),
             "N": lambda t, s: np.array([[1j * s, 0 * t], [0 * s, t]]),
