@@ -113,12 +113,14 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
     sample.  expect = (name, shape) names the datum and the shape its samples
     must have.
 
-    f is first called once on the whole grid (see _sample_grid).  When that
-    result is not kept, f is called once per point, with numpy scalars, and
-    each result is converted and copied into the samples as it comes back:
-    a failing call or conversion, a sample with a non-zero imaginary part,
-    or a sample whose shape differs from the others or from expect raises
-    ExpansionError naming the point and its block.
+    f is first called for the whole grid (see _sample_grid): once with
+    arrays, then, when that result is not kept, once with a _Nodes, which
+    serves code written for a scalar t.  When neither result is kept, f is
+    called once per point, with numpy scalars, and each result is converted
+    and copied into the samples as it comes back: a failing call or
+    conversion, a sample with a non-zero imaginary part, or a sample whose
+    shape differs from the others or from expect raises ExpansionError
+    naming the point and its block.
     """
     lead = np.shape(t) + grid.shape
     shape = out.shape[len(lead):] if out is not None else expect[1] if expect else None
@@ -171,45 +173,108 @@ def _as_float(val, ndim: int) -> np.ndarray:
     return val.reshape(-1) if ndim == 1 else val
 
 
+_REAL_SCALARS = (int, float, np.integer, np.floating, np.bool_)
+
+
+class _Nodes(np.lib.mixins.NDArrayOperatorsMixin):
+    """All the nodes of a grid call, passed to f as one scalar-like argument.
+
+    Arithmetic and elementwise ufuncs with real scalars and other _Nodes
+    act node by node on the held array, so code written for a scalar t,
+    such as np.array([[1.0, t], [t, t**2 + 1]]), computes every sample in
+    one call: numpy takes the object for an opaque scalar and builds an
+    object array of _Nodes and constants.  Anything else (an ndarray
+    operand, out= or where=, a reduction, a generalized ufunc) is refused,
+    and so is every way to a single value: truth tests (if t < 0.5),
+    float(), int(), len() and indexing raise TypeError, which sends f to
+    the per-node loop.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: np.ndarray):
+        self.v = v
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (method != "__call__" or kwargs or ufunc.signature is not None
+                or not all(isinstance(x, (_Nodes,) + _REAL_SCALARS) for x in inputs)):
+            return NotImplemented
+        res = ufunc(*(x.v if isinstance(x, _Nodes) else x for x in inputs))
+        return tuple(map(_Nodes, res)) if isinstance(res, tuple) else _Nodes(res)
+
+    def __bool__(self):
+        raise TypeError("the truth value of all nodes at once is undefined")
+
+
+def _nodes_layout(vals, lead: tuple) -> np.ndarray:
+    """A _Nodes call's result as a float value_shape + lead array: every entry
+    a _Nodes or a real scalar, broadcast to lead; TypeError for any other entry."""
+    vals = np.asarray(vals, dtype=object)
+    entries = []
+    for x in vals.flat:
+        if isinstance(x, _Nodes):
+            x = x.v
+        elif not isinstance(x, _REAL_SCALARS):
+            raise TypeError(f"{type(x).__name__} entry")
+        entries.append(np.broadcast_to(np.asarray(x, dtype=float), lead))
+    return np.stack(entries).reshape(vals.shape + lead)
+
+
 def _sample_grid(f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
                  shape: tuple | None) -> np.ndarray | None:
-    """One call of f on the whole grid, laid out C-contiguous as lead + sample shape.
+    """Samples of f on the whole grid from one call, laid out C-contiguous as
+    lead + sample shape; None when no call is kept.
 
-    f gets read-only arrays of shape lead: the grid, or for a kernel the
-    outer times and the grid broadcast against each other.  The result is
-    kept when the call raises nothing and gives a real shape value_shape +
-    lead with no NaN, value_shape matches shape when given, and the samples
-    at the first and the last point agree with single-point calls there to
-    PROBE_RTOL times the largest magnitude (exactly, where that is 0 or not
-    finite).  Else the result is None and the warnings raised on the way
-    are dropped; a kept result re-emits them.  Recording them swaps the
-    process-wide warning filters for the call (warnings.catch_warnings).
+    f is first called with read-only arrays of shape lead: the grid, or for
+    a kernel the outer times and the grid broadcast against each other.
+    When that result is not kept, f is called once more with each array
+    wrapped in a _Nodes, which serves code written for a scalar t.  A
+    result is kept when the call raises nothing and gives a real shape
+    value_shape + lead with no NaN, value_shape matches shape when given,
+    and the samples at the first and the last point agree with
+    single-point calls there to PROBE_RTOL times the largest magnitude
+    (exactly, where that is 0 or not finite).  Only the warnings of the
+    kept call and its probes are re-emitted.  Recording them swaps the
+    process-wide warning filters for each call (warnings.catch_warnings).
     """
     points = (grid,) if t is None else (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            vals = _grid_layout(f(*(np.broadcast_to(p, lead) for p in points)), ndim, lead)
-            if vals is None or shape not in (None, vals.shape[len(lead):]):
-                return None
-            scale = np.abs(vals).max()
-            if np.isnan(scale):
-                return None
-            nt = np.ndim(t)
-            for end in (0, -1):  # the probe points
-                idx = (end,) * len(lead)
-                got = vals[idx]
-                ti = np.asarray(t)[idx[:nt]] if nt else t
-                x = grid[idx[nt:]]
-                want = _as_float(f(x) if ti is None else f(ti, x), ndim)
-                # with an infinite sample anywhere, only an exact match (inf == inf) counts
-                close = got == want if scale == np.inf else abs(got - want) <= PROBE_RTOL * scale
-                if got.shape != want.shape or not close.all():
-                    return None
-        except Exception:
-            return None  # the pointwise loop raises the located error, if any
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    args = [np.broadcast_to(p, lead) for p in points]
+    for call in (lambda: f(*args), lambda: _nodes_layout(f(*map(_Nodes, args)), lead)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                vals = _kept(call(), f, grid, ndim, t, lead, shape)
+            except Exception:
+                vals = None  # the pointwise loop raises the located error, if any
+        if vals is not None:
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                       source=w.source)
+            return vals
+    return None
+
+
+def _kept(vals, f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
+          shape: tuple | None) -> np.ndarray | None:
+    """A grid call's result laid out by _grid_layout, or None when it is not
+    kept (see _sample_grid)."""
+    vals = _grid_layout(vals, ndim, lead)
+    if vals is None or shape not in (None, vals.shape[len(lead):]):
+        return None
+    scale = np.abs(vals).max()
+    if np.isnan(scale):
+        return None
+    nt = np.ndim(t)
+    for end in (0, -1):  # the probe points
+        idx = (end,) * len(lead)
+        got = vals[idx]
+        ti = np.asarray(t)[idx[:nt]] if nt else t
+        x = grid[idx[nt:]]
+        want = _as_float(f(x) if ti is None else f(ti, x), ndim)
+        # with an infinite sample anywhere, only an exact match (inf == inf) counts
+        close = got == want if scale == np.inf else abs(got - want) <= PROBE_RTOL * scale
+        if got.shape != want.shape or not close.all():
+            return None
     return vals
 
 

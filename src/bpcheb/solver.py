@@ -87,7 +87,9 @@ class SystemSpec:
     A maps t to an (n, n) matrix, B to (n, r), N maps (t, s) to (n, n) with s
     the integration variable, u maps t to an r-vector.  Any of A, B, N, u may
     be None, meaning identically zero.  Each is first called on whole arrays
-    of nodes, with one call per node as the fallback (see expansion.sample).
+    of nodes, then with all nodes in one scalar-like object (for code written
+    for a scalar t), and one call per node is the last fallback (see
+    expansion.sample).
     """
 
     n: int

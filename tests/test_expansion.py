@@ -13,6 +13,7 @@ from bpcheb.basis import (
     to_local,
 )
 from bpcheb.expansion import (
+    PROBE_RTOL,
     CoeffVector,
     ExpansionError,
     default_rule,
@@ -24,6 +25,7 @@ from bpcheb.expansion import (
     product_tensor,
     sample,
     synthesize,
+    _Nodes,
 )
 from bpcheb.quadrature import gauss_u_rule
 
@@ -78,14 +80,16 @@ class TestNodesAndSample:
 
 
 class _Recorder:
-    """Counts calls and records whether any argument was an array."""
+    """Counts calls, and those with an array or a _Nodes argument (np.ndim of
+    a _Nodes is 0, like that of a single node)."""
 
     def __init__(self, fn):
-        self.fn, self.calls, self.array_calls = fn, 0, 0
+        self.fn, self.calls, self.array_calls, self.node_calls = fn, 0, 0, 0
 
     def __call__(self, *args):
         self.calls += 1
         self.array_calls += any(np.ndim(a) for a in args)
+        self.node_calls += any(isinstance(a, _Nodes) for a in args)
         return self.fn(*args)
 
 
@@ -141,7 +145,8 @@ class TestGridSampling:
         grid_fn = _Recorder(fn)
         with pytest.raises(ExpansionError, match=r"vector function failed at t=0.7 \(block 2\): boom"):
             sample(grid_fn, self.GRID, "vector function", 1)
-        assert grid_fn.array_calls == 1 and grid_fn.calls == 1 + 5  # then point by point
+        # the truth test fails the _Nodes call too; then point by point
+        assert (grid_fn.array_calls, grid_fn.node_calls, grid_fn.calls) == (1, 1, 1 + 1 + 5)
 
     def test_failing_kernel_grid_call_names_t_s_and_block(self):
         def kern(t, s):
@@ -164,10 +169,16 @@ class TestGridSampling:
         lambda t: np.array([t, 1.0]) if t < 0.5 else np.array([np.sin(t), t]),
     ])
     def test_scalar_only_callables_fall_back(self, fn):
+        # each fails the array call; the _Nodes call serves expdecay_A (then its two
+        # probes), while math.exp and the branch on t go on to one call per node
         grid_fn = _Recorder(fn)
         got = sample(grid_fn, self.GRID, "matrix function", 2)
-        assert (grid_fn.calls, grid_fn.array_calls) == (1 + self.GRID.size, 1)
-        assert np.array_equal(got, sample(pointwise(fn), self.GRID, "matrix function", 2))
+        later = 2 if fn is expdecay_A else self.GRID.size
+        assert (grid_fn.calls, grid_fn.array_calls, grid_fn.node_calls) == (2 + later, 1, 1)
+        want = sample(pointwise(fn), self.GRID, "matrix function", 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=PROBE_RTOL * np.abs(want).max())
+        if fn is not expdecay_A:
+            assert np.array_equal(got, want)
 
     def test_probe_catches_wrong_values_of_the_right_shape(self):
         # at K=2, C @ [sin t, cos t] broadcasts to the shape of a vector sample
@@ -177,7 +188,9 @@ class TestGridSampling:
         assert u(self.GRID).shape == (2,) + self.GRID.shape
         grid_fn = _Recorder(u)
         got = sample(grid_fn, self.GRID, "vector function", 1)
-        assert grid_fn.calls == 1 + 1 + self.GRID.size  # the first probe fails
+        # the first probe fails; C @ [sin t, cos t] on _Nodes is an object matmul,
+        # node by node, kept after its two probes
+        assert (grid_fn.calls, grid_fn.node_calls) == (1 + 1 + 1 + 2, 1)
         assert np.array_equal(got, sample(pointwise(u), self.GRID, "vector function", 1))
 
     def test_nan_from_the_grid_falls_back(self):
@@ -189,7 +202,7 @@ class TestGridSampling:
 
         grid_fn = _Recorder(fn)
         got = sample(grid_fn, self.GRID, "vector function", 1)
-        assert grid_fn.calls == 1 + self.GRID.size
+        assert grid_fn.calls == 1 + 1 + self.GRID.size  # float() fails the _Nodes call
         np.testing.assert_array_equal(got, self.GRID[:, :, None])
 
     def test_probe_tolerance(self):
@@ -198,23 +211,29 @@ class TestGridSampling:
             fn = lambda t, eps=eps: t * (1.0 + eps) if np.ndim(t) else t  # noqa: E731
             grid_fn = _Recorder(fn)
             got = sample(grid_fn, self.GRID, "vector function", 1)
-            assert grid_fn.calls == (3 if kept else 2 + self.GRID.size)  # the first probe fails
+            # dropped: the first probe fails, then the _Nodes call (ndim 0: t itself) and
+            # its two probes
+            assert grid_fn.calls == (3 if kept else 2 + 3)
             assert np.array_equal(got, fn(self.GRID)[:, :, None] if kept else self.GRID[:, :, None])
         inf = _Recorder(lambda t: np.full(np.shape(t), np.inf))
         assert np.all(sample(inf, self.GRID, "vector function", 1) == np.inf) and inf.calls == 3
 
     def test_warnings_only_from_a_kept_grid_call(self):
         def fn(t, keep):
-            if np.ndim(t):
-                warnings.warn("grid call", UserWarning)
-                return t if keep else t[:1]
+            if isinstance(t, np.ndarray):
+                warnings.warn("array call", UserWarning)
+                return t if keep == "array" else t[:1]
+            if isinstance(t, _Nodes):
+                warnings.warn("_Nodes call", UserWarning)
+                return t if keep == "_Nodes" else float(t)
             return t
 
-        for keep in (True, False):
+        for keep in ("array", "_Nodes", None):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                sample(lambda t: fn(t, keep), self.GRID, "vector function", 1)
-            assert [str(w.message) for w in caught] == (["grid call"] if keep else [])
+                got = sample(lambda t: fn(t, keep), self.GRID, "vector function", 1)
+            assert [str(w.message) for w in caught] == ([f"{keep} call"] if keep else [])
+            assert np.array_equal(got, self.GRID[:, :, None])
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_expected_shape_names_the_datum(self, grid):
@@ -226,6 +245,57 @@ class TestGridSampling:
         with pytest.raises(ExpansionError, match=r"u\(0.1\) has 2 components, expected 1"):
             sample(vec if grid else pointwise(vec), self.GRID, "vector function", 1,
                    expect=("u", (1,)))
+
+
+class TestNodesCall:
+    """The second grid call, with _Nodes: kept only where every step acts node by node."""
+
+    GRID = TestGridSampling.GRID
+
+    @pytest.mark.parametrize("f", [
+        lambda t: np.array([[1.0, t if 0.3 < t < 0.6 else 2 * t]]),
+        lambda t: np.array([[1.0, 2 * t if t < 0.3 or t > 0.6 else t]]),
+    ])
+    def test_branch_only_the_middle_nodes_take(self, f):
+        # the probe nodes 0.1 and 0.9 both take 2 t, so only __bool__ can stop this
+        grid_fn = _Recorder(f)
+        got = sample(grid_fn, self.GRID, "matrix function", 2)
+        assert (grid_fn.calls, grid_fn.node_calls) == (2 + self.GRID.size, 1)
+        assert got[0, 2, 0, 1] == 0.35
+        assert np.array_equal(got, sample(pointwise(f), self.GRID, "matrix function", 2))
+
+    @pytest.mark.parametrize("f, probes", [
+        pytest.param(lambda t: np.array([[1.0, math.exp(-t)]]), 0, id="math.exp"),
+        pytest.param(lambda t: np.array([[1.0, float(t)]]), 0, id="float"),
+        pytest.param(lambda t: np.eye(2) * t, 0, id="ndarray operand"),
+        pytest.param(lambda t: np.array([[1.0, np.where(t < 0.5, t, 1.0)]]), 0, id="np.where"),
+        # the _Nodes call gives 2 t; the first probe, a numpy float, gives t
+        pytest.param(lambda t: np.array([[1.0, t if isinstance(t, float) else 2 * t]]), 1,
+                     id="isinstance"),
+    ])
+    def test_scalar_only_steps_fall_back(self, f, probes):
+        grid_fn = _Recorder(f)
+        got = sample(grid_fn, self.GRID, "matrix function", 2)
+        assert (grid_fn.array_calls, grid_fn.node_calls) == (1, 1)
+        assert grid_fn.calls == 2 + probes + self.GRID.size
+        assert np.array_equal(got, sample(pointwise(f), self.GRID, "matrix function", 2))
+
+    def test_ragged_matrix_and_kernel_are_kept(self):
+        ts = np.array([0.15, 0.5, 0.8])
+        kern = lambda t, s: np.array([[1.0, t - s]])  # noqa: E731
+        for f, t in ((expdecay_A, None), (kern, ts)):
+            grid_fn = _Recorder(f)
+            got = sample(grid_fn, self.GRID, "matrix function", 2, t=t)
+            # the failed array call, the _Nodes call, two probes
+            assert (grid_fn.calls, grid_fn.array_calls, grid_fn.node_calls) == (4, 1, 1)
+            assert got.flags.c_contiguous
+            want = sample(pointwise(f), self.GRID, "matrix function", 2, t=t)
+            np.testing.assert_allclose(got, want, rtol=0, atol=PROBE_RTOL * np.abs(want).max())
+
+    def test_complex_entry_is_named(self):
+        f = lambda t: np.array([[1.0, 1j * t]])  # noqa: E731
+        with pytest.raises(ExpansionError, match=r"^A is 0.1j at t=0.1 \(block 1\): data must be real$"):
+            sample(f, self.GRID, "matrix function", 2, expect=("A", (1, 2)))
 
 
 class TestExpandScalarBlock:
@@ -334,13 +404,15 @@ class TestPointwiseSampling:
     def test_each_node_once_in_order_with_numpy_scalars(self):
         args = []
 
-        def ragged(*xs):  # a constant entry makes a whole-grid call fail
+        def ragged(*xs):  # float() fails both grid calls
             args.append(xs)
-            return np.array([[1.0, xs[-1]], [xs[-1], 2.0]])
+            x = float(xs[-1])
+            return np.array([[1.0, x], [x, 2.0]])
 
         got = sample(ragged, self.GRID, "matrix function", 2, expect=("A", (2, 2)))
-        scalar_calls = [a for a in args if not np.ndim(a[0])]
-        assert len(args) == 1 + self.GRID.size  # the failed grid call, then each node
+        scalar_calls = args[2:]
+        assert len(args) == 2 + self.GRID.size  # the failed array and _Nodes calls, then each node
+        assert isinstance(args[0][0], np.ndarray) and isinstance(args[1][0], _Nodes)
         assert [x for (x,) in scalar_calls] == list(self.GRID.flat)
         assert all(type(x) is np.float64 for (x,) in scalar_calls)
         assert got.shape == (2, 3, 2, 2) and got.flags.c_contiguous
@@ -349,8 +421,9 @@ class TestPointwiseSampling:
         args.clear()
         ts = np.array([0.15, 0.8])
         kern = sample(ragged, self.GRID, "kernel", 2, t=ts)
-        scalar_calls = [a for a in args if not np.ndim(a[0])]
-        assert len(args) == 1 + ts.size * self.GRID.size
+        scalar_calls = args[2:]
+        assert len(args) == 2 + ts.size * self.GRID.size
+        assert all(isinstance(a, _Nodes) for a in args[1])
         assert scalar_calls == [(t, s) for t in ts for s in self.GRID.flat]
         assert all(type(t) is np.float64 and type(s) is np.float64 for t, s in scalar_calls)
         assert np.array_equal(kern[..., 0, 1], np.broadcast_to(self.GRID, (2, 2, 3)))

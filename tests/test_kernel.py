@@ -11,6 +11,7 @@ from bpcheb.expansion import (
     expand_vector,
     nodes,
     product_tensor,
+    _Nodes,
 )
 from bpcheb.kernel import fredholm_operator
 from bpcheb.operational import block_integral_weights
@@ -190,20 +191,22 @@ class TestSampling:
         assert len(set(calls)) == len(calls)
 
     def test_ragged_kernel_reuses_the_slab_and_matches_the_grid_path(self):
-        # the constant entry makes the whole-grid call fail, so every outer block is
-        # sampled per node and written into the slab the first block allocated
+        # float() fails both grid calls, so every outer block is sampled per node
+        # and written into the slab the first block allocated
         cfg = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 4)
         q = len(default_rule(cfg).nodes)
         calls = []
 
         def ragged(t, s):
-            calls.append(np.ndim(t))
+            calls.append(type(t))
+            t, s = float(t), float(s)
             return np.array([[1.0, t * s], [s, t - s]])
 
         broadcasting = lambda t, s: np.array([[np.ones_like(t * s), t * s],  # noqa: E731
                                               [s + 0 * t, t - s]])
         got = fredholm_operator(ragged, cfg).Q
-        assert calls.count(0) == (cfg.K * q) ** 2 and calls.count(3) == cfg.K
+        assert calls.count(np.float64) == (cfg.K * q) ** 2
+        assert calls.count(np.ndarray) == calls.count(_Nodes) == cfg.K
         assert np.array_equal(got, fredholm_operator(broadcasting, cfg).Q)
 
     @pytest.mark.parametrize("grid_call", [True, False])
