@@ -58,12 +58,10 @@ def emit_csv(ts, values: np.ndarray, exact: np.ndarray | None = None, meta: str 
     if meta:
         lines.append(meta)
     lines.append(",".join(header))
-    for i, t in enumerate(ts):
-        row = [_fmt(t)] + [_fmt(v) for v in values[i]]
-        if exact is not None:
-            row += [_fmt(v) for v in exact[i]]
-            row.append(_fmt(float(np.max(np.abs(values[i] - exact[i])))))
-        lines.append(",".join(row))
+    cols = [np.reshape(ts, (-1, 1)), values]
+    if exact is not None:
+        cols += [exact, np.max(np.abs(values - exact), axis=1, keepdims=True)]
+    lines += [",".join(map(_fmt, row)) for row in np.hstack(cols).tolist()]
     return "\n".join(lines) + "\n"
 
 

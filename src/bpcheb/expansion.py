@@ -208,10 +208,14 @@ class _Nodes(np.lib.mixins.NDArrayOperatorsMixin):
 
 def _nodes_layout(vals, lead: tuple) -> np.ndarray:
     """A _Nodes call's result as a float value_shape + lead array: every entry
-    a _Nodes or a real scalar, broadcast to lead; TypeError for any other entry."""
+    a _Nodes or a real scalar, broadcast to lead; TypeError for any other entry.
+    A 0-d array entry counts as the value it holds (np.ones_like of a _Nodes
+    is a 0-d object array holding 1)."""
     vals = np.asarray(vals, dtype=object)
     entries = []
     for x in vals.flat:
+        if isinstance(x, np.ndarray) and x.ndim == 0:
+            x = x.item()
         if isinstance(x, _Nodes):
             x = x.v
         elif not isinstance(x, _REAL_SCALARS):

@@ -5,12 +5,13 @@ integration (inner) variable of
 
     w(t) = integral over [t_0, t_f] of N(t, s) f(s) ds.
 
-N is sampled on the (K q) x (K q) grid of quadrature nodes in t and s, one
-outer block at a time (one call per outer block when N broadcasts over
-arrays), and the weighted projection is applied in s, then in t.  Combining
-the resulting coefficients C^{(jl)}_{ki} (outer block j, outer degree l,
-inner block k, inner degree i) with the triple-product tensor and the
-closed-form block integrals
+N is sampled on the (K q) x (K q) grid of quadrature nodes in t and s, in
+chunks of whole outer blocks (one call per chunk when N broadcasts over
+arrays; a chunk holds as many blocks as fit in _CHUNK_NODES nodes, at least
+one), and the weighted projection is applied in s, then in t, one outer
+block at a time.  Combining the resulting coefficients C^{(jl)}_{ki} (outer
+block j, outer degree l, inner block k, inner degree i) with the
+triple-product tensor and the closed-form block integrals
 
     integral of S_m over [-1, 1] = 2/(m+1) for even m, 0 for odd m
 
@@ -21,7 +22,7 @@ coeffs(w) = Q coeffs(f), exact up to basis truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,6 +32,10 @@ from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
 
 __all__ = ["FredholmOperator", "fredholm_operator"]
+
+# a kernel is sampled for as many outer times per call as fit in this many
+# (t, s) nodes, and for at least one row of outer times
+_CHUNK_NODES = 2**16
 
 
 @dataclass(frozen=True)
@@ -72,16 +77,16 @@ def fredholm_operator(
     proj = projection_matrix(cfg.M - 1, rule)
     K, M = cfg.K, cfg.M
     grid = nodes(cfg, rule)
-    # slab[x, k-1, y] = N(t_x, s_y) for outer node t_x of one outer block and
-    # node s_y of inner block k; allocated by the first sample, reused after
-    slab = data = None
-    for j, ts in enumerate(grid):
-        slab = sample(kernel, grid, "kernel", 2, t=ts, out=slab)
-        require_finite(slab, grid, "kernel", t=ts)
+    data = None
+    # vals[j, x, k-1, y] = N(t_x, s_y) for outer node t_x of outer block
+    # rows.start + j + 1 and node s_y of inner block k
+    for rows, vals in sample_kernel(kernel, grid, grid):
+        require_finite(vals, grid, "kernel", t=grid[rows])
         if data is None:
-            data = np.empty((K, M, K, M) + slab.shape[3:])
-        inner = np.einsum("my,xkyac->xkmac", proj, slab)
-        data[j] = np.einsum("lx,xkiac->lkiac", proj, inner)
+            data = np.empty((K, M, K, M) + vals.shape[-2:])
+        for j, slab in enumerate(vals, start=rows.start):
+            inner = np.einsum("my,xkyac->xkmac", proj, slab)
+            data[j] = np.einsum("lx,xkiac->lkiac", proj, inner)
     n_out, n_in = data.shape[4:]
     # fold the block integrals of the product degrees into the d-tensor
     weights = 2.0 * block_integral_weights(M)  # only even m survive
@@ -91,3 +96,25 @@ def fredholm_operator(
     out *= 0.5 * np.asarray(cfg.partition.widths)[np.newaxis, np.newaxis, np.newaxis, :,
                                                   np.newaxis, np.newaxis]
     return FredholmOperator(out.reshape(K * M * n_out, K * M * n_in), cfg)
+
+
+def sample_kernel(kernel: Callable, grid: np.ndarray,
+                  ts: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Samples of kernel(t, s) for s on grid, in chunks of the rows ts[i] of
+    outer times: yields (rows, vals), vals laid out as
+    sample(kernel, grid, "kernel", 2, t=ts[rows]) returns it.
+
+    A chunk is one sample call over as many rows as fit in _CHUNK_NODES
+    (t, s) nodes, and at least one row.  The next chunk of the same length
+    overwrites vals when the samples own their memory (not a view of what
+    kernel returned); writing into vals keeps the sample shape fixed.
+    """
+    step = max(1, _CHUNK_NODES // (np.size(ts[0]) * grid.size))
+    vals = None
+    for start in range(0, len(ts), step):
+        rows = slice(start, start + step)
+        t = ts[rows]
+        if vals is not None and not (vals.flags.owndata and len(vals) == len(t)):
+            vals = np.empty(t.shape + vals.shape[t.ndim:])
+        vals = sample(kernel, grid, "kernel", 2, t=t, out=vals)
+        yield rows, vals

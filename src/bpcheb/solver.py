@@ -54,10 +54,9 @@ from .expansion import (
     expand_matrix,
     expand_vector,
     product_blocks,
-    sample,
     synthesize,
 )
-from .kernel import fredholm_operator
+from .kernel import fredholm_operator, sample_kernel
 from .linalg import LU, inf_norm
 from .operational import apply_pt, pt_parts
 from .quadrature import WeightedRule
@@ -87,8 +86,9 @@ class SystemSpec:
     A maps t to an (n, n) matrix, B to (n, r), N maps (t, s) to (n, n) with s
     the integration variable, u maps t to an r-vector.  Any of A, B, N, u may
     be None, meaning identically zero.  Each is first called on whole arrays
-    of nodes, then with all nodes in one scalar-like object (for code written
-    for a scalar t), and one call per node is the last fallback (see
+    of nodes (N on chunks of whole outer blocks, see kernel.sample_kernel),
+    then with all nodes in one scalar-like object (for code written for a
+    scalar t), and one call per node is the last fallback (see
     expansion.sample).
     """
 
@@ -323,29 +323,30 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
 
     The time derivative uses the exact per-block Chebyshev differentiation;
     the Fredholm term integrates the reconstructed solution with Gauss-
-    Legendre quadrature on every block, sampling N(t, .) on all those nodes
-    with expansion.sample.
+    Legendre quadrature on every block, sampling N on those nodes for
+    chunks of tgrid at a time (kernel.sample_kernel).
     """
     glx, glw = np.polynomial.legendre.leggauss(quad_order)
     if spec.N is not None:
         bp = np.asarray(sol.cfg.partition.breakpoints)
         a, b = bp[:-1, np.newaxis], bp[1:, np.newaxis]
         inner_nodes = 0.5 * ((b - a) * glx + a + b)  # (K, quad_order)
-        inner_weights = 0.5 * (b - a) * glw
-        inner_states = [sol.evaluate_many(ts) for ts in inner_nodes]
+        # weighted states at the inner nodes, (K, quad_order, n)
+        inner_states = sol.evaluate_many(inner_nodes).reshape(inner_nodes.shape + (-1,))
+        inner_states *= (0.5 * (b - a) * glw)[..., np.newaxis]
+        ts = np.asarray(tgrid, dtype=float).reshape(-1)
+        integral = np.empty((len(ts), spec.n))
+        for rows, kvals in sample_kernel(spec.N, inner_nodes, ts):
+            integral[rows] = np.einsum("jkqac,kqc->ja", kvals, inner_states)
 
     worst = 0.0
-    for t in tgrid:
+    for i, t in enumerate(tgrid):
         defect = sol.derivative(t)
         xt = sol.evaluate(t)
         if spec.A is not None:
             defect = defect - np.atleast_2d(np.asarray(spec.A(t), dtype=float)) @ xt
         if spec.N is not None:
-            kvals = sample(spec.N, inner_nodes, "kernel", 2, t=t)  # (K, quad_order, n, n)
-            acc = np.zeros(spec.n)
-            for ws, kv, xs in zip(inner_weights, kvals, inner_states):
-                acc += np.einsum("q,qac,qc->a", ws, kv, xs)
-            defect = defect - acc
+            defect = defect - integral[i]
         if spec.B is not None and spec.u is not None:
             bt = np.atleast_2d(np.asarray(spec.B(t), dtype=float))
             ut = np.atleast_1d(np.asarray(spec.u(t), dtype=float)).reshape(-1)

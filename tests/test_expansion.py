@@ -163,6 +163,15 @@ class TestGridSampling:
         got = sample(lambda t: np.array([1.0, 2.0]), self.GRID, "vector function", 1)
         np.testing.assert_array_equal(got, np.broadcast_to([1.0, 2.0], (2, 3, 2)))
 
+    def test_zero_d_entries_count_as_their_value(self):
+        # np.ones_like of a _Nodes is a 0-d object array holding 1
+        grid_fn = _Recorder(lambda t: np.array([[np.ones_like(t), t], [t, 1.0]]))
+        got = sample(grid_fn, self.GRID, "matrix function", 2)
+        # the ragged array call fails, the _Nodes call is kept after its two probes
+        assert (grid_fn.calls, grid_fn.array_calls, grid_fn.node_calls) == (4, 1, 1)
+        want = sample(pointwise(grid_fn.fn), self.GRID, "matrix function", 2)
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("fn", [
         expdecay_A,  # the constant entries make the array ragged
         lambda t: math.exp(-t),

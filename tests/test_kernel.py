@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bpcheb import exprlang
+from bpcheb import kernel as kernel_module
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import (
     ExpansionError,
@@ -190,9 +191,9 @@ class TestSampling:
         assert len(calls) == (cfg.K * q) ** 2
         assert len(set(calls)) == len(calls)
 
-    def test_ragged_kernel_reuses_the_slab_and_matches_the_grid_path(self):
-        # float() fails both grid calls, so every outer block is sampled per node
-        # and written into the slab the first block allocated
+    def test_ragged_kernel_reuses_the_slab_and_matches_the_grid_path(self, monkeypatch):
+        # with one outer block per chunk, float() fails both grid calls of every
+        # chunk, so each is sampled per node into the slab the first allocated
         cfg = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 4)
         q = len(default_rule(cfg).nodes)
         calls = []
@@ -204,9 +205,11 @@ class TestSampling:
 
         broadcasting = lambda t, s: np.array([[np.ones_like(t * s), t * s],  # noqa: E731
                                               [s + 0 * t, t - s]])
-        got = fredholm_operator(ragged, cfg).Q
+        with monkeypatch.context() as m:
+            m.setattr(kernel_module, "_CHUNK_NODES", q * cfg.K * q)
+            got = fredholm_operator(ragged, cfg).Q
         assert calls.count(np.float64) == (cfg.K * q) ** 2
-        assert calls.count(np.ndarray) == calls.count(_Nodes) == cfg.K
+        assert calls.count(np.ndarray) == calls.count(_Nodes) == cfg.K  # one per chunk
         assert np.array_equal(got, fredholm_operator(broadcasting, cfg).Q)
 
     @pytest.mark.parametrize("grid_call", [True, False])
@@ -269,9 +272,10 @@ class TestSampling:
         with pytest.raises(ExpansionError, match=f"kernel failed at {where}"):
             fredholm_operator(kernel, cfg)
         q = grid.shape[1]
-        assert shapes[0] == (q, 3, q) and set(shapes[1:]) == {()}  # one grid call, then points
+        # one grid call for all outer blocks, then points
+        assert shapes[0] == (3, q, 3, q) and set(shapes[1:]) == {()}
 
-    def test_grid_kernel_called_once_per_outer_block(self):
+    def test_grid_kernel_called_once_per_chunk(self):
         cfg = BasisConfig(Partition((0.0, 0.3, 0.7, 1.0)), 4)
         calls = []
 
@@ -281,8 +285,58 @@ class TestSampling:
 
         q = len(default_rule(cfg).nodes)
         got = fredholm_operator(kernel, cfg).Q
-        assert calls == [(q, cfg.K, q), (), ()] * cfg.K  # the grid, then the two probes
+        # all outer blocks fit in one chunk: the grid, then the two probes
+        assert calls == [(cfg.K, q, cfg.K, q), (), ()]
         assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg).Q)
+
+    def test_chunks_give_the_same_operator(self, monkeypatch):
+        cfg = BasisConfig(Partition((0.0, 0.15, 0.3, 0.7, 0.8, 1.0)), 4)
+        q = len(default_rule(cfg).nodes)
+        calls = []
+
+        def kernel(t, s):
+            calls.append(np.broadcast_shapes(np.shape(t), np.shape(s)))
+            return np.array([[t * s, np.cos(t - s)]])
+
+        one_chunk = fredholm_operator(kernel, cfg).Q
+        calls.clear()
+        # room for two outer blocks and part of a third: chunks of 2, 2 and 1
+        monkeypatch.setattr(kernel_module, "_CHUNK_NODES", 3 * q * cfg.K * q - 1)
+        got = fredholm_operator(kernel, cfg).Q
+        assert calls == [(j, q, cfg.K, q) if i == 0 else () for j in (2, 2, 1) for i in range(3)]
+        assert np.array_equal(got, one_chunk)
+        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg).Q)
+
+    def test_chunks_leave_what_the_kernel_returned_alone(self, monkeypatch):
+        # a scalar kernel's grid samples are a view of the array it returned,
+        # which the next chunk must not overwrite
+        cfg = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 4)
+        q = len(default_rule(cfg).nodes)
+        returned = []
+
+        def kernel(t, s):
+            v = np.exp(-t * s)
+            returned.append((v, np.copy(v)))
+            return v
+
+        monkeypatch.setattr(kernel_module, "_CHUNK_NODES", q * cfg.K * q)
+        got = fredholm_operator(kernel, cfg).Q
+        assert len(returned) == 3 * cfg.K
+        assert all(np.array_equal(v, kept) for v, kept in returned)
+        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg).Q)
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_non_finite_kernel_in_the_last_chunk_is_named(self, monkeypatch, chunk):
+        # chunk 1: one outer block per call, the last (block 5) its own chunk
+        cfg = BasisConfig(Partition((0.0, 0.15, 0.3, 0.7, 0.8, 1.0)), 4)
+        grid = nodes(cfg, default_rule(cfg))
+        t, s = grid[4, 2], grid[1, 3]
+        kernel = lambda u, v: np.where((u == t) & (v == s), math.nan, u * v)  # noqa: E731
+        if chunk is not None:
+            monkeypatch.setattr(kernel_module, "_CHUNK_NODES", chunk)
+        where = rf"\(t={t}, s={s}\) \(inner block 2\)"
+        with pytest.raises(ExpansionError, match=rf"^kernel is nan at {where}$"):
+            fredholm_operator(kernel, cfg)
 
     def test_kernel_singular_at_endpoint(self):
         # ln(s) raises at s = 0, which no Gauss node reaches; w(t) is the

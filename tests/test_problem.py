@@ -204,14 +204,14 @@ class TestSystemSpec:
 
     def test_every_datum_is_sampled_on_the_grid(self, monkeypatch):
         # the only scalar evaluations are the two probes per sample call and
-        # entry: 2 * (4 A + 2 B + 1 u + 8 outer blocks * 4 N) = 78
+        # entry; N's one chunk holds all 8 outer blocks: 2 * (4 A + 2 B + 1 u + 4 N) = 22
         calls = []
         real = exprlang.evaluate
         monkeypatch.setattr(exprlang, "evaluate", lambda *args: calls.append(args) or real(*args))
         p = load(os.path.join(PROBLEMS_DIR, "exp_decay_ivp.prob")).with_overrides(K=8, M=12)
         spec = p.system_spec()
         solve(assemble(spec, p.basis_config()), spec.u)
-        assert len(calls) == 78
+        assert len(calls) == 22
 
     @pytest.mark.parametrize("fname", ["polynomial_ivp.prob", "exp_decay_ivp.prob"])
     def test_residual_matches_interpreter(self, fname):

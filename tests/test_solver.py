@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from bpcheb import exprlang, solver
+from bpcheb import kernel as kernel_module
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import ExpansionError, _Nodes, expand_vector
 from bpcheb.linalg import LU, SingularMatrixError, inf_norm
@@ -440,7 +441,9 @@ class TestGridPath:
         spec = dataclasses.replace(expdecay_system, **{k: recorded(k, f) for k, f in data.items()})
         asm = assemble(spec, cfg)
         sol = solve(asm, spec.u)
-        assert grid_calls["N"] == [True, False, False] * K  # the grid, then two probes
+        # the grid, then two probes, per chunk of outer blocks; at K=16, M=12 an
+        # outer block has 20 * 320 (t, s) nodes and chunks hold 10 and 6 blocks
+        assert grid_calls["N"] == [True, False, False] * (2 if K == 16 else 1)
         assert grid_calls["B"] == grid_calls["u"] == [True, False, False]
         # ragged constants fail the array call; the _Nodes call is kept
         assert grid_calls["A"] == [True, True, False, False]
@@ -456,7 +459,7 @@ class TestGridPath:
 
 
 class TestResidual:
-    def test_grid_kernel_sampled_once_per_time(self, expdecay_system):
+    def test_grid_kernel_sampled_once_per_chunk(self, expdecay_system):
         sol = hybrid_solve(expdecay_system, BasisConfig.uniform(0, 1, EXP_K, 5))
         calls = []
 
@@ -466,9 +469,31 @@ class TestResidual:
 
         grid_spec = dataclasses.replace(expdecay_system, N=kernel)
         got = residual(grid_spec, sol, EXP_TS, quad_order=10)
-        assert calls == [(EXP_K, 10), (), ()] * len(EXP_TS)  # the grid, then two probes
+        # all times fit in one chunk: the grid, then two probes
+        assert calls == [(len(EXP_TS), EXP_K, 10), (), ()]
         plain_spec = dataclasses.replace(expdecay_system, N=pointwise(kernel))
         assert got == residual(plain_spec, sol, EXP_TS, quad_order=10)
+
+    def test_chunks_agree_with_per_time_quadrature(self, expdecay_system, monkeypatch):
+        sol = hybrid_solve(expdecay_system, BasisConfig.uniform(0, 1, EXP_K, 5))
+        spec = SystemSpec(n=2, r=1, t0=0.0, tf=1.0, x0=[1.0, 3.0], N=expdecay_system.N)
+        glx, glw = np.polynomial.legendre.leggauss(10)
+        bp = np.linspace(0.0, 1.0, EXP_K + 1)
+        defects = []
+        for t in EXP_TS:  # N(t, .) at one t at a time, block by block
+            integral = np.zeros(2)
+            for a, b in zip(bp[:-1], bp[1:]):
+                ss = 0.5 * ((b - a) * glx + a + b)
+                kv = np.array([expdecay_system.N(t, s) for s in ss])
+                ws = 0.5 * (b - a) * glw
+                integral += np.einsum("q,qac,qc->a", ws, kv, sol.evaluate_many(ss))
+            defects.append(inf_norm(sol.derivative(t) - integral))
+        want = max(defects)
+        got = residual(spec, sol, EXP_TS, quad_order=10)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        # room for 4 times per call: chunks of 4, 4 and 2
+        monkeypatch.setattr(kernel_module, "_CHUNK_NODES", 4 * EXP_K * 10)
+        np.testing.assert_allclose(residual(spec, sol, EXP_TS, quad_order=10), want, rtol=1e-13)
 
     def test_kernel_failure_names_t_s_and_block(self, expdecay_system):
         sol = hybrid_solve(expdecay_system, BasisConfig.uniform(0, 1, EXP_K, 5))
