@@ -24,8 +24,6 @@ __all__ = [
     "chebyshev_u_all",
     "chebyshev_u_series",
     "chebyshev_u_derivative_coeffs",
-    "block_of",
-    "to_local",
 ]
 
 
@@ -162,25 +160,3 @@ def chebyshev_u_derivative_coeffs(coeffs: np.ndarray) -> np.ndarray:
         out[j] = 2.0 * (j + 1) * c[j + 1 :: 2].sum(axis=0)
     return out
 
-
-def block_of(t: float, p: Partition) -> int | None:
-    """Block index k with t_{k-1} <= t < t_k; t = t_f maps to block K.
-
-    Returns None unless t_0 <= t <= t_f (so for NaN too).
-    """
-    bp = p.breakpoints
-    if not bp[0] <= t <= bp[-1]:
-        return None
-    if t == bp[-1]:
-        return p.num_blocks
-    # rightmost breakpoint <= t; half-open blocks make this unique
-    k = int(np.searchsorted(bp, t, side="right"))
-    return k
-
-
-def to_local(t: float, k: int, p: Partition) -> float:
-    """Affine map of block k onto [-1, 1]: t_{k-1} -> -1, t_k -> +1."""
-    a, b = p.block_bounds(k)
-    if t < a or t > b:
-        raise ValueError(f"t={t} outside block {k} = [{a}, {b}]")
-    return (2.0 * t - a - b) / (b - a)

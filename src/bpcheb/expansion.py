@@ -102,16 +102,14 @@ def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
 
 
 def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
-           out: np.ndarray | None = None,
            expect: tuple[str, tuple[int, ...]] | None = None) -> np.ndarray:
     """Samples of f at every node of grid (shape (K, q)), stacked as (K, q) + sample shape.
 
     With t given, f is a kernel and the samples are f(t, s) for s on the grid;
     an array t of outer times prefixes its shape.  Each sample becomes a
-    float array of at least ndim dimensions (ndim 1: flattened to a vector),
-    written to out when given, else to a new array shaped by the first
-    sample.  expect = (name, shape) names the datum and the shape its samples
-    must have.
+    float array of at least ndim dimensions (ndim 1: flattened to a vector).
+    expect = (name, shape) names the datum and the shape its samples must
+    have; without it, the first sample sets the shape.
 
     f is first called for the whole grid (see _sample_grid): once with
     arrays, then, when that result is not kept, once with a _Nodes, which
@@ -123,13 +121,11 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
     naming the point and its block.
     """
     lead = np.shape(t) + grid.shape
-    shape = out.shape[len(lead):] if out is not None else expect[1] if expect else None
+    shape = expect[1] if expect else None
     vals = _sample_grid(f, grid, ndim, t, lead, shape)
     if vals is not None:
-        if out is None:
-            return vals
-        out[...] = vals
-        return out
+        return vals
+    out = None
     for i, ti in np.ndenumerate(t) if np.ndim(t) else [((), t)]:
         for k, xs in enumerate(grid, start=1):
             for y, x in enumerate(xs):
@@ -143,8 +139,9 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
                     raise ExpansionError(f"{what} failed at {_where(ti, x, k)}: {exc}") from exc
                 if out is None:
                     if shape is not None and val.shape != shape:  # shape is expect's
+                        args = x if ti is None else f"{ti}, {x}"
                         raise ExpansionError(
-                            f"{what} failed at {_where(ti, x, k)}: {_misfit(expect, x, val)}"
+                            f"{what} failed at {_where(ti, x, k)}: {_misfit(expect, args, val)}"
                         )
                     shape = val.shape
                     out = np.empty(lead + shape)
@@ -315,11 +312,11 @@ def _where(t: float | None, x: float, k: int) -> str:
     return f"t={x} (block {k})" if t is None else f"(t={t}, s={x}) (inner block {k})"
 
 
-def _misfit(expect: tuple[str, tuple[int, ...]], x: float, val: np.ndarray) -> str:
+def _misfit(expect: tuple[str, tuple[int, ...]], args: float | str, val: np.ndarray) -> str:
     name, shape = expect
     if len(shape) == 1:
-        return f"{name}({x}) has {val.size} components, expected {shape[0]}"
-    return f"{name}({x}) has shape {val.shape}, expected {shape}"
+        return f"{name}({args}) has {val.size} components, expected {shape[0]}"
+    return f"{name}({args}) has shape {val.shape}, expected {shape}"
 
 
 def expand_vector(

@@ -105,16 +105,13 @@ def sample_kernel(kernel: Callable, grid: np.ndarray,
     sample(kernel, grid, "kernel", 2, t=ts[rows]) returns it.
 
     A chunk is one sample call over as many rows as fit in _CHUNK_NODES
-    (t, s) nodes, and at least one row.  The next chunk of the same length
-    overwrites vals when the samples own their memory (not a view of what
-    kernel returned); writing into vals keeps the sample shape fixed.
+    (t, s) nodes, and at least one row.  Every chunk gets a new array; the
+    chunks after the first must have the first one's sample shape.
     """
     step = max(1, _CHUNK_NODES // (np.size(ts[0]) * grid.size))
-    vals = None
+    expect = None
     for start in range(0, len(ts), step):
         rows = slice(start, start + step)
-        t = ts[rows]
-        if vals is not None and not (vals.flags.owndata and len(vals) == len(t)):
-            vals = np.empty(t.shape + vals.shape[t.ndim:])
-        vals = sample(kernel, grid, "kernel", 2, t=t, out=vals)
+        vals = sample(kernel, grid, "kernel", 2, t=ts[rows], expect=expect)
+        expect = ("kernel", vals.shape[np.ndim(ts) + grid.ndim:])
         yield rows, vals

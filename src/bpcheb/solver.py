@@ -41,19 +41,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import (
-    BasisConfig,
-    as_index,
-    block_of,
-    chebyshev_u_derivative_coeffs,
-    chebyshev_u_series,
-    to_local,
-)
+from .basis import BasisConfig, as_index, chebyshev_u_derivative_coeffs
 from .expansion import (
     CoeffVector,
     expand_matrix,
     expand_vector,
     product_blocks,
+    require_finite,
+    sample,
     synthesize,
 )
 from .kernel import fredholm_operator, sample_kernel
@@ -308,48 +303,64 @@ class HybridSolution:
 
     def derivative(self, t: float) -> np.ndarray:
         """d/dt of the reconstruction, by exact per-block series differentiation."""
-        p = self.cfg.partition
-        k = block_of(t, p)
-        if k is None:
-            raise ValueError(f"t={t} outside [{p.t0}, {p.tf}]")
-        dcoef = chebyshev_u_derivative_coeffs(self.xhat.block(k))
-        scale = 2.0 / p.widths[k - 1]
-        return scale * np.asarray(chebyshev_u_series(dcoef, to_local(t, k, p)))
+        return self._derivative().evaluate(t)
+
+    def _derivative(self) -> "HybridSolution":
+        """The derivative of the reconstruction as a solution on the same basis:
+        each block's differentiated series, scaled by 2/d_k."""
+        coeffs = np.moveaxis(self.xhat.tensor(), 1, 0)  # degree first: (M, K, n)
+        scale = 2.0 / np.asarray(self.cfg.partition.widths)[:, np.newaxis]
+        dcoef = np.moveaxis(chebyshev_u_derivative_coeffs(coeffs) * scale, 0, 1)
+        return HybridSolution(self.cfg, CoeffVector.from_tensor(dcoef))
 
 
 def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
              quad_order: int = 64) -> float:
-    """Max defect of the original equation over tgrid.
+    """Max defect of the original equation over tgrid, over all components.
 
-    The time derivative uses the exact per-block Chebyshev differentiation;
-    the Fredholm term integrates the reconstructed solution with Gauss-
-    Legendre quadrature on every block, sampling N on those nodes for
-    chunks of tgrid at a time (kernel.sample_kernel).
+    The time derivative uses the exact per-block Chebyshev differentiation.
+    A, B and u are sampled exactly as assemble samples them (see
+    expansion.sample), with the times of tgrid as the one row of an
+    evaluation grid, so the "(block 1)" that their sampling errors name
+    counts rows of that grid, not blocks of the partition.  The Fredholm
+    term integrates the reconstructed solution with Gauss-Legendre
+    quadrature on every block, sampling N on those nodes for chunks of
+    tgrid at a time (kernel.sample_kernel).  A non-finite, complex or
+    misshapen sample raises ExpansionError naming the datum and its t or
+    (t, s).
     """
-    glx, glw = np.polynomial.legendre.leggauss(quad_order)
+    ts = np.asarray(tgrid, dtype=float).reshape(-1)
+    if not ts.size:
+        return 0.0
+    x = sol.evaluate_many(ts)  # (len(ts), n); rejects times outside [t0, tf]
+    defect = sol._derivative().evaluate_many(ts)
+    grid = ts[np.newaxis]
+    if spec.A is not None:
+        A = _sample_data(spec.A, grid, 2, ("A", (spec.n, spec.n)))
+        defect -= (A @ x[..., np.newaxis])[..., 0]
     if spec.N is not None:
+        glx, glw = np.polynomial.legendre.leggauss(quad_order)
         bp = np.asarray(sol.cfg.partition.breakpoints)
         a, b = bp[:-1, np.newaxis], bp[1:, np.newaxis]
         inner_nodes = 0.5 * ((b - a) * glx + a + b)  # (K, quad_order)
         # weighted states at the inner nodes, (K, quad_order, n)
         inner_states = sol.evaluate_many(inner_nodes).reshape(inner_nodes.shape + (-1,))
         inner_states *= (0.5 * (b - a) * glw)[..., np.newaxis]
-        ts = np.asarray(tgrid, dtype=float).reshape(-1)
-        integral = np.empty((len(ts), spec.n))
         for rows, kvals in sample_kernel(spec.N, inner_nodes, ts):
-            integral[rows] = np.einsum("jkqac,kqc->ja", kvals, inner_states)
+            require_finite(kvals, inner_nodes, "kernel", t=ts[rows])
+            defect[rows] -= np.einsum("jkqac,kqc->ja", kvals, inner_states)
+    if spec.B is not None and spec.u is not None:
+        B = _sample_data(spec.B, grid, 2, ("B", (spec.n, spec.r)))
+        u = _sample_data(spec.u, grid, 1, ("u", (spec.r,)))
+        defect -= (B @ u[..., np.newaxis])[..., 0]
+    return float(np.abs(defect).max())
 
-    worst = 0.0
-    for i, t in enumerate(tgrid):
-        defect = sol.derivative(t)
-        xt = sol.evaluate(t)
-        if spec.A is not None:
-            defect = defect - np.atleast_2d(np.asarray(spec.A(t), dtype=float)) @ xt
-        if spec.N is not None:
-            defect = defect - integral[i]
-        if spec.B is not None and spec.u is not None:
-            bt = np.atleast_2d(np.asarray(spec.B(t), dtype=float))
-            ut = np.atleast_1d(np.asarray(spec.u(t), dtype=float)).reshape(-1)
-            defect = defect - bt @ ut
-        worst = max(worst, inf_norm(defect))
-    return worst
+
+def _sample_data(f: Callable, grid: np.ndarray, ndim: int,
+                 expect: tuple[str, tuple[int, ...]]) -> np.ndarray:
+    """f's finite samples at the one row of times in grid, as expand_vector
+    (ndim 1) and expand_matrix (ndim 2) take them: shape (len(row),) + expect[1]."""
+    what = "vector function" if ndim == 1 else "matrix function"
+    vals = sample(f, grid, what, ndim, expect=expect)
+    require_finite(vals, grid, expect[0])
+    return vals[0]

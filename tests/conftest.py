@@ -13,14 +13,76 @@ import pytest
 import scipy.linalg
 
 from bpcheb import SystemSpec, build_p, expand_vector
+from bpcheb.basis import chebyshev_u_derivative_coeffs, chebyshev_u_series
 
 E1 = np.exp(-1.0)
 
 
+def block_of(t: float, p) -> int | None:
+    """Block index k with t_{k-1} <= t < t_k; t = t_f maps to block K.
+
+    Returns None unless t_0 <= t <= t_f (so for NaN too).
+    """
+    bp = p.breakpoints
+    if not bp[0] <= t <= bp[-1]:
+        return None
+    if t == bp[-1]:
+        return p.num_blocks
+    # rightmost breakpoint <= t; half-open blocks make this unique
+    return int(np.searchsorted(bp, t, side="right"))
+
+
+def to_local(t: float, k: int, p) -> float:
+    """Affine map of block k onto [-1, 1]: t_{k-1} -> -1, t_k -> +1."""
+    a, b = p.block_bounds(k)
+    if t < a or t > b:
+        raise ValueError(f"t={t} outside block {k} = [{a}, {b}]")
+    return (2.0 * t - a - b) / (b - a)
+
+
 def global_of_local(x, k, p):
-    """Inverse of basis.to_local: x in [-1, 1] back to global time in block k."""
+    """Inverse of to_local: x in [-1, 1] back to global time in block k."""
     a, b = p.block_bounds(k)
     return 0.5 * ((b - a) * x + a + b)
+
+
+def reference_derivative(sol, t: float) -> np.ndarray:
+    """Oracle for HybridSolution.derivative at one t: the block lookup, the
+    local map and the differentiated series of that block, scaled by 2/d_k."""
+    p = sol.cfg.partition
+    k = block_of(t, p)
+    if k is None:
+        raise ValueError(f"t={t} outside [{p.t0}, {p.tf}]")
+    dcoef = chebyshev_u_derivative_coeffs(sol.xhat.block(k))
+    return 2.0 / p.widths[k - 1] * np.asarray(chebyshev_u_series(dcoef, to_local(t, k, p)))
+
+
+def reference_residual(spec: SystemSpec, sol, tgrid, quad_order: int = 64) -> float:
+    """Oracle for solver.residual: the defect at one t at a time, with one
+    call of A, B, u and (per inner node) N per t, and the Fredholm term by
+    Gauss-Legendre quadrature block by block."""
+    glx, glw = np.polynomial.legendre.leggauss(quad_order)
+    bp = sol.cfg.partition.breakpoints
+    worst = 0.0
+    for t in tgrid:
+        defect = reference_derivative(sol, t)
+        xt = sol.evaluate(t)
+        if spec.A is not None:
+            defect = defect - np.atleast_2d(np.asarray(spec.A(t), dtype=float)) @ xt
+        if spec.N is not None:
+            integral = 0.0
+            for a, b in zip(bp[:-1], bp[1:]):
+                ss = 0.5 * ((b - a) * glx + a + b)
+                kv = np.array([np.atleast_2d(spec.N(t, s)) for s in ss])
+                integral += np.einsum("q,qac,qc->a", 0.5 * (b - a) * glw, kv,
+                                      sol.evaluate_many(ss))
+            defect = defect - integral
+        if spec.B is not None and spec.u is not None:
+            bt = np.atleast_2d(np.asarray(spec.B(t), dtype=float))
+            ut = np.atleast_1d(np.asarray(spec.u(t), dtype=float)).reshape(-1)
+            defect = defect - bt @ ut
+        worst = max(worst, np.abs(defect).max())
+    return worst
 
 # ten-point comparison grid and high-precision reference values for the
 # exponential benchmark (14 significant digits)

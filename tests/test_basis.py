@@ -7,16 +7,14 @@ import pytest
 from bpcheb.basis import (
     BasisConfig,
     Partition,
-    block_of,
     chebyshev_u_all,
     chebyshev_u_derivative_coeffs,
     chebyshev_u_eval,
     chebyshev_u_series,
-    to_local,
 )
 from bpcheb.operational import build_p
 
-from conftest import global_of_local
+from conftest import block_of, global_of_local, to_local
 
 
 class TestPartition:

@@ -7,10 +7,8 @@ import pytest
 from bpcheb.basis import (
     BasisConfig,
     Partition,
-    block_of,
     chebyshev_u_eval,
     chebyshev_u_series,
-    to_local,
 )
 from bpcheb.expansion import (
     PROBE_RTOL,
@@ -29,7 +27,7 @@ from bpcheb.expansion import (
 )
 from bpcheb.quadrature import gauss_u_rule
 
-from conftest import expdecay_A, global_of_local, pointwise, poly_A
+from conftest import block_of, expdecay_A, global_of_local, pointwise, poly_A, to_local
 
 
 class TestCoeffVector:

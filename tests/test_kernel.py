@@ -191,9 +191,10 @@ class TestSampling:
         assert len(calls) == (cfg.K * q) ** 2
         assert len(set(calls)) == len(calls)
 
-    def test_ragged_kernel_reuses_the_slab_and_matches_the_grid_path(self, monkeypatch):
+    def test_ragged_kernel_sampled_per_node_in_every_chunk_matches_the_grid_path(
+            self, monkeypatch):
         # with one outer block per chunk, float() fails both grid calls of every
-        # chunk, so each is sampled per node into the slab the first allocated
+        # chunk, so each is sampled per node
         cfg = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 4)
         q = len(default_rule(cfg).nodes)
         calls = []
@@ -211,6 +212,24 @@ class TestSampling:
         assert calls.count(np.float64) == (cfg.K * q) ** 2
         assert calls.count(np.ndarray) == calls.count(_Nodes) == cfg.K  # one per chunk
         assert np.array_equal(got, fredholm_operator(broadcasting, cfg).Q)
+
+    def test_shape_change_in_a_later_chunk_names_t_and_s(self, monkeypatch):
+        # every chunk is consistent in itself; only the first chunk's shape,
+        # handed on to the later ones, tells that block 3 is misshapen
+        cfg = BasisConfig(Partition((0.0, 0.3, 0.7, 1.0)), 4)
+        grid = nodes(cfg, default_rule(cfg))
+        q = grid.shape[1]
+
+        def kernel(t, s):
+            rows = 1 if np.min(t) > 0.7 else 2
+            return np.ones((rows, 2) + np.shape(t * s))
+
+        monkeypatch.setattr(kernel_module, "_CHUNK_NODES", q * cfg.K * q)
+        t, s = grid[2, 0], grid[0, 0]  # the first node of the chunk of block 3
+        where = rf"\(t={t}, s={s}\) \(inner block 1\)"
+        misfit = rf"kernel\({t}, {s}\) has shape \(1, 2\), expected \(2, 2\)"
+        with pytest.raises(ExpansionError, match=rf"^kernel failed at {where}: {misfit}$"):
+            fredholm_operator(kernel, cfg)
 
     @pytest.mark.parametrize("grid_call", [True, False])
     def test_complex_kernel_names_t_s_and_inner_block(self, grid_call):

@@ -21,6 +21,8 @@ from conftest import (
     dense_reference_system,
     expdecay_A,
     pointwise,
+    reference_derivative,
+    reference_residual,
     rk4_reference,
 )
 
@@ -378,6 +380,16 @@ class TestEvaluate:
             with pytest.raises(ValueError, match=f"t={bad} outside"):
                 sol.derivative(bad)
 
+    @pytest.mark.parametrize("system", ["poly_system", "expdecay_system"])
+    def test_derivative_matches_per_point_reference(self, request, system):
+        cfg = BasisConfig(Partition((0.0, 0.15, 0.4, 0.9, 1.0)), 6)
+        sol = hybrid_solve(request.getfixturevalue(system), cfg)
+        rng = np.random.default_rng(5)
+        ts = np.concatenate([cfg.partition.breakpoints, rng.uniform(0, 1, 40)])
+        want = np.array([reference_derivative(sol, t) for t in ts])
+        got = np.array([sol.derivative(t) for t in ts])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
     def test_evaluate_many_matches_pointwise(self, expdecay_system):
         cfg = BasisConfig(Partition((0.0, 0.15, 0.4, 0.9, 1.0)), 6)
         sol = hybrid_solve(expdecay_system, cfg)
@@ -506,6 +518,73 @@ class TestResidual:
         spec = dataclasses.replace(expdecay_system, N=kernel)
         with pytest.raises(ExpansionError, match=r"kernel failed at \(t=0.1, s=.*\) \(inner block 3\): nope"):
             residual(spec, sol, EXP_TS, quad_order=10)
+
+    @pytest.mark.parametrize("system", ["poly_system", "expdecay_system"])
+    @pytest.mark.parametrize("with_kernel", [True, False])
+    @pytest.mark.parametrize("bp", [(0.0, 1 / 3, 2 / 3, 1.0), (0.0, 0.15, 0.4, 0.9, 1.0)])
+    def test_matches_per_time_reference(self, request, system, with_kernel, bp):
+        spec = request.getfixturevalue(system)
+        if not with_kernel:
+            spec = dataclasses.replace(spec, N=None)
+        # M=3 leaves a defect far above the rounding of its terms
+        sol = hybrid_solve(spec, BasisConfig(Partition(bp), 3))
+        rng = np.random.default_rng(len(bp))
+        ts = np.concatenate([bp, rng.uniform(0, 1, 30)])  # t0, every breakpoint and tf
+        want = reference_residual(spec, sol, ts, quad_order=12)
+        np.testing.assert_allclose(residual(spec, sol, ts, quad_order=12), want, rtol=1e-13)
+
+    def test_data_calls_do_not_grow_with_the_grid(self, expdecay_system):
+        sol = hybrid_solve(expdecay_system, BasisConfig.uniform(0, 1, EXP_K, 5))
+        counts = []
+        for size in (11, 101):
+            calls = dict.fromkeys("ABu", 0)
+
+            def counted(name, f):
+                def g(t):
+                    calls[name] += 1
+                    return f(t)
+                return g
+
+            spec = dataclasses.replace(
+                expdecay_system, N=None,
+                **{name: counted(name, getattr(expdecay_system, name)) for name in calls})
+            residual(spec, sol, np.linspace(0, 1, size))
+            counts.append(calls)
+        assert counts[0] == counts[1]
+        # the grid call, then two probes; A's ragged constants fail the array
+        # call, and the _Nodes call is kept
+        assert counts[1] == {"A": 4, "B": 3, "u": 3}
+
+    def test_nan_A_is_named(self):
+        spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[1.0], A=lambda t: -1.0)
+        sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, 4, 8))
+        bad = dataclasses.replace(spec, A=lambda t: np.nan)
+        with pytest.raises(ExpansionError, match=r"^A is nan at t=0.2 \(block 1\)$"):
+            residual(bad, sol, [0.2, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_kernel_names_t_and_s(self, bad):
+        cfg = BasisConfig.uniform(0, 1, EXP_K, 5)
+        spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[1.0], A=lambda t: -1.0)
+        sol = hybrid_solve(spec, cfg)
+        glx = np.polynomial.legendre.leggauss(10)[0]
+        bp = np.asarray(cfg.partition.breakpoints)
+        inner = 0.5 * ((bp[1:] - bp[:-1])[:, np.newaxis] * glx + (bp[:-1] + bp[1:])[:, np.newaxis])
+        s = inner.flat[np.argmax(inner.reshape(-1) > 0.6)]  # in block 3, [0.5, 0.75]
+        kernel = lambda t, s: np.where((t == 0.5) & (s > 0.6), bad, 1.0 + 0 * t * s)  # noqa: E731
+        with pytest.raises(ExpansionError,
+                           match=rf"^kernel is {bad} at \(t=0.5, s={s}\) \(inner block 3\)$"):
+            residual(dataclasses.replace(spec, N=kernel), sol, EXP_TS, quad_order=10)
+
+    def test_complex_u_is_rejected_like_in_solve(self, expdecay_system):
+        cfg = BasisConfig.uniform(0, 1, EXP_K, 5)
+        sol = hybrid_solve(expdecay_system, cfg)
+        spec = dataclasses.replace(expdecay_system, u=lambda t: np.array([np.exp(-t) + 1j * t]))
+        message = r"^u is \(.*j\) at t=.* \(block 1\): data must be real$"
+        with pytest.raises(ExpansionError, match=message):
+            solve(assemble(spec, cfg), spec.u)
+        with pytest.raises(ExpansionError, match=message):
+            residual(spec, sol, EXP_TS)
 
     @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
     def test_rejects_bad_t(self, poly_system, bad):
