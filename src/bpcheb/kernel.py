@@ -8,15 +8,19 @@ integration (inner) variable of
 N is sampled on the (K q) x (K q) grid of quadrature nodes in t and s, in
 chunks of whole outer blocks (one call per chunk when N broadcasts over
 arrays; a chunk holds as many blocks as fit in _CHUNK_NODES nodes, at least
-one), and the weighted projection is applied in s, then in t, one outer
-block at a time.  Combining the resulting coefficients C^{(jl)}_{ki} (outer
-block j, outer degree l, inner block k, inner degree i) with the
-triple-product tensor and the closed-form block integrals
+one).  Each chunk is projected in s, then in t; the resulting coefficients
+C^{(jl)}_{ki} (outer block j, outer degree l, inner block k, inner degree i)
+are folded with the triple-product tensor and the closed-form block integrals
 
     integral of S_m over [-1, 1] = 2/(m+1) for even m, 0 for odd m
 
-(twice operational.block_integral_weights) yields one dense matrix Q with
-coeffs(w) = Q coeffs(f), exact up to basis truncation.
+(twice operational.block_integral_weights) into one dense matrix Q with
+coeffs(w) = Q coeffs(f), exact up to basis truncation.  The three sums run
+over whole chunks, one term at a time in index order, which is how
+unoptimized np.einsum adds them (without fused multiply-adds).  So Q is
+bit-identical to the einsum formula, and the golden outputs stay fixed,
+except for a scalar kernel: einsum picks another inner loop for it, and the
+two can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -70,32 +74,44 @@ def fredholm_operator(
 
         sum over even m of (d_k / (m+1)) * sum over i of d^{(i j')}_m C^{(jl)}_{ki},
 
-    laid out so Q acts on CoeffVector stackings.  A non-finite kernel sample
-    raises ExpansionError naming (t, s) and the inner block.
+    laid out so Q acts on CoeffVector stackings.  Each chunk of samples is
+    projected and folded by sums run in index order (see the module
+    docstring) and written scaled into its rows of Q.  A non-finite kernel
+    sample raises ExpansionError naming (t, s) and the inner block.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
     K, M = cfg.K, cfg.M
     grid = nodes(cfg, rule)
-    data = None
-    # vals[j, x, k-1, y] = N(t_x, s_y) for outer node t_x of outer block
-    # rows.start + j + 1 and node s_y of inner block k
-    for rows, vals in sample_kernel(kernel, grid, grid):
-        require_finite(vals, grid, "kernel", t=grid[rows])
-        if data is None:
-            data = np.empty((K, M, K, M) + vals.shape[-2:])
-        for j, slab in enumerate(vals, start=rows.start):
-            inner = np.einsum("my,xkyac->xkmac", proj, slab)
-            data[j] = np.einsum("lx,xkiac->lkiac", proj, inner)
-    n_out, n_in = data.shape[4:]
     # fold the block integrals of the product degrees into the d-tensor
     weights = 2.0 * block_integral_weights(M)  # only even m survive
-    g = np.einsum("ipm,m->ip", product_tensor(M), weights)  # (inner degree i, f degree j')
-    # out[j, l, a, k, jp, c] = (d_k/2) * sum_i data[j,l,k,i,a,c] g[i,jp]
-    out = np.einsum("jlkiac,ip->jlakpc", data, g)
-    out *= 0.5 * np.asarray(cfg.partition.widths)[np.newaxis, np.newaxis, np.newaxis, :,
-                                                  np.newaxis, np.newaxis]
+    g = np.einsum("ipm,m->ip", product_tensor(M), weights)  # (inner degree i, f degree p)
+    half_widths = 0.5 * np.asarray(cfg.partition.widths)[:, np.newaxis, np.newaxis]
+    out = None
+    # vals[j, x, k, y, a, c] = N(t_x, s_y) for outer node t_x of outer block
+    # rows.start + j + 1 and node s_y of inner block k + 1
+    for rows, vals in sample_kernel(kernel, grid, grid):
+        require_finite(vals, grid, "kernel", t=grid[rows])
+        if out is None:
+            n_out, n_in = vals.shape[-2:]
+            out = np.empty((K, M, n_out, K, M, n_in))
+        inner = _ordered_sum(proj.T, vals.transpose(3, 0, 1, 2, 4, 5))  # (m; j, x, k, a, c)
+        data = _ordered_sum(proj.T, inner.transpose(2, 0, 1, 4, 3, 5))  # (l; m, j, a, k, c)
+        fold = _ordered_sum(g, data.transpose(1, 2, 0, 3, 4, 5))  # (p; j, l, a, k, c)
+        # out[j, l, a, k, p, c] = (d_k/2) * sum_i data[l, i, j, a, k, c] g[i, p]
+        np.multiply(fold.transpose(1, 2, 3, 4, 0, 5), half_widths, out=out[rows])
     return FredholmOperator(out.reshape(K * M * n_out, K * M * n_in), cfg)
+
+
+def _ordered_sum(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """out[p] = sum over y of w[y, p] * terms[y], the terms added one at a
+    time in order of y to a zero start, over a C-contiguous copy of terms."""
+    terms = np.ascontiguousarray(terms)
+    out = np.zeros(w.shape[1:] + terms.shape[1:])
+    tmp = np.empty(out.shape)
+    for wy, term in zip(w, terms):
+        out += np.multiply.outer(wy, term, out=tmp)
+    return out
 
 
 def sample_kernel(kernel: Callable, grid: np.ndarray,

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +14,17 @@ from bpcheb.expansion import (
     expand_vector,
     nodes,
     product_tensor,
+    sample,
     _Nodes,
 )
 from bpcheb.kernel import fredholm_operator
 from bpcheb.operational import block_integral_weights
+from bpcheb.problem import load
 from bpcheb.quadrature import gauss_u_rule, projection_matrix
 
 from conftest import expdecay_N, pointwise, poly_N
+
+PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 def oracle_fredholm_image(kernel, f, cfg, inner_order=80):
@@ -72,8 +78,7 @@ def separable_q(ahat, bhat, cfg):
     (d_k / 2) * ahat[j, l] * sum over i of bhat[k, i] * g[i, p], with g the
     product tensor folded with the block integrals.
     """
-    weights = 2.0 * block_integral_weights(cfg.M)
-    g = np.einsum("ipm,m->ip", product_tensor(cfg.M), weights)
+    g = fold_weights(cfg.M)
     inner = 0.5 * np.asarray(cfg.partition.widths)[:, None] * (np.asarray(bhat) @ g)
     return np.outer(np.asarray(ahat).reshape(-1), inner.reshape(-1))
 
@@ -126,28 +131,113 @@ class TestProjection:
         np.testing.assert_allclose(q.Q, separable_q(ahat, bhat, cfg), rtol=0, atol=1e-12)
 
 
-def pointwise_fredholm_q(kernel, cfg, rule):
-    """Reference Q by one inner projection per (outer node, inner block).
+def fold_weights(M):
+    """g[i, p]: the product tensor folded with the block integrals."""
+    return np.einsum("ipm,m->ip", product_tensor(M), 2.0 * block_integral_weights(M))
 
-    Same arithmetic as fredholm_operator, one point at a time, so the two
-    must agree exactly.
-    """
+
+def einsum_fredholm_q(kernel, cfg, rule):
+    """Reference Q by the einsum formula: the inner and the outer projection
+    per outer block, then the fold, as three unoptimized np.einsum calls on
+    one sample of the whole grid."""
     proj = projection_matrix(cfg.M - 1, rule)
     grid = nodes(cfg, rule)
-    data = np.array([
-        np.einsum("lq,qkiac->lkiac", proj, np.array([
-            [np.einsum("mq,qac->mac", proj, np.array([np.atleast_2d(kernel(t, s)) for s in ss]))
-             for ss in grid]
-            for t in ts
-        ]))
-        for ts in grid
-    ])
-    weights = 2.0 * block_integral_weights(cfg.M)
-    g = np.einsum("ipm,m->ip", product_tensor(cfg.M), weights)
-    out = np.einsum("jlkiac,ip->jlakpc", data, g)
+    vals = sample(kernel, grid, "kernel", 2, t=grid)
+    data = np.array([np.einsum("lx,xkiac->lkiac", proj, np.einsum("my,xkyac->xkmac", proj, slab))
+                     for slab in vals])
+    out = np.einsum("jlkiac,ip->jlakpc", data, fold_weights(cfg.M))
     out *= 0.5 * np.asarray(cfg.partition.widths)[None, None, None, :, None, None]
     size = cfg.K * cfg.M
     return out.reshape(size * data.shape[4], size * data.shape[5])
+
+
+def in_order(w, terms):
+    """sum over y of w[y, p] * terms[y], added one term at a time from zero."""
+    total = 0.0
+    for wy, term in zip(w, terms):
+        total = total + np.multiply.outer(wy, term)
+    return total
+
+
+def pointwise_fredholm_q(kernel, cfg, rule):
+    """Reference Q by one inner projection per (outer node, inner block).
+
+    Same sums as fredholm_operator, each added in index order, one point at a
+    time, so the two must agree exactly.
+    """
+    proj = projection_matrix(cfg.M - 1, rule)
+    grid = nodes(cfg, rule)
+    g = fold_weights(cfg.M)
+    half_widths = 0.5 * np.asarray(cfg.partition.widths)
+    rows = []
+    for ts in grid:
+        # inner[x, k] = (m, a, c) coefficients in s for outer node x, inner block k
+        inner = np.array([
+            [in_order(proj.T, np.array([np.atleast_2d(kernel(t, s)) for s in ss])) for ss in grid]
+            for t in ts
+        ])
+        data = in_order(proj.T, inner)  # (l, k, i, a, c)
+        fold = in_order(g, data.transpose(2, 0, 3, 1, 4))  # (p, l, a, k, c)
+        rows.append(fold.transpose(1, 2, 3, 0, 4) * half_widths[:, None, None])
+    size = cfg.K * cfg.M
+    return np.array(rows).reshape(size * data.shape[3], -1)
+
+
+def random_kernel(rng, shape):
+    """A smooth kernel of value shape `shape` with random coefficients, that
+    broadcasts over arrays of t and s."""
+    c = rng.uniform(-1.0, 1.0, size=(3,) + shape)
+    outer = np.multiply.outer
+    return lambda t, s: np.cos(outer(c[0], t) + outer(c[1], s)) * np.exp(outer(c[2], t * s))
+
+
+def random_config(rng, K):
+    inner = np.sort(rng.uniform(0.05, 0.95, K - 1))
+    return BasisConfig(Partition((0.0, *inner, 1.0)), int(rng.integers(3, 13)))
+
+
+class TestEinsumReference:
+    """fredholm_operator adds its sums in unoptimized einsum's order, so Q is
+    bit-identical to the einsum formula for every kernel with two or more
+    entries.  numpy could change einsum's loops; the golden CLI outputs rest
+    on this test."""
+
+    @staticmethod
+    def check(kernel, cfg):
+        rule = default_rule(cfg)
+        got = fredholm_operator(kernel, cfg, rule).Q
+        want = einsum_fredholm_q(kernel, cfg, rule)
+        if got.shape == (cfg.K * cfg.M,) * 2:  # scalar kernel: einsum picks another loop
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("K,M", [(None, None), (8, 12)])
+    @pytest.mark.parametrize("name", ["exp_decay_ivp.prob", "polynomial_ivp.prob"])
+    def test_problem_file_kernels(self, name, K, M):
+        problem = load(os.path.join(PROBLEMS_DIR, name)).with_overrides(K=K, M=M)
+        self.check(problem.system_spec().N, problem.basis_config())
+
+    def test_benchmark_kernel(self):
+        # the fredholm_solve workload: exp-decay kernel, K=8, M=12, jittered blocks
+        rng = np.random.default_rng(804)
+        bp = np.arange(9) / 8
+        bp[1:-1] += rng.uniform(-0.3, 0.3, 7) / 8
+        self.check(expdecay_N, BasisConfig(Partition(tuple(bp)), 12))
+
+    @pytest.mark.parametrize("K", [1, 2, 5, 8, 16])
+    @pytest.mark.parametrize("shape", [(), (1, 1), (1, 2), (1, 3), (2, 2), (3, 3), (4, 4)])
+    def test_random_kernels(self, shape, K):
+        rng = np.random.default_rng([K, *shape])
+        self.check(random_kernel(rng, shape), random_config(rng, K))
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_several_chunks(self, monkeypatch, shape):
+        rng = np.random.default_rng(7)
+        cfg = random_config(rng, 5)
+        q = len(default_rule(cfg).nodes)
+        monkeypatch.setattr(kernel_module, "_CHUNK_NODES", 2 * q * cfg.K * q)  # 2, 2 and 1 blocks
+        self.check(random_kernel(rng, shape), cfg)
 
 
 class TestSampling:
@@ -163,6 +253,9 @@ class TestSampling:
         rule = default_rule(cfg)
         want = pointwise_fredholm_q(kernel, cfg, rule)
         assert np.array_equal(fredholm_operator(pointwise(kernel), cfg, rule).Q, want)
+        # the einsum formula sums in another loop for scalar kernels
+        np.testing.assert_allclose(einsum_fredholm_q(pointwise(kernel), cfg, rule), want,
+                                   rtol=0, atol=1e-13 * np.abs(want).max())
 
     @pytest.mark.parametrize("kernel,bp,M", [
         (expdecay_N, (0.0, 1 / 3, 2 / 3, 1.0), 4),
@@ -453,6 +546,18 @@ class TestFredholmOperator:
 
         mixed = q.apply(CoeffVector(2.0 * f1.data - 3.0 * f2.data, f1.K, f1.M, f1.n))
         np.testing.assert_allclose(mixed.data, combo, atol=1e-14)
+
+    def test_peak_memory_stays_near_the_size_of_q(self):
+        # no (K, M, K, M, n, n) intermediate next to Q: per-block einsums
+        # into a full data tensor peaked at 3.2 times Q.nbytes here
+        cfg = BasisConfig.uniform(0, 1, 32, 16)
+        tracemalloc.start()
+        try:
+            q = fredholm_operator(expdecay_N, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * q.Q.nbytes
 
     def test_apply_dimension_mismatch(self):
         cfg = BasisConfig.uniform(0, 1, 2, 4)
