@@ -32,6 +32,7 @@ __all__ = [
     "require_finite",
     "expand_vector",
     "expand_matrix",
+    "project",
     "product_coeff",
     "product_tensor",
     "product_blocks",
@@ -288,7 +289,8 @@ def _grid_layout(vals, ndim: int, lead: tuple) -> np.ndarray | None:
         return None
     vals = vals.reshape((1,) * (ndim - nv) + vals.shape)  # pad in front, like ndmin
     nv = max(nv, ndim)
-    # C-contiguous like the pointwise result: einsum sums a strided view in another order
+    # C-contiguous like the pointwise result: expand_vector's matmul, residual's kernel
+    # einsum and the tests' einsum references sum a strided view in another order
     vals = np.ascontiguousarray(np.moveaxis(vals, range(nv), range(-nv, 0)))
     return vals.reshape(lead + (-1,)) if ndim == 1 else vals
 
@@ -341,7 +343,9 @@ def expand_matrix(
     expect: tuple[str, tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Entrywise expansion of a matrix function of t: the read-only hybrid
-    coefficients, shape (K, M, n_out, n_in), entry [k-1, m] for block k, degree m.
+    coefficients, shape (K, M, n_out, n_in), entry [k-1, m] for block k, degree m,
+    bit-identical to np.einsum("mq,kqab->kmab", proj, samples) except for 1x1
+    data, where that einsum takes another loop and the last bit can differ.
 
     expect = (name, (n_out, n_in)) names mfun and its shape for sample's check.
     A non-finite sample raises ExpansionError naming mfun, the t and the block.
@@ -351,9 +355,18 @@ def expand_matrix(
     grid = nodes(cfg, rule)
     fx = sample(mfun, grid, "matrix function", 2, expect=expect)  # (K, q, n_out, n_in)
     require_finite(fx, grid, expect[0] if expect else "matrix function")
-    coeffs = np.einsum("mq,kqab->kmab", proj, fx)
+    coeffs = project(proj.T, fx.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
     coeffs.flags.writeable = False
     return coeffs
+
+
+def project(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """out[p, ...] = sum over y of w[y, p] * terms[y, ...] by one unoptimized einsum
+    (not BLAS) over a C-contiguous (y; rest) copy of terms: for a rest of two or
+    more entries it adds the terms in order of y from zero, without fused multiply-adds."""
+    terms = np.ascontiguousarray(terms)
+    out = np.einsum("yp,yr->pr", w, terms.reshape(len(terms), -1))
+    return out.reshape(w.shape[1:] + terms.shape[1:])
 
 
 def product_coeff(i: int, j: int, m: int) -> float:

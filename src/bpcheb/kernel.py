@@ -15,12 +15,11 @@ are folded with the triple-product tensor and the closed-form block integrals
     integral of S_m over [-1, 1] = 2/(m+1) for even m, 0 for odd m
 
 (twice operational.block_integral_weights) into one dense matrix Q with
-coeffs(w) = Q coeffs(f), exact up to basis truncation.  The three sums run
-over whole chunks, one term at a time in index order, which is how
-unoptimized np.einsum adds them (without fused multiply-adds).  So Q is
-bit-identical to the einsum formula, and the golden outputs stay fixed,
-except for a scalar kernel: einsum picks another inner loop for it, and the
-two can differ in the last bit.
+coeffs(w) = Q coeffs(f), exact up to basis truncation.  Each of the three
+sums is one einsum per chunk (expansion.project), adding the terms in index
+order without fused multiply-adds, as the einsum formula does.  So Q is
+bit-identical to that formula, and the golden outputs stay fixed, except for
+a scalar kernel, where the formula's einsum takes another loop (last bit).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .basis import BasisConfig
-from .expansion import CoeffVector, default_rule, nodes, product_tensor, require_finite, sample
+from .expansion import CoeffVector, default_rule, nodes, product_tensor, project, require_finite, sample
 from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
 
@@ -74,18 +73,17 @@ def fredholm_operator(
 
         sum over even m of (d_k / (m+1)) * sum over i of d^{(i j')}_m C^{(jl)}_{ki},
 
-    laid out so Q acts on CoeffVector stackings.  Each chunk of samples is
-    projected and folded by sums run in index order (see the module
-    docstring) and written scaled into its rows of Q.  A non-finite kernel
+    laid out so Q acts on CoeffVector stackings.  Each chunk is projected
+    and folded by one einsum per sum, in index order (see the module
+    docstring), and written scaled into its rows of Q.  A non-finite kernel
     sample raises ExpansionError naming (t, s) and the inner block.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
     K, M = cfg.K, cfg.M
     grid = nodes(cfg, rule)
-    # fold the block integrals of the product degrees into the d-tensor
-    weights = 2.0 * block_integral_weights(M)  # only even m survive
-    g = np.einsum("ipm,m->ip", product_tensor(M), weights)  # (inner degree i, f degree p)
+    # g[i, p] (inner degree i, f degree p): the block integrals folded into the d-tensor
+    g = np.einsum("ipm,m->ip", product_tensor(M), 2.0 * block_integral_weights(M))
     half_widths = 0.5 * np.asarray(cfg.partition.widths)[:, np.newaxis, np.newaxis]
     out = None
     # vals[j, x, k, y, a, c] = N(t_x, s_y) for outer node t_x of outer block
@@ -95,23 +93,12 @@ def fredholm_operator(
         if out is None:
             n_out, n_in = vals.shape[-2:]
             out = np.empty((K, M, n_out, K, M, n_in))
-        inner = _ordered_sum(proj.T, vals.transpose(3, 0, 1, 2, 4, 5))  # (m; j, x, k, a, c)
-        data = _ordered_sum(proj.T, inner.transpose(2, 0, 1, 4, 3, 5))  # (l; m, j, a, k, c)
-        fold = _ordered_sum(g, data.transpose(1, 2, 0, 3, 4, 5))  # (p; j, l, a, k, c)
+        inner = project(proj.T, vals.transpose(3, 0, 1, 2, 4, 5))  # (m; j, x, k, a, c)
+        data = project(proj.T, inner.transpose(2, 0, 1, 4, 3, 5))  # (l; m, j, a, k, c)
+        fold = project(g, data.transpose(1, 2, 0, 3, 4, 5))  # (p; j, l, a, k, c)
         # out[j, l, a, k, p, c] = (d_k/2) * sum_i data[l, i, j, a, k, c] g[i, p]
         np.multiply(fold.transpose(1, 2, 3, 4, 0, 5), half_widths, out=out[rows])
     return FredholmOperator(out.reshape(K * M * n_out, K * M * n_in), cfg)
-
-
-def _ordered_sum(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """out[p] = sum over y of w[y, p] * terms[y], the terms added one at a
-    time in order of y to a zero start, over a C-contiguous copy of terms."""
-    terms = np.ascontiguousarray(terms)
-    out = np.zeros(w.shape[1:] + terms.shape[1:])
-    tmp = np.empty(out.shape)
-    for wy, term in zip(w, terms):
-        out += np.multiply.outer(wy, term, out=tmp)
-    return out
 
 
 def sample_kernel(kernel: Callable, grid: np.ndarray,

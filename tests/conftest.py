@@ -143,6 +143,14 @@ def pointwise(f):
     return lambda *args: f(*(float(a) for a in args))
 
 
+def in_order(w, terms):
+    """sum over y of w[y, p] * terms[y], added one term at a time from zero."""
+    total = 0.0
+    for wy, term in zip(w, terms):
+        total = total + np.multiply.outer(wy, term)
+    return total
+
+
 def rk4_reference(spec: SystemSpec, ts, step: float = 1e-4) -> np.ndarray:
     """Classic fixed-step 4th-order integrator for zero-kernel systems.
 

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -21,13 +22,17 @@ from bpcheb.expansion import (
     product_blocks,
     product_coeff,
     product_tensor,
+    project,
     sample,
     synthesize,
     _Nodes,
 )
-from bpcheb.quadrature import gauss_u_rule
+from bpcheb.problem import load
+from bpcheb.quadrature import gauss_u_rule, projection_matrix
 
-from conftest import block_of, expdecay_A, global_of_local, pointwise, poly_A, to_local
+from conftest import block_of, expdecay_A, global_of_local, in_order, pointwise, poly_A, to_local
+
+PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 class TestCoeffVector:
@@ -588,6 +593,83 @@ class TestExpandMatrix:
                 mset[k - 1, m] * chebyshev_u_eval(m, x) for m in range(4)
             )
             np.testing.assert_allclose(rec, poly_A(t), rtol=0, atol=1e-13)
+
+
+def einsum_expand_matrix(mfun, cfg):
+    """Reference coefficients by the einsum formula: one unoptimized
+    np.einsum over the samples of every block."""
+    rule = default_rule(cfg)
+    fx = sample(mfun, nodes(cfg, rule), "matrix function", 2)
+    return np.einsum("mq,kqab->kmab", projection_matrix(cfg.M - 1, rule), fx)
+
+
+class TestEinsumFormula:
+    """expand_matrix equals the einsum formula bit for bit, except for 1x1
+    data, where that formula picks another inner loop of einsum."""
+
+    @staticmethod
+    def check(mfun, cfg):
+        got = expand_matrix(mfun, cfg)
+        want = einsum_expand_matrix(mfun, cfg)
+        if got.shape[2:] == (1, 1):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("K", [1, 2, 5, 8, 16, 64])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3), (4, 4)])
+    def test_random_data(self, shape, K):
+        rng = np.random.default_rng([K, *shape])
+        inner = np.sort(rng.uniform(0.05, 0.95, K - 1))
+        cfg = BasisConfig(Partition((0.0, *inner, 1.0)), int(rng.integers(1, 17)))
+        c = rng.uniform(-2.0, 2.0, size=(2,) + shape)
+        self.check(lambda t: np.sin(np.multiply.outer(c[0], t) + np.multiply.outer(c[1], t * t)), cfg)
+
+    @pytest.mark.parametrize("K,M", [(None, None), (8, 12)])
+    @pytest.mark.parametrize("name", ["exp_decay_ivp.prob", "polynomial_ivp.prob"])
+    def test_problem_file_data(self, name, K, M):
+        problem = load(os.path.join(PROBLEMS_DIR, name)).with_overrides(K=K, M=M)
+        spec, cfg = problem.system_spec(), problem.basis_config()
+        self.check(spec.A, cfg)
+        self.check(spec.B, cfg)
+
+
+class TestProject:
+    """project adds its terms like the in_order loop, from zero in order of y
+    with each product rounded: Q and expand_matrix rest on this."""
+
+    @pytest.mark.parametrize("R", [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 257, 1000,
+                                   4099, 20000])
+    @pytest.mark.parametrize("transposed", [False, True])  # w as proj.T is
+    def test_matches_the_loop_bit_for_bit(self, R, transposed):
+        rng = np.random.default_rng(R)
+        for Y in (1, 2, 3, 5, 8, 13, 20, 28, 40):
+            for P in (1, 2, 3, 7, 12, 20, 32):
+                w = rng.standard_normal((P, Y)).T if transposed else rng.standard_normal((Y, P))
+                terms = rng.standard_normal((Y, R))
+                assert np.array_equal(project(w, terms), in_order(w, terms))
+
+    def test_strided_terms_keep_their_shape(self):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((4, 7)).T
+        terms = rng.standard_normal((5, 3, 7, 2)).transpose(2, 0, 1, 3)  # (y; 5, 3, 2)
+        got = project(w, terms)
+        assert got.shape == (4, 5, 3, 2)
+        assert np.array_equal(got, in_order(w, terms))
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_one_entry_per_term(self, transposed):
+        # with a rest of one entry einsum sums along y in another loop; the
+        # only such call is for K = 1 with 1x1 data in expand_matrix, and for
+        # K = 1, M = 1 with a scalar kernel in fredholm_operator
+        rng = np.random.default_rng(1)
+        for Y in (1, 2, 3, 9, 17, 40):
+            for P in (1, 2, 12, 32):
+                w = rng.standard_normal((P, Y)).T if transposed else rng.standard_normal((Y, P))
+                terms = rng.standard_normal((Y, 1))
+                want = in_order(w, terms)
+                np.testing.assert_allclose(project(w, terms), want, rtol=0,
+                                           atol=1e-15 * np.abs(want).max())
 
 
 class TestProductCoeff:

@@ -22,7 +22,7 @@ from bpcheb.operational import block_integral_weights
 from bpcheb.problem import load
 from bpcheb.quadrature import gauss_u_rule, projection_matrix
 
-from conftest import expdecay_N, pointwise, poly_N
+from conftest import expdecay_N, in_order, pointwise, poly_N
 
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -149,14 +149,6 @@ def einsum_fredholm_q(kernel, cfg, rule):
     out *= 0.5 * np.asarray(cfg.partition.widths)[None, None, None, :, None, None]
     size = cfg.K * cfg.M
     return out.reshape(size * data.shape[4], size * data.shape[5])
-
-
-def in_order(w, terms):
-    """sum over y of w[y, p] * terms[y], added one term at a time from zero."""
-    total = 0.0
-    for wy, term in zip(w, terms):
-        total = total + np.multiply.outer(wy, term)
-    return total
 
 
 def pointwise_fredholm_q(kernel, cfg, rule):
