@@ -52,16 +52,19 @@ def emit_csv(ts, values: np.ndarray, exact: np.ndarray | None = None, meta: str 
     reference columns plus the per-row max error."""
     n = values.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
+    cols = [ts, values]
     if exact is not None:
         header += [f"exact{i + 1}" for i in range(n)] + ["err_max"]
-    lines = []
-    if meta:
-        lines.append(meta)
+        cols += [exact, np.max(np.abs(values - exact), axis=1)]
+    return _csv(header, cols, meta)
+
+
+def _csv(header: list[str], cols: list, meta: str) -> str:
+    """The meta line (if any), the header and one row per time: cols are the
+    columns, 1-D, or 2-D with one row per time, each entry written by _fmt."""
+    lines = [meta] if meta else []
     lines.append(",".join(header))
-    cols = [np.reshape(ts, (-1, 1)), values]
-    if exact is not None:
-        cols += [exact, np.max(np.abs(values - exact), axis=1, keepdims=True)]
-    lines += [",".join(map(_fmt, row)) for row in np.hstack(cols).tolist()]
+    lines += [",".join(map(_fmt, row)) for row in np.column_stack(cols).tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -108,26 +111,17 @@ def _cmd_table(args) -> int:
         raise ProblemError("--M-list: need at least one M value")
     ts = problem.output.resolve_points(problem.t0, problem.tf)
     exact = _exact_values(problem, ts)
-    runs = []
-    for m in m_list:
-        _, values = _solve_problem(problem.with_overrides(M=m))
-        runs.append(values)
+    runs = [_solve_problem(problem.with_overrides(M=m))[1] for m in m_list]
 
-    header = ["t"]
+    header, cols = ["t"], [ts]
     for c in range(problem.n):
         if exact is not None:
             header.append(f"x{c + 1}_exact")
+            cols.append(exact[:, c])
         header += [f"x{c + 1}_M{m}" for m in m_list]
-    lines = [f"{_meta_line(problem)} M_list={','.join(str(m) for m in m_list)}",
-             ",".join(header)]
-    for i, t in enumerate(ts):
-        row = [_fmt(t)]
-        for c in range(problem.n):
-            if exact is not None:
-                row.append(_fmt(exact[i][c]))
-            row += [_fmt(values[i][c]) for values in runs]
-        lines.append(",".join(row))
-    _write_output("\n".join(lines) + "\n", args.out)
+        cols += [values[:, c] for values in runs]
+    meta = f"{_meta_line(problem)} M_list={','.join(str(m) for m in m_list)}"
+    _write_output(_csv(header, cols, meta), args.out)
     return 0
 
 

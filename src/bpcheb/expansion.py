@@ -29,7 +29,6 @@ __all__ = [
     "default_rule",
     "nodes",
     "sample",
-    "require_finite",
     "expand_vector",
     "expand_matrix",
     "project",
@@ -102,30 +101,36 @@ def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
     return 0.5 * ((b - a) * rule.nodes + a + b)
 
 
-def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
-           expect: tuple[str, tuple[int, ...]] | None = None) -> np.ndarray:
-    """Samples of f at every node of grid (shape (K, q)), stacked as (K, q) + sample shape.
+def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
+           shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Checked samples of the datum f at every node of grid (shape (K, q)),
+    stacked as (K, q) + sample shape; every message names the datum by name.
 
     With t given, f is a kernel and the samples are f(t, s) for s on the grid;
     an array t of outer times prefixes its shape.  Each sample becomes a
-    float array of at least ndim dimensions (ndim 1: flattened to a vector).
-    expect = (name, shape) names the datum and the shape its samples must
-    have; without it, the first sample sets the shape.
+    float array of at least ndim dimensions (ndim 1: flattened to a vector)
+    and must have the given shape; without one, the first sample sets it.
 
-    f is first called for the whole grid (see _sample_grid): once with
-    arrays, then, when that result is not kept, once with a _Nodes, which
-    serves code written for a scalar t.  When neither result is kept, f is
-    called once per point, with numpy scalars, and each result is converted
-    and copied into the samples as it comes back: a failing call or
-    conversion, a sample with a non-zero imaginary part, or a sample whose
-    shape differs from the others or from expect raises ExpansionError
-    naming the point and its block.
+    f is first called for the whole grid (see _sample_grid), then, when
+    that result is not kept, once per point (see _sample_points).  Either
+    way a failing call, a sample with a non-zero imaginary part, a sample
+    of another shape, and a NaN or infinite sample raise ExpansionError
+    naming the first such point and its block.
     """
     lead = np.shape(t) + grid.shape
-    shape = expect[1] if expect else None
     vals = _sample_grid(f, grid, ndim, t, lead, shape)
-    if vals is not None:
-        return vals
+    if vals is None:
+        vals = _sample_points(f, grid, name, ndim, t, lead, shape)
+    _require_finite(vals, grid, name, t)
+    return vals
+
+
+def _sample_points(f: Callable, grid: np.ndarray, name: str, ndim: int, t, lead: tuple,
+                   shape: tuple | None) -> np.ndarray:
+    """Samples of f from one call per point, with numpy scalars.  Each result
+    is converted and copied into the samples as it comes back; a failing
+    call or conversion, a complex sample, or a sample whose shape differs
+    from shape (or else from the first sample's) raises ExpansionError."""
     out = None
     for i, ti in np.ndenumerate(t) if np.ndim(t) else [((), t)]:
         for k, xs in enumerate(grid, start=1):
@@ -133,22 +138,21 @@ def sample(f: Callable, grid: np.ndarray, what: str, ndim: int, t=None,
                 try:
                     val = _as_float(f(x) if ti is None else f(ti, x), ndim)
                 except _ComplexSample as exc:
-                    name = expect[0] if expect else what
                     msg = f"{name} is {exc.args[0]} at {_where(ti, x, k)}: data must be real"
                     raise ExpansionError(msg) from None
                 except Exception as exc:
-                    raise ExpansionError(f"{what} failed at {_where(ti, x, k)}: {exc}") from exc
+                    raise ExpansionError(f"{name} failed at {_where(ti, x, k)}: {exc}") from exc
                 if out is None:
-                    if shape is not None and val.shape != shape:  # shape is expect's
+                    if shape is not None and val.shape != shape:
                         args = x if ti is None else f"{ti}, {x}"
                         raise ExpansionError(
-                            f"{what} failed at {_where(ti, x, k)}: {_misfit(expect, args, val)}"
+                            f"{name} failed at {_where(ti, x, k)}: {_misfit(name, shape, args, val)}"
                         )
                     shape = val.shape
                     out = np.empty(lead + shape)
                 if val.shape != shape:
                     raise ExpansionError(
-                        f"{what} at {_where(ti, x, k)} has shape {val.shape}, expected {shape}"
+                        f"{name} at {_where(ti, x, k)} has shape {val.shape}, expected {shape}"
                     )
                 out[i + (k - 1, y)] = val  # a copy: f may overwrite what it returned
     return out
@@ -295,9 +299,9 @@ def _grid_layout(vals, ndim: int, lead: tuple) -> np.ndarray | None:
     return vals.reshape(lead + (-1,)) if ndim == 1 else vals
 
 
-def require_finite(vals: np.ndarray, grid: np.ndarray, name: str, t=None) -> None:
+def _require_finite(vals: np.ndarray, grid: np.ndarray, name: str, t=None) -> None:
     """Raise ExpansionError naming the first non-finite sample of vals, laid out
-    as sample(f, grid, ..., t=t) returns it: its value, its t (or (t, s)) and block."""
+    as sample returns it: its value, its t (or (t, s)) and block."""
     finite = np.isfinite(vals)
     if finite.all():
         return
@@ -314,8 +318,7 @@ def _where(t: float | None, x: float, k: int) -> str:
     return f"t={x} (block {k})" if t is None else f"(t={t}, s={x}) (inner block {k})"
 
 
-def _misfit(expect: tuple[str, tuple[int, ...]], args: float | str, val: np.ndarray) -> str:
-    name, shape = expect
+def _misfit(name: str, shape: tuple[int, ...], args: float | str, val: np.ndarray) -> str:
     if len(shape) == 1:
         return f"{name}({args}) has {val.size} components, expected {shape[0]}"
     return f"{name}({args}) has shape {val.shape}, expected {shape}"
@@ -327,14 +330,12 @@ def expand_vector(
 ) -> CoeffVector:
     """Componentwise expansion of a vector function into CoeffVector layout.
 
-    expect = (name, (n,)) names f and its length for sample's shape check.
-    A non-finite sample raises ExpansionError naming f, the t and the block.
+    expect = (name, (n,)) names f and its length for sample's checks.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
-    grid = nodes(cfg, rule)
-    fx = sample(f, grid, "vector function", 1, expect=expect)  # (K, q, n)
-    require_finite(fx, grid, expect[0] if expect else "vector function")
+    name, shape = expect or ("vector function", None)
+    fx = sample(f, nodes(cfg, rule), name, 1, shape=shape)  # (K, q, n)
     return CoeffVector.from_tensor(proj @ fx)
 
 
@@ -347,14 +348,12 @@ def expand_matrix(
     bit-identical to np.einsum("mq,kqab->kmab", proj, samples) except for 1x1
     data, where that einsum takes another loop and the last bit can differ.
 
-    expect = (name, (n_out, n_in)) names mfun and its shape for sample's check.
-    A non-finite sample raises ExpansionError naming mfun, the t and the block.
+    expect = (name, (n_out, n_in)) names mfun and its shape for sample's checks.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
-    grid = nodes(cfg, rule)
-    fx = sample(mfun, grid, "matrix function", 2, expect=expect)  # (K, q, n_out, n_in)
-    require_finite(fx, grid, expect[0] if expect else "matrix function")
+    name, shape = expect or ("matrix function", None)
+    fx = sample(mfun, nodes(cfg, rule), name, 2, shape=shape)  # (K, q, n_out, n_in)
     coeffs = project(proj.T, fx.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
     coeffs.flags.writeable = False
     return coeffs

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .basis import BasisConfig
-from .expansion import CoeffVector, default_rule, nodes, product_tensor, project, require_finite, sample
+from .expansion import CoeffVector, default_rule, nodes, product_tensor, project, sample
 from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
 
@@ -66,6 +66,7 @@ def fredholm_operator(
     kernel: Callable[[float, float], np.ndarray],
     cfg: BasisConfig,
     rule: WeightedRule | None = None,
+    expect: tuple[str, tuple[int, int]] | None = None,
 ) -> FredholmOperator:
     """Project the kernel on both variables and fold in the block integrals.
 
@@ -75,8 +76,10 @@ def fredholm_operator(
 
     laid out so Q acts on CoeffVector stackings.  Each chunk is projected
     and folded by one einsum per sum, in index order (see the module
-    docstring), and written scaled into its rows of Q.  A non-finite kernel
-    sample raises ExpansionError naming (t, s) and the inner block.
+    docstring), and written scaled into its rows of Q.  expect = (name,
+    (n_out, n_in)) names the kernel and its shape for sample's checks, which
+    raise ExpansionError at the first bad sample, naming (t, s) and the
+    inner block.
     """
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
@@ -85,11 +88,11 @@ def fredholm_operator(
     # g[i, p] (inner degree i, f degree p): the block integrals folded into the d-tensor
     g = np.einsum("ipm,m->ip", product_tensor(M), 2.0 * block_integral_weights(M))
     half_widths = 0.5 * np.asarray(cfg.partition.widths)[:, np.newaxis, np.newaxis]
+    name, shape = expect or ("kernel", None)
     out = None
     # vals[j, x, k, y, a, c] = N(t_x, s_y) for outer node t_x of outer block
     # rows.start + j + 1 and node s_y of inner block k + 1
-    for rows, vals in sample_kernel(kernel, grid, grid):
-        require_finite(vals, grid, "kernel", t=grid[rows])
+    for rows, vals in sample_kernel(kernel, grid, grid, name, shape):
         if out is None:
             n_out, n_in = vals.shape[-2:]
             out = np.empty((K, M, n_out, K, M, n_in))
@@ -101,20 +104,19 @@ def fredholm_operator(
     return FredholmOperator(out.reshape(K * M * n_out, K * M * n_in), cfg)
 
 
-def sample_kernel(kernel: Callable, grid: np.ndarray,
-                  ts: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """Samples of kernel(t, s) for s on grid, in chunks of the rows ts[i] of
-    outer times: yields (rows, vals), vals laid out as
-    sample(kernel, grid, "kernel", 2, t=ts[rows]) returns it.
+def sample_kernel(kernel: Callable, grid: np.ndarray, ts: np.ndarray, name: str,
+                  shape: tuple[int, int] | None) -> Iterator[tuple[slice, np.ndarray]]:
+    """Checked samples of kernel(t, s) for s on grid, in chunks of the rows
+    ts[i] of outer times: yields (rows, vals), vals laid out as
+    sample(kernel, grid, name, 2, t=ts[rows], shape=shape) returns it.
 
     A chunk is one sample call over as many rows as fit in _CHUNK_NODES
-    (t, s) nodes, and at least one row.  Every chunk gets a new array; the
-    chunks after the first must have the first one's sample shape.
+    (t, s) nodes, and at least one row.  Every chunk gets a new array and
+    the same shape; without a given shape, the first chunk sets it.
     """
     step = max(1, _CHUNK_NODES // (np.size(ts[0]) * grid.size))
-    expect = None
     for start in range(0, len(ts), step):
         rows = slice(start, start + step)
-        vals = sample(kernel, grid, "kernel", 2, t=ts[rows], expect=expect)
-        expect = ("kernel", vals.shape[np.ndim(ts) + grid.ndim:])
+        vals = sample(kernel, grid, name, 2, t=ts[rows], shape=shape)
+        shape = vals.shape[np.ndim(ts) + grid.ndim:]
         yield rows, vals

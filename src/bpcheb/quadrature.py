@@ -38,10 +38,6 @@ class WeightedRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def order(self) -> int:
-        return self.nodes.size
-
 
 def gauss_u_rule(n: int) -> WeightedRule:
     """The n-point Gauss rule for the weight sqrt(1 - x^2) on [-1, 1]."""

@@ -47,14 +47,12 @@ from .expansion import (
     expand_matrix,
     expand_vector,
     product_blocks,
-    require_finite,
     sample,
     synthesize,
 )
 from .kernel import fredholm_operator, sample_kernel
 from .linalg import LU, inf_norm
 from .operational import apply_pt, pt_parts
-from .quadrature import WeightedRule
 
 __all__ = [
     "SystemSpec",
@@ -83,8 +81,10 @@ class SystemSpec:
     be None, meaning identically zero.  Each is first called on whole arrays
     of nodes (N on chunks of whole outer blocks, see kernel.sample_kernel),
     then with all nodes in one scalar-like object (for code written for a
-    scalar t), and one call per node is the last fallback (see
-    expansion.sample).
+    scalar t), and one call per node is the last fallback.  Every datum is
+    checked where it is sampled (expansion.sample): a failing call and a
+    complex, misshapen, NaN or infinite sample raise ExpansionError naming
+    the key (A, B, N or u), the t or (t, s), and the block.
     """
 
     n: int
@@ -121,7 +121,8 @@ class AssembledSystem:
 
     phi_blocks (K, Mn, Mn) holds the block-k product operator of A at index
     k-1 and b_blocks (K, Mn, Mr) that of B; Q is the (KMn x KMn) Fredholm
-    operator of N, or None without a kernel.
+    operator of N, or None without a kernel.  All of them, and the control's
+    coefficients in solve, are projections on expansion.default_rule.
 
     Without a kernel, block k satisfies D_k x_k = rhs_k + (e_0 kron I_n) c_k
     with D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and the carry
@@ -137,8 +138,7 @@ class AssembledSystem:
     """
 
     def __init__(self, cfg: BasisConfig, n: int, r: int, phi_blocks: np.ndarray,
-                 b_blocks: np.ndarray, Q: np.ndarray | None, X0hat: CoeffVector,
-                 rule: WeightedRule | None):
+                 b_blocks: np.ndarray, Q: np.ndarray | None, X0hat: CoeffVector):
         for arr in (phi_blocks, b_blocks, Q):
             if arr is not None:
                 arr.flags.writeable = False
@@ -149,7 +149,6 @@ class AssembledSystem:
         self.b_blocks = b_blocks
         self.Q = Q
         self.X0hat = X0hat
-        self.rule = rule
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """[I - (P^T kron I_n) Phi] x, without forming the matrix."""
@@ -225,7 +224,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def assemble(spec: SystemSpec, cfg: BasisConfig, rule: WeightedRule | None = None) -> AssembledSystem:
+def assemble(spec: SystemSpec, cfg: BasisConfig) -> AssembledSystem:
     """Expand the system data on cfg and build all coefficient-space operators."""
     if (cfg.partition.t0, cfg.partition.tf) != (spec.t0, spec.tf):
         raise ValueError(
@@ -237,22 +236,18 @@ def assemble(spec: SystemSpec, cfg: BasisConfig, rule: WeightedRule | None = Non
     if spec.A is None:
         phi_blocks = np.zeros((K, M * n, M * n))
     else:
-        phi_blocks = product_blocks(expand_matrix(spec.A, cfg, rule, expect=("A", (n, n))))
+        phi_blocks = product_blocks(expand_matrix(spec.A, cfg, expect=("A", (n, n))))
     if spec.B is None:
         b_blocks = np.zeros((K, M * n, M * r))
     else:
-        b_blocks = product_blocks(expand_matrix(spec.B, cfg, rule, expect=("B", (n, r))))
+        b_blocks = product_blocks(expand_matrix(spec.B, cfg, expect=("B", (n, r))))
     Q = None
     if spec.N is not None:
-        Q = fredholm_operator(spec.N, cfg, rule).Q
-        if Q.shape != (K * M * n, K * M * n):
-            shape = (Q.shape[0] // (M * K), Q.shape[1] // (M * K))
-            raise ValueError(f"N(t, s) has shape {shape}, expected {(n, n)}")
+        Q = fredholm_operator(spec.N, cfg, expect=("N", (n, n))).Q
 
     x0tensor = np.zeros((K, M, n))
     x0tensor[:, 0, :] = spec.x0
-    return AssembledSystem(cfg, n, r, phi_blocks, b_blocks, Q, CoeffVector.from_tensor(x0tensor),
-                           rule)
+    return AssembledSystem(cfg, n, r, phi_blocks, b_blocks, Q, CoeffVector.from_tensor(x0tensor))
 
 
 def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "HybridSolution":
@@ -260,7 +255,7 @@ def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "Hyb
     cfg = asm.cfg
     rhs = asm.X0hat.data.copy()
     if u is not None:
-        uhat = expand_vector(u, cfg, asm.rule, expect=("u", (asm.r,))).data
+        uhat = expand_vector(u, cfg, expect=("u", (asm.r,))).data
         if asm.Q is None:
             rhs += apply_pt(cfg, _apply_blocks(asm.b_blocks, uhat))
         else:
@@ -276,9 +271,9 @@ def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "Hyb
     return HybridSolution(cfg, CoeffVector(xhat, cfg.K, cfg.M, asm.n))
 
 
-def hybrid_solve(spec: SystemSpec, cfg: BasisConfig, rule: WeightedRule | None = None) -> "HybridSolution":
+def hybrid_solve(spec: SystemSpec, cfg: BasisConfig) -> "HybridSolution":
     """assemble + solve with the system's own control."""
-    return solve(assemble(spec, cfg, rule), spec.u)
+    return solve(assemble(spec, cfg), spec.u)
 
 
 @dataclass(frozen=True)
@@ -319,15 +314,16 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
     """Max defect of the original equation over tgrid, over all components.
 
     The time derivative uses the exact per-block Chebyshev differentiation.
-    A, B and u are sampled exactly as assemble samples them (see
-    expansion.sample), with the times of tgrid as the one row of an
+    A, B and u are sampled and checked exactly as assemble samples them
+    (see expansion.sample), with the times of tgrid as the one row of an
     evaluation grid, so the "(block 1)" that their sampling errors name
     counts rows of that grid, not blocks of the partition.  The Fredholm
     term integrates the reconstructed solution with Gauss-Legendre
     quadrature on every block, sampling N on those nodes for chunks of
-    tgrid at a time (kernel.sample_kernel).  A non-finite, complex or
-    misshapen sample raises ExpansionError naming the datum and its t or
-    (t, s).
+    tgrid at a time (kernel.sample_kernel) with the shape (n, n).  A
+    failing call or a non-finite, complex or misshapen sample raises
+    ExpansionError naming the datum, its t or (t, s), and the block (for N,
+    the inner block of the quadrature).
     """
     ts = np.asarray(tgrid, dtype=float).reshape(-1)
     if not ts.size:
@@ -336,7 +332,7 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
     defect = sol._derivative().evaluate_many(ts)
     grid = ts[np.newaxis]
     if spec.A is not None:
-        A = _sample_data(spec.A, grid, 2, ("A", (spec.n, spec.n)))
+        A = sample(spec.A, grid, "A", 2, shape=(spec.n, spec.n))[0]
         defect -= (A @ x[..., np.newaxis])[..., 0]
     if spec.N is not None:
         glx, glw = np.polynomial.legendre.leggauss(quad_order)
@@ -346,21 +342,10 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
         # weighted states at the inner nodes, (K, quad_order, n)
         inner_states = sol.evaluate_many(inner_nodes).reshape(inner_nodes.shape + (-1,))
         inner_states *= (0.5 * (b - a) * glw)[..., np.newaxis]
-        for rows, kvals in sample_kernel(spec.N, inner_nodes, ts):
-            require_finite(kvals, inner_nodes, "kernel", t=ts[rows])
+        for rows, kvals in sample_kernel(spec.N, inner_nodes, ts, "N", (spec.n, spec.n)):
             defect[rows] -= np.einsum("jkqac,kqc->ja", kvals, inner_states)
     if spec.B is not None and spec.u is not None:
-        B = _sample_data(spec.B, grid, 2, ("B", (spec.n, spec.r)))
-        u = _sample_data(spec.u, grid, 1, ("u", (spec.r,)))
+        B = sample(spec.B, grid, "B", 2, shape=(spec.n, spec.r))[0]
+        u = sample(spec.u, grid, "u", 1, shape=(spec.r,))[0]
         defect -= (B @ u[..., np.newaxis])[..., 0]
     return float(np.abs(defect).max())
-
-
-def _sample_data(f: Callable, grid: np.ndarray, ndim: int,
-                 expect: tuple[str, tuple[int, ...]]) -> np.ndarray:
-    """f's finite samples at the one row of times in grid, as expand_vector
-    (ndim 1) and expand_matrix (ndim 2) take them: shape (len(row),) + expect[1]."""
-    what = "vector function" if ndim == 1 else "matrix function"
-    vals = sample(f, grid, what, ndim, expect=expect)
-    require_finite(vals, grid, expect[0])
-    return vals[0]

@@ -199,7 +199,7 @@ def dense_reference_system(asm, u) -> tuple[np.ndarray, np.ndarray]:
         phi += asm.Q
     rhs = asm.X0hat.data.copy()
     if u is not None:
-        uhat = expand_vector(lambda t: np.atleast_1d(u(t)), asm.cfg, asm.rule).data
+        uhat = expand_vector(lambda t: np.atleast_1d(u(t)), asm.cfg).data
         rhs += pkron @ (scipy.linalg.block_diag(*asm.b_blocks) @ uhat)
     return np.eye(rhs.size) - pkron @ phi, rhs
 

@@ -126,9 +126,10 @@ class TestSolveCommand:
         assert float(out.err.strip().split()[-1]) <= 1e-10
 
     @pytest.mark.parametrize("old,new,where", [
-        ('A = [["2"]]', 'A = [["2"]]\nB = [["1"]]\nu = ["ln(t-0.5)"]',
-         "vector function failed at t="),
-        ('A = [["2"]]', 'A = [["2"]]\nN = [["sqrt(s-0.5)"]]', "kernel failed at (t="),
+        ('A = [["2"]]', 'A = [["2"]]\nB = [["1"]]\nu = ["ln(t-0.5)"]', "u failed at t="),
+        ('A = [["2"]]', 'A = [["2"]]\nN = [["sqrt(s-0.5)"]]', "N failed at (t="),
+        ('A = [["2"]]', 'A = [["ln(t-0.5)"]]', "A failed at t="),
+        ('A = [["2"]]', 'A = [["2"]]\nu = ["1"]\nB = [["sqrt(0.5-t)"]]', "B failed at t="),
     ])
     def test_data_evaluation_failure_exits_1(self, tmp_path, capsys, old, new, where):
         cfgfile = tmp_path / "domain.prob"
@@ -196,6 +197,17 @@ class TestTableCommand:
         # the M=9 column agrees with the analytic one at printed precision
         assert abs(float(rows["0.5"][4]) - float(rows["0.5"][1])) < 1e-11
 
+    def test_columns_match_solve_byte_for_byte(self, capsys):
+        assert main(["table", "--config", EXPDECAY, "--M-list", "5,7"]) == 0
+        table = _columns(capsys.readouterr().out)
+        for m in (5, 7):
+            assert main(["solve", "--config", EXPDECAY, "--M", str(m)]) == 0
+            solved = _columns(capsys.readouterr().out)
+            assert table["t"] == solved["t"]
+            for c in (1, 2):
+                assert table[f"x{c}_M{m}"] == solved[f"x{c}"]
+                assert table[f"x{c}_exact"] == solved[f"exact{c}"]
+
     def test_invalid_m_list(self, capsys):
         assert main(["table", "--config", EXPDECAY, "--M-list", "5,x"]) == 1
         assert "M-list" in capsys.readouterr().err
@@ -203,3 +215,9 @@ class TestTableCommand:
     def test_empty_m_list(self, capsys):
         assert main(["table", "--config", EXPDECAY, "--M-list", ","]) == 1
         capsys.readouterr()
+
+
+def _columns(csv: str) -> dict[str, list[str]]:
+    """The printed cells of a CSV table by column name, the meta line skipped."""
+    header, *rows = [line.split(",") for line in csv.splitlines() if not line.startswith("#")]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}

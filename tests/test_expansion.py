@@ -227,8 +227,11 @@ class TestGridSampling:
             # its two probes
             assert grid_fn.calls == (3 if kept else 2 + 3)
             assert np.array_equal(got, fn(self.GRID)[:, :, None] if kept else self.GRID[:, :, None])
+        # the inf grid result is kept after its two probes, then named as the first inf sample
         inf = _Recorder(lambda t: np.full(np.shape(t), np.inf))
-        assert np.all(sample(inf, self.GRID, "vector function", 1) == np.inf) and inf.calls == 3
+        with pytest.raises(ExpansionError, match=r"^vector function is inf at t=0.1 \(block 1\)$"):
+            sample(inf, self.GRID, "vector function", 1)
+        assert inf.calls == 3
 
     def test_warnings_only_from_a_kept_grid_call(self):
         def fn(t, keep):
@@ -252,11 +255,10 @@ class TestGridSampling:
         f = _matrix_fn if grid else pointwise(_matrix_fn)
         with pytest.raises(ExpansionError, match=r"failed at t=0.1 \(block 1\): A\(0.1\) has "
                                                  r"shape \(2, 2\), expected \(3, 3\)"):
-            sample(f, self.GRID, "matrix function", 2, expect=("A", (3, 3)))
+            sample(f, self.GRID, "A", 2, shape=(3, 3))
         vec = lambda t: np.array([t, t])  # noqa: E731
         with pytest.raises(ExpansionError, match=r"u\(0.1\) has 2 components, expected 1"):
-            sample(vec if grid else pointwise(vec), self.GRID, "vector function", 1,
-                   expect=("u", (1,)))
+            sample(vec if grid else pointwise(vec), self.GRID, "u", 1, shape=(1,))
 
 
 class TestNodesCall:
@@ -307,7 +309,7 @@ class TestNodesCall:
     def test_complex_entry_is_named(self):
         f = lambda t: np.array([[1.0, 1j * t]])  # noqa: E731
         with pytest.raises(ExpansionError, match=r"^A is 0.1j at t=0.1 \(block 1\): data must be real$"):
-            sample(f, self.GRID, "matrix function", 2, expect=("A", (1, 2)))
+            sample(f, self.GRID, "A", 2, shape=(1, 2))
 
 
 class TestExpandScalarBlock:
@@ -421,7 +423,7 @@ class TestPointwiseSampling:
             x = float(xs[-1])
             return np.array([[1.0, x], [x, 2.0]])
 
-        got = sample(ragged, self.GRID, "matrix function", 2, expect=("A", (2, 2)))
+        got = sample(ragged, self.GRID, "A", 2, shape=(2, 2))
         scalar_calls = args[2:]
         assert len(args) == 2 + self.GRID.size  # the failed array and _Nodes calls, then each node
         assert isinstance(args[0][0], np.ndarray) and isinstance(args[1][0], _Nodes)
@@ -451,7 +453,7 @@ class TestPointwiseSampling:
 
     def test_vector_mixing_scalars_and_one_vectors(self):
         f = lambda t: float(t) if t < 0.5 else np.array([2 * float(t)])  # noqa: E731
-        got = sample(f, self.GRID, "vector function", 1, expect=("u", (1,)))
+        got = sample(f, self.GRID, "u", 1, shape=(1,))
         assert np.array_equal(got[..., 0], np.where(self.GRID < 0.5, self.GRID, 2 * self.GRID))
         cfg = BasisConfig(Partition((0.0, 0.5, 1.0)), 3)
         assert np.array_equal(expand_vector(f, cfg, expect=("u", (1,))).data,

@@ -103,7 +103,9 @@ class TestAssemble:
 
     def test_kernel_shape_mismatch_names_n(self):
         spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[0.0, 0.0], N=lambda t, s: np.eye(3))
-        with pytest.raises(ValueError, match=r"N\(t, s\) has shape \(3, 3\), expected \(2, 2\)"):
+        message = (r"^N failed at \(t=(.*), s=(.*)\) \(inner block 1\): "
+                   r"N\(\1, \2\) has shape \(3, 3\), expected \(2, 2\)$")
+        with pytest.raises(ExpansionError, match=message):
             assemble(spec, BasisConfig.uniform(0, 1, 2, 3))
 
     def test_control_failure_names_t_and_block(self):
@@ -184,7 +186,7 @@ class TestSolve:
         asm = assemble(expdecay_system, BasisConfig.uniform(0, 1, 4, 7))
         sol = solve(asm, expdecay_system.u)
         # rebuild the right-hand side the way solve does and check the defect
-        uhat = expand_vector(lambda t: np.atleast_1d(expdecay_system.u(t)), asm.cfg, asm.rule)
+        uhat = expand_vector(lambda t: np.atleast_1d(expdecay_system.u(t)), asm.cfg)
         rhs = asm.X0hat.data + asm.PkronT @ (asm.Bop @ uhat.data)
         defect = inf_norm(asm.system_matrix @ sol.xhat.data - rhs)
         assert defect <= 1e-10 * (1.0 + inf_norm(rhs))
@@ -280,8 +282,7 @@ class TestSolve:
             "u": lambda t: np.array([1 + 1j * t]),
         }
         spec = dataclasses.replace(expdecay_system, **{datum: complex_data[datum]})
-        name = "kernel" if datum == "N" else datum
-        with pytest.raises(ExpansionError, match=rf"^{name} is .*j\)? at .*: data must be real$"):
+        with pytest.raises(ExpansionError, match=rf"^{datum} is .*j\)? at .*: data must be real$"):
             hybrid_solve(spec, BasisConfig.uniform(0, 1, 2, 4))
 
     def test_dense_block_diagonals_match_scipy(self, expdecay_system):
@@ -516,7 +517,7 @@ class TestResidual:
             return expdecay_system.N(t, s)
 
         spec = dataclasses.replace(expdecay_system, N=kernel)
-        with pytest.raises(ExpansionError, match=r"kernel failed at \(t=0.1, s=.*\) \(inner block 3\): nope"):
+        with pytest.raises(ExpansionError, match=r"^N failed at \(t=0.1, s=.*\) \(inner block 3\): nope$"):
             residual(spec, sol, EXP_TS, quad_order=10)
 
     @pytest.mark.parametrize("system", ["poly_system", "expdecay_system"])
@@ -573,8 +574,33 @@ class TestResidual:
         s = inner.flat[np.argmax(inner.reshape(-1) > 0.6)]  # in block 3, [0.5, 0.75]
         kernel = lambda t, s: np.where((t == 0.5) & (s > 0.6), bad, 1.0 + 0 * t * s)  # noqa: E731
         with pytest.raises(ExpansionError,
-                           match=rf"^kernel is {bad} at \(t=0.5, s={s}\) \(inner block 3\)$"):
+                           match=rf"^N is {bad} at \(t=0.5, s={s}\) \(inner block 3\)$"):
             residual(dataclasses.replace(spec, N=kernel), sol, EXP_TS, quad_order=10)
+
+    @pytest.mark.parametrize("kernel, problem", [
+        pytest.param(lambda t, s: t * s,
+                     r"failed at {where}: N\(.*\) has shape \(1, 1\), expected \(2, 2\)", id="scalar"),
+        pytest.param(lambda t, s: np.array([[t, s, t * s]]),
+                     r"failed at {where}: N\(.*\) has shape \(1, 3\), expected \(2, 2\)", id="1x3"),
+        pytest.param(lambda t, s: np.eye(3) * t,
+                     r"failed at {where}: N\(.*\) has shape \(3, 3\), expected \(2, 2\)", id="3x3"),
+        pytest.param(lambda t, s: np.array([[t, s], [s, np.nan * t]]), r"is nan at {where}", id="nan"),
+        pytest.param(lambda t, s: np.array([[1j * t, s], [s, t]]),
+                     r"is .*j\)? at {where}: data must be real", id="complex"),
+    ])
+    @pytest.mark.parametrize("stage", ["assemble", "residual"])
+    def test_bad_kernel_names_n_t_s_and_block(self, expdecay_system, kernel, problem, stage):
+        # residual's kernel einsum would broadcast a scalar N to (2, 2) and answer, and
+        # fail unlocated for the (1, 3) and (3, 3) ones: only the sampling check names N
+        cfg = BasisConfig.uniform(0, 1, EXP_K, 5)
+        sol = hybrid_solve(expdecay_system, cfg)
+        spec = dataclasses.replace(expdecay_system, N=kernel)
+        where = r"\(t=[^,]+, s=[^)]+\) \(inner block 1\)"
+        with pytest.raises(ExpansionError, match="^N " + problem.format(where=where) + "$"):
+            if stage == "assemble":
+                assemble(spec, cfg)
+            else:
+                residual(spec, sol, EXP_TS)
 
     def test_complex_u_is_rejected_like_in_solve(self, expdecay_system):
         cfg = BasisConfig.uniform(0, 1, EXP_K, 5)
