@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Strictly increasing breakpoints [t_0, ..., t_K] of the time interval."""
+    """Strictly increasing breakpoints [t_0, ..., t_K] of the time interval.
+
+    breakpoint_array and width_array hold the breakpoints and the block
+    widths as read-only float arrays.  Each is computed on first use and
+    kept on the partition, shared by every caller, for as long as the
+    partition lives.
+    """
 
     breakpoints: tuple[float, ...]
 
@@ -67,6 +74,20 @@ class Partition:
     def widths(self) -> tuple[float, ...]:
         bp = self.breakpoints
         return tuple(b - a for a, b in zip(bp, bp[1:]))
+
+    @cached_property
+    def breakpoint_array(self) -> np.ndarray:
+        """[t_0, ..., t_K] as a read-only array, shape (K+1,)."""
+        bp = np.array(self.breakpoints)
+        bp.flags.writeable = False
+        return bp
+
+    @cached_property
+    def width_array(self) -> np.ndarray:
+        """The block widths d_k = t_k - t_{k-1} as a read-only array, shape (K,)."""
+        d = np.diff(self.breakpoint_array)
+        d.flags.writeable = False
+        return d
 
     def block_bounds(self, k: int) -> tuple[float, float]:
         """Closed bounds [t_{k-1}, t_k] of block k (1-based)."""
@@ -126,10 +147,11 @@ def chebyshev_u_all(max_degree: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.empty((max_degree + 1, x.size), dtype=float)
     out[0] = 1.0
+    two_x = 2.0 * x
     if max_degree >= 1:
-        out[1] = 2.0 * x
+        out[1] = two_x
     for m in range(1, max_degree):
-        out[m + 1] = 2.0 * x * out[m] - out[m - 1]
+        out[m + 1] = two_x * out[m] - out[m - 1]
     return out
 
 
@@ -143,8 +165,9 @@ def chebyshev_u_series(coeffs: np.ndarray, x: float) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     b1 = np.zeros_like(c[0])
     b2 = np.zeros_like(c[0])
+    two_x = 2.0 * x
     for m in range(c.shape[0] - 1, -1, -1):
-        b1, b2 = c[m] + 2.0 * x * b1 - b2, b1
+        b1, b2 = c[m] + two_x * b1 - b2, b1
     return b1
 
 

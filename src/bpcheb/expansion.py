@@ -51,7 +51,8 @@ class ExpansionError(Exception):
 
 
 def default_rule(cfg: BasisConfig) -> WeightedRule:
-    """The library-default rule: M + 8 points."""
+    """The library-default rule: M + 8 points, one shared rule per M (see
+    quadrature.gauss_u_rule)."""
     return gauss_u_rule(cfg.M + DEFAULT_EXTRA_ORDER)
 
 
@@ -96,9 +97,9 @@ class CoeffVector:
 
 def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
     """The rule's nodes pulled back to every block: shape (K, q), row k-1 is block k."""
-    bp = np.asarray(cfg.partition.breakpoints)
+    bp = cfg.partition.breakpoint_array
     a, b = bp[:-1, np.newaxis], bp[1:, np.newaxis]
-    return 0.5 * ((b - a) * rule.nodes + a + b)
+    return 0.5 * (cfg.partition.width_array[:, np.newaxis] * rule.nodes + a + b)
 
 
 def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
@@ -376,7 +377,7 @@ def product_coeff(i: int, j: int, m: int) -> float:
     return 1.0 if abs(i - j) <= m <= i + j and (i + j + m) % 2 == 0 else 0.0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def product_tensor(M: int) -> np.ndarray:
     """Read-only (M, M, M) tensor d[i, j, m] of product_coeff values, cached per M."""
     d = np.zeros((M, M, M))
@@ -413,7 +414,7 @@ def synthesize(coeffs: CoeffVector, cfg: BasisConfig, t) -> np.ndarray:
     p = cfg.partition
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
-    bp = np.asarray(p.breakpoints)
+    bp = p.breakpoint_array
     inside = (flat >= p.t0) & (flat <= p.tf)
     k = np.clip(np.searchsorted(bp, flat, side="right"), 1, p.num_blocks)
     a, b = bp[k - 1], bp[k]

@@ -25,6 +25,7 @@ a scalar kernel, where the formula's einsum takes another loop (last bit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -85,9 +86,8 @@ def fredholm_operator(
     proj = projection_matrix(cfg.M - 1, rule)
     K, M = cfg.K, cfg.M
     grid = nodes(cfg, rule)
-    # g[i, p] (inner degree i, f degree p): the block integrals folded into the d-tensor
-    g = np.einsum("ipm,m->ip", product_tensor(M), 2.0 * block_integral_weights(M))
-    half_widths = 0.5 * np.asarray(cfg.partition.widths)[:, np.newaxis, np.newaxis]
+    g = _fold_weights(M)
+    half_widths = 0.5 * cfg.partition.width_array[:, np.newaxis, np.newaxis]
     name, shape = expect or ("kernel", None)
     out = None
     # vals[j, x, k, y, a, c] = N(t_x, s_y) for outer node t_x of outer block
@@ -102,6 +102,16 @@ def fredholm_operator(
         # out[j, l, a, k, p, c] = (d_k/2) * sum_i data[l, i, j, a, k, c] g[i, p]
         np.multiply(fold.transpose(1, 2, 3, 4, 0, 5), half_widths, out=out[rows])
     return FredholmOperator(out.reshape(K * M * n_out, K * M * n_in), cfg)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _fold_weights(M: int) -> np.ndarray:
+    """g[i, p] (inner degree i, f degree p): the block integrals folded into
+    the d-tensor; read-only, built once per M and shared for the life of the
+    process."""
+    g = np.einsum("ipm,m->ip", product_tensor(M), 2.0 * block_integral_weights(M))
+    g.flags.writeable = False
+    return g
 
 
 def sample_kernel(kernel: Callable, grid: np.ndarray, ts: np.ndarray, name: str,

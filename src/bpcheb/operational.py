@@ -25,6 +25,7 @@ P^T kron I_n is apply_pt(cfg, I_{KMn}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +54,13 @@ class OperationalMatrix:
         object.__setattr__(self, "P", P)
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_phat(M: int) -> np.ndarray:
-    """The M x M within-block integration matrix (local interval [-1, 1])."""
+    """The M x M within-block integration matrix (local interval [-1, 1]).
+
+    Cached per M: every call with the same M returns the same read-only
+    array, shared for the life of the process.
+    """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     phat = np.zeros((M, M))
@@ -67,6 +73,7 @@ def build_phat(M: int) -> np.ndarray:
         phat[k, k - 1] = -0.5 / (k + 1)
     for k in range(3, M + 1):  # first column tail (-1)^(k-1)/k
         phat[k - 1, 0] = (-1.0) ** (k - 1) / k
+    phat.flags.writeable = False
     return phat
 
 
@@ -75,12 +82,19 @@ def build_p(cfg: BasisConfig) -> OperationalMatrix:
     return OperationalMatrix(apply_pt(cfg, np.eye(cfg.M * cfg.K)).T, cfg)
 
 
+@lru_cache(maxsize=None, typed=True)
 def block_integral_weights(M: int) -> np.ndarray:
-    """v_m = 1/(m+1) for even m, 0 for odd m, m < M: half the integral of S_m over [-1, 1]."""
+    """v_m = 1/(m+1) for even m, 0 for odd m, m < M: half the integral of S_m over [-1, 1].
+
+    Cached per M: every call with the same M returns the same read-only
+    array, shared for the life of the process.
+    """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     m = np.arange(M)
-    return np.where(m % 2 == 0, 1.0 / (m + 1.0), 0.0)
+    v = np.where(m % 2 == 0, 1.0 / (m + 1.0), 0.0)
+    v.flags.writeable = False
+    return v
 
 
 def pt_parts(cfg: BasisConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +108,7 @@ def pt_parts(cfg: BasisConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=float)
     K, M = cfg.K, cfg.M
     cols = z.reshape(K, M, -1)
-    d = np.asarray(cfg.partition.widths)[:, np.newaxis]
+    d = cfg.partition.width_array[:, np.newaxis]
     within = build_phat(M).T @ cols
     within *= 0.5 * d[:, np.newaxis]
     totals = d * (block_integral_weights(M) @ cols)

@@ -14,7 +14,8 @@ i = 1..n, and integrates p(x) sqrt(1 - x^2) exactly for deg p <= 2n - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,10 +26,13 @@ __all__ = ["WeightedRule", "gauss_u_rule"]
 
 @dataclass(frozen=True)
 class WeightedRule:
-    """Nodes (strictly decreasing, in (-1, 1)) and positive weights."""
+    """Nodes (strictly decreasing, in (-1, 1)) and positive weights, as
+    read-only arrays; the rule also holds the projection matrices built from
+    it (see projection_matrix)."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    _projections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -39,8 +43,13 @@ class WeightedRule:
         object.__setattr__(self, "weights", weights)
 
 
+@lru_cache(maxsize=None, typed=True)
 def gauss_u_rule(n: int) -> WeightedRule:
-    """The n-point Gauss rule for the weight sqrt(1 - x^2) on [-1, 1]."""
+    """The n-point Gauss rule for the weight sqrt(1 - x^2) on [-1, 1].
+
+    Cached per n: every call with the same n returns the same rule, whose
+    read-only arrays are shared by every caller for the life of the process.
+    """
     if n < 1:
         raise ValueError(f"rule order must be >= 1, got {n}")
     i = np.arange(1, n + 1, dtype=float)
@@ -52,7 +61,14 @@ def projection_matrix(max_degree: int, rule: WeightedRule) -> np.ndarray:
     """Matrix mapping samples f(x_i) to coefficients of S_0..S_{max_degree}.
 
     Row m holds (2/pi) * w_i S_m(x_i); shape (max_degree+1, order).  Shared
-    workhorse for the vectorized expansions.
+    workhorse for the vectorized expansions.  The matrix is read-only and
+    cached on the rule per max_degree: it is built once, shared by every
+    caller and freed with the rule.  A rule built by hand gets its own.
     """
-    smat = chebyshev_u_all(max_degree, rule.nodes)
-    return (2.0 / np.pi) * smat * rule.weights[np.newaxis, :]
+    proj = rule._projections.get(max_degree)
+    if proj is None:
+        smat = chebyshev_u_all(max_degree, rule.nodes)
+        proj = (2.0 / np.pi) * smat * rule.weights[np.newaxis, :]
+        proj.flags.writeable = False
+        rule._projections[max_degree] = proj
+    return proj

@@ -304,7 +304,7 @@ class HybridSolution:
         """The derivative of the reconstruction as a solution on the same basis:
         each block's differentiated series, scaled by 2/d_k."""
         coeffs = np.moveaxis(self.xhat.tensor(), 1, 0)  # degree first: (M, K, n)
-        scale = 2.0 / np.asarray(self.cfg.partition.widths)[:, np.newaxis]
+        scale = 2.0 / self.cfg.partition.width_array[:, np.newaxis]
         dcoef = np.moveaxis(chebyshev_u_derivative_coeffs(coeffs) * scale, 0, 1)
         return HybridSolution(self.cfg, CoeffVector.from_tensor(dcoef))
 
@@ -336,7 +336,7 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
         defect -= (A @ x[..., np.newaxis])[..., 0]
     if spec.N is not None:
         glx, glw = np.polynomial.legendre.leggauss(quad_order)
-        bp = np.asarray(sol.cfg.partition.breakpoints)
+        bp = sol.cfg.partition.breakpoint_array
         a, b = bp[:-1, np.newaxis], bp[1:, np.newaxis]
         inner_nodes = 0.5 * ((b - a) * glx + a + b)  # (K, quad_order)
         # weighted states at the inner nodes, (K, quad_order, n)

@@ -117,6 +117,29 @@ class TestChebyshevU:
             direct = sum(c * chebyshev_u_eval(m, x) for m, c in enumerate(coeffs))
             assert chebyshev_u_series(coeffs, x) == pytest.approx(direct, abs=1e-13)
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 8, 17])
+    @pytest.mark.parametrize("shape", [(), (5,), (9, 1), (4, 3)])
+    def test_hoisted_two_x_is_bit_identical(self, M, shape):
+        """chebyshev_u_series and chebyshev_u_all equal the recurrences written
+        with 2.0 * x inside the loop, bit for bit: Python evaluates
+        2.0 * x * b as (2.0 * x) * b."""
+        rng = np.random.default_rng(M * 10 + len(shape))
+        x = rng.uniform(-1.2, 1.2, shape)
+        coeffs = rng.standard_normal((M,) + shape[1:])
+
+        b1, b2 = np.zeros_like(coeffs[0]), np.zeros_like(coeffs[0])
+        for m in range(M - 1, -1, -1):
+            b1, b2 = coeffs[m] + 2.0 * x * b1 - b2, b1
+        assert np.array_equal(chebyshev_u_series(coeffs, x), b1)
+
+        flat = x.reshape(-1)
+        table = np.empty((M + 1, flat.size))
+        table[0] = 1.0
+        table[1] = 2.0 * flat
+        for m in range(1, M):
+            table[m + 1] = 2.0 * flat * table[m] - table[m - 1]
+        assert np.array_equal(chebyshev_u_all(M, flat), table)
+
     def test_derivative_coeffs_against_finite_difference(self):
         rng = np.random.default_rng(7)
         coeffs = rng.standard_normal(6)
