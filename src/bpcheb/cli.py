@@ -41,10 +41,17 @@ def _exact_values(problem: Problem, ts) -> np.ndarray | None:
         return None
     fns = [exprlang.as_function(e) for e in problem.output.exact]
     try:
-        return np.stack([f(np.asarray(ts, dtype=float)) for f in fns], axis=1)
+        values = np.stack([f(np.asarray(ts, dtype=float)) for f in fns], axis=1)
     except ExprEvalError:
         # point by point, so the error names the first failing t of the first failing column
-        return np.array([[f(t) for f in fns] for t in ts])
+        values = np.array([[f(t) for f in fns] for t in ts])
+    bad = np.argwhere(~np.isfinite(values))  # row-major, like the point-by-point order
+    if bad.size:
+        row, col = bad[0]
+        raise ProblemError(
+            f"[output].exact[{col}]: non-finite value {values[row, col]} at t={ts[row]}"
+        )
+    return values
 
 
 def emit_csv(ts, values: np.ndarray, exact: np.ndarray | None = None, meta: str = "") -> str:

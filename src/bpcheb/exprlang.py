@@ -13,19 +13,18 @@ Unary minus binds tighter than '*' but looser than '^', so "-t^2" means
 s (kernel integration variable); functions exp, sin, cos, sqrt, ln, abs;
 constants pi and e.
 
-as_function compiles a tree once into a closure f(t, s=0.0).  Floats are
-passed to evaluate.  Numpy arrays (broadcast together) run through the
-compiled tree, bit-identical to evaluate element by element: + - * / and
-negation run as numpy array operations, whose IEEE results equal the scalar
-ones, while every function call and ^ apply the interpreter's own math
-function to each element, because numpy's exp, log and power round
-differently.  Zero-stride axes of the inputs (np.broadcast_to views) are
-cut to length 1 first, so a sub-expression of t alone makes one math call
-per distinct t, not one per (t, s).  When any element fails (division by
-zero, domain error, overflow), the closure re-runs evaluate element by
-element, so the ExprEvalError raised is the interpreter's and names the
-first failing (t, s).  evaluate stays as the reference, the scalar path
-and that error locator.
+One tree walk evaluates floats and numpy arrays alike: evaluate runs it on
+floats, as_function also on arrays that broadcast together.  Bit-identity
+between the two comes from the operations themselves: + - * / and negation
+are Python or numpy arithmetic, whose IEEE results are the same, and every
+function call and ^ apply the same math function, to the float or to each
+element of the array (np.frompyfunc), because numpy's exp, log and power
+round differently.  as_function cuts zero-stride axes of its inputs
+(np.broadcast_to views) to length 1 first, so a sub-expression of t alone
+makes one math call per distinct t, not one per (t, s).  When the walk fails
+on arrays (division by zero, domain error, overflow), as_function re-runs
+evaluate element by element, so the ExprEvalError raised names the first
+failing (t, s).
 """
 
 from __future__ import annotations
@@ -180,8 +179,11 @@ class _Parser:
             return node
         m = _NUMBER.match(self.src, self.pos)
         if m:
+            value = float(m.group())
+            if math.isinf(value):  # to_str would print "inf", which does not parse
+                raise ExprSyntaxError(f"number {m.group()} overflows", m.start())
             self.pos = m.end()
-            return Num(float(m.group()))
+            return Num(value)
         m = _IDENT.match(self.src, self.pos)
         if m:
             name = m.group()
@@ -226,7 +228,8 @@ def evaluate(e: Expr, t: float, s: float = 0.0) -> float:
         raise ExprEvalError(f"{exc} while evaluating {to_str(e)!r} at t={t}, s={s}") from exc
 
 
-def _eval(e: Expr, t: float, s: float) -> float:
+def _eval(e: Expr, t, s):
+    """The tree walk, on floats or on arrays that broadcast together."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -238,7 +241,7 @@ def _eval(e: Expr, t: float, s: float) -> float:
     if isinstance(e, Call):
         arg = _eval(e.arg, t, s)
         try:
-            return float(FUNCTIONS[e.func](arg))
+            return _apply(FUNCTIONS[e.func], arg)
         except ValueError as exc:
             raise ExprEvalError(
                 f"domain error in {e.func}({arg}) at t={t}, s={s}"
@@ -253,14 +256,22 @@ def _eval(e: Expr, t: float, s: float) -> float:
         if e.op == "*":
             return a * b
         if e.op == "/":
-            if b == 0.0:
+            if np.count_nonzero(b == 0.0):  # np.any costs 5x as much on a float
                 raise ExprEvalError(f"division by zero in {to_str(e)!r} at t={t}, s={s}")
             return a / b
         try:
-            return math.pow(a, b)
+            return _apply(math.pow, a, b)
         except (ValueError, OverflowError) as exc:
             raise ExprEvalError(f"{a}^{b} undefined at t={t}, s={s}") from exc
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _apply(fn: Callable, *args):
+    """fn's float on floats; on arrays, fn applied to each element
+    (np.frompyfunc), because numpy's exp, log and power round differently."""
+    if any(isinstance(a, np.ndarray) for a in args):
+        return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+    return float(fn(*args))
 
 
 # precedences used by the printer; Neg sits between '*' and '^'
@@ -321,22 +332,14 @@ def variables(e: Expr) -> set[str]:
     return set()
 
 
-# what the compiled nodes raise where evaluate raises ExprEvalError
-_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
-# functions and ^ apply the interpreter's math functions to each element
-# (np.frompyfunc): numpy's exp, log and power round differently
-_POW = np.frompyfunc(math.pow, 2, 1)
-
-
 def as_function(e: Expr) -> Callable:
-    """Compile to a (t, s=0.0) callable, bit-identical to evaluate.
+    """A (t, s=0.0) callable, bit-identical to evaluate.
 
     Floats in give evaluate's float out; arrays in give an array of shape
     np.broadcast(t, s).shape whose every element equals evaluate at that
     element.  A failure raises evaluate's own ExprEvalError for the first
     failing element, in C order.
     """
-    node = _compile(e)
 
     def f(t, s=0.0):
         if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
@@ -345,8 +348,8 @@ def as_function(e: Expr) -> Callable:
         shape = np.broadcast(t, s).shape
         try:
             with np.errstate(all="ignore"):  # overflow to inf is silent, as for floats
-                val = node(_compact(t), _compact(s))
-        except _FAILURES:
+                val = _eval(e, _compact(t), _compact(s))
+        except (ExprEvalError, ArithmeticError):  # ArithmeticError: a math function overflowed
             tt, ss = np.broadcast_arrays(t, s)
             val = [evaluate(e, a, b) for a, b in zip(tt.flat, ss.flat)]
             return np.array(val, dtype=float).reshape(shape)
@@ -361,36 +364,3 @@ def _compact(a: np.ndarray) -> np.ndarray:
     """a with every zero-stride axis cut to length 1, so a broadcast input
     is computed on once per distinct value; it broadcasts back to a."""
     return a[tuple(slice(None, 1 if st == 0 else None) for st in a.strides) + (...,)]
-
-
-def _compile(e: Expr) -> Callable:
-    """Node closure (t, s) -> value over arrays (constants stay floats)."""
-    if isinstance(e, (Num, Const)):
-        value = e.value if isinstance(e, Num) else CONSTANTS[e.name]
-        return lambda t, s: value
-    if isinstance(e, Var):
-        return (lambda t, s: t) if e.name == "t" else (lambda t, s: s)
-    if isinstance(e, Neg):
-        operand = _compile(e.operand)
-        return lambda t, s: -operand(t, s)
-    if isinstance(e, Call):
-        ufunc, arg = np.frompyfunc(FUNCTIONS[e.func], 1, 1), _compile(e.arg)
-        return lambda t, s: np.asarray(ufunc(arg(t, s)), dtype=float)
-    if isinstance(e, BinOp):
-        left, right = _compile(e.left), _compile(e.right)
-        if e.op == "+":
-            return lambda t, s: left(t, s) + right(t, s)
-        if e.op == "-":
-            return lambda t, s: left(t, s) - right(t, s)
-        if e.op == "*":
-            return lambda t, s: left(t, s) * right(t, s)
-        if e.op == "/":
-            def divide(t, s):
-                a, b = left(t, s), right(t, s)
-                if np.any(b == 0.0):
-                    raise ZeroDivisionError
-                return a / b
-
-            return divide
-        return lambda t, s: np.asarray(_POW(left(t, s), right(t, s)), dtype=float)
-    raise TypeError(f"not an expression node: {e!r}")

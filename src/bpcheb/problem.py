@@ -90,7 +90,7 @@ class Problem:
         return BasisConfig(Partition(self.breakpoints), self.M)
 
     def system_spec(self) -> SystemSpec:
-        """The system with every datum a function of compiled expressions."""
+        """The system with every datum a function of its parsed expressions."""
         def grid_fn(grid):  # A, B of t, or N of (t, s)
             fns = [[exprlang.as_function(e) for e in row] for row in grid]
             return lambda *ts: np.array([[f(*ts) for f in row] for row in fns])
@@ -289,6 +289,8 @@ def loads(text: str, name: str = "<string>") -> Problem:
     if raw_points is not None and raw_count is not None:
         raise ProblemError("[output]: give either points or eval_points, not both")
     points = _number_list(raw_points, "[output].points") if raw_points else None
+    if points == ():
+        raise ProblemError("[output].points: need at least one point")
     if points is not None and any(not t0 <= p <= tf for p in points):
         raise ProblemError(f"[output].points: values must lie in [{t0}, {tf}]")
     count = _int_value(raw_count, "[output].eval_points") if raw_count else None

@@ -149,6 +149,21 @@ class TestSolveCommand:
         assert err.startswith("bpcheb: input error: ")
         assert "division by zero in '1.0/t' at t=0.0" in err
 
+    @pytest.mark.parametrize("command", [["solve"], ["table", "--M-list", "4"]])
+    def test_non_finite_exact_value_exits_1(self, tmp_path, capsys, command):
+        # column 2 is inf from t=0.5 on, column 1 from t=0.9 on: the first in
+        # row-major order, as point by point, is column 2 at t=0.5
+        def inf_after(c):
+            return f"1e308*(t-{c}+abs(t-{c}))*1e10"
+
+        exact = f'exact = ["t^2+{inf_after(0.85)}", "t^3+{inf_after(0.45)}"]'
+        cfgfile = tmp_path / "exact.prob"
+        cfgfile.write_text(open(POLY).read().replace('exact = ["t^2", "t^3"]', exact))
+        assert main([*command, "--config", str(cfgfile)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "bpcheb: input error: [output].exact[1]: non-finite value inf at t=0.5\n"
+
     def test_non_finite_x0_exits_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "nan.prob"
         cfgfile.write_text(SINGULAR.replace("x0 = [1]", "x0 = [NaN]"))

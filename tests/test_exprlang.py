@@ -53,6 +53,12 @@ class TestParse:
         assert excinfo.value.offset == 2
         assert excinfo.value.expected
 
+    def test_overflowing_number_is_a_syntax_error(self):
+        # as Num(inf) it would print as "inf", which does not parse back
+        with pytest.raises(ExprSyntaxError, match="number 1e999 overflows") as excinfo:
+            parse("t + 1e999")
+        assert excinfo.value.offset == 4
+
     def test_unknown_identifier(self):
         with pytest.raises(ExprSyntaxError, match="unknown identifier 'x'"):
             parse("x+1")

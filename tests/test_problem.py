@@ -54,6 +54,11 @@ class TestLoads:
         with pytest.raises(ProblemError, match=r"\[system\].B\[0\]\[0\]"):
             loads(bad)
 
+    def test_overflowing_number_names_the_cell(self):
+        # as Num(inf) it would load, but dumps would write "inf", which loads rejects
+        with pytest.raises(ProblemError, match=r"\[output\].exact\[0\]: number 1e999 overflows"):
+            loads(MINIMAL + '\n[output]\nexact = ["t*1e999"]\n')
+
     def test_s_only_allowed_in_kernel(self):
         bad = MINIMAL.replace('u = ["1"]', 'u = ["s"]')
         with pytest.raises(ProblemError, match="inner variable s"):
@@ -128,6 +133,8 @@ class TestLoads:
             loads(MINIMAL + "\n[output]\nformat = json\n")
         with pytest.raises(ProblemError, match="lie in"):
             loads(MINIMAL + "\n[output]\npoints = [2.0]\n")
+        with pytest.raises(ProblemError, match=r"\[output\].points: need at least one point"):
+            loads(MINIMAL + "\n[output]\npoints = []\n")
 
     def test_key_outside_section(self):
         with pytest.raises(ProblemError, match="outside"):
