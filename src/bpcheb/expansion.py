@@ -13,6 +13,7 @@ the rule S_i S_j = sum over r = 0..min(i,j) of S_{i+j-2r}.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,6 +45,8 @@ DEFAULT_EXTRA_ORDER = 8
 # a whole-grid call is kept when its samples at the probe nodes agree with
 # single-point calls to this times its largest magnitude
 PROBE_RTOL = 1e-13
+# held around each recorded grid attempt: warnings.catch_warnings swaps process-wide state
+_GRID_LOCK = threading.RLock()
 
 
 class ExpansionError(Exception):
@@ -108,55 +111,53 @@ def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
     stacked as (K, q) + sample shape; every message names the datum by name.
 
     With t given, f is a kernel and the samples are f(t, s) for s on the grid;
-    an array t of outer times prefixes its shape.  Each sample becomes a
-    float array of at least ndim dimensions (ndim 1: flattened to a vector)
-    and must have the given shape; without one, the first sample sets it.
+    an array t of outer times prefixes its shape.  f's arguments, built once,
+    are read-only arrays of one shape lead = t's shape + (K, q): (grid,), or
+    (t, s) broadcast against each other; a point is one entry of each.  Each
+    sample becomes a float array of at least ndim dimensions (ndim 1:
+    flattened to a vector) and must have the given shape; without one, the
+    first sample sets it.
 
     f is first called for the whole grid (see _sample_grid), then, when
     that result is not kept, once per point (see _sample_points).  Either
     way a failing call, a sample with a non-zero imaginary part, a sample
     of another shape, and a NaN or infinite sample raise ExpansionError
-    naming the first such point and its block.
+    naming the first such point, in C order over lead, and its block.
     """
     lead = np.shape(t) + grid.shape
-    vals = _sample_grid(f, grid, ndim, t, lead, shape)
+    points = (grid,) if t is None else (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
+    args = tuple(np.broadcast_to(p, lead) for p in points)
+    vals = _sample_grid(f, args, ndim, shape)
     if vals is None:
-        vals = _sample_points(f, grid, name, ndim, t, lead, shape)
-    _require_finite(vals, grid, name, t)
+        vals = _sample_points(f, args, name, ndim, shape)
+    _require_finite(vals, args, name)
     return vals
 
 
-def _sample_points(f: Callable, grid: np.ndarray, name: str, ndim: int, t, lead: tuple,
+def _sample_points(f: Callable, args: tuple, name: str, ndim: int,
                    shape: tuple | None) -> np.ndarray:
     """Samples of f from one call per point, with numpy scalars.  Each result
     is converted and copied into the samples as it comes back; a failing
     call or conversion, a complex sample, or a sample whose shape differs
     from shape (or else from the first sample's) raises ExpansionError."""
     out = None
-    for i, ti in np.ndenumerate(t) if np.ndim(t) else [((), t)]:
-        for k, xs in enumerate(grid, start=1):
-            for y, x in enumerate(xs):
-                try:
-                    val = _as_float(f(x) if ti is None else f(ti, x), ndim)
-                except _ComplexSample as exc:
-                    msg = f"{name} is {exc.args[0]} at {_where(ti, x, k)}: data must be real"
-                    raise ExpansionError(msg) from None
-                except Exception as exc:
-                    raise ExpansionError(f"{name} failed at {_where(ti, x, k)}: {exc}") from exc
-                if out is None:
-                    if shape is not None and val.shape != shape:
-                        args = x if ti is None else f"{ti}, {x}"
-                        raise ExpansionError(
-                            f"{name} failed at {_where(ti, x, k)}: {_misfit(name, shape, args, val)}"
-                        )
-                    shape = val.shape
-                    out = np.empty(lead + shape)
-                if val.shape != shape:
-                    raise ExpansionError(
-                        f"{name} at {_where(ti, x, k)} has shape {val.shape}, expected {shape}"
-                    )
-                out[i + (k - 1, y)] = val  # a copy: f may overwrite what it returned
-    return out
+    for n, point in enumerate(zip(*(a.flat for a in args))):  # n: the flat index of point
+        try:
+            val = _as_float(f(*point), ndim)
+        except _ComplexSample as exc:
+            msg = f"{name} is {exc.args[0]} at {_where(args, n)}: data must be real"
+            raise ExpansionError(msg) from None
+        except Exception as exc:
+            raise ExpansionError(f"{name} failed at {_where(args, n)}: {exc}") from exc
+        if shape is not None and val.shape != shape:
+            at = _where(args, n)
+            if out is None:  # the first sample, against the given shape
+                raise ExpansionError(f"{name} failed at {at}: {_misfit(name, shape, point, val)}")
+            raise ExpansionError(f"{name} at {at} has shape {val.shape}, expected {shape}")
+        if out is None:
+            shape, out = val.shape, np.empty((args[0].size,) + val.shape)
+        out[n] = val  # a copy: f may overwrite what it returned
+    return out.reshape(args[0].shape + shape)
 
 
 class _ComplexSample(ValueError):
@@ -227,13 +228,11 @@ def _nodes_layout(vals, lead: tuple) -> np.ndarray:
     return np.stack(entries).reshape(vals.shape + lead)
 
 
-def _sample_grid(f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
-                 shape: tuple | None) -> np.ndarray | None:
+def _sample_grid(f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np.ndarray | None:
     """Samples of f on the whole grid from one call, laid out C-contiguous as
     lead + sample shape; None when no call is kept.
 
-    f is first called with read-only arrays of shape lead: the grid, or for
-    a kernel the outer times and the grid broadcast against each other.
+    f is first called with the arrays args of shape lead (see sample).
     When that result is not kept, f is called once more with each array
     wrapped in a _Nodes, which serves code written for a scalar t.  A
     result is kept when the call raises nothing and gives a real shape
@@ -242,42 +241,39 @@ def _sample_grid(f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
     single-point calls there to PROBE_RTOL times the largest magnitude
     (exactly, where that is 0 or not finite).  Only the warnings of the
     kept call and its probes are re-emitted.  Recording them swaps the
-    process-wide warning filters for each call (warnings.catch_warnings).
+    process-wide warning filters for each call (warnings.catch_warnings), so
+    all threads take turns under one lock, reentrant because f may sample too.
     """
-    points = (grid,) if t is None else (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
-    args = [np.broadcast_to(p, lead) for p in points]
-    for call in (lambda: f(*args), lambda: _nodes_layout(f(*map(_Nodes, args)), lead)):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                vals = _kept(call(), f, grid, ndim, t, lead, shape)
-            except Exception:
-                vals = None  # the pointwise loop raises the located error, if any
-        if vals is not None:
-            for w in caught:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                                       source=w.source)
-            return vals
+    lead = args[0].shape
+    with _GRID_LOCK:
+        for call in (lambda: f(*args), lambda: _nodes_layout(f(*map(_Nodes, args)), lead)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    vals = _kept(call(), f, args, ndim, shape)
+                except Exception:
+                    vals = None  # the pointwise loop raises the located error, if any
+            if vals is not None:
+                for w in caught:
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                           source=w.source)
+                return vals
     return None
 
 
-def _kept(vals, f: Callable, grid: np.ndarray, ndim: int, t, lead: tuple,
-          shape: tuple | None) -> np.ndarray | None:
+def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np.ndarray | None:
     """A grid call's result laid out by _grid_layout, or None when it is not
     kept (see _sample_grid)."""
+    lead = args[0].shape
     vals = _grid_layout(vals, ndim, lead)
     if vals is None or shape not in (None, vals.shape[len(lead):]):
         return None
     scale = np.abs(vals).max()
     if np.isnan(scale):
         return None
-    nt = np.ndim(t)
-    for end in (0, -1):  # the probe points
-        idx = (end,) * len(lead)
-        got = vals[idx]
-        ti = np.asarray(t)[idx[:nt]] if nt else t
-        x = grid[idx[nt:]]
-        want = _as_float(f(x) if ti is None else f(ti, x), ndim)
+    for i in ((0,) * len(lead), (-1,) * len(lead)):  # the probe points
+        got = vals[i]
+        want = _as_float(f(*(a[i] for a in args)), ndim)
         # with an infinite sample anywhere, only an exact match (inf == inf) counts
         close = got == want if scale == np.inf else abs(got - want) <= PROBE_RTOL * scale
         if got.shape != want.shape or not close.all():
@@ -300,29 +296,28 @@ def _grid_layout(vals, ndim: int, lead: tuple) -> np.ndarray | None:
     return vals.reshape(lead + (-1,)) if ndim == 1 else vals
 
 
-def _require_finite(vals: np.ndarray, grid: np.ndarray, name: str, t=None) -> None:
+def _require_finite(vals: np.ndarray, args: tuple, name: str) -> None:
     """Raise ExpansionError naming the first non-finite sample of vals, laid out
-    as sample returns it: its value, its t (or (t, s)) and block."""
+    as sample returns it: its value, its point and block."""
     finite = np.isfinite(vals)
     if finite.all():
         return
-    lead = np.shape(t) + grid.shape
-    i = np.unravel_index(np.argmin(finite.reshape(lead + (-1,)).all(axis=-1)), lead)
-    bad = vals[i][~finite[i]].flat[0]
-    nt = np.ndim(t)
-    ti = np.asarray(t)[i[:nt]] if nt else t
-    k, y = i[nt:]
-    raise ExpansionError(f"{name} is {bad} at {_where(ti, grid[k, y], k + 1)}")
+    rows, ok = vals.reshape(args[0].size, -1), finite.reshape(args[0].size, -1)
+    n = np.argmin(ok.all(axis=1))
+    raise ExpansionError(f"{name} is {rows[n][~ok[n]][0]} at {_where(args, n)}")
 
 
-def _where(t: float | None, x: float, k: int) -> str:
-    return f"t={x} (block {k})" if t is None else f"(t={t}, s={x}) (inner block {k})"
+def _where(args: tuple, n: int) -> str:
+    i = np.unravel_index(n, args[0].shape)  # the point at flat index n, and its block
+    p, k = [a[i] for a in args], i[-2] + 1
+    return f"t={p[0]} (block {k})" if len(args) == 1 else f"(t={p[0]}, s={p[1]}) (inner block {k})"
 
 
-def _misfit(name: str, shape: tuple[int, ...], args: float | str, val: np.ndarray) -> str:
+def _misfit(name: str, shape: tuple[int, ...], point: tuple, val: np.ndarray) -> str:
+    call = f"{name}({', '.join(map(str, point))})"
     if len(shape) == 1:
-        return f"{name}({args}) has {val.size} components, expected {shape[0]}"
-    return f"{name}({args}) has shape {val.shape}, expected {shape}"
+        return f"{call} has {val.size} components, expected {shape[0]}"
+    return f"{call} has shape {val.shape}, expected {shape}"
 
 
 def expand_vector(

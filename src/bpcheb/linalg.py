@@ -11,6 +11,8 @@ a stack, the offending matrix), instead of returning garbage.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
@@ -20,6 +22,8 @@ __all__ = ["SingularMatrixError", "LU", "inf_norm"]
 PIVOT_RTOL = 1e-13
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+# OpenBLAS's getrf/getrs give wrong results or corrupt memory when two threads call them
+_LAPACK_LOCK = threading.Lock()
 
 
 class SingularMatrixError(Exception):
@@ -72,10 +76,11 @@ class LU:
         lu = np.empty((K, m, m)).transpose(0, 2, 1)  # every slice Fortran-ordered
         lu[...] = stack
         piv = np.empty(stack.shape[:2], dtype=np.int32)
-        for k, lu_k in enumerate(lu):
-            _, piv[k], info = _getrf(lu_k, overwrite_a=True)  # factors lu_k in place
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of getrf")
+        with _LAPACK_LOCK:
+            for k, lu_k in enumerate(lu):
+                _, piv[k], info = _getrf(lu_k, overwrite_a=True)  # factors lu_k in place
+                if info < 0:
+                    raise ValueError(f"illegal value in argument {-info} of getrf")
         thresholds = PIVOT_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
         diag = np.abs(np.diagonal(lu, axis1=1, axis2=2))
         singular = (diag <= thresholds[:, np.newaxis]).any(axis=1)
@@ -109,9 +114,10 @@ class LU:
         K, m = b.shape[:2]
         x = np.empty((K, p, m)).transpose(0, 2, 1)  # Fortran-ordered (m, p) slices
         x[...] = b.reshape(K, m, p)
-        for lu_k, piv_k, x_k in zip(lu, piv, x):
-            _, info = _getrs(lu_k, piv_k, x_k, overwrite_b=True)
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of getrs")
+        with _LAPACK_LOCK:
+            for lu_k, piv_k, x_k in zip(lu, piv, x):
+                _, info = _getrs(lu_k, piv_k, x_k, overwrite_b=True)
+                if info < 0:
+                    raise ValueError(f"illegal value in argument {-info} of getrs")
         x = np.ascontiguousarray(x).reshape(b.shape)  # C order, like b
         return x[0] if single else x

@@ -215,7 +215,7 @@ def _expr_list(raw: str, where: str, count: int, allow_s: bool):
 
 def _number_list(raw: str, where: str) -> tuple[float, ...]:
     value = _json_value(raw, where)
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+    if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):  # no bool
         raise ProblemError(f"{where}: expected a list of numbers")
     if not all(math.isfinite(v) for v in value):
         raise ProblemError(f"{where}: values must be finite, got {raw}")
@@ -232,11 +232,9 @@ def loads(text: str, name: str = "<string>") -> Problem:
     solve_sec = dict(sections["solve"])
     output_sec = dict(sections.get("output", {}))
 
-    def take(table: dict, section: str, key: str, required: bool = True) -> str | None:
+    def take(table: dict, section: str, key: str) -> str:
         if key not in table:
-            if required:
-                raise ProblemError(f"[{section}].{key} is required")
-            return None
+            raise ProblemError(f"[{section}].{key} is required")
         return table.pop(key)
 
     n = _int_value(take(system, "system", "n"), "[system].n")
@@ -251,14 +249,12 @@ def loads(text: str, name: str = "<string>") -> Problem:
     if len(x0) != n:
         raise ProblemError(f"[system].x0: has {len(x0)} entries, expected n={n}")
 
-    raw_a = take(system, "system", "A", required=False)
-    raw_n = take(system, "system", "N", required=False)
-    raw_b = take(system, "system", "B", required=False)
-    raw_u = take(system, "system", "u", required=False)
-    a_grid = _expr_grid(raw_a, "[system].A", n, n, allow_s=False) if raw_a else None
-    n_grid = _expr_grid(raw_n, "[system].N", n, n, allow_s=True) if raw_n else None
-    b_grid = _expr_grid(raw_b, "[system].B", n, r, allow_s=False) if raw_b else None
-    u_list = _expr_list(raw_u, "[system].u", r, allow_s=False) if raw_u else None
+    # an optional key is absent only when it is not written: an empty value reaches its parser
+    raw_a, raw_n, raw_b, raw_u = (system.pop(key, None) for key in ("A", "N", "B", "u"))
+    a_grid = None if raw_a is None else _expr_grid(raw_a, "[system].A", n, n, allow_s=False)
+    n_grid = None if raw_n is None else _expr_grid(raw_n, "[system].N", n, n, allow_s=True)
+    b_grid = None if raw_b is None else _expr_grid(raw_b, "[system].B", n, r, allow_s=False)
+    u_list = None if raw_u is None else _expr_list(raw_u, "[system].u", r, allow_s=False)
     if system:
         raise ProblemError(f"[system]: unknown keys {sorted(system)}")
 
@@ -266,7 +262,7 @@ def loads(text: str, name: str = "<string>") -> Problem:
     M = _int_value(take(solve_sec, "solve", "M"), "[solve].M")
     if K < 1 or M < 1:
         raise ProblemError(f"[solve]: K and M must be positive, got K={K}, M={M}")
-    raw_bp = take(solve_sec, "solve", "breakpoints", required=False)
+    raw_bp = solve_sec.pop("breakpoints", None)
     breakpoints: tuple[float, ...] | None = None
     if raw_bp is not None and raw_bp != "uniform":
         breakpoints = _number_list(raw_bp, "[solve].breakpoints")
@@ -284,21 +280,20 @@ def loads(text: str, name: str = "<string>") -> Problem:
     if solve_sec:
         raise ProblemError(f"[solve]: unknown keys {sorted(solve_sec)}")
 
-    raw_points = take(output_sec, "output", "points", required=False)
-    raw_count = take(output_sec, "output", "eval_points", required=False)
+    raw_points, raw_count = output_sec.pop("points", None), output_sec.pop("eval_points", None)
     if raw_points is not None and raw_count is not None:
         raise ProblemError("[output]: give either points or eval_points, not both")
-    points = _number_list(raw_points, "[output].points") if raw_points else None
+    points = None if raw_points is None else _number_list(raw_points, "[output].points")
     if points == ():
         raise ProblemError("[output].points: need at least one point")
     if points is not None and any(not t0 <= p <= tf for p in points):
         raise ProblemError(f"[output].points: values must lie in [{t0}, {tf}]")
-    count = _int_value(raw_count, "[output].eval_points") if raw_count else None
+    count = None if raw_count is None else _int_value(raw_count, "[output].eval_points")
     if count is not None and count < 2:
         raise ProblemError("[output].eval_points: need at least 2 points")
-    raw_exact = take(output_sec, "output", "exact", required=False)
-    exact = _expr_list(raw_exact, "[output].exact", n, allow_s=False) if raw_exact else None
-    fmt = take(output_sec, "output", "format", required=False) or "csv"
+    raw_exact = output_sec.pop("exact", None)
+    exact = None if raw_exact is None else _expr_list(raw_exact, "[output].exact", n, allow_s=False)
+    fmt = output_sec.pop("format", "csv")
     if fmt not in ("csv", "table"):
         raise ProblemError(f"[output].format: must be csv or table, got {fmt!r}")
     if output_sec:

@@ -133,8 +133,8 @@ class AssembledSystem:
     y_k = D_k^-1 rhs_k for all blocks at once, the n-dimensional recurrence
     c_1 = 0, c_{k+1} = T_k c_k + S_k y_k, and x_k = y_k + G_k c_k.  With a
     kernel, the first solve LU-factors the dense system_matrix
-    I - PkronT @ Phi.  Later solves share the factors (concurrent reads are
-    safe).
+    I - PkronT @ Phi.  Later solves share the factors; concurrent solves are
+    safe, since linalg serializes its LAPACK calls.
     """
 
     def __init__(self, cfg: BasisConfig, n: int, r: int, phi_blocks: np.ndarray,

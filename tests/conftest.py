@@ -8,6 +8,9 @@ Two closed-form benchmark systems are used throughout:
   is [exp(-t), 3 exp(-t)]; the calibrated basis uses K=4 blocks.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +19,21 @@ from bpcheb import SystemSpec, build_p, expand_vector
 from bpcheb.basis import chebyshev_u_derivative_coeffs, chebyshev_u_series
 
 E1 = np.exp(-1.0)
+
+
+def in_threads(work, count: int = 4, timeout: float = 60.0) -> list:
+    """work() run by count threads at once, with the interpreter switching
+    threads every microsecond so that their calls interleave; returns the
+    results, and re-raises the first exception or a TimeoutError."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    pool = ThreadPoolExecutor(count)
+    try:
+        futures = [pool.submit(work) for _ in range(count)]
+        return [f.result(timeout=timeout) for f in futures]
+    finally:
+        pool.shutdown(wait=False)
+        sys.setswitchinterval(old)
 
 
 def block_of(t: float, p) -> int | None:

@@ -30,7 +30,8 @@ from bpcheb.expansion import (
 from bpcheb.problem import load
 from bpcheb.quadrature import gauss_u_rule, projection_matrix
 
-from conftest import block_of, expdecay_A, global_of_local, in_order, pointwise, poly_A, to_local
+from conftest import (block_of, expdecay_A, global_of_local, in_order, in_threads, pointwise,
+                      poly_A, to_local)
 
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -249,6 +250,29 @@ class TestGridSampling:
                 got = sample(lambda t: fn(t, keep), self.GRID, "vector function", 1)
             assert [str(w.message) for w in caught] == ([f"{keep} call"] if keep else [])
             assert np.array_equal(got, self.GRID[:, :, None])
+
+    def test_concurrent_sampling_leaves_the_warning_filters_as_they_were(self):
+        # each grid attempt swaps the process-wide filters; interleaved, one swap used to stay
+        cfg = BasisConfig.uniform(0.0, 1.0, 4, 6)
+        before = list(warnings.filters)
+        in_threads(lambda: [expand_vector(lambda t: np.array([t, np.exp(-t)]), cfg)
+                            for _ in range(500)])
+        assert warnings.filters == before
+
+    @pytest.mark.parametrize("t", [0.5, np.array([[0.15, 0.5], [0.8, 0.95]])], ids=["scalar", "2d"])
+    def test_pointwise_kernel_sees_numpy_scalars_in_c_order(self, t):
+        seen = []
+
+        def kern(t, s):  # refuses the grid and _Nodes calls
+            if type(t) is not np.float64 or type(s) is not np.float64:
+                raise TypeError("one point at a time")
+            seen.append((t, s))
+            return t - s
+
+        got = sample(kern, self.GRID, "kernel", 2, t=t)
+        tt, ss = np.broadcast_arrays(np.reshape(t, np.shape(t) + (1, 1)), self.GRID)
+        assert seen == list(zip(tt.flat, ss.flat))
+        assert np.array_equal(got, (tt - ss)[..., None, None])
 
     @pytest.mark.parametrize("grid", [False, True])
     def test_expected_shape_names_the_datum(self, grid):

@@ -5,6 +5,8 @@ import scipy.linalg
 from bpcheb import linalg
 from bpcheb.linalg import LU, SingularMatrixError, inf_norm
 
+from conftest import in_threads
+
 
 class TestLuSolve:
     def test_identity(self):
@@ -195,3 +197,20 @@ class TestInfNorm:
 
     def test_empty(self):
         assert inf_norm(np.array([])) == 0.0
+
+
+class TestThreads:
+    def test_concurrent_factors_and_solves_match_one_thread_bit_for_bit(self):
+        # OpenBLAS's getrf/getrs are not safe to call from two threads at once
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((8, 6, 6)) + 6 * np.eye(6)
+        b = rng.standard_normal((8, 6))
+        shared = LU(a)
+        want = shared.solve(b)
+
+        def work():
+            solves = sum(not np.array_equal(shared.solve(b), want) for _ in range(2000))
+            factors = sum(not np.array_equal(LU(a).solve(b), want) for _ in range(200))
+            return solves, factors
+
+        assert in_threads(work) == [(0, 0)] * 4

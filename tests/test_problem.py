@@ -136,6 +136,58 @@ class TestLoads:
         with pytest.raises(ProblemError, match=r"\[output\].points: need at least one point"):
             loads(MINIMAL + "\n[output]\npoints = []\n")
 
+    @pytest.mark.parametrize("section,key", [
+        ("system", "A"), ("system", "N"), ("system", "B"), ("system", "u"),
+        ("output", "points"), ("output", "eval_points"), ("output", "exact"), ("output", "format"),
+    ])
+    def test_empty_optional_value_is_an_error(self, section, key):
+        # "N =" used to load as no kernel, and "points =" as the default points
+        text = "\n".join(line for line in MINIMAL.splitlines() if not line.startswith(f"{key} ="))
+        if section == "system":
+            text = text.replace("[system]", f"[system]\n{key} =")
+        else:
+            text += f"\n[output]\n{key} =\n"
+        with pytest.raises(ProblemError, match=rf"^\[{section}\]\.{key}: "):
+            loads(text)
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("x0 = [0]", "x0 = [true]", r"\[system\].x0"),
+        ("x0 = [0]", "x0 = [false]", r"\[system\].x0"),
+        ("M = 3", "M = 3\nbreakpoints = [0, true, 1]", r"\[solve\].breakpoints"),
+        ("M = 3", "M = 3\n[output]\npoints = [true]", r"\[output\].points"),
+    ], ids=["x0-true", "x0-false", "breakpoints", "points"])
+    def test_booleans_are_not_numbers(self, old, new, key):
+        with pytest.raises(ProblemError, match=f"^{key}: expected a list of numbers$"):
+            loads(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("K = 2", "K = 2\n[system]", r"^<string>:\d+: duplicate section \[system\]$"),
+        ("n = 1", "n 1", r"^<string>:3: expected 'key = value'$"),
+        ("x0 = [0]", "x0 = [0,", r"^\[system\].x0: malformed list"),
+        ("n = 1", "n = 1.5", r"^\[system\].n: expected an integer, got '1.5'$"),
+        ("t0 = 0", "t0 = zero", r"^\[system\].t0: expected a number, got 'zero'$"),
+        ('u = ["1"]', "u = [1]", r"^\[system\].u\[0\]: expressions must be quoted strings"),
+        ('u = ["1"]', 'u = ["1", "2"]', r"^\[system\].u: expected a list of 1 expressions$"),
+        ("x0 = [0]", 'x0 = ["0"]', r"^\[system\].x0: expected a list of numbers$"),
+        ("n = 1", "n = 0", r"^\[system\]: n and r must be positive"),
+        ("r = 1", "r = 0", r"^\[system\]: n and r must be positive"),
+        ("tf = 1", "tf = 0", r"^\[system\]: need tf > t0"),
+        ("x0 = [0]", "x0 = [0]\nwhatever = 3", r"^\[system\]: unknown keys \['whatever'\]$"),
+        ("M = 3", "M = 3\n[output]\nwhatever = 3", r"^\[output\]: unknown keys \['whatever'\]$"),
+        ("K = 2", "K = 0", r"^\[solve\]: K and M must be positive"),
+        ("M = 3", "M = 0", r"^\[solve\]: K and M must be positive"),
+        ("M = 3", "M = 3\nbreakpoints = [0, 0.5, 0.5]",
+         r"^\[solve\].breakpoints: must be strictly increasing$"),
+        ("M = 3", "M = 3\n[output]\neval_points = 1",
+         r"^\[output\].eval_points: need at least 2 points$"),
+    ], ids=["duplicate-section", "no-equals", "malformed-list", "n-not-integer", "t0-not-number",
+            "unquoted-expression", "expression-count", "not-numbers", "n-zero", "r-zero",
+            "tf-not-after-t0", "system-unknown-key", "output-unknown-key", "K-zero", "M-zero",
+            "breakpoints-not-increasing", "eval-points-one"])
+    def test_loader_errors_name_the_section_and_key(self, old, new, match):
+        with pytest.raises(ProblemError, match=match):
+            loads(MINIMAL.replace(old, new))
+
     def test_key_outside_section(self):
         with pytest.raises(ProblemError, match="outside"):
             loads("n = 1\n")
