@@ -30,12 +30,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Strictly increasing breakpoints [t_0, ..., t_K] of the time interval.
+    """Strictly increasing breakpoints [t_0, ..., t_K] of the time interval;
+    block k (1-based) is [t_{k-1}, t_k], that is breakpoints[k - 1:k + 1].
 
     breakpoint_array and width_array hold the breakpoints and the block
-    widths as read-only float arrays.  Each is computed on first use and
-    kept on the partition, shared by every caller, for as long as the
-    partition lives.
+    widths as read-only float arrays, each computed on first use and kept
+    on the partition, shared by every caller, while the partition lives.
     """
 
     breakpoints: tuple[float, ...]
@@ -88,12 +88,6 @@ class Partition:
         d = np.diff(self.breakpoint_array)
         d.flags.writeable = False
         return d
-
-    def block_bounds(self, k: int) -> tuple[float, float]:
-        """Closed bounds [t_{k-1}, t_k] of block k (1-based)."""
-        if not 1 <= k <= self.num_blocks:
-            raise ValueError(f"block index {k} out of range 1..{self.num_blocks}")
-        return self.breakpoints[k - 1], self.breakpoints[k]
 
 
 @dataclass(frozen=True)

@@ -57,35 +57,36 @@ def _exact_values(problem: Problem, ts) -> np.ndarray | None:
 def emit_csv(ts, values: np.ndarray, exact: np.ndarray | None = None, meta: str = "") -> str:
     """Deterministic CSV: t,x1..xn and, when a reference is given, the
     reference columns plus the per-row max error."""
+    return _render(_solution_cells(ts, values, exact), meta, ",")
+
+
+def emit_text_table(ts, values: np.ndarray, exact: np.ndarray | None = None,
+                    meta: str = "") -> str:
+    """The cells of emit_csv, each right-aligned to its column's widest cell."""
+    rows = _solution_cells(ts, values, exact)
+    widths = [max(map(len, col)) for col in zip(*rows)]
+    return _render([[c.rjust(w) for c, w in zip(row, widths)] for row in rows], meta, "  ")
+
+
+def _solution_cells(ts, values: np.ndarray, exact: np.ndarray | None) -> list[list[str]]:
     n = values.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(n)]
     cols = [ts, values]
     if exact is not None:
         header += [f"exact{i + 1}" for i in range(n)] + ["err_max"]
         cols += [exact, np.max(np.abs(values - exact), axis=1)]
-    return _csv(header, cols, meta)
+    return _cells(header, cols)
 
 
-def _csv(header: list[str], cols: list, meta: str) -> str:
-    """The meta line (if any), the header and one row per time: cols are the
-    columns, 1-D, or 2-D with one row per time, each entry written by _fmt."""
+def _cells(header: list[str], cols: list) -> list[list[str]]:
+    """The header row, then a row of _fmt cells per time; cols are 1-D or one row per time."""
+    return [header] + [list(map(_fmt, row)) for row in np.column_stack(cols).tolist()]
+
+
+def _render(rows: list[list[str]], meta: str, sep: str) -> str:
+    """The meta line (if any), then each row's cells joined by sep."""
     lines = [meta] if meta else []
-    lines.append(",".join(header))
-    lines += [",".join(map(_fmt, row)) for row in np.column_stack(cols).tolist()]
-    return "\n".join(lines) + "\n"
-
-
-def emit_text_table(ts, values: np.ndarray, exact: np.ndarray | None = None,
-                    meta: str = "") -> str:
-    """Aligned plain-text rendering of the same data as emit_csv."""
-    csv = emit_csv(ts, values, exact, meta)
-    lines = csv.strip().split("\n")
-    rows = [line.split(",") for line in lines if not line.startswith("#")]
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    out = [line for line in lines if line.startswith("#")]
-    for r in rows:
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
-    return "\n".join(out) + "\n"
+    return "\n".join(lines + [sep.join(row) for row in rows]) + "\n"
 
 
 def _solve_problem(problem: Problem):
@@ -128,16 +129,19 @@ def _cmd_table(args) -> int:
         header += [f"x{c + 1}_M{m}" for m in m_list]
         cols += [values[:, c] for values in runs]
     meta = f"{_meta_line(problem)} M_list={','.join(str(m) for m in m_list)}"
-    _write_output(_csv(header, cols, meta), args.out)
+    _write_output(_render(_cells(header, cols), meta, ","), args.out)
     return 0
 
 
 def _write_output(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ProblemError(f"cannot write {out}: {exc}") from exc
 
 
 def main(argv=None) -> int:

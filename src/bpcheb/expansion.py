@@ -93,10 +93,6 @@ class CoeffVector:
         """View of shape (K, M, n); tensor()[k-1, m, c] is coefficient (k, m, c)."""
         return self.data.reshape(self.K, self.M, self.n)
 
-    def block(self, k: int) -> np.ndarray:
-        """Coefficients of block k as shape (M, n)."""
-        return self.tensor()[k - 1]
-
 
 def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
     """The rule's nodes pulled back to every block: shape (K, q), row k-1 is block k."""

@@ -46,13 +46,9 @@ class SingularMatrixError(Exception):
 
 
 def inf_norm(a: np.ndarray) -> float:
-    """Infinity norm: max absolute entry for vectors, max row sum for matrices."""
+    """Infinity norm of a vector: its largest absolute entry, 0 when empty."""
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0.0
-    if a.ndim <= 1:
-        return float(np.max(np.abs(a)))
-    return float(np.max(np.abs(a).sum(axis=1)))
+    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 class LU:

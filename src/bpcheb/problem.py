@@ -19,7 +19,7 @@ are row-major lists of quoted expression strings.
     [solve]
     K = 3
     M = 4
-    breakpoints = uniform                 # or an explicit list of K+1 values
+    breakpoints = uniform                 # or K+1 values from exactly t0 to exactly tf
 
     [output]
     points = [0, 0.5, 1]                  # or: eval_points = 101
@@ -272,8 +272,7 @@ def loads(text: str, name: str = "<string>") -> Problem:
             )
         if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
             raise ProblemError("[solve].breakpoints: must be strictly increasing")
-        scale = max(abs(t0), abs(tf), 1.0)
-        if abs(breakpoints[0] - t0) > 1e-12 * scale or abs(breakpoints[-1] - tf) > 1e-12 * scale:
+        if (breakpoints[0], breakpoints[-1]) != (t0, tf):  # exactly, as assemble requires
             raise ProblemError(
                 f"[solve].breakpoints: must span [t0, tf] = [{t0}, {tf}]"
             )
@@ -317,35 +316,22 @@ def load(path: str) -> Problem:
     return loads(text, name=path)
 
 
-def _grid_str(grid) -> str:
-    rows = ", ".join(
-        "[" + ", ".join(json.dumps(exprlang.to_str(e)) for e in row) + "]" for row in grid
-    )
-    return f"[{rows}]"
-
-
 def dumps(p: Problem) -> str:
-    """Serialize back to file syntax; loads(dumps(p)) == p."""
-    lines = ["[system]", f"n = {p.n}", f"r = {p.r}", f"t0 = {p.t0!r}", f"tf = {p.tf!r}"]
-    lines.append("x0 = [" + ", ".join(repr(v) for v in p.x0) + "]")
-    for key, grid in (("A", p.A), ("N", p.N), ("B", p.B)):
-        if grid is not None:
-            lines.append(f"{key} = {_grid_str(grid)}")
-    if p.u is not None:
-        lines.append("u = [" + ", ".join(json.dumps(exprlang.to_str(e)) for e in p.u) + "]")
-    lines += ["", "[solve]", f"K = {p.K}", f"M = {p.M}"]
-    if p.breakpoints is None:
-        lines.append("breakpoints = uniform")
-    else:
-        lines.append("breakpoints = [" + ", ".join(repr(v) for v in p.breakpoints) + "]")
-    lines += ["", "[output]"]
+    """Serialize back to file syntax, every list (numbers, expression lists and
+    grids) by json.dumps, the codec loads reads it with; loads(dumps(p)) == p.
+    An expression is written as its source text (exprlang.to_str)."""
+    lines = ["[system]", f"n = {p.n}", f"r = {p.r}", f"t0 = {p.t0!r}", f"tf = {p.tf!r}",
+             f"x0 = {json.dumps(p.x0)}"]
+    for key, exprs in (("A", p.A), ("N", p.N), ("B", p.B), ("u", p.u)):
+        if exprs is not None:
+            lines.append(f"{key} = {json.dumps(exprs, default=exprlang.to_str)}")
+    bp = "uniform" if p.breakpoints is None else json.dumps(p.breakpoints)
+    lines += ["", "[solve]", f"K = {p.K}", f"M = {p.M}", f"breakpoints = {bp}", "", "[output]"]
     if p.output.points is not None:
-        lines.append("points = [" + ", ".join(repr(v) for v in p.output.points) + "]")
+        lines.append(f"points = {json.dumps(p.output.points)}")
     elif p.output.eval_points is not None:
         lines.append(f"eval_points = {p.output.eval_points}")
     if p.output.exact is not None:
-        lines.append(
-            "exact = [" + ", ".join(json.dumps(exprlang.to_str(e)) for e in p.output.exact) + "]"
-        )
+        lines.append(f"exact = {json.dumps(p.output.exact, default=exprlang.to_str)}")
     lines.append(f"format = {p.output.fmt}")
     return "\n".join(lines) + "\n"

@@ -283,21 +283,22 @@ class HybridSolution:
     cfg: BasisConfig
     xhat: CoeffVector
 
-    def evaluate(self, t: float) -> np.ndarray:
-        """State vector at time t (t0 <= t <= tf)."""
-        return self.evaluate_many([t])[0]
-
-    def evaluate_many(self, ts: Sequence[float]) -> np.ndarray:
-        """State vectors at every t in ts, shape (len(ts), n); same values as evaluate."""
+    def evaluate(self, t) -> np.ndarray:
+        """State at a time t or at each time of an array t, shape np.shape(t) + (n,); a
+        time outside [t0, tf], NaN too, raises ValueError naming the first in C order."""
         p = self.cfg.partition
-        ts = np.asarray(ts, dtype=float).reshape(-1)
+        ts = np.asarray(t, dtype=float)
         outside = ~((ts >= p.t0) & (ts <= p.tf))
         if outside.any():
-            raise ValueError(f"t={ts[np.argmax(outside)]} outside [{p.t0}, {p.tf}]")
+            raise ValueError(f"t={ts.flat[np.argmax(outside)]} outside [{p.t0}, {p.tf}]")
         return synthesize(self.xhat, self.cfg, ts)
 
-    def derivative(self, t: float) -> np.ndarray:
-        """d/dt of the reconstruction, by exact per-block series differentiation."""
+    def evaluate_many(self, ts: Sequence[float]) -> np.ndarray:
+        """evaluate of the flattened times ts: shape (np.size(ts), n)."""
+        return self.evaluate(np.reshape(ts, -1))
+
+    def derivative(self, t) -> np.ndarray:
+        """d/dt of the reconstruction at t (as in evaluate), by exact per-block differentiation."""
         return self._derivative().evaluate(t)
 
     def _derivative(self) -> "HybridSolution":
@@ -328,8 +329,8 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
     ts = np.asarray(tgrid, dtype=float).reshape(-1)
     if not ts.size:
         return 0.0
-    x = sol.evaluate_many(ts)  # (len(ts), n); rejects times outside [t0, tf]
-    defect = sol._derivative().evaluate_many(ts)
+    x = sol.evaluate(ts)  # (len(ts), n); rejects times outside [t0, tf]
+    defect = sol._derivative().evaluate(ts)
     grid = ts[np.newaxis]
     if spec.A is not None:
         A = sample(spec.A, grid, "A", 2, shape=(spec.n, spec.n))[0]
@@ -340,7 +341,7 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
         a, b = bp[:-1, np.newaxis], bp[1:, np.newaxis]
         inner_nodes = 0.5 * ((b - a) * glx + a + b)  # (K, quad_order)
         # weighted states at the inner nodes, (K, quad_order, n)
-        inner_states = sol.evaluate_many(inner_nodes).reshape(inner_nodes.shape + (-1,))
+        inner_states = sol.evaluate(inner_nodes)
         inner_states *= (0.5 * (b - a) * glw)[..., np.newaxis]
         for rows, kvals in sample_kernel(spec.N, inner_nodes, ts, "N", (spec.n, spec.n)):
             defect[rows] -= np.einsum("jkqac,kqc->ja", kvals, inner_states)

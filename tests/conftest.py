@@ -52,7 +52,7 @@ def block_of(t: float, p) -> int | None:
 
 def to_local(t: float, k: int, p) -> float:
     """Affine map of block k onto [-1, 1]: t_{k-1} -> -1, t_k -> +1."""
-    a, b = p.block_bounds(k)
+    a, b = p.breakpoints[k - 1:k + 1]
     if t < a or t > b:
         raise ValueError(f"t={t} outside block {k} = [{a}, {b}]")
     return (2.0 * t - a - b) / (b - a)
@@ -60,7 +60,7 @@ def to_local(t: float, k: int, p) -> float:
 
 def global_of_local(x, k, p):
     """Inverse of to_local: x in [-1, 1] back to global time in block k."""
-    a, b = p.block_bounds(k)
+    a, b = p.breakpoints[k - 1:k + 1]
     return 0.5 * ((b - a) * x + a + b)
 
 
@@ -71,7 +71,7 @@ def reference_derivative(sol, t: float) -> np.ndarray:
     k = block_of(t, p)
     if k is None:
         raise ValueError(f"t={t} outside [{p.t0}, {p.tf}]")
-    dcoef = chebyshev_u_derivative_coeffs(sol.xhat.block(k))
+    dcoef = chebyshev_u_derivative_coeffs(sol.xhat.tensor()[k - 1])
     return 2.0 / p.widths[k - 1] * np.asarray(chebyshev_u_series(dcoef, to_local(t, k, p)))
 
 

@@ -44,12 +44,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((1.0,))
 
-    def test_block_bounds_range(self):
-        p = Partition.uniform(0, 1, 2)
-        assert p.block_bounds(1) == (0.0, 0.5)
-        with pytest.raises(ValueError):
-            p.block_bounds(3)
-
 
 class TestBasisConfig:
     def test_size(self):

@@ -9,6 +9,8 @@ PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 POLY = os.path.join(PROBLEMS_DIR, "polynomial_ivp.prob")
 EXPDECAY = os.path.join(PROBLEMS_DIR, "exp_decay_ivp.prob")
 GOLDENS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "goldens")
+# the text tables and the M comparison, pinned byte for byte
+TEXT_GOLDENS_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 SINGULAR = """
 [system]
@@ -74,6 +76,17 @@ class TestSolveCommand:
         stem = os.path.splitext(os.path.basename(path))[0]
         with open(os.path.join(GOLDENS_DIR, f"{stem}{suffix}.csv"), "rb") as golden:
             assert out.read_bytes() == golden.read()
+
+    def test_breakpoints_past_tf_are_an_input_error(self, tmp_path, capsys):
+        # 1e-13 past tf: rejected by the loader, not by assemble ("basis covers ...")
+        text = open(POLY).read().replace(
+            "breakpoints = uniform", "breakpoints = [0, 0.2, 0.5, 1.0000000000001]"
+        )
+        cfgfile = tmp_path / "past.prob"
+        cfgfile.write_text(text)
+        assert main(["solve", "--config", str(cfgfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bpcheb: input error: [solve].breakpoints: must span")
 
     def test_deterministic_output(self, capsys):
         main(["solve", "--config", POLY])
@@ -190,6 +203,32 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfgfile)]) == 1
         err = capsys.readouterr().err
         assert "[system].A[0][0]" in err
+
+
+class TestBothCommands:
+    @pytest.mark.parametrize("path", [POLY, EXPDECAY])
+    @pytest.mark.parametrize("golden, argv", [
+        ("table.txt", ["solve", "--format", "table"]),
+        ("K8M12.table.txt", ["solve", "--format", "table", "--K", "8", "--M", "12"]),
+        ("M3-5-7.csv", ["table", "--M-list", "3,5,7"]),
+    ])
+    def test_matches_text_golden_byte_for_byte(self, tmp_path, capsys, path, golden, argv):
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--config", path, "--out", str(out)]) == 0
+        stem = os.path.splitext(os.path.basename(path))[0]
+        with open(os.path.join(TEXT_GOLDENS_DIR, f"{stem}.{golden}"), "rb") as pinned:
+            assert out.read_bytes() == pinned.read()
+
+    @pytest.mark.parametrize("command", [["solve"], ["table", "--M-list", "3,5"]])
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, command, missing_dir):
+        out = tmp_path / "missing" / "x.csv" if missing_dir else tmp_path  # or a directory
+        assert main(command + ["--config", POLY, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("bpcheb:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"bpcheb: input error: cannot write {out}: ")
 
 
 class TestTableCommand:

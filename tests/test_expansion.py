@@ -347,12 +347,12 @@ class TestExpandScalarBlock:
     def test_linear_single_block(self):
         # t on [0, 1] pulls back to (x+1)/2 = (1/2) S_0 + (1/4) S_1
         cfg = BasisConfig.uniform(0, 1, 1, 4)
-        coeffs = expand_vector(lambda t: t, cfg).block(1)[:, 0]
+        coeffs = expand_vector(lambda t: t, cfg).tensor()[0][:, 0]
         np.testing.assert_allclose(coeffs, [0.5, 0.25, 0, 0], atol=1e-14)
 
     def test_quadratic_reconstructs(self):
         cfg = BasisConfig.uniform(0, 1, 3, 4)
-        coeffs = expand_vector(lambda t: t**2, cfg).block(1)[:, 0]
+        coeffs = expand_vector(lambda t: t**2, cfg).tensor()[0][:, 0]
         for x in np.linspace(-1, 1, 50):
             t = global_of_local(x, 1, cfg.partition)
             val = sum(c * chebyshev_u_eval(m, x) for m, c in enumerate(coeffs))
@@ -613,7 +613,7 @@ class TestExpandMatrix:
         mset = expand_matrix(poly_A, cfg)
         for t in np.linspace(0, 1, 60):
             k = min(int(t * 3) + 1, 3)
-            a, b = cfg.partition.block_bounds(k)
+            a, b = cfg.partition.breakpoints[k - 1:k + 1]
             x = (2 * t - a - b) / (b - a)
             rec = sum(
                 mset[k - 1, m] * chebyshev_u_eval(m, x) for m in range(4)
@@ -759,8 +759,8 @@ class TestBuildProductMatrix:
         cfg = BasisConfig(Partition((-1.0, 1.0)), 4)
         mset = expand_matrix(lambda t: np.array([[t]]), cfg)
         fhat = expand_vector(lambda t: np.array([t]), cfg)
-        got = product_blocks(mset)[0] @ fhat.block(1).reshape(-1)
-        direct = expand_vector(lambda t: np.array([t * t]), cfg).block(1).reshape(-1)
+        got = product_blocks(mset)[0] @ fhat.tensor()[0].reshape(-1)
+        direct = expand_vector(lambda t: np.array([t * t]), cfg).tensor()[0].reshape(-1)
         np.testing.assert_allclose(got, direct, atol=1e-12)
         np.testing.assert_allclose(direct, [0.25, 0, 0.25, 0], atol=1e-13)
 
@@ -778,8 +778,9 @@ class TestBuildProductMatrix:
             fhat = expand_vector(ffun, cfg, rule)
             prod = expand_vector(lambda t: mfun(t) @ ffun(t), cfg, rule)
             for k in (1, 2):
-                got = product_blocks(mset)[k - 1] @ fhat.block(k).reshape(-1)
-                np.testing.assert_allclose(got, prod.block(k).reshape(-1), rtol=0, atol=1e-10)
+                got = product_blocks(mset)[k - 1] @ fhat.tensor()[k - 1].reshape(-1)
+                np.testing.assert_allclose(got, prod.tensor()[k - 1].reshape(-1),
+                                           rtol=0, atol=1e-10)
 
     def test_truncation_matches_projection_of_exact_product(self):
         # degree M-1 factors: the product overflows the basis, but the
@@ -792,8 +793,8 @@ class TestBuildProductMatrix:
         fhat = expand_vector(ffun, cfg, rule)
         prod = expand_vector(lambda t: mfun(t) @ ffun(t), cfg, rule)
         for k in (1, 2):
-            got = product_blocks(mset)[k - 1] @ fhat.block(k).reshape(-1)
-            np.testing.assert_allclose(got, prod.block(k).reshape(-1), rtol=0, atol=1e-10)
+            got = product_blocks(mset)[k - 1] @ fhat.tensor()[k - 1].reshape(-1)
+            np.testing.assert_allclose(got, prod.tensor()[k - 1].reshape(-1), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("K,M,shape", [(1, 1, (1, 1)), (3, 4, (2, 2)), (5, 7, (2, 1)),
                                            (8, 12, (3, 2)), (16, 16, (2, 2))])
@@ -829,7 +830,7 @@ class TestBuildProductMatrix:
         mset = expand_matrix(lambda t: np.eye(2), cfg)
         fhat = expand_vector(lambda t: np.array([1.0, 2.0, 3.0]), cfg)
         with pytest.raises(ValueError):
-            product_blocks(mset)[0] @ fhat.block(1).reshape(-1)
+            product_blocks(mset)[0] @ fhat.tensor()[0].reshape(-1)
 
 
 class TestSynthesize:
@@ -845,7 +846,7 @@ class TestSynthesize:
                 if cfg.partition.breakpoints[k - 1] <= t
                 and (t < cfg.partition.breakpoints[k] or k == 3)
             )
-            a, b = cfg.partition.block_bounds(k)
+            a, b = cfg.partition.breakpoints[k - 1:k + 1]
             x = (2 * t - a - b) / (b - a)
             direct = sum(
                 tensor[k - 1, m] * chebyshev_u_eval(m, x) for m in range(5)
@@ -869,7 +870,7 @@ class TestSynthesize:
         assert got.shape == (ts.size, 2)
         for t, row in zip(ts, got):
             k = block_of(t, cfg.partition)
-            expected = chebyshev_u_series(cv.block(k), to_local(t, k, cfg.partition))
+            expected = chebyshev_u_series(cv.tensor()[k - 1], to_local(t, k, cfg.partition))
             assert np.array_equal(row, expected)
         assert synthesize(cv, cfg, ts.reshape(2, -1)).shape == (2, ts.size // 2, 2)
 

@@ -37,7 +37,7 @@ def oracle_fredholm_image(kernel, f, cfg, inner_order=80):
     glx, glw = np.polynomial.legendre.leggauss(inner_order)
     points, weights = [], []
     for k in range(1, cfg.K + 1):
-        a, b = cfg.partition.block_bounds(k)
+        a, b = cfg.partition.breakpoints[k - 1:k + 1]
         points.append(0.5 * ((b - a) * glx + a + b))
         weights.append(0.5 * (b - a) * glw)
     points = np.concatenate(points)

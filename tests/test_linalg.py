@@ -192,9 +192,6 @@ class TestInfNorm:
     def test_vector(self):
         assert inf_norm(np.array([1.0, -3.5, 2.0])) == 3.5
 
-    def test_matrix_row_sum(self):
-        assert inf_norm(np.array([[1.0, -2.0], [3.0, 0.5]])) == 3.5
-
     def test_empty(self):
         assert inf_norm(np.array([])) == 0.0
 

@@ -127,13 +127,13 @@ def _random_per_block_poly(rng, cfg, deg, n):
     # accumulate block integrals so the antiderivative is continuous
     offsets = [np.zeros(n)]
     for k in range(1, cfg.K + 1):
-        a, b = cfg.partition.block_bounds(k)
+        a, b = cfg.partition.breakpoints[k - 1:k + 1]
         ints = np.array([p.integ()(b) - p.integ()(a) for p in polys[k - 1]])
         offsets.append(offsets[-1] + ints)
 
     def integral(t):
         k = _find_block(t, cfg)
-        a, _ = cfg.partition.block_bounds(k)
+        a, _ = cfg.partition.breakpoints[k - 1:k + 1]
         part = np.array([p.integ()(t) - p.integ()(a) for p in polys[k - 1]])
         return offsets[k - 1] + part
 

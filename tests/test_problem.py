@@ -2,14 +2,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpcheb import exprlang
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.exprlang import evaluate, parse
-from bpcheb.problem import OutputSpec, ProblemError, dumps, load, loads
+from bpcheb.exprlang import BinOp, Call, Neg, Var, evaluate, parse
+from bpcheb.problem import OutputSpec, Problem, ProblemError, dumps, load, loads
 from bpcheb.solver import SystemSpec, assemble, residual, solve
 
+from test_exprlang_properties import _trees
+
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+GOLDENS_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
 MINIMAL = """
 [system]
@@ -81,6 +86,13 @@ class TestLoads:
     def test_breakpoints_must_span_interval(self):
         text = MINIMAL.replace("K = 2", "K = 2\nbreakpoints = [0, 0.5, 0.9]")
         with pytest.raises(ProblemError, match="span"):
+            loads(text)
+
+    @pytest.mark.parametrize("breakpoints", ["[-1e-13, 0.5, 1]", "[0, 0.5, 1.0000000000001]"])
+    def test_breakpoints_must_start_and_end_exactly_at_t0_and_tf(self, breakpoints):
+        # a basis reaching 1e-13 past [t0, tf] is one that assemble rejects
+        text = MINIMAL.replace("K = 2", f"K = 2\nbreakpoints = {breakpoints}")
+        with pytest.raises(ProblemError, match=r"\[solve\]\.breakpoints: must span"):
             loads(text)
 
     def test_missing_section(self):
@@ -197,10 +209,72 @@ class TestLoads:
             load("/nonexistent/path.prob")
 
 
+def _without_s(e):
+    """e with every s replaced by t: the data other than N are functions of t alone."""
+    if e == Var("s"):
+        return Var("t")
+    if isinstance(e, Neg):
+        return Neg(_without_s(e.operand))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _without_s(e.left), _without_s(e.right))
+    if isinstance(e, Call):
+        return Call(e.func, _without_s(e.arg))
+    return e
+
+
+_t_trees = _trees.map(_without_s)
+
+
+@st.composite
+def _problems(draw):
+    """Valid problems: every optional datum present or not, uniform or explicit
+    breakpoints, output points or a point count, both formats."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def optional(trees, *shape):  # None, or a tuple (of tuples) of trees of that shape
+        for size in reversed(shape):
+            trees = st.tuples(*[trees] * size)
+        return draw(st.none() | trees)
+
+    t0 = draw(st.floats(-1e3, 1e3))
+    tf = t0 + draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        breakpoints, K = None, draw(st.integers(1, 64))
+    else:
+        inner = draw(st.lists(st.floats(t0, tf, exclude_min=True, exclude_max=True),
+                              unique=True, max_size=6))
+        breakpoints = (t0, *sorted(inner), tf)
+        K = len(breakpoints) - 1
+    if draw(st.booleans()):
+        points, count = tuple(draw(st.lists(st.floats(t0, tf), min_size=1, max_size=6))), None
+    else:
+        points, count = None, draw(st.integers(2, 1000))
+    return Problem(
+        n=n, r=r, t0=t0, tf=tf,
+        x0=tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n))),
+        A=optional(_t_trees, n, n), N=optional(_trees, n, n), B=optional(_t_trees, n, r),
+        u=optional(_t_trees, r), K=K, M=draw(st.integers(1, 20)), breakpoints=breakpoints,
+        output=OutputSpec(points=points, eval_points=count, exact=optional(_t_trees, n),
+                          fmt=draw(st.sampled_from(["csv", "table"]))),
+    )
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("fname", ["polynomial_ivp.prob", "exp_decay_ivp.prob"])
     def test_shipped_problems(self, fname):
         p = load(os.path.join(PROBLEMS_DIR, fname))
+        assert loads(dumps(p)) == p
+
+    @pytest.mark.parametrize("fname", ["polynomial_ivp.prob", "exp_decay_ivp.prob"])
+    def test_dumps_matches_golden_byte_for_byte(self, fname):
+        stem = os.path.splitext(fname)[0]
+        with open(os.path.join(GOLDENS_DIR, f"{stem}.dumps.prob"), "rb") as golden:
+            assert dumps(load(os.path.join(PROBLEMS_DIR, fname))).encode() == golden.read()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_problems())
+    def test_generated_problems(self, p):
         assert loads(dumps(p)) == p
 
     def test_non_uniform_with_eval_points(self):

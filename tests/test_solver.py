@@ -132,7 +132,7 @@ class TestSolve:
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[3.25])
         sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, 3, 4))
         for k in (1, 2, 3):
-            np.testing.assert_allclose(sol.xhat.block(k)[:, 0], [3.25, 0, 0, 0], atol=1e-12)
+            np.testing.assert_allclose(sol.xhat.tensor()[k - 1][:, 0], [3.25, 0, 0, 0], atol=1e-12)
 
     def test_polynomial_benchmark_coefficients(self, poly_system):
         sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
@@ -400,6 +400,26 @@ class TestEvaluate:
         assert got.shape == (ts.size, 2)
         assert np.array_equal(got, np.array([sol.evaluate(t) for t in ts]))
         assert np.array_equal(sol.evaluate_many([1.0]), [sol.evaluate(1.0)])
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    @pytest.mark.parametrize("method", ["evaluate", "derivative"])
+    def test_array_of_times_keeps_its_shape(self, expdecay_system, method, shape):
+        # one state per time, not the state at the first time alone
+        sol = hybrid_solve(expdecay_system, BasisConfig(Partition((0.0, 0.15, 0.4, 0.9, 1.0)), 6))
+        ts = np.random.default_rng(7).uniform(0, 1, shape)
+        f = getattr(sol, method)
+        got = f(ts)
+        assert got.shape == shape + (2,)
+        assert np.array_equal(got, np.reshape([f(float(t)) for t in ts.flat], got.shape))
+        series = sol if method == "evaluate" else sol._derivative()
+        assert np.array_equal(got, series.evaluate_many(ts.reshape(-1)).reshape(got.shape))
+
+    @pytest.mark.parametrize("method", ["evaluate", "derivative", "evaluate_many"])
+    def test_array_out_of_domain_names_the_first_time_in_c_order(self, poly_system, method):
+        sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
+        ts = np.array([[0.5, 0.25, 1.5], [-0.5, 0.75, 2.0]])  # -0.5 comes first in F order
+        with pytest.raises(ValueError, match=r"t=1\.5 outside"):
+            getattr(sol, method)(ts)
 
     @pytest.mark.parametrize("bad", [1.2, -0.1, math.nan])
     def test_evaluate_many_out_of_domain_names_t(self, poly_system, bad):
