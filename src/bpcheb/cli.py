@@ -101,11 +101,10 @@ def _cmd_solve(args) -> int:
     ts, values = _solve_problem(problem)
     exact = _exact_values(problem, ts)
     emit = emit_text_table if problem.output.fmt == "table" else emit_csv
-    text = emit(ts, values, exact, _meta_line(problem))
-    if exact is not None:
+    _write_output(emit(ts, values, exact, _meta_line(problem)), args.out)
+    if exact is not None:  # only once the output exists
         err = float(np.max(np.abs(values - exact)))
         print(f"max error vs exact: {_fmt(err)}", file=sys.stderr)
-    _write_output(text, args.out)
     return 0
 
 

@@ -266,11 +266,19 @@ def _eval(e: Expr, t, s):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# the element-wise ufunc of each function and of ^, built once: a fresh
+# np.frompyfunc costs about 3 us per array call; the table never grows
+_UFUNCS = {fn: np.frompyfunc(fn, 1, 1) for fn in FUNCTIONS.values()}
+_UFUNCS[math.pow] = np.frompyfunc(math.pow, 2, 1)
+
+
 def _apply(fn: Callable, *args):
     """fn's float on floats; on arrays, fn applied to each element
-    (np.frompyfunc), because numpy's exp, log and power round differently."""
+    (np.frompyfunc), because numpy's exp, log and power round differently.
+    A function put into FUNCTIONS later gets a ufunc per call."""
     if any(isinstance(a, np.ndarray) for a in args):
-        return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+        ufunc = _UFUNCS.get(fn) or np.frompyfunc(fn, len(args), 1)
+        return np.asarray(ufunc(*args), dtype=float)
     return float(fn(*args))
 
 

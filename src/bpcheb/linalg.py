@@ -7,21 +7,49 @@ getrs then reads without a copy, so the factors and solutions are those of
 scipy.linalg.lu_factor/lu_solve without their per-call wrappers.  The pivot
 check makes singular systems fail loudly with the offending pivot (and, in
 a stack, the offending matrix), instead of returning garbage.
+
+LAPACK is reached through scipy's compiled module scipy.linalg._flapack,
+loaded straight from its file after importing only the top-level scipy
+package: scipy.linalg's __init__ is not run, because it would add about
+0.3 s to every import of bpcheb (mostly array-api set-up that clones numpy).
+The module is entered in sys.modules under its own name, or taken from there
+when scipy.linalg came first, so getrf and getrs are the very objects
+scipy.linalg.lapack.get_lapack_funcs returns for float64.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy
 
 __all__ = ["SingularMatrixError", "LU", "inf_norm"]
 
 # pivots below this times the matrix inf-norm count as singular
 PIVOT_RTOL = 1e-13
 
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+def _load_extension(name: str, directory: str):
+    """The compiled module name, loaded from directory and entered in
+    sys.modules under name, without running its parent packages' __init__."""
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+    if spec is None:
+        raise ImportError(f"{name} not found in {directory}", name=name, path=directory)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_FLAPACK = "scipy.linalg._flapack"
+_flapack = sys.modules.get(_FLAPACK) or _load_extension(
+    _FLAPACK, os.path.join(scipy.__path__[0], "linalg"))
+_getrf, _getrs = _flapack.dgetrf, _flapack.dgetrs
 # OpenBLAS's getrf/getrs give wrong results or corrupt memory when two threads call them
 _LAPACK_LOCK = threading.Lock()
 

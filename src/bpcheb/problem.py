@@ -317,11 +317,12 @@ def load(path: str) -> Problem:
 
 
 def dumps(p: Problem) -> str:
-    """Serialize back to file syntax, every list (numbers, expression lists and
-    grids) by json.dumps, the codec loads reads it with; loads(dumps(p)) == p.
+    """Serialize back to file syntax, t0, tf and every list (numbers, expression
+    lists and grids) by json.dumps, the codec loads reads it with, which writes
+    a float subclass such as np.float64 as a float; loads(dumps(p)) == p.
     An expression is written as its source text (exprlang.to_str)."""
-    lines = ["[system]", f"n = {p.n}", f"r = {p.r}", f"t0 = {p.t0!r}", f"tf = {p.tf!r}",
-             f"x0 = {json.dumps(p.x0)}"]
+    lines = ["[system]", f"n = {p.n}", f"r = {p.r}", f"t0 = {json.dumps(p.t0)}",
+             f"tf = {json.dumps(p.tf)}", f"x0 = {json.dumps(p.x0)}"]
     for key, exprs in (("A", p.A), ("N", p.N), ("B", p.B), ("u", p.u)):
         if exprs is not None:
             lines.append(f"{key} = {json.dumps(exprs, default=exprlang.to_str)}")

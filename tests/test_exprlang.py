@@ -231,6 +231,17 @@ def _assert_bit_equal(got, want):
 
 
 class TestCompiled:
+    def test_array_calls_build_no_ufunc(self, monkeypatch):
+        # every function and ^ reuse the element-wise ufunc built at import
+        def refuse(*args):
+            raise AssertionError("np.frompyfunc called")
+
+        monkeypatch.setattr(np, "frompyfunc", refuse)
+        t = np.linspace(0.1, 0.9, 5)
+        for name in FUNCTIONS:
+            got = as_function(parse(f"{name}(t)*t^t"))(t)
+            assert got.tolist() == [FUNCTIONS[name](x) * math.pow(x, x) for x in t.tolist()]
+
     def test_broadcast_views_are_compacted(self, monkeypatch):
         # a kernel gets t and s broadcast to one full shape; exp(-t) must still
         # make one math call per distinct t

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,6 +277,17 @@ class TestRoundTrip:
     @given(_problems())
     def test_generated_problems(self, p):
         assert loads(dumps(p)) == p
+
+    def test_numpy_scalars(self):
+        """t0, tf, x0 and breakpoints held as np.float64 dump as plain numbers."""
+        p = loads(MINIMAL.replace("K = 2", "K = 2\nbreakpoints = [0, 0.25, 1.0]"))
+        f64 = np.float64
+        q = replace(p, t0=f64(p.t0), tf=f64(p.tf), x0=tuple(map(f64, p.x0)),
+                    breakpoints=tuple(map(f64, p.breakpoints)))
+        text = dumps(q)
+        assert "np." not in text
+        assert text == dumps(p)
+        assert loads(text) == p
 
     def test_non_uniform_with_eval_points(self):
         text = MINIMAL.replace("K = 2", "K = 2\nbreakpoints = [0, 0.25, 1.0]")
