@@ -70,11 +70,6 @@ class Partition:
     def tf(self) -> float:
         return self.breakpoints[-1]
 
-    @property
-    def widths(self) -> tuple[float, ...]:
-        bp = self.breakpoints
-        return tuple(b - a for a, b in zip(bp, bp[1:]))
-
     @cached_property
     def breakpoint_array(self) -> np.ndarray:
         """[t_0, ..., t_K] as a read-only array, shape (K+1,)."""

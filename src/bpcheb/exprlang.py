@@ -141,21 +141,20 @@ class _Parser:
     def describe_here(self) -> str:
         return repr(self.src[self.pos]) if self.pos < len(self.src) else "end of input"
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek() in ("+", "-"):
+    def _left_assoc(self, ops: tuple[str, ...], operand: Callable[[], Expr]) -> Expr:
+        """operand (op operand)*, op one of ops, grouped from the left."""
+        node = operand()
+        while self.peek() in ops:
             op = self.src[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.parse_term())
+            node = BinOp(op, node, operand())
         return node
 
+    def parse_expr(self) -> Expr:
+        return self._left_assoc(("+", "-"), self.parse_term)
+
     def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek() in ("*", "/"):
-            op = self.src[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.parse_unary())
-        return node
+        return self._left_assoc(("*", "/"), self.parse_unary)
 
     def parse_unary(self) -> Expr:
         if self.peek() == "-":

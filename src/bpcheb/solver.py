@@ -21,8 +21,10 @@ Fredholm operator Q of N.  It is solved one of two ways:
   the only Python loop over the blocks carries an n-vector forward (see
   AssembledSystem).  Nothing of size (KMn)^2 is formed.
 * With a kernel, Q couples every pair of blocks, so the dense system matrix
-  is formed and LU-factored.  Its P^T kron I_n is operational.apply_pt
-  applied to the identity; no Kronecker product is taken.
+  is formed and LU-factored.  Its dense P^T kron I_n and Bop are their
+  structured operators (operational.apply_pt, _apply_blocks) applied to an
+  identity, so no Kronecker product is taken; its Phi is Q with the blocks
+  of A added onto its diagonal blocks.
 
 The stages pass plain arrays: the product operators of A and B are stacked
 diagonal blocks (K, Mn, Mn) and (K, Mn, Mr), Q is a (KMn, KMn) array.
@@ -133,8 +135,11 @@ class AssembledSystem:
     y_k = D_k^-1 rhs_k for all blocks at once, the n-dimensional recurrence
     c_1 = 0, c_{k+1} = T_k c_k + S_k y_k, and x_k = y_k + G_k c_k.  With a
     kernel, the first solve LU-factors the dense system_matrix
-    I - PkronT @ Phi.  Later solves share the factors; concurrent solves are
-    safe, since linalg serializes its LAPACK calls.
+    I - PkronT @ Phi, with Phi a copy of Q plus phi_blocks on its diagonal
+    blocks.  PkronT and Bop, the control's dense operator, are apply_pt and
+    _apply_blocks(b_blocks, .) applied to the identity.  Later solves share
+    the factors; concurrent solves are safe, since linalg serializes its
+    LAPACK calls.
     """
 
     def __init__(self, cfg: BasisConfig, n: int, r: int, phi_blocks: np.ndarray,
@@ -165,14 +170,15 @@ class AssembledSystem:
 
     @cached_property
     def Bop(self) -> np.ndarray:
-        return _read_only(_block_diagonal(self.b_blocks))
+        return _read_only(_apply_blocks(self.b_blocks, np.eye(self.cfg.K * self.cfg.M * self.r)))
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
-        Phi = _block_diagonal(self.phi_blocks)
-        if self.Q is not None:
-            Phi += self.Q
-        return _read_only(np.eye(len(Phi)) - self.PkronT @ Phi)
+        K, Mn = self.phi_blocks.shape[:2]
+        Phi = np.zeros((K * Mn, K * Mn)) if self.Q is None else self.Q.copy()
+        k = np.arange(K)
+        Phi.reshape(K, Mn, K, Mn)[k, :, k, :] += self.phi_blocks  # the diagonal blocks
+        return _read_only(np.eye(K * Mn) - self.PkronT @ Phi)
 
     @cached_property
     def _lu(self) -> LU:
@@ -188,9 +194,7 @@ class AssembledSystem:
         within, S = pt_parts(self.cfg, self.phi_blocks.reshape(K, M, n, M * n))
         D = within.reshape(K, M * n, M * n)
         lu = LU(np.subtract(np.eye(M * n), D, out=D))  # in place: one stack fewer
-        E = np.zeros((K, M * n, n))
-        E[:, :n, :] = np.eye(n)
-        G = lu.solve(E)
+        G = lu.solve(np.broadcast_to(np.eye(M * n, n), (K, M * n, n)))
         return lu, G, S, np.eye(n) + S @ G
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -206,17 +210,10 @@ class AssembledSystem:
 
 
 def _apply_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix times vector, from the stacked diagonal blocks."""
-    return np.matmul(blocks, np.reshape(z, (len(blocks), -1, 1))).reshape(-1)
-
-
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix of the stacked blocks (K, p, q), shape (Kp, Kq)."""
+    """The block-diagonal matrix of the stacked blocks (K, p, q) times z, a
+    vector (Kq,) or a matrix (Kq, c); the result is (Kp,) or (Kp, c)."""
     K, p, q = blocks.shape
-    out = np.zeros((K, p, K, q))
-    k = np.arange(K)
-    out[k, :, k, :] = blocks
-    return out.reshape(K * p, K * q)
+    return np.matmul(blocks, z.reshape(K, q, -1)).reshape((K * p,) + z.shape[1:])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

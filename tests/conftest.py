@@ -72,7 +72,7 @@ def reference_derivative(sol, t: float) -> np.ndarray:
     if k is None:
         raise ValueError(f"t={t} outside [{p.t0}, {p.tf}]")
     dcoef = chebyshev_u_derivative_coeffs(sol.xhat.tensor()[k - 1])
-    return 2.0 / p.widths[k - 1] * np.asarray(chebyshev_u_series(dcoef, to_local(t, k, p)))
+    return 2.0 / p.width_array[k - 1] * np.asarray(chebyshev_u_series(dcoef, to_local(t, k, p)))
 
 
 def reference_residual(spec: SystemSpec, sol, tgrid, quad_order: int = 64) -> float:

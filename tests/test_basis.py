@@ -22,12 +22,12 @@ class TestPartition:
         p = Partition.uniform(0.0, 1.0, 3)
         assert p.num_blocks == 3
         np.testing.assert_allclose(p.breakpoints, [0, 1 / 3, 2 / 3, 1])
-        np.testing.assert_allclose(p.widths, [1 / 3, 1 / 3, 1 / 3])
+        np.testing.assert_allclose(p.width_array, [1 / 3, 1 / 3, 1 / 3])
 
     def test_widths_cover_interval(self):
         p = Partition((0.0, 0.1, 0.25, 0.7, 1.3))
-        assert all(d > 0 for d in p.widths)
-        assert math.isclose(sum(p.widths), p.tf - p.t0, rel_tol=0, abs_tol=1e-15)
+        assert all(d > 0 for d in p.width_array)
+        assert math.isclose(sum(p.width_array), p.tf - p.t0, rel_tol=0, abs_tol=1e-15)
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -43,6 +43,10 @@ class TestPartition:
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
             Partition((1.0,))
+
+    def test_uniform_rejects_zero_blocks(self):
+        with pytest.raises(ValueError, match="^need at least one block$"):
+            Partition.uniform(0, 1, 0)
 
 
 class TestBasisConfig:

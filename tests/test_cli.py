@@ -121,6 +121,12 @@ class TestSolveCommand:
         assert not target.exists()
         assert "input error" in capsys.readouterr().err
 
+    def test_zero_blocks_is_an_input_error(self, capsys):
+        assert main(["solve", "--config", POLY, "--K", "0"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "bpcheb: input error: need at least one block\n"
+
     def test_singular_system_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "singular.prob"
         cfgfile.write_text(SINGULAR)
@@ -229,6 +235,28 @@ class TestBothCommands:
         # the one error line and nothing else: no accuracy for output never written
         [error] = captured.err.splitlines()
         assert error.startswith(f"bpcheb: input error: cannot write {out}: ")
+
+
+class TestWithoutExact:
+    """A file with no exact line: no error columns and nothing on stderr."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "noexact.prob"
+        text = open(POLY).read()
+        path.write_text("".join(line for line in text.splitlines(True)
+                                if not line.startswith("exact")))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, header", [
+        (["solve"], "t,x1,x2"),
+        (["table", "--M-list", "3,4"], "t,x1_M3,x1_M4,x2_M3,x2_M4"),
+    ])
+    def test_header_has_no_exact_columns(self, capsys, config, argv, header):
+        assert main(argv + ["--config", config]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines()[1] == header
 
 
 class TestTableCommand:

@@ -423,6 +423,14 @@ class TestNonFiniteData:
         with pytest.raises(ExpansionError, match=rf"^vector function is {bad} at t={t} "):
             expand_vector(f, self.CFG)
 
+    def test_non_numeric_entry_is_nan_on_the_pointwise_path(self):
+        # None is no real scalar: _nodes_layout drops the _Nodes call (TypeError), and
+        # on the pointwise path, one node per call, None converts to nan
+        grid = nodes(self.CFG, default_rule(self.CFG))
+        with pytest.raises(ExpansionError,
+                           match=rf"^vector function is nan at t={grid[0, 0]} \(block 1\)$"):
+            expand_vector(lambda t: np.array([t, None]), self.CFG)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matrix_nan_on_part_of_the_domain(self):
         A = lambda t: np.array([[1.0, np.sqrt(t - 0.4)], [t, 1.0]])  # ragged: per node

@@ -179,6 +179,14 @@ class TestPrinting:
             assert evaluate(again, t) == pytest.approx(evaluate(tree, t), abs=1e-14)
 
 
+class TestNotANode:
+    @pytest.mark.parametrize("call", [lambda x: evaluate(x, 0.5), to_str])
+    @pytest.mark.parametrize("value", ["t", 3.0, None])
+    def test_rejects_non_node(self, call, value):
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            call(value)
+
+
 class TestBenchmarkEntryStrings:
     """Every entry of the two benchmark systems parses and matches a
     hand-coded closure on a 50-point grid."""

@@ -79,7 +79,7 @@ def separable_q(ahat, bhat, cfg):
     product tensor folded with the block integrals.
     """
     g = fold_weights(cfg.M)
-    inner = 0.5 * np.asarray(cfg.partition.widths)[:, None] * (np.asarray(bhat) @ g)
+    inner = 0.5 * cfg.partition.width_array[:, None] * (np.asarray(bhat) @ g)
     return np.outer(np.asarray(ahat).reshape(-1), inner.reshape(-1))
 
 
@@ -146,7 +146,7 @@ def einsum_fredholm_q(kernel, cfg, rule):
     data = np.array([np.einsum("lx,xkiac->lkiac", proj, np.einsum("my,xkyac->xkmac", proj, slab))
                      for slab in vals])
     out = np.einsum("jlkiac,ip->jlakpc", data, fold_weights(cfg.M))
-    out *= 0.5 * np.asarray(cfg.partition.widths)[None, None, None, :, None, None]
+    out *= 0.5 * cfg.partition.width_array[None, None, None, :, None, None]
     size = cfg.K * cfg.M
     return out.reshape(size * data.shape[4], size * data.shape[5])
 
@@ -160,7 +160,7 @@ def pointwise_fredholm_q(kernel, cfg, rule):
     proj = projection_matrix(cfg.M - 1, rule)
     grid = nodes(cfg, rule)
     g = fold_weights(cfg.M)
-    half_widths = 0.5 * np.asarray(cfg.partition.widths)
+    half_widths = 0.5 * cfg.partition.width_array
     rows = []
     for ts in grid:
         # inner[x, k] = (m, a, c) coefficients in s for outer node x, inner block k

@@ -17,7 +17,7 @@ def loop_built_p(cfg):
     integral d_i/(m+1) for even degree m in its degree-0 column.
     """
     M, K = cfg.M, cfg.K
-    widths = cfg.partition.widths
+    widths = cfg.partition.width_array
     phat = build_phat(M)
     P = np.zeros((M * K, M * K))
     for i in range(K):
@@ -110,7 +110,7 @@ class TestBuildP:
             for j in range(i + 1, 3):
                 blk = P[i * M : (i + 1) * M, j * M : (j + 1) * M]
                 assert not blk[:, 1:].any()
-                d_i = cfg.partition.widths[i]
+                d_i = cfg.partition.width_array[i]
                 expected = np.array([d_i / (m + 1) if m % 2 == 0 else 0.0 for m in range(M)])
                 np.testing.assert_allclose(blk[:, 0], expected)
 
@@ -174,7 +174,7 @@ class TestIntegrationProperty:
         f, integral = _random_per_block_poly(rng, cfg, cfg.M - 1, 1)
         fhat = expand_vector(f, cfg, rule)
         ihat = expand_vector(integral, cfg, rule)
-        tol = 1e-11 * max(cfg.partition.widths) + 1e-12
+        tol = 1e-11 * cfg.partition.width_array.max() + 1e-12
         np.testing.assert_allclose(P.T @ fhat.data, ihat.data, rtol=0, atol=max(tol, 1e-11))
 
     def test_matrix_is_read_only(self):
@@ -228,7 +228,7 @@ class TestApplyPt:
         K, M, n, c = (int(v) for v in rng.integers(1, [9, 20, 4, 6], endpoint=True))
         cfg = random_cfg(rng, K, M)
         z = rng.standard_normal((K, M, n, c)[: int(rng.integers(2, 4, endpoint=True))])
-        d = np.asarray(cfg.partition.widths).reshape((K,) + (1,) * (z.ndim - 2))
+        d = cfg.partition.width_array.reshape((K,) + (1,) * (z.ndim - 2))
         within = np.einsum("pm,kp...->km...", build_phat(M), z) * (0.5 * d[:, np.newaxis])
         totals = d * np.einsum("m,km...->k...", block_integral_weights(M), z)
         got_within, got_totals = pt_parts(cfg, z)

@@ -77,7 +77,7 @@ class TestLoads:
         text = text.replace("K = 2", "K = 2\nbreakpoints = [0, 0.2, 1.0]")
         p = loads(text)
         assert p.breakpoints == (0.0, 0.2, 1.0)
-        assert p.basis_config().partition.widths == (0.2, 0.8)
+        assert p.basis_config().partition.width_array.tolist() == [0.2, 0.8]
 
     def test_breakpoint_count_must_match_k(self):
         text = MINIMAL.replace("K = 2", "K = 2\nbreakpoints = [0, 1.0]")

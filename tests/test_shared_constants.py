@@ -50,7 +50,8 @@ def test_cache_is_keyed_by_type(build):
 
 def test_partition_arrays_match_the_tuples():
     assert PARTITION.breakpoint_array.tolist() == list(PARTITION.breakpoints)
-    assert PARTITION.width_array.tolist() == list(PARTITION.widths)
+    bp = PARTITION.breakpoints
+    assert PARTITION.width_array.tolist() == [b - a for a, b in zip(bp, bp[1:])]
 
 
 def test_default_rule_is_shared_per_m():

@@ -334,6 +334,23 @@ def _random_system(rng, n, r, with_a, with_b, with_u):
     return spec, cfg
 
 
+def _random_kernel_system(n, r, M):
+    """Smooth random data with a kernel on a random non-uniform partition of [0, 1], K=4."""
+    rng = np.random.default_rng([n, r, M])
+    cfg = BasisConfig(Partition((0.0, *np.sort(rng.uniform(0, 1, 3)), 1.0)), M)
+    a0, c0 = rng.uniform(-1, 1, (2, n, n))
+    b0, b1 = rng.uniform(-1, 1, (2, n, r))
+    w = rng.uniform(0.5, 3, r)
+    spec = SystemSpec(
+        n=n, r=r, t0=0.0, tf=1.0, x0=rng.uniform(-1, 1, n),
+        A=lambda t: np.multiply.outer(a0, np.cos(t)),
+        B=lambda t: np.multiply.outer(b0, np.ones_like(t)) + np.multiply.outer(b1, t * t),
+        N=lambda t, s: np.multiply.outer(0.5 * c0, np.exp(-(t - s) ** 2)),
+        u=lambda t: np.cos(np.multiply.outer(w, t)),
+    )
+    return spec, cfg
+
+
 class TestBlockMarch:
     @pytest.mark.parametrize("n,r,with_a,with_b,with_u", [
         (n, r, *mask) for n in (1, 2, 3) for r in (1, 2)
@@ -350,8 +367,13 @@ class TestBlockMarch:
             assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
     def test_kernel_path_is_the_dense_oracle(self, poly_system, expdecay_system):
-        for spec, cfg in ((poly_system, BasisConfig(Partition((0.0, 0.2, 0.5, 1.0)), 4)),
-                          (expdecay_system, BasisConfig.uniform(0, 1, 3, 7))):
+        # M r of 3, 5, 6 and 10 too: where M r is not a multiple of 4, BLAS lane
+        # alignment changes the control term's bits, so Bop must hold the oracle's entries
+        systems = [(poly_system, BasisConfig(Partition((0.0, 0.2, 0.5, 1.0)), 4)),
+                   (expdecay_system, BasisConfig.uniform(0, 1, 3, 7))]
+        systems += [_random_kernel_system(n, r, M)
+                    for n, r, M in itertools.product((1, 3), (1, 2), (3, 5))]
+        for spec, cfg in systems:
             asm = assemble(spec, cfg)
             assert np.array_equal(solve(asm, spec.u).xhat.data, dense_reference_solve(asm, spec.u))
 
@@ -637,6 +659,10 @@ class TestResidual:
         sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
         with pytest.raises(ValueError, match=f"t={bad} outside"):
             residual(poly_system, sol, [0.5, bad])
+
+    def test_empty_grid_has_zero_residual(self, poly_system):
+        sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
+        assert residual(poly_system, sol, []) == 0.0
 
     def test_zero_system_zero_residual(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[2.0])
