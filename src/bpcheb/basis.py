@@ -115,24 +115,21 @@ def as_index(key: str, value) -> int:
 
 
 def chebyshev_u_eval(m: int, x: float) -> float:
-    """S_m(x) by the three-term recurrence S_{m+1} = 2x S_m - S_{m-1}.
+    """S_m(x): chebyshev_u_all's degree-m entry at the one point x.
 
-    S_0 = 1, S_1 = 2x.  The recurrence is used even for |x| > 1 (no domain
-    check), which avoids the removable singularity of the closed form
-    sin((m+1) arccos x)/sqrt(1-x^2) at the endpoints.
+    The recurrence runs for any x (no domain check), which avoids the removable
+    singularity of the closed form sin((m+1) arccos x)/sqrt(1-x^2) at the
+    endpoints; a large x overflows to inf or nan silently, as Python floats do.
     """
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
-    prev, cur = 1.0, 2.0 * x
-    if m == 0:
-        return prev
-    for _ in range(m - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(chebyshev_u_all(m, [x])[m, 0])
 
 
 def chebyshev_u_all(max_degree: int, x: np.ndarray) -> np.ndarray:
-    """Matrix of S_m(x_i) for m = 0..max_degree, shape (max_degree+1, len(x))."""
+    """Matrix of S_m(x_i) for m = 0..max_degree, shape (max_degree+1, len(x)),
+    by the three-term recurrence S_{m+1} = 2x S_m - S_{m-1}, S_0 = 1, S_1 = 2x."""
     x = np.asarray(x, dtype=float)
     out = np.empty((max_degree + 1, x.size), dtype=float)
     out[0] = 1.0

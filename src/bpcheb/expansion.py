@@ -361,23 +361,24 @@ def project(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def product_coeff(i: int, j: int, m: int) -> float:
-    """Coefficient of S_m in S_i S_j: 1 when |i-j| <= m <= i+j with matching
-    parity, else 0."""
+    """Coefficient of S_m in S_i S_j: 1 where _product_rule holds, else 0."""
     if min(i, j, m) < 0:
         raise ValueError("degrees must be non-negative")
-    return 1.0 if abs(i - j) <= m <= i + j and (i + j + m) % 2 == 0 else 0.0
+    return float(_product_rule(i, j, m))
 
 
 @lru_cache(maxsize=None, typed=True)
 def product_tensor(M: int) -> np.ndarray:
     """Read-only (M, M, M) tensor d[i, j, m] of product_coeff values, cached per M."""
-    d = np.zeros((M, M, M))
-    for i in range(M):
-        for j in range(M):
-            lo, hi = abs(i - j), min(i + j, M - 1)
-            d[i, j, lo : hi + 1 : 2] = 1.0
+    d = _product_rule(*np.indices((M, M, M), sparse=True)).astype(float)
     d.flags.writeable = False
     return d
+
+
+def _product_rule(i, j, m):
+    """Whether S_m appears in S_i S_j: |i-j| <= m <= i+j with i+j+m even.
+    On non-negative ints, or elementwise on arrays that broadcast together."""
+    return (abs(i - j) <= m) & (m <= i + j) & ((i + j + m) % 2 == 0)
 
 
 def product_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -396,20 +397,22 @@ def product_blocks(blocks: np.ndarray) -> np.ndarray:
 
 
 def synthesize(coeffs: CoeffVector, cfg: BasisConfig, t) -> np.ndarray:
-    """Reconstruction sum_{km} f_{km} h_{km}(t); zero outside the domain.
+    """Reconstruction sum_{km} f_{km} h_{km}(t) at a time t or at each time of an array t.
 
-    t is a time or an array of times; the result has shape t.shape + (n,).
-    Only the block containing a time contributes (t_{k-1} <= t < t_k, and
-    t_f in block K), evaluated by one Clenshaw pass over all times.
+    The result has shape np.shape(t) + (n,).  A time outside [t0, tf], NaN
+    too, raises ValueError naming the first such time in C order.  Only the
+    block containing a time contributes (t_{k-1} <= t < t_k, and t_f in
+    block K), evaluated by one Clenshaw pass over all times.
     """
     p = cfg.partition
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
+    outside = ~((flat >= p.t0) & (flat <= p.tf))
+    if outside.any():
+        raise ValueError(f"t={flat[np.argmax(outside)]} outside [{p.t0}, {p.tf}]")
     bp = p.breakpoint_array
-    inside = (flat >= p.t0) & (flat <= p.tf)
-    k = np.clip(np.searchsorted(bp, flat, side="right"), 1, p.num_blocks)
+    k = np.minimum(np.searchsorted(bp, flat, side="right"), p.num_blocks)  # t_f: block K
     a, b = bp[k - 1], bp[k]
-    x = np.where(inside, (2.0 * flat - a - b) / (b - a), 0.0)
+    x = (2.0 * flat - a - b) / (b - a)
     vals = chebyshev_u_series(np.moveaxis(coeffs.tensor()[k - 1], 1, 0), x[:, np.newaxis])
-    vals[~inside] = 0.0
     return vals.reshape(ts.shape + (coeffs.n,))

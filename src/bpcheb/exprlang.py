@@ -76,7 +76,8 @@ class ExprSyntaxError(Exception):
 
 
 class ExprEvalError(Exception):
-    """Domain failure during evaluation (reports the variable values)."""
+    """Evaluation failed: a division by zero, a call's domain or range error,
+    or an undefined ^; the message names the values of t and s."""
 
 
 @dataclass(frozen=True)
@@ -218,13 +219,8 @@ def parse(src: str) -> Expr:
 
 
 def evaluate(e: Expr, t: float, s: float = 0.0) -> float:
-    """IEEE double evaluation with t and s bound."""
-    try:
-        return _eval(e, t, s)
-    except ExprEvalError:
-        raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ExprEvalError(f"{exc} while evaluating {to_str(e)!r} at t={t}, s={s}") from exc
+    """IEEE double evaluation with t and s bound; a failure raises ExprEvalError."""
+    return _eval(e, t, s)
 
 
 def _eval(e: Expr, t, s):
@@ -241,10 +237,8 @@ def _eval(e: Expr, t, s):
         arg = _eval(e.arg, t, s)
         try:
             return _apply(FUNCTIONS[e.func], arg)
-        except ValueError as exc:
-            raise ExprEvalError(
-                f"domain error in {e.func}({arg}) at t={t}, s={s}"
-            ) from exc
+        except (ValueError, OverflowError) as exc:
+            raise ExprEvalError(f"{exc} in {e.func}({arg}) at t={t}, s={s}") from exc
     if isinstance(e, BinOp):
         a = _eval(e.left, t, s)
         b = _eval(e.right, t, s)
@@ -344,8 +338,9 @@ def as_function(e: Expr) -> Callable:
 
     Floats in give evaluate's float out; arrays in give an array of shape
     np.broadcast(t, s).shape whose every element equals evaluate at that
-    element.  A failure raises evaluate's own ExprEvalError for the first
-    failing element, in C order.
+    element.  When the walk on arrays raises ExprEvalError, evaluate runs
+    element by element, so the error names the first failing element, in
+    C order.
     """
 
     def f(t, s=0.0):
@@ -356,7 +351,7 @@ def as_function(e: Expr) -> Callable:
         try:
             with np.errstate(all="ignore"):  # overflow to inf is silent, as for floats
                 val = _eval(e, _compact(t), _compact(s))
-        except (ExprEvalError, ArithmeticError):  # ArithmeticError: a math function overflowed
+        except ExprEvalError:
             tt, ss = np.broadcast_arrays(t, s)
             val = [evaluate(e, a, b) for a, b in zip(tt.flat, ss.flat)]
             return np.array(val, dtype=float).reshape(shape)

@@ -307,11 +307,12 @@ def loads(text: str, name: str = "<string>") -> Problem:
 
 
 def load(path: str) -> Problem:
-    """Read and validate a problem file."""
+    """Read and validate a UTF-8 problem file, with or without a byte-order mark;
+    a file that cannot be opened or decoded raises ProblemError naming the path."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemError(f"cannot read {path}: {exc}") from exc
     return loads(text, name=path)
 

@@ -281,14 +281,9 @@ class HybridSolution:
     xhat: CoeffVector
 
     def evaluate(self, t) -> np.ndarray:
-        """State at a time t or at each time of an array t, shape np.shape(t) + (n,); a
-        time outside [t0, tf], NaN too, raises ValueError naming the first in C order."""
-        p = self.cfg.partition
-        ts = np.asarray(t, dtype=float)
-        outside = ~((ts >= p.t0) & (ts <= p.tf))
-        if outside.any():
-            raise ValueError(f"t={ts.flat[np.argmax(outside)]} outside [{p.t0}, {p.tf}]")
-        return synthesize(self.xhat, self.cfg, ts)
+        """State at a time t or at each time of an array t, shape np.shape(t) + (n,),
+        by expansion.synthesize, which rejects times outside [t0, tf]."""
+        return synthesize(self.xhat, self.cfg, t)
 
     def evaluate_many(self, ts: Sequence[float]) -> np.ndarray:
         """evaluate of the flattened times ts: shape (np.size(ts), n)."""

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -99,11 +100,27 @@ class TestChebyshevU:
         assert chebyshev_u_eval(m, -1.0) == pytest.approx((-1) ** m * (m + 1), abs=1e-12)
 
     def test_all_matches_scalar(self):
-        xs = np.linspace(-1, 1, 7)
-        table = chebyshev_u_all(5, xs)
-        for m in range(6):
-            for i, x in enumerate(xs):
-                assert table[m, i] == pytest.approx(chebyshev_u_eval(m, x), abs=1e-14)
+        """chebyshev_u_eval, one entry of chebyshev_u_all, equals the recurrence
+        on Python floats bit for bit, and overflows as silently."""
+
+        def scalar(m, x):
+            prev, cur = 1.0, 2.0 * x
+            if m == 0:
+                return prev
+            for _ in range(m - 1):
+                prev, cur = cur, 2.0 * x * cur - prev
+            return cur
+
+        xs = np.linspace(-1.5, 1.5, 61).tolist() + [-1.0, -0.3, 0.0, 0.7, 1.0]
+        for m in range(41):
+            for x in xs:
+                assert chebyshev_u_eval(m, x) == scalar(m, x), (m, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in range(2, 41):
+                got, want = chebyshev_u_eval(m, 1e200), scalar(m, 1e200)
+                assert not math.isfinite(got)
+                assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):

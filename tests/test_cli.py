@@ -121,6 +121,25 @@ class TestSolveCommand:
         assert not target.exists()
         assert "input error" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bom.prob"
+        with open(POLY, "rb") as handle:
+            cfgfile.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        assert main(["solve", "--config", POLY]) == 0
+        want = capsys.readouterr().out
+        assert main(["solve", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_undecodable_config_exits_1_naming_the_path(self, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.prob"
+        with open(POLY, "rb") as handle:
+            cfgfile.write_bytes("# caf\u00e9\n".encode("latin-1") + handle.read())
+        assert main(["solve", "--config", str(cfgfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [error] = captured.err.splitlines()
+        assert error.startswith(f"bpcheb: input error: cannot read {cfgfile}: 'utf-8' codec")
+
     def test_zero_blocks_is_an_input_error(self, capsys):
         assert main(["solve", "--config", POLY, "--K", "0"]) == 1
         out = capsys.readouterr()

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -749,6 +750,18 @@ class TestProductCoeff:
         with pytest.raises(ValueError):
             product_coeff(-1, 0, 0)
 
+    @pytest.mark.parametrize("M", range(1, 17))
+    def test_coeff_and_tensor_share_the_rule(self, M):
+        d = product_tensor(M)
+        for i, j, m in np.ndindex(M, M, M):
+            assert product_coeff(i, j, m) == d[i, j, m]
+        # the tensor as slices: every other degree from |i-j| up to min(i+j, M-1)
+        slices = np.zeros((M, M, M))
+        for i in range(M):
+            for j in range(M):
+                slices[i, j, abs(i - j) : min(i + j, M - 1) + 1 : 2] = 1.0
+        assert np.array_equal(d, slices)
+
 
 class TestBuildProductMatrix:
     def test_identity_matrix_function(self):
@@ -883,7 +896,22 @@ class TestSynthesize:
         assert synthesize(cv, cfg, ts.reshape(2, -1)).shape == (2, ts.size // 2, 2)
 
     def test_zero_outside_domain(self):
-        cfg = BasisConfig.uniform(0, 1, 2, 3)
+        # no zero fill: a time outside [t0, tf], NaN too, raises ValueError
+        # naming the first such time in C order
+        cfg = BasisConfig(Partition((-0.5, 0.25, 2.0)), 3)
         cv = expand_vector(lambda t: np.array([1.0]), cfg)
-        np.testing.assert_allclose(synthesize(cv, cfg, 1.5), [0.0])
-        np.testing.assert_allclose(synthesize(cv, cfg, [-0.5, 0.5, 1.5]), [[0.0], [1.0], [0.0]])
+        for bad in (math.nan, math.inf, -math.inf, -0.5 - 1e-12, 2.0 + 1e-12):
+            message = "^" + re.escape(f"t={np.float64(bad)} outside [-0.5, 2.0]") + "$"
+            with pytest.raises(ValueError, match=message):
+                synthesize(cv, cfg, bad)
+            with pytest.raises(ValueError, match=message):
+                synthesize(cv, cfg, np.array([[0.5, 1.0, bad], [3.0, 0.25, -1.0]]))
+
+    def test_accepts_the_ends_0d_and_empty_arrays(self):
+        cfg = BasisConfig(Partition((-0.5, 0.25, 2.0)), 3)
+        cv = expand_vector(lambda t: np.array([1.0, t]), cfg)
+        ends = synthesize(cv, cfg, [-0.5, 2.0])
+        np.testing.assert_allclose(ends, [[1.0, -0.5], [1.0, 2.0]], rtol=0, atol=1e-14)
+        assert np.array_equal(synthesize(cv, cfg, np.array(2.0)), ends[1])
+        assert synthesize(cv, cfg, np.empty(0)).shape == (0, 2)
+        assert synthesize(cv, cfg, np.empty((3, 0))).shape == (3, 0, 2)

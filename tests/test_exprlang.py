@@ -126,6 +126,26 @@ class TestEvaluate:
         with pytest.raises(ExprEvalError):
             evaluate(parse("t^0.5"), -2.0)
 
+    @pytest.mark.parametrize(
+        "src, fn, arg, t, ts",
+        [
+            ("ln(t)", math.log, -0.5, -0.5, [1.0, -0.5, -1.0]),
+            ("sqrt(t-2)", math.sqrt, -1.0, 1.0, [3.0, 1.0, 0.0]),
+            ("exp(1000*t)", math.exp, 1000.0, 1.0, [0.5, 1.0, 2.0]),
+        ],
+    )
+    def test_call_errors_name_the_math_error_the_call_and_the_point(self, src, fn, arg, t, ts):
+        # the math module's own message ("math domain error", "math range error")
+        # leads; as_function on arrays names the first failing element
+        with pytest.raises((ValueError, OverflowError)) as reason:
+            fn(arg)
+        name = src.split("(")[0]
+        message = "^" + re.escape(f"{reason.value} in {name}({arg}) at t={t}, s=0.0") + "$"
+        with pytest.raises(ExprEvalError, match=message):
+            evaluate(parse(src), t)
+        with pytest.raises(ExprEvalError, match=message):
+            as_function(parse(src))(np.array(ts))
+
     def test_as_function(self):
         f = as_function(parse("t*s"))
         assert f(3.0, 4.0) == 12.0

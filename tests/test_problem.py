@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,19 @@ class TestLoads:
     def test_file_not_found(self):
         with pytest.raises(ProblemError, match="cannot read"):
             load("/nonexistent/path.prob")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        shipped = os.path.join(PROBLEMS_DIR, "polynomial_ivp.prob")
+        path = tmp_path / "bom.prob"
+        with open(shipped, "rb") as handle:
+            path.write_bytes(b"\xef\xbb\xbf" + handle.read())
+        assert load(str(path)) == load(shipped)
+
+    def test_undecodable_file_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.prob"
+        path.write_bytes(("# caf\u00e9\n" + MINIMAL).encode("latin-1"))
+        with pytest.raises(ProblemError, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec"):
+            load(str(path))
 
 
 def _without_s(e):

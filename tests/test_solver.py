@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -472,6 +473,64 @@ class TestEvaluate:
         sol = hybrid_solve(spec, cfg)
         for t in np.linspace(0, 1, 21):
             assert sol.evaluate(t)[0] == pytest.approx(t * t, abs=1e-11)
+
+
+def _at_times(method: str, spec: SystemSpec, sol, ts):
+    """A solution method at the times ts, or residual over ts."""
+    return residual(spec, sol, ts) if method == "residual" else getattr(sol, method)(ts)
+
+
+class TestTimeRange:
+    """Every way to evaluate a solution keeps synthesize's one range rule."""
+
+    METHODS = ["evaluate", "evaluate_many", "derivative", "residual"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12, 1.0 + 1e-12])
+    def test_rejects_times_outside(self, poly_system, method, bad):
+        sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
+        message = "^" + re.escape(f"t={np.float64(bad)} outside [0.0, 1.0]") + "$"
+        for ts in (bad, np.array([[0.5, 1.0, bad], [2.0, 0.25, -1.0]])):  # 2.0: later in C order
+            with pytest.raises(ValueError, match=message):
+                _at_times(method, poly_system, sol, ts)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_accepts_the_ends_0d_and_empty_arrays(self, poly_system, method):
+        sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
+        ends = _at_times(method, poly_system, sol, np.array([0.0, 1.0]))
+        for i, t in enumerate((0.0, 1.0)):
+            at = _at_times(method, poly_system, sol, np.array(t))
+            if method == "residual":
+                assert at <= ends <= 1e-10
+            else:
+                assert np.array_equal(np.reshape(at, -1), ends[i])
+        empty = _at_times(method, poly_system, sol, np.empty(0))
+        assert empty == 0.0 if method == "residual" else np.shape(empty) == (0, 2)
+
+    def test_evaluation_goes_through_solver_synthesize(self, poly_system, monkeypatch):
+        # the benchmark self-test perturbs every state through this name
+        sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
+        ts = np.array([0.0, 0.3, 1.0])
+        before = {m: getattr(sol, m)(ts) for m in ("evaluate", "evaluate_many", "derivative")}
+        original = solver.synthesize
+        monkeypatch.setattr(solver, "synthesize", lambda *args: original(*args) + 1.0)
+        for m, want in before.items():
+            assert np.array_equal(getattr(sol, m)(ts), want + 1.0), m
+
+
+class TestStiffDecay:
+    """x' = -lam (x - cos t) - sin t, x(0) = 1, exact solution cos t: a
+    regression guard, accurate to about 1e-11 from lam = 1 to 1e6."""
+
+    @pytest.mark.parametrize("K,M", [(4, 12), (16, 16)])
+    @pytest.mark.parametrize("lam", [1.0, 1e2, 1e4, 1e6])
+    def test_error_stays_small_as_lambda_grows(self, lam, K, M):
+        spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[1.0], A=lambda t: np.array([[-lam]]),
+                          B=lambda t: np.array([[1.0]]),
+                          u=lambda t: np.array([lam * np.cos(t) - np.sin(t)]))
+        sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, K, M))
+        ts = np.linspace(0, 1, 201)
+        assert np.max(np.abs(sol.evaluate_many(ts)[:, 0] - np.cos(ts))) <= 1e-10
 
 
 class TestGridPath:
