@@ -13,8 +13,6 @@ the rule S_i S_j = sum over r = 0..min(i,j) of S_{i+j-2r}.
 
 from __future__ import annotations
 
-import threading
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -45,8 +43,6 @@ DEFAULT_EXTRA_ORDER = 8
 # a whole-grid call is kept when its samples at the probe nodes agree with
 # single-point calls to this times its largest magnitude
 PROBE_RTOL = 1e-13
-# held around each recorded grid attempt: warnings.catch_warnings swaps process-wide state
-_GRID_LOCK = threading.RLock()
 
 
 class ExpansionError(Exception):
@@ -119,6 +115,11 @@ def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
     way a failing call, a sample with a non-zero imaginary part, a sample
     of another shape, and a NaN or infinite sample raise ExpansionError
     naming the first such point, in C order over lead, and its block.
+
+    numpy's floating-point warnings never come from the grid calls (a kept
+    result has no NaN and an inf sample raises, so they would come only from
+    masked intermediates); any other warning of f reaches the caller from
+    every call, kept or not.
     """
     lead = np.shape(t) + grid.shape
     points = (grid,) if t is None else (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
@@ -235,24 +236,17 @@ def _sample_grid(f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np
     value_shape + lead with no NaN, value_shape matches shape when given,
     and the samples at the first and the last point agree with
     single-point calls there to PROBE_RTOL times the largest magnitude
-    (exactly, where that is 0 or not finite).  Only the warnings of the
-    kept call and its probes are re-emitted.  Recording them swaps the
-    process-wide warning filters for each call (warnings.catch_warnings), so
-    all threads take turns under one lock, reentrant because f may sample too.
+    (exactly, where that is 0 or not finite).  Both attempts and their
+    probes run under np.errstate(all="ignore"), which numpy keeps per thread.
     """
     lead = args[0].shape
-    with _GRID_LOCK:
+    with np.errstate(all="ignore"):
         for call in (lambda: f(*args), lambda: _nodes_layout(f(*map(_Nodes, args)), lead)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    vals = _kept(call(), f, args, ndim, shape)
-                except Exception:
-                    vals = None  # the pointwise loop raises the located error, if any
+            try:
+                vals = _kept(call(), f, args, ndim, shape)
+            except Exception:
+                continue  # the pointwise loop raises the located error, if any
             if vals is not None:
-                for w in caught:
-                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
-                                           source=w.source)
                 return vals
     return None
 

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -235,7 +236,7 @@ class TestGridSampling:
             sample(inf, self.GRID, "vector function", 1)
         assert inf.calls == 3
 
-    def test_warnings_only_from_a_kept_grid_call(self):
+    def test_warnings_from_every_grid_call(self):
         def fn(t, keep):
             if isinstance(t, np.ndarray):
                 warnings.warn("array call", UserWarning)
@@ -245,11 +246,13 @@ class TestGridSampling:
                 return t if keep == "_Nodes" else float(t)
             return t
 
-        for keep in ("array", "_Nodes", None):
+        # a dropped attempt's warnings reach the caller as well as a kept one's
+        for keep, want in (("array", ["array call"]), ("_Nodes", ["array call", "_Nodes call"]),
+                           (None, ["array call", "_Nodes call"])):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = sample(lambda t: fn(t, keep), self.GRID, "vector function", 1)
-            assert [str(w.message) for w in caught] == ([f"{keep} call"] if keep else [])
+            assert [str(w.message) for w in caught] == want
             assert np.array_equal(got, self.GRID[:, :, None])
 
     def test_concurrent_sampling_leaves_the_warning_filters_as_they_were(self):
@@ -284,6 +287,79 @@ class TestGridSampling:
         vec = lambda t: np.array([t, t])  # noqa: E731
         with pytest.raises(ExpansionError, match=r"u\(0.1\) has 2 components, expected 1"):
             sample(vec if grid else pointwise(vec), self.GRID, "u", 1, shape=(1,))
+
+
+class TestWarningsAndThreads:
+    """The grid attempts run under np.errstate(all="ignore"), which numpy keeps
+    per thread: sampling holds no lock and leaves every warning but numpy's
+    floating-point ones to the caller's filters."""
+
+    GRID = TestGridSampling.GRID
+    CFG = BasisConfig.uniform(0.0, 1.0, 1, 3)  # t=0.5 is one of the 11 nodes
+
+    @staticmethod
+    def noted(t):  # warns in every call
+        warnings.warn("user note", UserWarning)
+        return np.array([t])
+
+    def test_datum_may_wait_on_sampling_in_another_thread(self):
+        alive = []
+
+        def u(t):
+            if isinstance(t, np.ndarray):
+                inner = threading.Thread(target=expand_vector, args=(np.exp, self.CFG), daemon=True)
+                inner.start()
+                inner.join(timeout=5)
+                alive.append(inner.is_alive())
+            return np.array([t])
+
+        expand_vector(u, self.CFG)
+        assert alive == [False]
+
+    def test_two_threads_sample_at_once(self):
+        barrier, met = threading.Barrier(2, timeout=5), []
+
+        def u(t):
+            if isinstance(t, np.ndarray):
+                barrier.wait()  # both array calls run at the same time
+                met.append(True)
+            return np.array([t])
+
+        in_threads(lambda: expand_vector(u, self.CFG), count=2)
+        assert met == [True, True]
+
+    def test_masked_division_is_silent(self):
+        assert 0.5 in nodes(self.CFG, default_rule(self.CFG))
+        f = lambda t: np.array([np.where(t > 0.5, 1 / (t - 0.5), 0.0)])  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expand_vector(f, self.CFG)
+        with np.errstate(divide="ignore"):  # one node at a time, 1/0 at t=0.5 warns
+            want = expand_vector(lambda t: f(np.float64(float(t))), self.CFG)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_warning_as_error_is_a_located_error(self):
+        t = nodes(self.CFG, default_rule(self.CFG))[0, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpansionError,
+                               match=rf"^u failed at t={re.escape(str(t))} \(block 1\): user note$"):
+                expand_vector(self.noted, self.CFG, expect=("u", (1,)))
+
+    def test_warning_of_a_kept_call_is_emitted_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # the array call and both probes warn
+            got = sample(self.noted, self.GRID, "u", 1)
+        assert [str(w.message) for w in caught] == ["user note"]
+        assert np.array_equal(got, self.GRID[:, :, None])
+
+    def test_pointwise_overflow_still_warns(self):
+        u = lambda t: np.array([np.exp(1e4 * np.float64(float(t)))])  # noqa: E731
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ExpansionError, match=r"^u is inf at t=0.1 \(block 1\)$"):
+                sample(u, self.GRID, "u", 1)
+        assert [str(w.message) for w in caught] == ["overflow encountered in exp"] * self.GRID.size
 
 
 class TestNodesCall:

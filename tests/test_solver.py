@@ -1,14 +1,17 @@
 import dataclasses
 import itertools
 import math
+import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from bpcheb import exprlang, solver
+from bpcheb.problem import load
 from bpcheb import kernel as kernel_module
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import ExpansionError, _Nodes, expand_vector
@@ -21,6 +24,7 @@ from conftest import (
     dense_reference_solve,
     dense_reference_system,
     expdecay_A,
+    in_threads,
     pointwise,
     reference_derivative,
     reference_residual,
@@ -531,6 +535,70 @@ class TestStiffDecay:
         sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, K, M))
         ts = np.linspace(0, 1, 201)
         assert np.max(np.abs(sol.evaluate_many(ts)[:, 0] - np.cos(ts))) <= 1e-10
+
+
+class TestKinkedKernels:
+    """x' = integral over [0, 1] of N(t, s) x(s) ds + u(t), x(0) = 1, with the
+    exact solution e^t: regression guards on the worst error over 201 points.
+    A kernel with a kink on t = s converges only algebraically in M, because N
+    is projected on the tensor basis in (t, s); the bounds are 1.5 times the
+    measured errors, so that exact inner integration may only tighten them."""
+
+    KERNELS = {
+        "min": (lambda t, s: np.minimum(t, s), lambda t: 2 * np.exp(t) - 1 - np.e * t),
+        "exp_abs": (lambda t, s: np.exp(-np.abs(t - s)), lambda t: t * np.exp(t) - np.sinh(t)),
+        "ts": (lambda t, s: t * s, lambda t: np.exp(t) - t),
+    }
+    MEASURED = {  # worst error at K=4, M = 4, 8, 16, 32, and at K=16, M=16
+        "min": ((1.21e-4, 6.37e-5, 2.87e-5, 1.06e-5), 1.80e-6),
+        "exp_abs": ((3.02e-4, 1.54e-4, 6.94e-5, 2.57e-5), 4.33e-6),
+    }
+
+    @classmethod
+    def worst_error(cls, kernel, K, M):
+        N, u = cls.KERNELS[kernel]
+        spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[1.0], N=N, B=lambda t: np.array([[1.0]]),
+                          u=lambda t: np.array([u(t)]))
+        ts = np.linspace(0, 1, 201)
+        sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, K, M))
+        return np.max(np.abs(sol.evaluate_many(ts)[:, 0] - np.exp(ts)))
+
+    @pytest.mark.parametrize("kernel", ["min", "exp_abs"])
+    def test_kinked_kernel_converges_algebraically(self, kernel):
+        measured, fine = self.MEASURED[kernel]
+        errors = [self.worst_error(kernel, 4, M) for M in (4, 8, 16, 32)]
+        assert all(e <= 1.5 * m for e, m in zip(errors, measured))
+        assert errors[-1] <= errors[0] / 8
+        assert self.worst_error(kernel, 16, 16) <= 1.5 * fine
+
+    def test_smooth_kernel_reaches_rounding(self):
+        assert self.worst_error("ts", 4, 8) <= 1.5 * 1.3e-13
+        assert max(self.worst_error("ts", 4, M) for M in (12, 16)) <= 1e-12
+
+
+class TestThreads:
+    """Threads solve and evaluate at once: sampling takes no lock, and the
+    LAPACK calls take turns."""
+
+    @pytest.mark.parametrize("system", ["kernel", "kernel-free", "problem file"])
+    def test_concurrent_solves_match_one_thread_bit_for_bit(self, expdecay_system, system):
+        spec, cfg = expdecay_system, BasisConfig.uniform(0, 1, EXP_K, 9)  # A takes the _Nodes call
+        if system == "kernel-free":
+            spec = dataclasses.replace(spec, N=None)
+        elif system == "problem file":
+            problem = load(os.path.join(os.path.dirname(__file__), os.pardir, "problems",
+                                        "exp_decay_ivp.prob"))
+            spec, cfg = problem.system_spec(), problem.basis_config()
+        ts = np.linspace(0, 1, 101)
+
+        def work():
+            sol = hybrid_solve(spec, cfg)
+            return sol.xhat.data.tobytes() + sol.evaluate_many(ts).tobytes()
+
+        one = work()
+        before = list(warnings.filters)
+        assert in_threads(lambda: [work() for _ in range(5)]) == [[one] * 5] * 4
+        assert warnings.filters == before
 
 
 class TestGridPath:
