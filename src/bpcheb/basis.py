@@ -6,12 +6,14 @@ second-kind Chebyshev polynomial S_m pulled back to block k:
 
     h_{km}(t) = b_k(t) * S_m((2t - t_{k-1} - t_k) / d_k),   d_k = t_k - t_{k-1},
 
-for k = 1..K and m = 0..M-1.  Everything here is immutable and pure.
+for k = 1..K and m = 0..M-1.  Everything here is immutable and pure, and read_only
+is the one place where an array bpcheb holds is frozen.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +43,7 @@ class Partition:
     breakpoints: tuple[float, ...]
 
     def __post_init__(self):
-        bp = tuple(float(t) for t in self.breakpoints)
+        bp = tuple(map(float, real_array("breakpoints", self.breakpoints)))
         object.__setattr__(self, "breakpoints", bp)
         if len(bp) < 2:
             raise ValueError("partition needs at least two breakpoints")
@@ -73,16 +75,12 @@ class Partition:
     @cached_property
     def breakpoint_array(self) -> np.ndarray:
         """[t_0, ..., t_K] as a read-only array, shape (K+1,)."""
-        bp = np.array(self.breakpoints)
-        bp.flags.writeable = False
-        return bp
+        return read_only(np.array(self.breakpoints))
 
     @cached_property
     def width_array(self) -> np.ndarray:
         """The block widths d_k = t_k - t_{k-1} as a read-only array, shape (K,)."""
-        d = np.diff(self.breakpoint_array)
-        d.flags.writeable = False
-        return d
+        return read_only(np.diff(self.breakpoint_array))
 
 
 @dataclass(frozen=True)
@@ -112,6 +110,27 @@ def as_index(key: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise TypeError(f"{key} must be an integer, got {value!r}") from None
+
+
+def as_real(key: str, value) -> float:
+    """value as a Python float; real numbers of any kind pass, else TypeError naming key."""
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise TypeError(f"{key} must be a real number, got {value!r}")
+
+
+def real_array(key: str, value) -> np.ndarray:
+    """value as a new float array; bool, int and float entries pass, else TypeError naming key."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"{key} must be real numbers, got {value!r}")
+    return a.astype(float)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place: every array bpcheb holds, made by it or copied, passes here."""
+    a.flags.writeable = False
+    return a
 
 
 def chebyshev_u_eval(m: int, x: float) -> float:

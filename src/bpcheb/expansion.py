@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisConfig, chebyshev_u_series
+from .basis import BasisConfig, chebyshev_u_series, read_only
 from .quadrature import WeightedRule, gauss_u_rule, projection_matrix
 
 __all__ = [
@@ -55,13 +55,14 @@ def default_rule(cfg: BasisConfig) -> WeightedRule:
     return gauss_u_rule(cfg.M + DEFAULT_EXTRA_ORDER)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffVector:
     """Stacked hybrid coefficients of an n-component vector function.
 
     Layout contract: the entry for (block k, degree m, component c) lives at
     flat index ((k-1)*M + m)*n + c, with k in 1..K and m, c 0-based.  This is
     the block-major, degree-middle, component-minor stacking used throughout.
+    data is a read-only flat copy of the array given.
     """
 
     data: np.ndarray
@@ -70,20 +71,18 @@ class CoeffVector:
     n: int
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float).reshape(-1)
+        data = read_only(np.array(self.data, dtype=float).reshape(-1))
         if data.size != self.M * self.K * self.n:
             raise ValueError(
                 f"coefficient vector has length {data.size}, "
                 f"expected M*K*n = {self.M * self.K * self.n}"
             )
-        data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
     @classmethod
     def from_tensor(cls, tensor: np.ndarray) -> "CoeffVector":
         """Build from an array of shape (K, M, n)."""
-        K, M, n = tensor.shape
-        return cls(np.ascontiguousarray(tensor, dtype=float).reshape(-1), K, M, n)
+        return cls(tensor, *tensor.shape)
 
     def tensor(self) -> np.ndarray:
         """View of shape (K, M, n); tensor()[k-1, m, c] is coefficient (k, m, c)."""
@@ -340,9 +339,7 @@ def expand_matrix(
     proj = projection_matrix(cfg.M - 1, rule)
     name, shape = expect or ("matrix function", None)
     fx = sample(mfun, nodes(cfg, rule), name, 2, shape=shape)  # (K, q, n_out, n_in)
-    coeffs = project(proj.T, fx.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-    coeffs.flags.writeable = False
-    return coeffs
+    return read_only(project(proj.T, fx.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3))
 
 
 def project(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -364,9 +361,7 @@ def product_coeff(i: int, j: int, m: int) -> float:
 @lru_cache(maxsize=None, typed=True)
 def product_tensor(M: int) -> np.ndarray:
     """Read-only (M, M, M) tensor d[i, j, m] of product_coeff values, cached per M."""
-    d = _product_rule(*np.indices((M, M, M), sparse=True)).astype(float)
-    d.flags.writeable = False
-    return d
+    return read_only(_product_rule(*np.indices((M, M, M), sparse=True)).astype(float))
 
 
 def _product_rule(i, j, m):

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .basis import BasisConfig
+from .basis import BasisConfig, read_only
 from .expansion import CoeffVector, default_rule, nodes, product_tensor, project, sample
 from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
@@ -42,17 +42,15 @@ __all__ = ["FredholmOperator", "fredholm_operator"]
 _CHUNK_NODES = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FredholmOperator:
-    """Coefficient-space matrix of f -> integral of N(t, s) f(s) ds."""
+    """Coefficient-space matrix of f -> integral of N(t, s) f(s) ds, a read-only copy."""
 
     Q: np.ndarray
     cfg: BasisConfig
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        Q.flags.writeable = False
-        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "Q", read_only(np.array(self.Q, dtype=float)))
 
     def apply(self, fhat: CoeffVector) -> CoeffVector:
         if fhat.data.size != self.Q.shape[1]:
@@ -109,9 +107,7 @@ def _fold_weights(M: int) -> np.ndarray:
     """g[i, p] (inner degree i, f degree p): the block integrals folded into
     the d-tensor; read-only, built once per M and shared for the life of the
     process."""
-    g = np.einsum("ipm,m->ip", product_tensor(M), 2.0 * block_integral_weights(M))
-    g.flags.writeable = False
-    return g
+    return read_only(np.einsum("ipm,m->ip", product_tensor(M), 2.0 * block_integral_weights(M)))
 
 
 def sample_kernel(kernel: Callable, grid: np.ndarray, ts: np.ndarray, name: str,

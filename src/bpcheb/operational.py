@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisConfig
+from .basis import BasisConfig, read_only
 
 __all__ = [
     "OperationalMatrix",
@@ -41,17 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperationalMatrix:
-    """Integration matrix P (MK x MK) for a basis configuration."""
+    """Integration matrix P (MK x MK) for a basis configuration, a read-only copy."""
 
     P: np.ndarray
     cfg: BasisConfig
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        P.flags.writeable = False
-        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "P", read_only(np.array(self.P, dtype=float)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -73,8 +71,7 @@ def build_phat(M: int) -> np.ndarray:
         phat[k, k - 1] = -0.5 / (k + 1)
     for k in range(3, M + 1):  # first column tail (-1)^(k-1)/k
         phat[k - 1, 0] = (-1.0) ** (k - 1) / k
-    phat.flags.writeable = False
-    return phat
+    return read_only(phat)
 
 
 def build_p(cfg: BasisConfig) -> OperationalMatrix:
@@ -92,9 +89,7 @@ def block_integral_weights(M: int) -> np.ndarray:
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     m = np.arange(M)
-    v = np.where(m % 2 == 0, 1.0 / (m + 1.0), 0.0)
-    v.flags.writeable = False
-    return v
+    return read_only(np.where(m % 2 == 0, 1.0 / (m + 1.0), 0.0))
 
 
 def pt_parts(cfg: BasisConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

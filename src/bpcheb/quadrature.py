@@ -19,28 +19,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import chebyshev_u_all
+from .basis import chebyshev_u_all, read_only
 
 __all__ = ["WeightedRule", "gauss_u_rule"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedRule:
-    """Nodes (strictly decreasing, in (-1, 1)) and positive weights, as
-    read-only arrays; the rule also holds the projection matrices built from
-    it (see projection_matrix)."""
+    """Nodes in (-1, 1) (strictly decreasing in gauss_u_rule) and positive
+    weights, as read-only copies of the arrays given; the rule also holds the
+    projection matrices built from it (see projection_matrix)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    _projections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _projections: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "nodes", read_only(np.array(self.nodes, dtype=float)))
+        object.__setattr__(self, "weights", read_only(np.array(self.weights, dtype=float)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -68,7 +64,6 @@ def projection_matrix(max_degree: int, rule: WeightedRule) -> np.ndarray:
     proj = rule._projections.get(max_degree)
     if proj is None:
         smat = chebyshev_u_all(max_degree, rule.nodes)
-        proj = (2.0 / np.pi) * smat * rule.weights[np.newaxis, :]
-        proj.flags.writeable = False
+        proj = read_only((2.0 / np.pi) * smat * rule.weights[np.newaxis, :])
         rule._projections[max_degree] = proj
     return proj

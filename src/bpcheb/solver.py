@@ -36,25 +36,28 @@ the operator blockwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import BasisConfig, as_index, chebyshev_u_derivative_coeffs
+from .basis import (
+    BasisConfig, as_index, as_real, chebyshev_u_derivative_coeffs, read_only, real_array,
+)
 from .expansion import (
     CoeffVector,
     expand_matrix,
     expand_vector,
+    nodes,
     product_blocks,
     sample,
     synthesize,
 )
-from .kernel import fredholm_operator, sample_kernel
+from .kernel import FredholmOperator, fredholm_operator, sample_kernel
 from .linalg import LU, inf_norm
 from .operational import apply_pt, pt_parts
+from .quadrature import WeightedRule
 
 __all__ = [
     "SystemSpec",
@@ -74,7 +77,7 @@ class SolveError(Exception):
     """The linear solve did not meet its residual contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """Problem statement: dimensions, time window, initial state and data.
 
@@ -86,7 +89,8 @@ class SystemSpec:
     scalar t), and one call per node is the last fallback.  Every datum is
     checked where it is sampled (expansion.sample): a failing call and a
     complex, misshapen, NaN or infinite sample raise ExpansionError naming
-    the key (A, B, N or u), the t or (t, s), and the block.
+    the key (A, B, N or u), the t or (t, s), and the block.  t0 and tf are
+    kept as floats and x0 as a read-only flat float copy.
     """
 
     n: int
@@ -105,16 +109,17 @@ class SystemSpec:
         if self.n < 1 or self.r < 1:
             raise ValueError(f"dimensions must be positive, got n={self.n}, r={self.r}")
         for key in ("t0", "tf"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
+            value = as_real(key, getattr(self, key))
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            object.__setattr__(self, key, value)
         if not self.tf > self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        x0 = read_only(real_array("x0", self.x0).reshape(-1))
         if x0.size != self.n:
             raise ValueError(f"x0 has {x0.size} components, expected n={self.n}")
         if not np.isfinite(x0).all():
             raise ValueError(f"x0 must be finite, got {x0}")
-        x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
 
 
@@ -122,9 +127,10 @@ class AssembledSystem:
     """Discretized operators of one system on one basis; immutable.
 
     phi_blocks (K, Mn, Mn) holds the block-k product operator of A at index
-    k-1 and b_blocks (K, Mn, Mr) that of B; Q is the (KMn x KMn) Fredholm
-    operator of N, or None without a kernel.  All of them, and the control's
-    coefficients in solve, are projections on expansion.default_rule.
+    k-1 and b_blocks (K, Mn, Mr) that of B; Q is the (KMn x KMn) matrix of
+    kernel, the Fredholm operator of N, or None without a kernel.  All of
+    them, and the control's coefficients in solve, are projections on
+    expansion.default_rule.
 
     Without a kernel, block k satisfies D_k x_k = rhs_k + (e_0 kron I_n) c_k
     with D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and the carry
@@ -139,20 +145,19 @@ class AssembledSystem:
     blocks.  PkronT and Bop, the control's dense operator, are apply_pt and
     _apply_blocks(b_blocks, .) applied to the identity.  Later solves share
     the factors; concurrent solves are safe, since linalg serializes its
-    LAPACK calls.
+    LAPACK calls.  phi_blocks and b_blocks are read-only copies of the arrays
+    given; Q is the given operator's own read-only copy, so one assemble
+    copies the largest array once.  The dense operators are read-only too.
     """
 
     def __init__(self, cfg: BasisConfig, n: int, r: int, phi_blocks: np.ndarray,
-                 b_blocks: np.ndarray, Q: np.ndarray | None, X0hat: CoeffVector):
-        for arr in (phi_blocks, b_blocks, Q):
-            if arr is not None:
-                arr.flags.writeable = False
+                 b_blocks: np.ndarray, kernel: FredholmOperator | None, X0hat: CoeffVector):
         self.cfg = cfg
         self.n = n
         self.r = r
-        self.phi_blocks = phi_blocks
-        self.b_blocks = b_blocks
-        self.Q = Q
+        self.phi_blocks = read_only(np.array(phi_blocks, dtype=float))
+        self.b_blocks = read_only(np.array(b_blocks, dtype=float))
+        self.Q = None if kernel is None else kernel.Q
         self.X0hat = X0hat
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -166,11 +171,11 @@ class AssembledSystem:
 
     @cached_property
     def PkronT(self) -> np.ndarray:
-        return _read_only(apply_pt(self.cfg, np.eye(self.cfg.K * self.cfg.M * self.n)))
+        return read_only(apply_pt(self.cfg, np.eye(self.cfg.K * self.cfg.M * self.n)))
 
     @cached_property
     def Bop(self) -> np.ndarray:
-        return _read_only(_apply_blocks(self.b_blocks, np.eye(self.cfg.K * self.cfg.M * self.r)))
+        return read_only(_apply_blocks(self.b_blocks, np.eye(self.cfg.K * self.cfg.M * self.r)))
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
@@ -178,7 +183,7 @@ class AssembledSystem:
         Phi = np.zeros((K * Mn, K * Mn)) if self.Q is None else self.Q.copy()
         k = np.arange(K)
         Phi.reshape(K, Mn, K, Mn)[k, :, k, :] += self.phi_blocks  # the diagonal blocks
-        return _read_only(np.eye(K * Mn) - self.PkronT @ Phi)
+        return read_only(np.eye(K * Mn) - self.PkronT @ Phi)
 
     @cached_property
     def _lu(self) -> LU:
@@ -216,11 +221,6 @@ def _apply_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.matmul(blocks, z.reshape(K, q, -1)).reshape((K * p,) + z.shape[1:])
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def assemble(spec: SystemSpec, cfg: BasisConfig) -> AssembledSystem:
     """Expand the system data on cfg and build all coefficient-space operators."""
     if (cfg.partition.t0, cfg.partition.tf) != (spec.t0, spec.tf):
@@ -238,13 +238,14 @@ def assemble(spec: SystemSpec, cfg: BasisConfig) -> AssembledSystem:
         b_blocks = np.zeros((K, M * n, M * r))
     else:
         b_blocks = product_blocks(expand_matrix(spec.B, cfg, expect=("B", (n, r))))
-    Q = None
+    kernel = None
     if spec.N is not None:
-        Q = fredholm_operator(spec.N, cfg, expect=("N", (n, n))).Q
+        kernel = fredholm_operator(spec.N, cfg, expect=("N", (n, n)))
 
     x0tensor = np.zeros((K, M, n))
     x0tensor[:, 0, :] = spec.x0
-    return AssembledSystem(cfg, n, r, phi_blocks, b_blocks, Q, CoeffVector.from_tensor(x0tensor))
+    return AssembledSystem(cfg, n, r, phi_blocks, b_blocks, kernel,
+                           CoeffVector.from_tensor(x0tensor))
 
 
 def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "HybridSolution":
@@ -273,7 +274,7 @@ def hybrid_solve(spec: SystemSpec, cfg: BasisConfig) -> "HybridSolution":
     return solve(assemble(spec, cfg), spec.u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridSolution:
     """Solved coefficients, evaluable anywhere in [t0, tf]."""
 
@@ -329,12 +330,10 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
         defect -= (A @ x[..., np.newaxis])[..., 0]
     if spec.N is not None:
         glx, glw = np.polynomial.legendre.leggauss(quad_order)
-        bp = sol.cfg.partition.breakpoint_array
-        a, b = bp[:-1, np.newaxis], bp[1:, np.newaxis]
-        inner_nodes = 0.5 * ((b - a) * glx + a + b)  # (K, quad_order)
+        inner_nodes = nodes(sol.cfg, WeightedRule(glx, glw))  # (K, quad_order)
         # weighted states at the inner nodes, (K, quad_order, n)
         inner_states = sol.evaluate(inner_nodes)
-        inner_states *= (0.5 * (b - a) * glw)[..., np.newaxis]
+        inner_states *= (0.5 * sol.cfg.partition.width_array[:, np.newaxis] * glw)[..., np.newaxis]
         for rows, kvals in sample_kernel(spec.N, inner_nodes, ts, "N", (spec.n, spec.n)):
             defect[rows] -= np.einsum("jkqac,kqc->ja", kvals, inner_states)
     if spec.B is not None and spec.u is not None:

@@ -49,6 +49,11 @@ class TestPartition:
         with pytest.raises(ValueError, match="^need at least one block$"):
             Partition.uniform(0, 1, 0)
 
+    @pytest.mark.parametrize("bp", [("0", "1"), (0.0, "0.5", 1.0), (0.0, 1j), (None, 1.0)])
+    def test_rejects_non_real_breakpoints(self, bp):
+        with pytest.raises(TypeError, match=r"^breakpoints must be real numbers, got \("):
+            Partition(bp)
+
 
 class TestBasisConfig:
     def test_size(self):

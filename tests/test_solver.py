@@ -76,6 +76,22 @@ class TestSystemSpec:
         with pytest.raises(ValueError):
             spec.x0[0] = 2.0
 
+    @pytest.mark.parametrize("key,value", [
+        ("t0", "0"), ("tf", "1"), ("t0", None), ("tf", np.array([1.0])), ("t0", 1j),
+        ("x0", [1 + 1j, 2.0]), ("x0", ["a", 1.0]), ("x0", ["1", "2"]), ("x0", [None, 1.0]),
+    ])
+    def test_rejects_non_real_input_naming_the_key(self, key, value):
+        fields = dict(n=2, r=1, t0=0.0, tf=1.0, x0=[1.0, 2.0])
+        fields[key] = value
+        with pytest.raises(TypeError, match=f"^{key} must be (a real number|real numbers), got "):
+            SystemSpec(**fields)
+
+    def test_accepts_real_numbers_of_any_kind(self):
+        spec = SystemSpec(n=3, r=1, t0=np.float32(0.5), tf=2, x0=[True, np.int8(2), 0.25])
+        assert (spec.t0, spec.tf) == (0.5, 2.0)
+        assert type(spec.t0) is float and type(spec.tf) is float
+        assert spec.x0.dtype == float and spec.x0.tolist() == [1.0, 2.0, 0.25]
+
 
 class TestAssemble:
     def test_empty_system(self):
