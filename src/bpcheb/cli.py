@@ -1,6 +1,8 @@
 """Command-line interface: solve problem files, emit solution tables.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure.
+Exit codes: 0 success, 1 input error, 2 numerical failure.  A malformed
+command line (argparse prints its usage on stderr) and a size too large to
+allocate are input errors.  main(argv) returns the code and never exits.
 """
 
 from __future__ import annotations
@@ -143,37 +145,35 @@ def _write_output(text: str, out: str | None):
         raise ProblemError(f"cannot write {out}: {exc}") from exc
 
 
+_SHARED = argparse.ArgumentParser(add_help=False)  # the options of both commands
+_SHARED.add_argument("--config", required=True, help="problem file to solve")
+_SHARED.add_argument("--K", type=int, help="override block count")
+_SHARED.add_argument("--out", help="write output here instead of stdout")
+_PARSER = argparse.ArgumentParser(  # built once: parse_args leaves it unchanged
+    prog="bpcheb",
+    description="Solve linear integrodifferential initial-value systems "
+    "on a hybrid block-pulse/Chebyshev basis.",
+)
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+_SOLVE = _COMMANDS.add_parser("solve", parents=[_SHARED],
+                              help="solve a problem file and print the solution")
+_SOLVE.add_argument("--M", type=int, help="override polynomial count")
+_SOLVE.add_argument("--format", choices=("csv", "table"), help="override the output format")
+_TABLE = _COMMANDS.add_parser("table", parents=[_SHARED],
+                              help="compare several M values (and the exact solution, if given)")
+_TABLE.add_argument("--M-list", required=True, dest="M_list",
+                    help="comma-separated M values, e.g. 5,7,9")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="bpcheb",
-        description="Solve linear integrodifferential initial-value systems "
-        "on a hybrid block-pulse/Chebyshev basis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve a problem file and print the solution")
-    p_solve.add_argument("--config", required=True, help="problem file to solve")
-    p_solve.add_argument("--K", type=int, default=None, help="override block count")
-    p_solve.add_argument("--M", type=int, default=None, help="override polynomial count")
-    p_solve.add_argument("--out", default=None, help="write output here instead of stdout")
-    p_solve.add_argument("--format", choices=("csv", "table"), default=None,
-                         help="override the output format")
-    p_solve.set_defaults(func=_cmd_solve)
-
-    p_table = sub.add_parser(
-        "table", help="compare several M values (and the exact solution, if given)"
-    )
-    p_table.add_argument("--config", required=True, help="problem file to solve")
-    p_table.add_argument("--M-list", required=True, dest="M_list",
-                         help="comma-separated M values, e.g. 5,7,9")
-    p_table.add_argument("--K", type=int, default=None, help="override block count")
-    p_table.add_argument("--out", default=None, help="write output here instead of stdout")
-    p_table.set_defaults(func=_cmd_table)
-
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ProblemError, ExprSyntaxError, ExprEvalError, ExpansionError, ValueError) as exc:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help (code 0) or a usage error
+        return 0 if not exc.code else 1
+    try:
+        return (_cmd_solve if args.command == "solve" else _cmd_table)(args)
+    except (ProblemError, ExprSyntaxError, ExprEvalError, ExpansionError, ValueError,
+            MemoryError) as exc:
         print(f"bpcheb: input error: {exc}", file=sys.stderr)
         return 1
     except (SingularMatrixError, SolveError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import numpy as np
@@ -254,6 +255,48 @@ class TestBothCommands:
         # the one error line and nothing else: no accuracy for output never written
         [error] = captured.err.splitlines()
         assert error.startswith(f"bpcheb: input error: cannot write {out}: ")
+
+
+class TestExitPath:
+    """main returns the documented exit code for every outcome; it never exits."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["solve"],
+        ["solve", "--config", POLY, "--K", "abc"],
+        ["bogus"],
+        ["table", "--config", POLY],
+    ])
+    def test_usage_error_is_an_input_error(self, capsys, argv):
+        assert main(argv) == 1  # a SystemExit escaping main fails the test
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: bpcheb")
+        assert "error: " in captured.err.splitlines()[-1]
+
+    def test_help_returns_0_and_prints_the_usage(self, capsys):
+        assert main(["solve", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: bpcheb solve")
+        assert captured.err == ""
+
+    def test_no_parser_is_built_per_call(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ArgumentParser was built inside main")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        assert main(["solve", "--config", POLY]) == 0
+        assert main(["table", "--config", POLY, "--M-list", "3,4"]) == 0
+        assert main(["solve"]) == 1
+        capsys.readouterr()
+
+    def test_unallocatable_size_is_an_input_error(self, capsys):
+        # refused at once: the largest array asked for is 7.28 TiB
+        assert main(["solve", "--config", POLY, "--M", "1000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [error] = captured.err.splitlines()
+        assert error.startswith("bpcheb: input error: Unable to allocate")
 
 
 class TestWithoutExact:

@@ -5,7 +5,10 @@ most M-1 and a separable kernel N(t, s) = sum of C_ij t^i s^j with i <= M-1
 and j <= M-1-deg x, every term of the integrated equation is a polynomial the
 hybrid basis represents, and the product and Fredholm operators project it
 exactly.  With u = 1 and B = x' - A x - integral of N x ds, computed with
-Fraction, the solver must reproduce x up to rounding.
+Fraction, the solver must reproduce x up to rounding: within 1e-12, or within
+N eps kappa_1 for an ill-conditioned draw, where N = KMn and kappa_1 is numpy's
+1-norm condition number of the system matrix.  A draw whose system matrix numpy
+finds singular may raise SingularMatrixError instead.
 """
 
 from fractions import Fraction
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from bpcheb import BasisConfig, Partition, SystemSpec, hybrid_solve
+from bpcheb import BasisConfig, Partition, SingularMatrixError, SystemSpec, assemble, solve
 
 
 def _fractions(draw, shape, num, den):
@@ -96,8 +99,16 @@ def _systems(draw):
 @given(_systems())
 def test_solver_reproduces_polynomial_solution(system):
     spec, cfg, x = system
-    sol = hybrid_solve(spec, cfg)
+    asm = assemble(spec, cfg)
+    S = asm.system_matrix
+    kappa = np.linalg.cond(S, 1)  # inf when numpy cannot invert S
+    try:
+        sol = solve(asm, spec.u)
+    except SingularMatrixError:
+        assert np.linalg.matrix_rank(S) < len(S) or kappa >= 1 / np.finfo(float).eps
+        return
     ts = np.concatenate([np.linspace(spec.t0, spec.tf, 17), cfg.partition.breakpoint_array])
     exact = npoly.polyval(ts, x).T  # (len(ts), n)
     scale = 1.0 + np.abs(exact).max()
-    assert np.abs(sol.evaluate(ts) - exact).max() <= 1e-12 * scale
+    tol = max(1e-12, len(S) * np.finfo(float).eps * kappa)
+    assert np.abs(sol.evaluate(ts) - exact).max() <= tol * scale
