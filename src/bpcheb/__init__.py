@@ -20,9 +20,9 @@ from .expansion import (
     product_coeff,
     product_tensor,
 )
-from .kernel import FredholmOperator, fredholm_operator
+from .kernel import fredholm_operator
 from .linalg import SingularMatrixError
-from .operational import OperationalMatrix, build_p, build_phat
+from .operational import build_p, build_phat
 from .problem import Problem, ProblemError, load, loads
 from .quadrature import WeightedRule, gauss_u_rule
 from .solver import (
@@ -50,10 +50,8 @@ __all__ = [
     "expand_matrix",
     "product_coeff",
     "product_tensor",
-    "OperationalMatrix",
     "build_phat",
     "build_p",
-    "FredholmOperator",
     "fredholm_operator",
     "SingularMatrixError",
     "SystemSpec",

@@ -15,50 +15,31 @@ are folded with the triple-product tensor and the closed-form block integrals
     integral of S_m over [-1, 1] = 2/(m+1) for even m, 0 for odd m
 
 (twice operational.block_integral_weights) into one dense matrix Q with
-coeffs(w) = Q coeffs(f), exact up to basis truncation.  Each of the three
-sums is one einsum per chunk (expansion.project), adding the terms in index
-order without fused multiply-adds, as the einsum formula does.  So Q is
+coeffs(w) = Q coeffs(f), exact up to basis truncation; fredholm_operator
+returns Q itself, a plain read-only array.  Each of the three sums is one
+einsum per chunk (expansion.project), adding the terms in index order
+without fused multiply-adds, as the einsum formula does.  So Q is
 bit-identical to that formula, and the golden outputs stay fixed, except for
 a scalar kernel, where the formula's einsum takes another loop (last bit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .basis import BasisConfig, read_only
-from .expansion import CoeffVector, default_rule, nodes, product_tensor, project, sample
+from .expansion import default_rule, nodes, product_tensor, project, sample
 from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
 
-__all__ = ["FredholmOperator", "fredholm_operator"]
+__all__ = ["fredholm_operator"]
 
 # a kernel is sampled for as many outer times per call as fit in this many
 # (t, s) nodes, and for at least one row of outer times
 _CHUNK_NODES = 2**16
-
-
-@dataclass(frozen=True, eq=False)
-class FredholmOperator:
-    """Coefficient-space matrix of f -> integral of N(t, s) f(s) ds, a read-only copy."""
-
-    Q: np.ndarray
-    cfg: BasisConfig
-
-    def __post_init__(self):
-        object.__setattr__(self, "Q", read_only(np.array(self.Q, dtype=float)))
-
-    def apply(self, fhat: CoeffVector) -> CoeffVector:
-        if fhat.data.size != self.Q.shape[1]:
-            raise ValueError(
-                f"coefficient vector of length {fhat.data.size} does not match "
-                f"operator of size {self.Q.shape}"
-            )
-        return CoeffVector(self.Q @ fhat.data, fhat.K, fhat.M, self.Q.shape[0] // (fhat.K * fhat.M))
 
 
 def fredholm_operator(
@@ -66,8 +47,10 @@ def fredholm_operator(
     cfg: BasisConfig,
     rule: WeightedRule | None = None,
     expect: tuple[str, tuple[int, int]] | None = None,
-) -> FredholmOperator:
-    """Project the kernel on both variables and fold in the block integrals.
+) -> np.ndarray:
+    """Q, the (KMn_out, KMn_in) coefficient-space matrix of f -> integral of
+    N(t, s) f(s) ds: the kernel projected on both variables with the block
+    integrals folded in, made read-only in place.
 
     The (outer j, inner k) block of Q is
 
@@ -99,7 +82,7 @@ def fredholm_operator(
         fold = project(g, data.transpose(1, 2, 0, 3, 4, 5))  # (p; j, l, a, k, c)
         # out[j, l, a, k, p, c] = (d_k/2) * sum_i data[l, i, j, a, k, c] g[i, p]
         np.multiply(fold.transpose(1, 2, 3, 4, 0, 5), half_widths, out=out[rows])
-    return FredholmOperator(out.reshape(K * M * n_out, K * M * n_in), cfg)
+    return read_only(out.reshape(K * M * n_out, K * M * n_in))
 
 
 @lru_cache(maxsize=None, typed=True)

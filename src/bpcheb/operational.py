@@ -18,13 +18,12 @@ for every later block j > i, the first-column entries d_i/(2kappa-1) at rows
 
 pt_parts is the only code that writes this structure down.  apply_pt
 applies P^T kron I_n from its two pieces without forming P, and every dense
-form is apply_pt of an identity: build_p gives P, and the solver's
-P^T kron I_n is apply_pt(cfg, I_{KMn}).
+form is apply_pt of an identity: build_p returns P as a plain read-only
+array, and the solver's P^T kron I_n is apply_pt(cfg, I_{KMn}).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,24 +31,12 @@ import numpy as np
 from .basis import BasisConfig, read_only
 
 __all__ = [
-    "OperationalMatrix",
     "build_phat",
     "build_p",
     "block_integral_weights",
     "pt_parts",
     "apply_pt",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class OperationalMatrix:
-    """Integration matrix P (MK x MK) for a basis configuration, a read-only copy."""
-
-    P: np.ndarray
-    cfg: BasisConfig
-
-    def __post_init__(self):
-        object.__setattr__(self, "P", read_only(np.array(self.P, dtype=float)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -74,9 +61,9 @@ def build_phat(M: int) -> np.ndarray:
     return read_only(phat)
 
 
-def build_p(cfg: BasisConfig) -> OperationalMatrix:
-    """The full MK x MK operational matrix for cfg, read off apply_pt."""
-    return OperationalMatrix(apply_pt(cfg, np.eye(cfg.M * cfg.K)).T, cfg)
+def build_p(cfg: BasisConfig) -> np.ndarray:
+    """The full MK x MK operational matrix P for cfg, read off apply_pt; read-only."""
+    return read_only(apply_pt(cfg, np.eye(cfg.M * cfg.K)).T)
 
 
 @lru_cache(maxsize=None, typed=True)

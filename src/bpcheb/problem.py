@@ -156,7 +156,7 @@ def _parse_sections(text: str, name: str) -> dict[str, dict[str, str]]:
 def _json_value(raw: str, where: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ProblemError(f"{where}: malformed list ({exc})") from exc
 
 
@@ -217,9 +217,13 @@ def _number_list(raw: str, where: str) -> tuple[float, ...]:
     value = _json_value(raw, where)
     if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):  # no bool
         raise ProblemError(f"{where}: expected a list of numbers")
-    if not all(math.isfinite(v) for v in value):
-        raise ProblemError(f"{where}: values must be finite, got {raw}")
-    return tuple(float(v) for v in value)
+    try:
+        floats = tuple(map(float, value))
+    except OverflowError:  # an integer too large for a float
+        floats = (math.inf,)
+    if not all(map(math.isfinite, floats)):
+        raise ProblemError(f"{where}: values must be finite numbers, got {raw}")
+    return floats
 
 
 def loads(text: str, name: str = "<string>") -> Problem:

@@ -11,7 +11,8 @@ single linear system
     [I - (P^T kron I_n) Phi] Xhat = (P^T kron I_n) Bop Uhat + X0hat,
 
 with Phi the sum of the block-diagonal product operator of A and the
-Fredholm operator Q of N.  It is solved one of two ways:
+Fredholm operator Q of N, and X0hat the coefficients of the constant x0
+(x0 at degree 0 of every block).  It is solved one of two ways:
 
 * Without a kernel, Phi is block diagonal, and P is block upper-triangular:
   a finished block adds only a constant, its full integral, to each later
@@ -26,8 +27,10 @@ Fredholm operator Q of N.  It is solved one of two ways:
   identity, so no Kronecker product is taken; its Phi is Q with the blocks
   of A added onto its diagonal blocks.
 
-The stages pass plain arrays: the product operators of A and B are stacked
-diagonal blocks (K, Mn, Mn) and (K, Mn, Mr), Q is a (KMn, KMn) array.
+The operators are plain arrays: the product operators of A and B are
+stacked diagonal blocks (K, Mn, Mn) and (K, Mn, Mr), Q is a (KMn, KMn)
+array.  AssembledSystem(spec, cfg) builds them and holds them read-only,
+without copying them.
 
 Either way the factors are computed at the first solve and serve any number
 of controls, and every solve checks the defect of its answer by applying
@@ -54,7 +57,7 @@ from .expansion import (
     sample,
     synthesize,
 )
-from .kernel import FredholmOperator, fredholm_operator, sample_kernel
+from .kernel import fredholm_operator, sample_kernel
 from .linalg import LU, inf_norm
 from .operational import apply_pt, pt_parts
 from .quadrature import WeightedRule
@@ -126,11 +129,13 @@ class SystemSpec:
 class AssembledSystem:
     """Discretized operators of one system on one basis; immutable.
 
-    phi_blocks (K, Mn, Mn) holds the block-k product operator of A at index
-    k-1 and b_blocks (K, Mn, Mr) that of B; Q is the (KMn x KMn) matrix of
-    kernel, the Fredholm operator of N, or None without a kernel.  All of
-    them, and the control's coefficients in solve, are projections on
-    expansion.default_rule.
+    AssembledSystem(spec, cfg) expands the system's data on cfg.  phi_blocks
+    (K, Mn, Mn) holds the block-k product operator of A at index k-1 and
+    b_blocks (K, Mn, Mr) that of B; Q is the (KMn x KMn) Fredholm operator
+    of N (kernel.fredholm_operator), or None without a kernel.  All of them,
+    and the control's coefficients in solve, are projections on
+    expansion.default_rule.  x0 is spec.x0 itself, the spec's read-only copy;
+    n and r are the spec's.
 
     Without a kernel, block k satisfies D_k x_k = rhs_k + (e_0 kron I_n) c_k
     with D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and the carry
@@ -145,20 +150,29 @@ class AssembledSystem:
     blocks.  PkronT and Bop, the control's dense operator, are apply_pt and
     _apply_blocks(b_blocks, .) applied to the identity.  Later solves share
     the factors; concurrent solves are safe, since linalg serializes its
-    LAPACK calls.  phi_blocks and b_blocks are read-only copies of the arrays
-    given; Q is the given operator's own read-only copy, so one assemble
-    copies the largest array once.  The dense operators are read-only too.
+    LAPACK calls.  The system owns the arrays it builds: each is made here,
+    frozen in place and never copied.  The dense operators are read-only too.
     """
 
-    def __init__(self, cfg: BasisConfig, n: int, r: int, phi_blocks: np.ndarray,
-                 b_blocks: np.ndarray, kernel: FredholmOperator | None, X0hat: CoeffVector):
-        self.cfg = cfg
-        self.n = n
-        self.r = r
-        self.phi_blocks = read_only(np.array(phi_blocks, dtype=float))
-        self.b_blocks = read_only(np.array(b_blocks, dtype=float))
-        self.Q = None if kernel is None else kernel.Q
-        self.X0hat = X0hat
+    def __init__(self, spec: SystemSpec, cfg: BasisConfig):
+        if (cfg.partition.t0, cfg.partition.tf) != (spec.t0, spec.tf):
+            raise ValueError(
+                f"basis covers [{cfg.partition.t0}, {cfg.partition.tf}] "
+                f"but the system lives on [{spec.t0}, {spec.tf}]"
+            )
+        M, K, n, r = cfg.M, cfg.K, spec.n, spec.r
+        self.cfg, self.n, self.r, self.x0 = cfg, n, r, spec.x0
+        if spec.A is None:
+            phi_blocks = np.zeros((K, M * n, M * n))
+        else:
+            phi_blocks = product_blocks(expand_matrix(spec.A, cfg, expect=("A", (n, n))))
+        if spec.B is None:
+            b_blocks = np.zeros((K, M * n, M * r))
+        else:
+            b_blocks = product_blocks(expand_matrix(spec.B, cfg, expect=("B", (n, r))))
+        self.phi_blocks = read_only(phi_blocks)
+        self.b_blocks = read_only(b_blocks)
+        self.Q = None if spec.N is None else fredholm_operator(spec.N, cfg, expect=("N", (n, n)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """[I - (P^T kron I_n) Phi] x, without forming the matrix."""
@@ -223,35 +237,14 @@ def _apply_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def assemble(spec: SystemSpec, cfg: BasisConfig) -> AssembledSystem:
     """Expand the system data on cfg and build all coefficient-space operators."""
-    if (cfg.partition.t0, cfg.partition.tf) != (spec.t0, spec.tf):
-        raise ValueError(
-            f"basis covers [{cfg.partition.t0}, {cfg.partition.tf}] "
-            f"but the system lives on [{spec.t0}, {spec.tf}]"
-        )
-    M, K, n, r = cfg.M, cfg.K, spec.n, spec.r
-
-    if spec.A is None:
-        phi_blocks = np.zeros((K, M * n, M * n))
-    else:
-        phi_blocks = product_blocks(expand_matrix(spec.A, cfg, expect=("A", (n, n))))
-    if spec.B is None:
-        b_blocks = np.zeros((K, M * n, M * r))
-    else:
-        b_blocks = product_blocks(expand_matrix(spec.B, cfg, expect=("B", (n, r))))
-    kernel = None
-    if spec.N is not None:
-        kernel = fredholm_operator(spec.N, cfg, expect=("N", (n, n)))
-
-    x0tensor = np.zeros((K, M, n))
-    x0tensor[:, 0, :] = spec.x0
-    return AssembledSystem(cfg, n, r, phi_blocks, b_blocks, kernel,
-                           CoeffVector.from_tensor(x0tensor))
+    return AssembledSystem(spec, cfg)
 
 
 def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "HybridSolution":
     """Solve for the hybrid coefficients of the state under the control u."""
     cfg = asm.cfg
-    rhs = asm.X0hat.data.copy()
+    rhs = np.zeros(cfg.K * cfg.M * asm.n)
+    rhs.reshape(cfg.K, cfg.M, asm.n)[:, 0] = asm.x0  # X0hat
     if u is not None:
         uhat = expand_vector(u, cfg, expect=("u", (asm.r,))).data
         if asm.Q is None:
@@ -317,8 +310,12 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
     tgrid at a time (kernel.sample_kernel) with the shape (n, n).  A
     failing call or a non-finite, complex or misshapen sample raises
     ExpansionError naming the datum, its t or (t, s), and the block (for N,
-    the inner block of the quadrature).
+    the inner block of the quadrature).  quad_order must be an integer >= 1,
+    with or without a kernel.
     """
+    quad_order = as_index("quad_order", quad_order)
+    if quad_order < 1:
+        raise ValueError(f"quad_order must be >= 1, got {quad_order}")
     ts = np.asarray(tgrid, dtype=float).reshape(-1)
     if not ts.size:
         return 0.0

@@ -203,6 +203,13 @@ def rk4_reference(spec: SystemSpec, ts, step: float = 1e-4) -> np.ndarray:
     return np.array(results)
 
 
+def x0_coefficients(asm) -> np.ndarray:
+    """X0hat, the coefficients of the constant x0: x0 at degree 0 of every block."""
+    x0hat = np.zeros((asm.cfg.K, asm.cfg.M, asm.n))
+    x0hat[:, 0] = asm.x0
+    return x0hat.reshape(-1)
+
+
 def dense_reference_system(asm, u) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for solve: the dense matrix I - kron(P^T, I_n) Phi and its right-hand side.
 
@@ -211,11 +218,11 @@ def dense_reference_system(asm, u) -> tuple[np.ndarray, np.ndarray]:
     asm.b_blocks.  Every system was solved this way before the block march,
     and kernel systems still are.
     """
-    pkron = np.kron(build_p(asm.cfg).P.T, np.eye(asm.n))
+    pkron = np.kron(build_p(asm.cfg).T, np.eye(asm.n))
     phi = scipy.linalg.block_diag(*asm.phi_blocks)
     if asm.Q is not None:
         phi += asm.Q
-    rhs = asm.X0hat.data.copy()
+    rhs = x0_coefficients(asm)
     if u is not None:
         uhat = expand_vector(lambda t: np.atleast_1d(u(t)), asm.cfg).data
         rhs += pkron @ (scipy.linalg.block_diag(*asm.b_blocks) @ uhat)

@@ -60,7 +60,7 @@ class TestBasisConfig:
         # M*K hybrid functions, which P integrates
         cfg = BasisConfig.uniform(0, 1, 3, 4)
         assert (cfg.K, cfg.M) == (3, 4)
-        assert build_p(cfg).P.shape == (12, 12)
+        assert build_p(cfg).shape == (12, 12)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):

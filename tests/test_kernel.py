@@ -9,6 +9,7 @@ from bpcheb import exprlang
 from bpcheb import kernel as kernel_module
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import (
+    CoeffVector,
     ExpansionError,
     default_rule,
     expand_vector,
@@ -87,14 +88,14 @@ class TestProjection:
     def test_zero_scalar_kernel(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         q = fredholm_operator(lambda t, s: 0.0, cfg)
-        assert q.Q.shape == (6, 6)
-        assert not q.Q.any()
+        assert q.shape == (6, 6)
+        assert not q.any()
 
     def test_zero_matrix_kernel(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         q = fredholm_operator(lambda t, s: np.zeros((2, 2)), cfg)
-        assert q.Q.shape == (12, 12)
-        assert not q.Q.any()
+        assert q.shape == (12, 12)
+        assert not q.any()
 
     def test_constant_kernel_single_block(self):
         # only C_{00} = 1 survives; row 0 holds the integrals of S_p(2s-1)
@@ -103,7 +104,7 @@ class TestProjection:
         q = fredholm_operator(lambda t, s: 1.0, cfg)
         expected = np.zeros((3, 3))
         expected[0, 0], expected[0, 2] = 1.0, 1.0 / 3.0
-        np.testing.assert_allclose(q.Q, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(q, expected, rtol=0, atol=1e-13)
 
     def test_kernel_constant_in_inner_variable(self):
         # N(t, s) = exp(t): only the degree-0 inner coefficient survives
@@ -111,14 +112,14 @@ class TestProjection:
         q = fredholm_operator(lambda t, s: np.array([[np.exp(t)]]), cfg)
         ahat = expand_vector(np.exp, cfg).tensor()[:, :, 0]
         expected = separable_q(ahat, [[1.0, 0, 0, 0]], cfg)
-        np.testing.assert_allclose(q.Q, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(q, expected, rtol=0, atol=1e-13)
 
     def test_inner_variable_kernel(self):
         # N(t, s) = s: constant in t, and s on [0, 1] is (1/2) S_0 + (1/4) S_1
         cfg = BasisConfig.uniform(0, 1, 1, 4)
         q = fredholm_operator(lambda t, s: np.array([[s]]), cfg)
         expected = separable_q([[1.0, 0, 0, 0]], [[0.5, 0.25, 0, 0]], cfg)
-        np.testing.assert_allclose(q.Q, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(q, expected, rtol=0, atol=1e-13)
 
     def test_separable_kernel_is_outer_product(self):
         cfg = BasisConfig(Partition((0.0, 0.4, 1.0)), 4)
@@ -128,7 +129,7 @@ class TestProjection:
         q = fredholm_operator(lambda t, s: a(t) * b(s), cfg, rule)
         ahat = expand_vector(lambda t: np.array([a(t)]), cfg, rule).tensor()[:, :, 0]
         bhat = expand_vector(lambda s: np.array([b(s)]), cfg, rule).tensor()[:, :, 0]
-        np.testing.assert_allclose(q.Q, separable_q(ahat, bhat, cfg), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q, separable_q(ahat, bhat, cfg), rtol=0, atol=1e-12)
 
 
 def fold_weights(M):
@@ -197,7 +198,7 @@ class TestEinsumReference:
     @staticmethod
     def check(kernel, cfg):
         rule = default_rule(cfg)
-        got = fredholm_operator(kernel, cfg, rule).Q
+        got = fredholm_operator(kernel, cfg, rule)
         want = einsum_fredholm_q(kernel, cfg, rule)
         if got.shape == (cfg.K * cfg.M,) * 2:  # scalar kernel: einsum picks another loop
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.abs(want).max())
@@ -244,7 +245,7 @@ class TestSampling:
         cfg = BasisConfig(Partition(bp), M)
         rule = default_rule(cfg)
         want = pointwise_fredholm_q(kernel, cfg, rule)
-        assert np.array_equal(fredholm_operator(pointwise(kernel), cfg, rule).Q, want)
+        assert np.array_equal(fredholm_operator(pointwise(kernel), cfg, rule), want)
         # the einsum formula sums in another loop for scalar kernels
         np.testing.assert_allclose(einsum_fredholm_q(pointwise(kernel), cfg, rule), want,
                                    rtol=0, atol=1e-13 * np.abs(want).max())
@@ -259,7 +260,7 @@ class TestSampling:
         cfg = BasisConfig(Partition(bp), M)
         rule = default_rule(cfg)
         want = pointwise_fredholm_q(kernel, cfg, rule)
-        np.testing.assert_allclose(fredholm_operator(kernel, cfg, rule).Q, want,
+        np.testing.assert_allclose(fredholm_operator(kernel, cfg, rule), want,
                                    rtol=0, atol=1e-13 * np.abs(want).max())
 
     def test_kernel_called_once_per_grid_point(self):
@@ -293,10 +294,10 @@ class TestSampling:
                                               [s + 0 * t, t - s]])
         with monkeypatch.context() as m:
             m.setattr(kernel_module, "_CHUNK_NODES", q * cfg.K * q)
-            got = fredholm_operator(ragged, cfg).Q
+            got = fredholm_operator(ragged, cfg)
         assert calls.count(np.float64) == (cfg.K * q) ** 2
         assert calls.count(np.ndarray) == calls.count(_Nodes) == cfg.K  # one per chunk
-        assert np.array_equal(got, fredholm_operator(broadcasting, cfg).Q)
+        assert np.array_equal(got, fredholm_operator(broadcasting, cfg))
 
     def test_shape_change_in_a_later_chunk_names_t_and_s(self, monkeypatch):
         # every chunk is consistent in itself; only the first chunk's shape,
@@ -388,10 +389,10 @@ class TestSampling:
             return np.array([[t * s, np.cos(t - s)]])
 
         q = len(default_rule(cfg).nodes)
-        got = fredholm_operator(kernel, cfg).Q
+        got = fredholm_operator(kernel, cfg)
         # all outer blocks fit in one chunk: the grid, then the two probes
         assert calls == [(cfg.K, q, cfg.K, q), (), ()]
-        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg).Q)
+        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg))
 
     def test_chunks_give_the_same_operator(self, monkeypatch):
         cfg = BasisConfig(Partition((0.0, 0.15, 0.3, 0.7, 0.8, 1.0)), 4)
@@ -402,14 +403,14 @@ class TestSampling:
             calls.append(np.broadcast_shapes(np.shape(t), np.shape(s)))
             return np.array([[t * s, np.cos(t - s)]])
 
-        one_chunk = fredholm_operator(kernel, cfg).Q
+        one_chunk = fredholm_operator(kernel, cfg)
         calls.clear()
         # room for two outer blocks and part of a third: chunks of 2, 2 and 1
         monkeypatch.setattr(kernel_module, "_CHUNK_NODES", 3 * q * cfg.K * q - 1)
-        got = fredholm_operator(kernel, cfg).Q
+        got = fredholm_operator(kernel, cfg)
         assert calls == [(j, q, cfg.K, q) if i == 0 else () for j in (2, 2, 1) for i in range(3)]
         assert np.array_equal(got, one_chunk)
-        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg).Q)
+        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg))
 
     def test_chunks_leave_what_the_kernel_returned_alone(self, monkeypatch):
         # a scalar kernel's grid samples are a view of the array it returned,
@@ -424,10 +425,10 @@ class TestSampling:
             return v
 
         monkeypatch.setattr(kernel_module, "_CHUNK_NODES", q * cfg.K * q)
-        got = fredholm_operator(kernel, cfg).Q
+        got = fredholm_operator(kernel, cfg)
         assert len(returned) == 3 * cfg.K
         assert all(np.array_equal(v, kept) for v, kept in returned)
-        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg).Q)
+        assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg))
 
     @pytest.mark.parametrize("chunk", [None, 1])
     def test_non_finite_kernel_in_the_last_chunk_is_named(self, monkeypatch, chunk):
@@ -450,7 +451,7 @@ class TestSampling:
             ln_s(0.0, 0.0)
         cfg = BasisConfig.uniform(0, 1, 4, 6)
         q = fredholm_operator(ln_s, cfg)
-        what = q.apply(expand_vector(lambda t: 1.0, cfg)).tensor()
+        what = CoeffVector(q @ expand_vector(lambda t: 1.0, cfg).data, cfg.K, cfg.M, 1).tensor()
         np.testing.assert_allclose(what[:, 0, 0], -1.0, rtol=0, atol=1e-2)
 
 
@@ -458,9 +459,9 @@ class TestFredholmOperator:
     def test_zero_kernel_gives_zero_operator(self):
         cfg = BasisConfig.uniform(0, 1, 3, 4)
         q = fredholm_operator(lambda t, s: np.zeros((2, 2)), cfg)
-        assert not q.Q.any()
+        assert not q.any()
         fhat = expand_vector(lambda t: np.array([1.0, -2.0]), cfg)
-        assert not q.apply(fhat).data.any()
+        assert not (q @ fhat.data).any()
 
     @pytest.mark.parametrize("K,M", [(1, 3), (2, 4), (3, 5)])
     def test_unit_kernel_unit_input(self, K, M):
@@ -468,19 +469,19 @@ class TestFredholmOperator:
         cfg = BasisConfig.uniform(0, 1, K, M)
         q = fredholm_operator(lambda t, s: 1.0, cfg)
         fhat = expand_vector(lambda t: 1.0, cfg)
-        what = q.apply(fhat)
-        np.testing.assert_allclose(what.data, expand_vector(lambda t: 1.0, cfg).data, atol=1e-12)
+        what = q @ fhat.data
+        np.testing.assert_allclose(what, expand_vector(lambda t: 1.0, cfg).data, atol=1e-12)
 
     def test_inner_variable_kernel_unit_input(self):
         # w(t) = integral of s ds over [0, 1] = 1/2
         cfg = BasisConfig.uniform(0, 1, 1, 4)
         q = fredholm_operator(lambda t, s: s, cfg)
-        what = q.apply(expand_vector(lambda t: 1.0, cfg))
+        what = q @ expand_vector(lambda t: 1.0, cfg).data
         np.testing.assert_allclose(
-            what.data, expand_vector(lambda t: 0.5, cfg).data, atol=1e-12
+            what, expand_vector(lambda t: 0.5, cfg).data, atol=1e-12
         )
         oracle = oracle_fredholm_image(lambda t, s: np.array([[s]]), lambda s: 1.0, cfg)
-        np.testing.assert_allclose(what.data, oracle.data, atol=1e-12)
+        np.testing.assert_allclose(what, oracle.data, atol=1e-12)
 
     def test_oracle_equivalence_reference_kernels(self, ):
         # the two benchmark kernels against the 2-D quadrature oracle
@@ -489,9 +490,9 @@ class TestFredholmOperator:
             q = fredholm_operator(kernel, cfg)
             f = lambda s: np.array([0.3 - s, 1.0 + 0.5 * s])
             fhat = expand_vector(f, cfg)
-            got = q.apply(fhat)
+            got = q @ fhat.data
             want = oracle_fredholm_image(kernel, f, cfg)
-            assert np.max(np.abs(got.data - want.data)) <= 1e-9
+            assert np.max(np.abs(got - want.data)) <= 1e-9
 
     def test_oracle_equivalence_random_polynomial_kernels(self):
         # kernels of degree <= M-2 in each variable; inputs chosen so the
@@ -507,25 +508,25 @@ class TestFredholmOperator:
             kernel = lambda t, s, kc=kc: polyval(t, polyval(s, kc))
             f = lambda s, fc=fc: polyval(s, fc)
             qop = fredholm_operator(kernel, cfg)
-            got = qop.apply(expand_vector(f, cfg))
+            got = qop @ expand_vector(f, cfg).data
             want = oracle_fredholm_image(
                 lambda t, s: np.array([[kernel(t, s)]]), f, cfg
             )
-            assert np.max(np.abs(got.data - want.data)) <= 1e-9
+            assert np.max(np.abs(got - want.data)) <= 1e-9
 
     def test_truncation_boundary_documented(self):
         # N = s^2 against f = s^2 at M=4 overflows the basis: the dropped
         # even block integral contributes exactly 1/1280
         cfg = BasisConfig.uniform(0, 1, 1, 4)
         q = fredholm_operator(lambda t, s: s**2, cfg)
-        got = q.apply(expand_vector(lambda s: s**2, cfg))
+        got = q @ expand_vector(lambda s: s**2, cfg).data
         exact = expand_vector(lambda t: 0.2, cfg)  # integral of s^4 over [0,1]
-        assert np.max(np.abs(got.data - exact.data)) == pytest.approx(1 / 1280, rel=1e-10)
+        assert np.max(np.abs(got - exact.data)) == pytest.approx(1 / 1280, rel=1e-10)
 
     def test_separable_kernel_has_rank_one(self):
         cfg = BasisConfig.uniform(0, 1, 2, 5)
         q = fredholm_operator(lambda t, s: np.sin(t) * (1.0 + s), cfg)
-        svals = np.linalg.svd(q.Q, compute_uv=False)
+        svals = np.linalg.svd(q, compute_uv=False)
         assert svals[1] <= 1e-10 * svals[0]
 
     def test_linearity_witness(self):
@@ -533,11 +534,9 @@ class TestFredholmOperator:
         q = fredholm_operator(poly_N, cfg)
         f1 = expand_vector(lambda t: np.array([t, 1.0]), cfg)
         f2 = expand_vector(lambda t: np.array([1.0 - t, t * t]), cfg)
-        combo = 2.0 * q.apply(f1).data - 3.0 * q.apply(f2).data
-        from bpcheb.expansion import CoeffVector
-
-        mixed = q.apply(CoeffVector(2.0 * f1.data - 3.0 * f2.data, f1.K, f1.M, f1.n))
-        np.testing.assert_allclose(mixed.data, combo, atol=1e-14)
+        combo = 2.0 * (q @ f1.data) - 3.0 * (q @ f2.data)
+        mixed = q @ (2.0 * f1.data - 3.0 * f2.data)
+        np.testing.assert_allclose(mixed, combo, atol=1e-14)
 
     def test_peak_memory_stays_near_the_size_of_q(self):
         # no (K, M, K, M, n, n) intermediate next to Q: per-block einsums
@@ -549,12 +548,4 @@ class TestFredholmOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * q.Q.nbytes
-
-    def test_apply_dimension_mismatch(self):
-        cfg = BasisConfig.uniform(0, 1, 2, 4)
-        q = fredholm_operator(lambda t, s: np.zeros((2, 2)), cfg)
-        wrong = expand_vector(lambda t: np.array([1.0]), cfg)
-        with pytest.raises(ValueError, match="does not match"):
-            q.apply(wrong)
-
+        assert peak < 2.5 * q.nbytes

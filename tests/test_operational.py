@@ -81,15 +81,15 @@ def _chebu_poly_coeffs(m: int) -> np.ndarray:
 class TestBuildP:
     def test_single_block(self):
         cfg = BasisConfig.uniform(0, 1, 1, 2)
-        np.testing.assert_allclose(build_p(cfg).P, [[0.5, 0.25], [-0.375, 0.0]])
+        np.testing.assert_allclose(build_p(cfg), [[0.5, 0.25], [-0.375, 0.0]])
 
     def test_two_blocks_m1(self):
         cfg = BasisConfig.uniform(0, 1, 2, 1)
-        np.testing.assert_allclose(build_p(cfg).P, [[0.25, 0.5], [0.0, 0.25]])
+        np.testing.assert_allclose(build_p(cfg), [[0.25, 0.5], [0.0, 0.25]])
 
     def test_lower_block_triangle_vanishes(self):
         cfg = BasisConfig(Partition((0.0, 0.2, 0.5, 1.0)), 4)
-        P = build_p(cfg).P
+        P = build_p(cfg)
         M = 4
         for i in range(3):
             for j in range(i):
@@ -97,14 +97,14 @@ class TestBuildP:
 
     def test_diagonal_blocks_scale_phat(self):
         cfg = BasisConfig(Partition((0.0, 0.2, 1.0)), 3)
-        P = build_p(cfg).P
+        P = build_p(cfg)
         phat = build_phat(3)
         np.testing.assert_allclose(P[:3, :3], 0.5 * 0.2 * phat)
         np.testing.assert_allclose(P[3:, 3:], 0.5 * 0.8 * phat)
 
     def test_off_diagonal_column_structure(self):
         cfg = BasisConfig(Partition((0.0, 0.3, 0.7, 1.0)), 5)
-        P = build_p(cfg).P
+        P = build_p(cfg)
         M = 5
         for i in range(3):
             for j in range(i + 1, 3):
@@ -154,7 +154,7 @@ class TestIntegrationProperty:
         rng = np.random.default_rng(100 * M + K)
         edges = np.sort(rng.uniform(0.1, 0.9, size=K - 1)) if K > 1 else np.array([])
         cfg = BasisConfig(Partition((0.0, *edges, 1.0)), M)
-        P = build_p(cfg).P
+        P = build_p(cfg)
         rule = gauss_u_rule(M + 20)
         for _ in range(4):
             n = int(rng.integers(1, 4))
@@ -169,7 +169,7 @@ class TestIntegrationProperty:
         # projection of the true integral, within a width-scaled tolerance
         cfg = BasisConfig(Partition((0.0, 0.5, 1.0)), 4)
         rng = np.random.default_rng(77)
-        P = build_p(cfg).P
+        P = build_p(cfg)
         rule = gauss_u_rule(30)
         f, integral = _random_per_block_poly(rng, cfg, cfg.M - 1, 1)
         fhat = expand_vector(f, cfg, rule)
@@ -178,7 +178,7 @@ class TestIntegrationProperty:
         np.testing.assert_allclose(P.T @ fhat.data, ihat.data, rtol=0, atol=max(tol, 1e-11))
 
     def test_matrix_is_read_only(self):
-        P = build_p(BasisConfig.uniform(0, 1, 2, 2)).P
+        P = build_p(BasisConfig.uniform(0, 1, 2, 2))
         with pytest.raises(ValueError):
             P[0, 0] = 5.0
 
@@ -192,7 +192,7 @@ class TestDenseFromApplyPt:
     def test_exactly_equal_to_loop_built_oracle(self, K, M, n):
         cfg = random_cfg(np.random.default_rng(100 * K + 10 * M + n), K, M)
         oracle = loop_built_p(cfg)
-        assert np.array_equal(build_p(cfg).P, oracle)
+        assert np.array_equal(build_p(cfg), oracle)
         p = cfg.partition
         asm = assemble(SystemSpec(n, 1, p.t0, p.tf, np.zeros(n)), cfg)
         assert np.array_equal(asm.PkronT, np.kron(oracle.T, np.eye(n)))

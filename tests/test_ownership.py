@@ -1,10 +1,13 @@
-"""Every array a bpcheb type holds is a read-only copy that the type owns, and
-the types that hold arrays compare and hash by identity.
+"""Every array a bpcheb type holds is read-only and owned by it, and the types
+that hold arrays compare and hash by identity.
 
-A caller's array keeps its flags, and a later write to it does not reach the
-object built from it.  Partition, BasisConfig and Problem hold no arrays
-and keep value equality (the round-trip tests of problem and exprlang check
-it for problems and expression nodes).
+A type given a caller's array holds a copy: the caller's array keeps its
+flags, and a later write to it does not reach the object built from it.  The
+operators (P, Q, and what AssembledSystem builds from a spec) are plain
+read-only arrays, made where they are computed and never copied.  Partition,
+BasisConfig and Problem hold no arrays and keep value equality (the
+round-trip tests of problem and exprlang check it for problems and
+expression nodes).
 """
 
 import pathlib
@@ -15,20 +18,21 @@ import pytest
 import bpcheb
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import CoeffVector
-from bpcheb.kernel import FredholmOperator
-from bpcheb.operational import OperationalMatrix
+from bpcheb.kernel import fredholm_operator
+from bpcheb.operational import build_p
 from bpcheb.problem import load
 from bpcheb.quadrature import WeightedRule
-from bpcheb.solver import AssembledSystem, HybridSolution, SystemSpec, hybrid_solve
+from bpcheb.solver import AssembledSystem, HybridSolution, SystemSpec, assemble, hybrid_solve
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 CFG = BasisConfig(Partition((0.0, 0.4, 1.0)), 3)  # K=2, M=3; n=r=1 gives 6 coefficients
 
 
-def _assembled(phi_blocks, b_blocks, Q=None):
-    kernel = None if Q is None else FredholmOperator(Q, CFG)
-    x0hat = CoeffVector(np.zeros(6), 2, 3, 1)
-    return AssembledSystem(CFG, 1, 1, phi_blocks, b_blocks, kernel, x0hat)
+def _spec():
+    return SystemSpec(2, 1, 0.0, 1.0, [1.0, -2.0],
+                      A=lambda t: np.array([[0.0, 1.0], [-1.0, t]]),
+                      B=lambda t: np.array([[0.0], [1.0 + t]]),
+                      N=lambda t, s: np.array([[t * s, 0.0], [0.0, 1.0]]))
 
 
 # name -> (shape of the caller's array, build(array), the array the object holds)
@@ -38,14 +42,6 @@ HOLDERS = {
     "CoeffVector.from_tensor": ((2, 3, 1), CoeffVector.from_tensor, lambda o: o.data),
     "WeightedRule.nodes": ((3,), lambda a: WeightedRule(a, np.ones(3)), lambda o: o.nodes),
     "WeightedRule.weights": ((3,), lambda a: WeightedRule(np.zeros(3), a), lambda o: o.weights),
-    "FredholmOperator.Q": ((6, 6), lambda a: FredholmOperator(a, CFG), lambda o: o.Q),
-    "OperationalMatrix.P": ((6, 6), lambda a: OperationalMatrix(a, CFG), lambda o: o.P),
-    "AssembledSystem.phi_blocks": (
-        (2, 3, 3), lambda a: _assembled(a, np.zeros((2, 3, 3))), lambda o: o.phi_blocks),
-    "AssembledSystem.b_blocks": (
-        (2, 3, 3), lambda a: _assembled(np.zeros((2, 3, 3)), a), lambda o: o.b_blocks),
-    "AssembledSystem.Q": (
-        (6, 6), lambda a: _assembled(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), a), lambda o: o.Q),
 }
 
 
@@ -64,13 +60,30 @@ def test_a_held_array_is_a_read_only_copy(name):
         held(obj)[...] = 0.0
 
 
-def test_assembled_system_holds_the_operators_own_q():
-    # one copy of Q per assemble: the operator's, not a second one
-    kernel = FredholmOperator(np.eye(6), CFG)
-    assert _assembled(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), None).Q is None
-    asm = AssembledSystem(CFG, 1, 1, np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), kernel,
-                          CoeffVector(np.zeros(6), 2, 3, 1))
-    assert asm.Q is kernel.Q
+def _assert_read_only(a):
+    assert type(a) is np.ndarray and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0.0
+
+
+def test_operators_are_read_only_arrays():
+    _assert_read_only(fredholm_operator(lambda t, s: t - s, CFG))
+    _assert_read_only(build_p(CFG))
+
+
+def _held(asm):
+    return (asm.phi_blocks, asm.b_blocks, asm.Q, asm.PkronT, asm.Bop, asm.system_matrix)
+
+
+def test_assembled_system_owns_read_only_arrays():
+    spec = _spec()
+    asm, other = assemble(spec, CFG), assemble(spec, CFG)
+    for a in _held(asm):
+        _assert_read_only(a)
+    # two systems of one spec share nothing but the spec's own x0
+    assert asm.x0 is spec.x0 and other.x0 is spec.x0
+    for a in _held(asm):
+        assert not any(np.shares_memory(a, b) for b in _held(other) + (spec.x0,))
 
 
 def _solution():
@@ -82,10 +95,8 @@ IDENTITY = {
     CoeffVector: lambda: CoeffVector(np.zeros(6), 2, 3, 1),
     SystemSpec: lambda: SystemSpec(1, 1, 0.0, 1.0, [1.0]),
     WeightedRule: lambda: WeightedRule([0.5, -0.5], [0.7, 0.8]),
-    FredholmOperator: lambda: FredholmOperator(np.eye(6), CFG),
-    OperationalMatrix: lambda: OperationalMatrix(np.eye(6), CFG),
     HybridSolution: _solution,
-    AssembledSystem: lambda: _assembled(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), np.eye(6)),
+    AssembledSystem: lambda: AssembledSystem(_spec(), CFG),
     bpcheb.ExpansionError: lambda: bpcheb.ExpansionError("x"),
     bpcheb.SingularMatrixError: lambda: bpcheb.SingularMatrixError(3, 0.0, 1e-14),
     bpcheb.SolveError: lambda: bpcheb.SolveError("x"),

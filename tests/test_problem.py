@@ -130,10 +130,21 @@ class TestLoads:
         ("t0 = 0", "t0 = nan", r"\[system\].t0"),
         ("M = 3", "M = 3\nbreakpoints = [0, NaN, 1]", r"\[solve\].breakpoints"),
         ("M = 3", "M = 3\n[output]\npoints = [0.5, -Infinity]", r"\[output\].points"),
+        # integers too large for a float
+        pytest.param("x0 = [0]", f"x0 = [{10**400}]", r"\[system\].x0", id="x0-10**400"),
+        pytest.param("M = 3", f"M = 3\nbreakpoints = [0, {10**400}, 1]",
+                     r"\[solve\].breakpoints", id="breakpoints-10**400"),
+        pytest.param("M = 3", f"M = 3\n[output]\npoints = [0.5, -{10**400}]",
+                     r"\[output\].points", id="points-minus-10**400"),
     ])
     def test_rejects_non_finite_numbers(self, old, new, key):
         with pytest.raises(ProblemError, match=f"{key}: .*finite"):
             loads(MINIMAL.replace(old, new))
+
+    def test_rejects_an_integer_too_long_to_read(self):
+        # json.loads refuses integers longer than Python's digit limit with a ValueError
+        with pytest.raises(ProblemError, match=r"^\[system\].x0: "):
+            loads(MINIMAL.replace("x0 = [0]", f"x0 = [1{'0' * 5000}]"))
 
     def test_x0_length(self):
         bad = MINIMAL.replace("x0 = [0]", "x0 = [0, 1]")

@@ -29,6 +29,7 @@ from conftest import (
     reference_derivative,
     reference_residual,
     rk4_reference,
+    x0_coefficients,
 )
 
 
@@ -208,7 +209,7 @@ class TestSolve:
         sol = solve(asm, expdecay_system.u)
         # rebuild the right-hand side the way solve does and check the defect
         uhat = expand_vector(lambda t: np.atleast_1d(expdecay_system.u(t)), asm.cfg)
-        rhs = asm.X0hat.data + asm.PkronT @ (asm.Bop @ uhat.data)
+        rhs = x0_coefficients(asm) + asm.PkronT @ (asm.Bop @ uhat.data)
         defect = inf_norm(asm.system_matrix @ sol.xhat.data - rhs)
         assert defect <= 1e-10 * (1.0 + inf_norm(rhs))
 
@@ -802,6 +803,18 @@ class TestResidual:
         sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
         with pytest.raises(ValueError, match=f"t={bad} outside"):
             residual(poly_system, sol, [0.5, bad])
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    @pytest.mark.parametrize("bad,error,message", [
+        (0, ValueError, "quad_order must be >= 1, got 0"),
+        (-3, ValueError, "quad_order must be >= 1, got -3"),
+        (2.5, TypeError, "quad_order must be an integer, got 2.5"),
+    ])
+    def test_rejects_bad_quad_order(self, expdecay_system, kernel, bad, error, message):
+        spec = expdecay_system if kernel else dataclasses.replace(expdecay_system, N=None)
+        sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, 2, 4))
+        with pytest.raises(error, match=f"^{message}$"):
+            residual(spec, sol, EXP_TS, quad_order=bad)
 
     def test_empty_grid_has_zero_residual(self, poly_system):
         sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
