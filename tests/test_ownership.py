@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import bpcheb
+from bpcheb import solver
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import CoeffVector
 from bpcheb.kernel import fredholm_operator
@@ -35,40 +36,83 @@ def _spec():
                       N=lambda t, s: np.array([[t * s, 0.0], [0.0, 1.0]]))
 
 
-# name -> (shape of the caller's array, build(array), the array the object holds)
+def _copy(shape, build, held):
+    """A type given the caller's array holds the caller's values."""
+    return shape, build, held, lambda before: before
+
+
+def _computed(shape, build, held):
+    """An operator computed from the caller's array holds what a build from
+    an untouched copy of it gives."""
+    return shape, build, held, lambda before: held(build(before.copy()))
+
+
+def _returns(a):
+    """A function of t (or of t and s) that returns the caller's array itself."""
+    return lambda *ts: a
+
+
+def _system(**data):
+    return AssembledSystem(SystemSpec(2, 1, 0.0, 1.0, [1.0, -2.0], **data), CFG)
+
+
+# name -> (shape of the caller's array, build(array), the array the object
+# holds, what it holds given the caller's values).  P and Q keep the names
+# of the classes that once held them; they are now plain arrays.
 HOLDERS = {
-    "SystemSpec.x0": ((2,), lambda a: SystemSpec(2, 1, 0.0, 1.0, a), lambda o: o.x0),
-    "CoeffVector.data": ((6,), lambda a: CoeffVector(a, 2, 3, 1), lambda o: o.data),
-    "CoeffVector.from_tensor": ((2, 3, 1), CoeffVector.from_tensor, lambda o: o.data),
-    "WeightedRule.nodes": ((3,), lambda a: WeightedRule(a, np.ones(3)), lambda o: o.nodes),
-    "WeightedRule.weights": ((3,), lambda a: WeightedRule(np.zeros(3), a), lambda o: o.weights),
+    "SystemSpec.x0": _copy((2,), lambda a: SystemSpec(2, 1, 0.0, 1.0, a), lambda o: o.x0),
+    "CoeffVector.data": _copy((6,), lambda a: CoeffVector(a, 2, 3, 1), lambda o: o.data),
+    "CoeffVector.from_tensor": _copy((2, 3, 1), CoeffVector.from_tensor, lambda o: o.data),
+    "WeightedRule.nodes": _copy((3,), lambda a: WeightedRule(a, np.ones(3)), lambda o: o.nodes),
+    "WeightedRule.weights": _copy(
+        (3,), lambda a: WeightedRule(np.zeros(3), a), lambda o: o.weights),
+    "FredholmOperator.Q": _computed(
+        (1, 1), lambda a: fredholm_operator(_returns(a), CFG), lambda o: o),
+    "OperationalMatrix.P": _computed(
+        (3,), lambda a: build_p(BasisConfig(Partition(a), 3)), lambda o: o),
+    "AssembledSystem.phi_blocks": _computed(
+        (2, 2), lambda a: _system(A=_returns(a)), lambda o: o.phi_blocks),
+    "AssembledSystem.b_blocks": _computed(
+        (2, 1), lambda a: _system(B=_returns(a)), lambda o: o.b_blocks),
+    "AssembledSystem.Q": _computed(
+        (2, 2), lambda a: _system(N=_returns(a)), lambda o: o.Q),
 }
 
 
 @pytest.mark.parametrize("name", HOLDERS)
 def test_a_held_array_is_a_read_only_copy(name):
-    shape, build, held = HOLDERS[name]
+    shape, build, held, holds = HOLDERS[name]
     mine = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
     before = mine.copy()
     obj = build(mine)
     assert mine.flags.writeable  # the caller's array keeps its flags
-    assert not held(obj).flags.writeable
+    assert type(held(obj)) is np.ndarray and not held(obj).flags.writeable
     assert not np.shares_memory(mine, held(obj))
     mine[...] = -7.0  # a later write to the caller's array does not reach the object
-    assert np.array_equal(held(obj).reshape(shape), before)
+    want = holds(before)
+    assert np.array_equal(held(obj), np.reshape(want, held(obj).shape))
     with pytest.raises(ValueError, match="read-only"):
         held(obj)[...] = 0.0
+
+
+def test_assembled_system_holds_the_operators_own_q(monkeypatch):
+    # one Q per assemble: the one fredholm_operator made, not a second copy
+    made = []
+
+    def kept(*args, **kwargs):
+        made.append(fredholm_operator(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "fredholm_operator", kept)
+    assert _system().Q is None and not made
+    asm = assemble(_spec(), CFG)
+    assert len(made) == 1 and asm.Q is made[0]
 
 
 def _assert_read_only(a):
     assert type(a) is np.ndarray and not a.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         a[...] = 0.0
-
-
-def test_operators_are_read_only_arrays():
-    _assert_read_only(fredholm_operator(lambda t, s: t - s, CFG))
-    _assert_read_only(build_p(CFG))
 
 
 def _held(asm):
