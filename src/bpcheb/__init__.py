@@ -12,14 +12,7 @@ command-line front end.
 """
 
 from .basis import BasisConfig, Partition, chebyshev_u_eval
-from .expansion import (
-    CoeffVector,
-    ExpansionError,
-    expand_matrix,
-    expand_vector,
-    product_coeff,
-    product_tensor,
-)
+from .expansion import ExpansionError, expand_matrix, expand_vector, product_coeff, product_tensor
 from .kernel import fredholm_operator
 from .linalg import SingularMatrixError
 from .operational import build_p, build_phat
@@ -44,7 +37,6 @@ __all__ = [
     "chebyshev_u_eval",
     "WeightedRule",
     "gauss_u_rule",
-    "CoeffVector",
     "ExpansionError",
     "expand_vector",
     "expand_matrix",

@@ -105,11 +105,13 @@ class BasisConfig:
 
 
 def as_index(key: str, value) -> int:
-    """value as a Python int; integers of any kind pass, else TypeError naming key."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{key} must be an integer, got {value!r}") from None
+    """value as a Python int; integers of any kind but bool pass, else TypeError naming key."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{key} must be an integer, got {value!r}")
 
 
 def as_real(key: str, value) -> float:

@@ -13,7 +13,6 @@ the rule S_i S_j = sum over r = 0..min(i,j) of S_{i+j-2r}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -23,7 +22,6 @@ from .basis import BasisConfig, chebyshev_u_series, read_only
 from .quadrature import WeightedRule, gauss_u_rule, projection_matrix
 
 __all__ = [
-    "CoeffVector",
     "ExpansionError",
     "default_rule",
     "nodes",
@@ -53,40 +51,6 @@ def default_rule(cfg: BasisConfig) -> WeightedRule:
     """The library-default rule: M + 8 points, one shared rule per M (see
     quadrature.gauss_u_rule)."""
     return gauss_u_rule(cfg.M + DEFAULT_EXTRA_ORDER)
-
-
-@dataclass(frozen=True, eq=False)
-class CoeffVector:
-    """Stacked hybrid coefficients of an n-component vector function.
-
-    Layout contract: the entry for (block k, degree m, component c) lives at
-    flat index ((k-1)*M + m)*n + c, with k in 1..K and m, c 0-based.  This is
-    the block-major, degree-middle, component-minor stacking used throughout.
-    data is a read-only flat copy of the array given.
-    """
-
-    data: np.ndarray
-    K: int
-    M: int
-    n: int
-
-    def __post_init__(self):
-        data = read_only(np.array(self.data, dtype=float).reshape(-1))
-        if data.size != self.M * self.K * self.n:
-            raise ValueError(
-                f"coefficient vector has length {data.size}, "
-                f"expected M*K*n = {self.M * self.K * self.n}"
-            )
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_tensor(cls, tensor: np.ndarray) -> "CoeffVector":
-        """Build from an array of shape (K, M, n)."""
-        return cls(tensor, *tensor.shape)
-
-    def tensor(self) -> np.ndarray:
-        """View of shape (K, M, n); tensor()[k-1, m, c] is coefficient (k, m, c)."""
-        return self.data.reshape(self.K, self.M, self.n)
 
 
 def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
@@ -312,8 +276,12 @@ def _misfit(name: str, shape: tuple[int, ...], point: tuple, val: np.ndarray) ->
 def expand_vector(
     f: Callable[[float], np.ndarray], cfg: BasisConfig, rule: WeightedRule | None = None,
     expect: tuple[str, tuple[int]] | None = None,
-) -> CoeffVector:
-    """Componentwise expansion of a vector function into CoeffVector layout.
+) -> np.ndarray:
+    """Componentwise expansion of a vector function: the read-only hybrid
+    coefficients, shape (K, M, n), entry [k-1, m, c] for block k, degree m,
+    component c.  Flattened in C order, entry (k, m, c) sits at
+    ((k-1)*M + m)*n + c: the block-major, degree-middle, component-minor
+    stacking used throughout.
 
     expect = (name, (n,)) names f and its length for sample's checks.
     """
@@ -321,7 +289,7 @@ def expand_vector(
     proj = projection_matrix(cfg.M - 1, rule)
     name, shape = expect or ("vector function", None)
     fx = sample(f, nodes(cfg, rule), name, 1, shape=shape)  # (K, q, n)
-    return CoeffVector.from_tensor(proj @ fx)
+    return read_only(proj @ fx)
 
 
 def expand_matrix(
@@ -376,7 +344,7 @@ def product_blocks(blocks: np.ndarray) -> np.ndarray:
     blocks holds the coefficients M_{km} of M(t), shape (K, M, n_out, n_in),
     as expand_matrix returns them.  Returns shape (K, M*n_out, M*n_in); entry
     k-1 is the block-k matrix with (m, j) sub-block sum_i d^{(ij)}_m M_{ki},
-    rows (degree, out-component)-major to match CoeffVector stacking.
+    rows (degree, out-component)-major to match the (K, M, n) stacking of expand_vector.
     """
     K, M, n_out, n_in = np.shape(blocks)
     # one matmul over degree i: rows (k, a, b), columns (j, m) of the d-tensor
@@ -385,8 +353,9 @@ def product_blocks(blocks: np.ndarray) -> np.ndarray:
     return hat.transpose(0, 4, 1, 3, 2).reshape(K, M * n_out, M * n_in)
 
 
-def synthesize(coeffs: CoeffVector, cfg: BasisConfig, t) -> np.ndarray:
-    """Reconstruction sum_{km} f_{km} h_{km}(t) at a time t or at each time of an array t.
+def synthesize(coeffs: np.ndarray, cfg: BasisConfig, t) -> np.ndarray:
+    """Reconstruction sum_{km} f_{km} h_{km}(t) at a time t or at each time of an array t,
+    from the (K, M, n) coefficients of expand_vector.
 
     The result has shape np.shape(t) + (n,).  A time outside [t0, tf], NaN
     too, raises ValueError naming the first such time in C order.  Only the
@@ -403,5 +372,5 @@ def synthesize(coeffs: CoeffVector, cfg: BasisConfig, t) -> np.ndarray:
     k = np.minimum(np.searchsorted(bp, flat, side="right"), p.num_blocks)  # t_f: block K
     a, b = bp[k - 1], bp[k]
     x = (2.0 * flat - a - b) / (b - a)
-    vals = chebyshev_u_series(np.moveaxis(coeffs.tensor()[k - 1], 1, 0), x[:, np.newaxis])
-    return vals.reshape(ts.shape + (coeffs.n,))
+    vals = chebyshev_u_series(np.moveaxis(coeffs[k - 1], 1, 0), x[:, np.newaxis])
+    return vals.reshape(ts.shape + coeffs.shape[2:])

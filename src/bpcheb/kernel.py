@@ -56,7 +56,7 @@ def fredholm_operator(
 
         sum over even m of (d_k / (m+1)) * sum over i of d^{(i j')}_m C^{(jl)}_{ki},
 
-    laid out so Q acts on CoeffVector stackings.  Each chunk is projected
+    laid out so Q acts on the (K, M, n) stacking of expand_vector.  Each chunk is projected
     and folded by one einsum per sum, in index order (see the module
     docstring), and written scaled into its rows of Q.  expect = (name,
     (n_out, n_in)) names the kernel and its shape for sample's checks, which

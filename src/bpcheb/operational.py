@@ -99,7 +99,7 @@ def pt_parts(cfg: BasisConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_pt(cfg: BasisConfig, z: np.ndarray) -> np.ndarray:
     """(P^T kron I_n) z without forming it: z is any array of K*M*n entries in
-    CoeffVector order; the result has the shape of z."""
+    the (K, M, n) stacking of expand_vector; the result has the shape of z."""
     within, totals = pt_parts(cfg, np.reshape(z, (cfg.K, cfg.M, -1)))
     within[1:, 0] += np.cumsum(totals[:-1], axis=0)
     return within.reshape(np.shape(z))

@@ -48,15 +48,7 @@ import numpy as np
 from .basis import (
     BasisConfig, as_index, as_real, chebyshev_u_derivative_coeffs, read_only, real_array,
 )
-from .expansion import (
-    CoeffVector,
-    expand_matrix,
-    expand_vector,
-    nodes,
-    product_blocks,
-    sample,
-    synthesize,
-)
+from .expansion import expand_matrix, expand_vector, nodes, product_blocks, sample, synthesize
 from .kernel import fredholm_operator, sample_kernel
 from .linalg import LU, inf_norm
 from .operational import apply_pt, pt_parts
@@ -155,11 +147,7 @@ class AssembledSystem:
     """
 
     def __init__(self, spec: SystemSpec, cfg: BasisConfig):
-        if (cfg.partition.t0, cfg.partition.tf) != (spec.t0, spec.tf):
-            raise ValueError(
-                f"basis covers [{cfg.partition.t0}, {cfg.partition.tf}] "
-                f"but the system lives on [{spec.t0}, {spec.tf}]"
-            )
+        _check_window(spec, cfg)
         M, K, n, r = cfg.M, cfg.K, spec.n, spec.r
         self.cfg, self.n, self.r, self.x0 = cfg, n, r, spec.x0
         if spec.A is None:
@@ -228,6 +216,15 @@ class AssembledSystem:
         return (y + (G @ c[..., np.newaxis])[..., 0]).reshape(-1)
 
 
+def _check_window(spec: SystemSpec, cfg: BasisConfig) -> None:
+    """ValueError unless the basis covers the system's [t0, tf]."""
+    if (cfg.partition.t0, cfg.partition.tf) != (spec.t0, spec.tf):
+        raise ValueError(
+            f"basis covers [{cfg.partition.t0}, {cfg.partition.tf}] "
+            f"but the system lives on [{spec.t0}, {spec.tf}]"
+        )
+
+
 def _apply_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The block-diagonal matrix of the stacked blocks (K, p, q) times z, a
     vector (Kq,) or a matrix (Kq, c); the result is (Kp,) or (Kp, c)."""
@@ -246,7 +243,7 @@ def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "Hyb
     rhs = np.zeros(cfg.K * cfg.M * asm.n)
     rhs.reshape(cfg.K, cfg.M, asm.n)[:, 0] = asm.x0  # X0hat
     if u is not None:
-        uhat = expand_vector(u, cfg, expect=("u", (asm.r,))).data
+        uhat = expand_vector(u, cfg, expect=("u", (asm.r,))).reshape(-1)
         if asm.Q is None:
             rhs += apply_pt(cfg, _apply_blocks(asm.b_blocks, uhat))
         else:
@@ -259,7 +256,7 @@ def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "Hyb
             f"linear-system residual {defect:.3e} exceeds {bound:.3e}; "
             "the discretized operator is too ill-conditioned to trust"
         )
-    return HybridSolution(cfg, CoeffVector(xhat, cfg.K, cfg.M, asm.n))
+    return HybridSolution(cfg, xhat.reshape(cfg.K, cfg.M, asm.n))
 
 
 def hybrid_solve(spec: SystemSpec, cfg: BasisConfig) -> "HybridSolution":
@@ -269,10 +266,22 @@ def hybrid_solve(spec: SystemSpec, cfg: BasisConfig) -> "HybridSolution":
 
 @dataclass(frozen=True, eq=False)
 class HybridSolution:
-    """Solved coefficients, evaluable anywhere in [t0, tf]."""
+    """Solved coefficients, evaluable anywhere in [t0, tf].
+
+    xhat is a read-only copy of the coefficients given, shape (K, M, n) as
+    expand_vector stacks them: block k's are xhat[k - 1], shape (M, n).  Any
+    other shape raises ValueError naming xhat.
+    """
 
     cfg: BasisConfig
-    xhat: CoeffVector
+    xhat: np.ndarray
+
+    def __post_init__(self):
+        xhat = read_only(real_array("xhat", self.xhat))
+        K, M = self.cfg.K, self.cfg.M
+        if xhat.ndim != 3 or xhat.shape[:2] != (K, M) or not xhat.shape[2]:
+            raise ValueError(f"xhat has shape {xhat.shape}, expected ({K}, {M}, n), n >= 1")
+        object.__setattr__(self, "xhat", xhat)
 
     def evaluate(self, t) -> np.ndarray:
         """State at a time t or at each time of an array t, shape np.shape(t) + (n,),
@@ -290,10 +299,10 @@ class HybridSolution:
     def _derivative(self) -> "HybridSolution":
         """The derivative of the reconstruction as a solution on the same basis:
         each block's differentiated series, scaled by 2/d_k."""
-        coeffs = np.moveaxis(self.xhat.tensor(), 1, 0)  # degree first: (M, K, n)
+        coeffs = np.moveaxis(self.xhat, 1, 0)  # degree first: (M, K, n)
         scale = 2.0 / self.cfg.partition.width_array[:, np.newaxis]
         dcoef = np.moveaxis(chebyshev_u_derivative_coeffs(coeffs) * scale, 0, 1)
-        return HybridSolution(self.cfg, CoeffVector.from_tensor(dcoef))
+        return HybridSolution(self.cfg, dcoef)
 
 
 def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
@@ -311,11 +320,15 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
     failing call or a non-finite, complex or misshapen sample raises
     ExpansionError naming the datum, its t or (t, s), and the block (for N,
     the inner block of the quadrature).  quad_order must be an integer >= 1,
-    with or without a kernel.
+    with or without a kernel.  A spec whose n or [t0, tf] differs from the
+    solution's raises ValueError before anything is sampled.
     """
     quad_order = as_index("quad_order", quad_order)
     if quad_order < 1:
         raise ValueError(f"quad_order must be >= 1, got {quad_order}")
+    _check_window(spec, sol.cfg)
+    if spec.n != sol.xhat.shape[2]:
+        raise ValueError(f"the system has n={spec.n} but the solution has n={sol.xhat.shape[2]}")
     ts = np.asarray(tgrid, dtype=float).reshape(-1)
     if not ts.size:
         return 0.0

@@ -71,7 +71,7 @@ def reference_derivative(sol, t: float) -> np.ndarray:
     k = block_of(t, p)
     if k is None:
         raise ValueError(f"t={t} outside [{p.t0}, {p.tf}]")
-    dcoef = chebyshev_u_derivative_coeffs(sol.xhat.tensor()[k - 1])
+    dcoef = chebyshev_u_derivative_coeffs(sol.xhat[k - 1])
     return 2.0 / p.width_array[k - 1] * np.asarray(chebyshev_u_series(dcoef, to_local(t, k, p)))
 
 
@@ -224,7 +224,7 @@ def dense_reference_system(asm, u) -> tuple[np.ndarray, np.ndarray]:
         phi += asm.Q
     rhs = x0_coefficients(asm)
     if u is not None:
-        uhat = expand_vector(lambda t: np.atleast_1d(u(t)), asm.cfg).data
+        uhat = expand_vector(lambda t: np.atleast_1d(u(t)), asm.cfg).reshape(-1)
         rhs += pkron @ (scipy.linalg.block_diag(*asm.b_blocks) @ uhat)
     return np.eye(rhs.size) - pkron @ phi, rhs
 

@@ -89,7 +89,7 @@ def test_criterion_1_polynomial_coefficients_and_evaluation():
     vals = sol.evaluate_many(ts)
     elapsed = time.perf_counter() - start
 
-    tensor = sol.xhat.tensor()
+    tensor = sol.xhat
     coeff_err = max(
         max(abs(tensor[k, m, 0] - float(POLY_X1_COEFFS[k][m])) for m in range(4))
         for k in range(3)
@@ -146,8 +146,8 @@ def test_criterion_4_operational_matrix_integration_property():
         rule = gauss_u_rule(M + 20)
         fhat = expand_vector(f, cfg, rule)
         ihat = expand_vector(integral, cfg, rule)
-        got = np.kron(build_p(cfg).T, np.eye(n)) @ fhat.data
-        worst = max(worst, float(np.max(np.abs(got - ihat.data))))
+        got = np.kron(build_p(cfg).T, np.eye(n)) @ fhat.reshape(-1)
+        worst = max(worst, float(np.max(np.abs(got - ihat.reshape(-1)))))
     _report(4, "running integral equals P^T on coefficients", worst <= 1e-11,
             f"worst deviation {worst:.2e} over 20 random per-block polynomials")
 
@@ -177,9 +177,9 @@ def test_criterion_6_fredholm_operator_oracle():
     cfg = BasisConfig.uniform(0, 1, 3, 8)
     for kernel in (poly_N, expdecay_N):
         f = lambda s: np.array([0.25 + s, 1.0 - 0.5 * s])
-        got = fredholm_operator(kernel, cfg) @ expand_vector(f, cfg).data
+        got = fredholm_operator(kernel, cfg) @ expand_vector(f, cfg).reshape(-1)
         want = oracle_fredholm_image(kernel, f, cfg)
-        worst = max(worst, float(np.max(np.abs(got - want.data))))
+        worst = max(worst, float(np.max(np.abs(got - want.reshape(-1)))))
     # 20 random polynomial kernels of degree <= M-2
     rng = np.random.default_rng(99)
     polyval = np.polynomial.polynomial.polyval
@@ -191,9 +191,9 @@ def test_criterion_6_fredholm_operator_oracle():
         fc = rng.uniform(-1, 1, size=(q_deg + 1,))
         kernel = lambda t, s, kc=kc: polyval(t, polyval(s, kc))
         f = lambda s, fc=fc: polyval(s, fc)
-        got = fredholm_operator(kernel, cfg) @ expand_vector(f, cfg).data
+        got = fredholm_operator(kernel, cfg) @ expand_vector(f, cfg).reshape(-1)
         want = oracle_fredholm_image(lambda t, s: np.array([[kernel(t, s)]]), f, cfg)
-        worst = max(worst, float(np.max(np.abs(got - want.data))))
+        worst = max(worst, float(np.max(np.abs(got - want.reshape(-1)))))
     _report(6, "Fredholm operator equals 2-D quadrature oracle", worst <= 1e-9,
             f"worst coefficient deviation {worst:.2e}")
 

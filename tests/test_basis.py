@@ -66,8 +66,11 @@ class TestBasisConfig:
         with pytest.raises(ValueError):
             BasisConfig.uniform(0, 1, 3, 0)
 
+    # a Python bool is an int to operator.index and a numpy bool is not: both are refused
     @pytest.mark.parametrize("key,bad", [("M", 2.5), ("M", 3.0), ("M", "3"),
-                                         ("num_blocks", 2.0), ("num_blocks", 1.5)])
+                                         ("num_blocks", 2.0), ("num_blocks", 1.5),
+                                         ("M", True), ("M", np.True_),
+                                         ("num_blocks", False), ("num_blocks", np.False_)])
     def test_rejects_non_integer_sizes(self, key, bad):
         sizes = {"num_blocks": 2, "M": 3, key: bad}
         with pytest.raises(TypeError, match=re.escape(f"{key} must be an integer, got {bad!r}")):

@@ -15,7 +15,6 @@ from bpcheb.basis import (
 )
 from bpcheb.expansion import (
     PROBE_RTOL,
-    CoeffVector,
     ExpansionError,
     default_rule,
     expand_matrix,
@@ -31,6 +30,7 @@ from bpcheb.expansion import (
 )
 from bpcheb.problem import load
 from bpcheb.quadrature import gauss_u_rule, projection_matrix
+from bpcheb.solver import HybridSolution
 
 from conftest import (block_of, expdecay_A, global_of_local, in_order, in_threads, pointwise,
                       poly_A, to_local)
@@ -39,25 +39,39 @@ PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 class TestCoeffVector:
+    """Coefficients are read-only (K, M, n) arrays, as expand_vector makes them."""
+
     def test_layout_contract(self):
+        # entry (k, m, c) is block k's degree-m coefficient of component c, and sits
+        # at flat index ((k-1)*M + m)*n + c of the array flattened in C order
         K, M, n = 3, 4, 2
-        tensor = np.arange(K * M * n, dtype=float).reshape(K, M, n)
-        cv = CoeffVector.from_tensor(tensor)
-        for k in range(1, K + 1):
-            for m in range(M):
-                for c in range(n):
-                    assert cv.data[((k - 1) * M + m) * n + c] == tensor[k - 1, m, c]
+        cfg = BasisConfig.uniform(0, 1, K, M)
+        parts = (np.exp, lambda t: np.sin(3 * t))
+        coeffs = expand_vector(lambda t: np.array([g(t) for g in parts]), cfg)
+        assert type(coeffs) is np.ndarray and coeffs.shape == (K, M, n)
+        assert coeffs.flags.c_contiguous and not coeffs.flags.writeable
+        flat = coeffs.reshape(-1)
+        for c, g in enumerate(parts):
+            own = expand_vector(g, cfg)
+            for k in range(1, K + 1):
+                for m in range(M):
+                    assert flat[((k - 1) * M + m) * n + c] == coeffs[k - 1, m, c]
+                    assert coeffs[k - 1, m, c] == pytest.approx(own[k - 1, m, 0], rel=1e-14,
+                                                                abs=1e-15)
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="length"):
-            CoeffVector(np.zeros(5), K=2, M=2, n=2)
+        # a solution holds coefficients only in its basis's (K, M, n) shape, never flat
+        cfg = BasisConfig.uniform(0, 1, 2, 2)
+        for bad in (np.zeros(5), np.zeros(8), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match=r"^xhat has shape .*, expected \(2, 2, n\)"):
+                HybridSolution(cfg, bad)
 
     def test_zeros(self):
         # the zero function expands to exactly zero coefficients, M*K*n of them
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         cv = expand_vector(lambda t: np.zeros(2), cfg)
-        assert cv.data.shape == (12,)
-        assert not cv.data.any()
+        assert cv.shape == (2, 3, 2)
+        assert not cv.any()
 
 
 class TestNodesAndSample:
@@ -336,7 +350,7 @@ class TestWarningsAndThreads:
             got = expand_vector(f, self.CFG)
         with np.errstate(divide="ignore"):  # one node at a time, 1/0 at t=0.5 warns
             want = expand_vector(lambda t: f(np.float64(float(t))), self.CFG)
-        assert got.data.tobytes() == want.data.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_warning_as_error_is_a_located_error(self):
         t = nodes(self.CFG, default_rule(self.CFG))[0, 0]
@@ -418,18 +432,18 @@ class TestExpandScalarBlock:
 
     def test_constant(self):
         cfg = BasisConfig.uniform(0, 2, 3, 5)
-        coeffs = expand_vector(lambda t: 1.0, cfg).tensor()[:, :, 0]
+        coeffs = expand_vector(lambda t: 1.0, cfg)[:, :, 0]
         np.testing.assert_allclose(coeffs, [[1, 0, 0, 0, 0]] * 3, atol=1e-14)
 
     def test_linear_single_block(self):
         # t on [0, 1] pulls back to (x+1)/2 = (1/2) S_0 + (1/4) S_1
         cfg = BasisConfig.uniform(0, 1, 1, 4)
-        coeffs = expand_vector(lambda t: t, cfg).tensor()[0][:, 0]
+        coeffs = expand_vector(lambda t: t, cfg)[0][:, 0]
         np.testing.assert_allclose(coeffs, [0.5, 0.25, 0, 0], atol=1e-14)
 
     def test_quadratic_reconstructs(self):
         cfg = BasisConfig.uniform(0, 1, 3, 4)
-        coeffs = expand_vector(lambda t: t**2, cfg).tensor()[0][:, 0]
+        coeffs = expand_vector(lambda t: t**2, cfg)[0][:, 0]
         for x in np.linspace(-1, 1, 50):
             t = global_of_local(x, 1, cfg.partition)
             val = sum(c * chebyshev_u_eval(m, x) for m, c in enumerate(coeffs))
@@ -451,12 +465,11 @@ class TestExpandVector:
     def test_zero_function(self):
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         cv = expand_vector(lambda t: np.array([0.0, 0.0]), cfg)
-        assert not cv.data.any()
+        assert not cv.any()
 
     def test_constant_control(self):
         cfg = BasisConfig.uniform(0, 1, 3, 4)
-        cv = expand_vector(lambda t: np.array([1.0]), cfg)
-        tensor = cv.tensor()
+        tensor = expand_vector(lambda t: np.array([1.0]), cfg)
         np.testing.assert_allclose(tensor[:, 0, 0], 1.0, atol=1e-14)
         np.testing.assert_allclose(tensor[:, 1:, 0], 0.0, atol=1e-14)
 
@@ -473,8 +486,8 @@ class TestExpandVector:
     def test_scalar_return_accepted(self):
         cfg = BasisConfig.uniform(0, 1, 1, 3)
         cv = expand_vector(lambda t: 2.5, cfg)
-        assert cv.n == 1
-        np.testing.assert_allclose(cv.tensor()[0, :, 0], [2.5, 0, 0], atol=1e-14)
+        assert cv.shape[2] == 1
+        np.testing.assert_allclose(cv[0, :, 0], [2.5, 0, 0], atol=1e-14)
 
 
 def _first_flat(grid, mask):
@@ -565,8 +578,8 @@ class TestPointwiseSampling:
         got = sample(f, self.GRID, "u", 1, shape=(1,))
         assert np.array_equal(got[..., 0], np.where(self.GRID < 0.5, self.GRID, 2 * self.GRID))
         cfg = BasisConfig(Partition((0.0, 0.5, 1.0)), 3)
-        assert np.array_equal(expand_vector(f, cfg, expect=("u", (1,))).data,
-                              expand_vector(lambda t: np.array([f(t)]).reshape(-1), cfg).data)
+        assert np.array_equal(expand_vector(f, cfg, expect=("u", (1,))),
+                              expand_vector(lambda t: np.array([f(t)]).reshape(-1), cfg))
 
     def test_array_overwritten_by_the_callable(self):
         buffer = np.zeros((2, 2))
@@ -668,8 +681,8 @@ class TestComplexData:
         u = lambda t: np.array([np.exp(-t) + 0j])  # noqa: E731
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = expand_vector(wrap(u), self.CFG, expect=("u", (1,))).data
-        want = expand_vector(wrap(lambda t: np.array([np.exp(-t)])), self.CFG).data
+            got = expand_vector(wrap(u), self.CFG, expect=("u", (1,))).reshape(-1)
+        want = expand_vector(wrap(lambda t: np.array([np.exp(-t)])), self.CFG).reshape(-1)
         assert np.array_equal(got, want)
 
 
@@ -856,8 +869,8 @@ class TestBuildProductMatrix:
         cfg = BasisConfig(Partition((-1.0, 1.0)), 4)
         mset = expand_matrix(lambda t: np.array([[t]]), cfg)
         fhat = expand_vector(lambda t: np.array([t]), cfg)
-        got = product_blocks(mset)[0] @ fhat.tensor()[0].reshape(-1)
-        direct = expand_vector(lambda t: np.array([t * t]), cfg).tensor()[0].reshape(-1)
+        got = product_blocks(mset)[0] @ fhat[0].reshape(-1)
+        direct = expand_vector(lambda t: np.array([t * t]), cfg)[0].reshape(-1)
         np.testing.assert_allclose(got, direct, atol=1e-12)
         np.testing.assert_allclose(direct, [0.25, 0, 0.25, 0], atol=1e-13)
 
@@ -875,8 +888,8 @@ class TestBuildProductMatrix:
             fhat = expand_vector(ffun, cfg, rule)
             prod = expand_vector(lambda t: mfun(t) @ ffun(t), cfg, rule)
             for k in (1, 2):
-                got = product_blocks(mset)[k - 1] @ fhat.tensor()[k - 1].reshape(-1)
-                np.testing.assert_allclose(got, prod.tensor()[k - 1].reshape(-1),
+                got = product_blocks(mset)[k - 1] @ fhat[k - 1].reshape(-1)
+                np.testing.assert_allclose(got, prod[k - 1].reshape(-1),
                                            rtol=0, atol=1e-10)
 
     def test_truncation_matches_projection_of_exact_product(self):
@@ -890,8 +903,8 @@ class TestBuildProductMatrix:
         fhat = expand_vector(ffun, cfg, rule)
         prod = expand_vector(lambda t: mfun(t) @ ffun(t), cfg, rule)
         for k in (1, 2):
-            got = product_blocks(mset)[k - 1] @ fhat.tensor()[k - 1].reshape(-1)
-            np.testing.assert_allclose(got, prod.tensor()[k - 1].reshape(-1), rtol=0, atol=1e-10)
+            got = product_blocks(mset)[k - 1] @ fhat[k - 1].reshape(-1)
+            np.testing.assert_allclose(got, prod[k - 1].reshape(-1), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("K,M,shape", [(1, 1, (1, 1)), (3, 4, (2, 2)), (5, 7, (2, 1)),
                                            (8, 12, (3, 2)), (16, 16, (2, 2))])
@@ -927,7 +940,7 @@ class TestBuildProductMatrix:
         mset = expand_matrix(lambda t: np.eye(2), cfg)
         fhat = expand_vector(lambda t: np.array([1.0, 2.0, 3.0]), cfg)
         with pytest.raises(ValueError):
-            product_blocks(mset)[0] @ fhat.tensor()[0].reshape(-1)
+            product_blocks(mset)[0] @ fhat[0].reshape(-1)
 
 
 class TestSynthesize:
@@ -935,7 +948,6 @@ class TestSynthesize:
         rng = np.random.default_rng(9)
         cfg = BasisConfig(Partition((0.0, 0.25, 0.6, 1.0)), 5)
         tensor = rng.uniform(-1, 1, size=(3, 5, 2))
-        cv = CoeffVector.from_tensor(tensor)
         # evaluate the same per-block series directly
         for t in np.linspace(0, 1, 40):
             k = next(
@@ -948,7 +960,7 @@ class TestSynthesize:
             direct = sum(
                 tensor[k - 1, m] * chebyshev_u_eval(m, x) for m in range(5)
             )
-            np.testing.assert_allclose(synthesize(cv, cfg, t), direct, atol=1e-12)
+            np.testing.assert_allclose(synthesize(tensor, cfg, t), direct, atol=1e-12)
 
     def test_expand_then_synthesize_is_identity_on_basis_polynomials(self):
         cfg = BasisConfig.uniform(0, 2, 2, 4)
@@ -961,13 +973,13 @@ class TestSynthesize:
         # reference: the per-point block lookup, local map and Clenshaw sum
         rng = np.random.default_rng(12)
         cfg = BasisConfig(Partition((0.0, 0.25, 0.6, 1.0)), 6)
-        cv = CoeffVector.from_tensor(rng.uniform(-1, 1, size=(3, 6, 2)))
+        cv = rng.uniform(-1, 1, size=(3, 6, 2))
         ts = np.concatenate([cfg.partition.breakpoints, rng.uniform(0, 1, 40)])
         got = synthesize(cv, cfg, ts)
         assert got.shape == (ts.size, 2)
         for t, row in zip(ts, got):
             k = block_of(t, cfg.partition)
-            expected = chebyshev_u_series(cv.tensor()[k - 1], to_local(t, k, cfg.partition))
+            expected = chebyshev_u_series(cv[k - 1], to_local(t, k, cfg.partition))
             assert np.array_equal(row, expected)
         assert synthesize(cv, cfg, ts.reshape(2, -1)).shape == (2, ts.size // 2, 2)
 

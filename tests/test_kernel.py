@@ -9,7 +9,6 @@ from bpcheb import exprlang
 from bpcheb import kernel as kernel_module
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import (
-    CoeffVector,
     ExpansionError,
     default_rule,
     expand_vector,
@@ -110,7 +109,7 @@ class TestProjection:
         # N(t, s) = exp(t): only the degree-0 inner coefficient survives
         cfg = BasisConfig.uniform(0, 1, 1, 4)
         q = fredholm_operator(lambda t, s: np.array([[np.exp(t)]]), cfg)
-        ahat = expand_vector(np.exp, cfg).tensor()[:, :, 0]
+        ahat = expand_vector(np.exp, cfg)[:, :, 0]
         expected = separable_q(ahat, [[1.0, 0, 0, 0]], cfg)
         np.testing.assert_allclose(q, expected, rtol=0, atol=1e-13)
 
@@ -127,8 +126,8 @@ class TestProjection:
         a = lambda t: np.cos(t)
         b = lambda s: s**2 - 0.5
         q = fredholm_operator(lambda t, s: a(t) * b(s), cfg, rule)
-        ahat = expand_vector(lambda t: np.array([a(t)]), cfg, rule).tensor()[:, :, 0]
-        bhat = expand_vector(lambda s: np.array([b(s)]), cfg, rule).tensor()[:, :, 0]
+        ahat = expand_vector(lambda t: np.array([a(t)]), cfg, rule)[:, :, 0]
+        bhat = expand_vector(lambda s: np.array([b(s)]), cfg, rule)[:, :, 0]
         np.testing.assert_allclose(q, separable_q(ahat, bhat, cfg), rtol=0, atol=1e-12)
 
 
@@ -451,7 +450,7 @@ class TestSampling:
             ln_s(0.0, 0.0)
         cfg = BasisConfig.uniform(0, 1, 4, 6)
         q = fredholm_operator(ln_s, cfg)
-        what = CoeffVector(q @ expand_vector(lambda t: 1.0, cfg).data, cfg.K, cfg.M, 1).tensor()
+        what = (q @ expand_vector(lambda t: 1.0, cfg).reshape(-1)).reshape(cfg.K, cfg.M, 1)
         np.testing.assert_allclose(what[:, 0, 0], -1.0, rtol=0, atol=1e-2)
 
 
@@ -461,7 +460,7 @@ class TestFredholmOperator:
         q = fredholm_operator(lambda t, s: np.zeros((2, 2)), cfg)
         assert not q.any()
         fhat = expand_vector(lambda t: np.array([1.0, -2.0]), cfg)
-        assert not (q @ fhat.data).any()
+        assert not (q @ fhat.reshape(-1)).any()
 
     @pytest.mark.parametrize("K,M", [(1, 3), (2, 4), (3, 5)])
     def test_unit_kernel_unit_input(self, K, M):
@@ -469,19 +468,19 @@ class TestFredholmOperator:
         cfg = BasisConfig.uniform(0, 1, K, M)
         q = fredholm_operator(lambda t, s: 1.0, cfg)
         fhat = expand_vector(lambda t: 1.0, cfg)
-        what = q @ fhat.data
-        np.testing.assert_allclose(what, expand_vector(lambda t: 1.0, cfg).data, atol=1e-12)
+        what = q @ fhat.reshape(-1)
+        np.testing.assert_allclose(what, expand_vector(lambda t: 1.0, cfg).reshape(-1), atol=1e-12)
 
     def test_inner_variable_kernel_unit_input(self):
         # w(t) = integral of s ds over [0, 1] = 1/2
         cfg = BasisConfig.uniform(0, 1, 1, 4)
         q = fredholm_operator(lambda t, s: s, cfg)
-        what = q @ expand_vector(lambda t: 1.0, cfg).data
+        what = q @ expand_vector(lambda t: 1.0, cfg).reshape(-1)
         np.testing.assert_allclose(
-            what, expand_vector(lambda t: 0.5, cfg).data, atol=1e-12
+            what, expand_vector(lambda t: 0.5, cfg).reshape(-1), atol=1e-12
         )
         oracle = oracle_fredholm_image(lambda t, s: np.array([[s]]), lambda s: 1.0, cfg)
-        np.testing.assert_allclose(what, oracle.data, atol=1e-12)
+        np.testing.assert_allclose(what, oracle.reshape(-1), atol=1e-12)
 
     def test_oracle_equivalence_reference_kernels(self, ):
         # the two benchmark kernels against the 2-D quadrature oracle
@@ -490,9 +489,9 @@ class TestFredholmOperator:
             q = fredholm_operator(kernel, cfg)
             f = lambda s: np.array([0.3 - s, 1.0 + 0.5 * s])
             fhat = expand_vector(f, cfg)
-            got = q @ fhat.data
+            got = q @ fhat.reshape(-1)
             want = oracle_fredholm_image(kernel, f, cfg)
-            assert np.max(np.abs(got - want.data)) <= 1e-9
+            assert np.max(np.abs(got - want.reshape(-1))) <= 1e-9
 
     def test_oracle_equivalence_random_polynomial_kernels(self):
         # kernels of degree <= M-2 in each variable; inputs chosen so the
@@ -508,20 +507,20 @@ class TestFredholmOperator:
             kernel = lambda t, s, kc=kc: polyval(t, polyval(s, kc))
             f = lambda s, fc=fc: polyval(s, fc)
             qop = fredholm_operator(kernel, cfg)
-            got = qop @ expand_vector(f, cfg).data
+            got = qop @ expand_vector(f, cfg).reshape(-1)
             want = oracle_fredholm_image(
                 lambda t, s: np.array([[kernel(t, s)]]), f, cfg
             )
-            assert np.max(np.abs(got - want.data)) <= 1e-9
+            assert np.max(np.abs(got - want.reshape(-1))) <= 1e-9
 
     def test_truncation_boundary_documented(self):
         # N = s^2 against f = s^2 at M=4 overflows the basis: the dropped
         # even block integral contributes exactly 1/1280
         cfg = BasisConfig.uniform(0, 1, 1, 4)
         q = fredholm_operator(lambda t, s: s**2, cfg)
-        got = q @ expand_vector(lambda s: s**2, cfg).data
+        got = q @ expand_vector(lambda s: s**2, cfg).reshape(-1)
         exact = expand_vector(lambda t: 0.2, cfg)  # integral of s^4 over [0,1]
-        assert np.max(np.abs(got - exact.data)) == pytest.approx(1 / 1280, rel=1e-10)
+        assert np.max(np.abs(got - exact.reshape(-1))) == pytest.approx(1 / 1280, rel=1e-10)
 
     def test_separable_kernel_has_rank_one(self):
         cfg = BasisConfig.uniform(0, 1, 2, 5)
@@ -534,8 +533,8 @@ class TestFredholmOperator:
         q = fredholm_operator(poly_N, cfg)
         f1 = expand_vector(lambda t: np.array([t, 1.0]), cfg)
         f2 = expand_vector(lambda t: np.array([1.0 - t, t * t]), cfg)
-        combo = 2.0 * (q @ f1.data) - 3.0 * (q @ f2.data)
-        mixed = q @ (2.0 * f1.data - 3.0 * f2.data)
+        combo = 2.0 * (q @ f1.reshape(-1)) - 3.0 * (q @ f2.reshape(-1))
+        mixed = q @ (2.0 * f1.reshape(-1) - 3.0 * f2.reshape(-1))
         np.testing.assert_allclose(mixed, combo, atol=1e-14)
 
     def test_peak_memory_stays_near_the_size_of_q(self):

@@ -161,8 +161,8 @@ class TestIntegrationProperty:
             f, integral = _random_per_block_poly(rng, cfg, M - 2, n)
             fhat = expand_vector(f, cfg, rule)
             ihat = expand_vector(integral, cfg, rule)
-            got = np.kron(P.T, np.eye(n)) @ fhat.data
-            np.testing.assert_allclose(got, ihat.data, rtol=0, atol=1e-11)
+            got = np.kron(P.T, np.eye(n)) @ fhat.reshape(-1)
+            np.testing.assert_allclose(got, ihat.reshape(-1), rtol=0, atol=1e-11)
 
     def test_degree_m_minus_1_projection_equality(self):
         # top-degree inputs truncate; the transpose map still equals the
@@ -175,7 +175,8 @@ class TestIntegrationProperty:
         fhat = expand_vector(f, cfg, rule)
         ihat = expand_vector(integral, cfg, rule)
         tol = 1e-11 * cfg.partition.width_array.max() + 1e-12
-        np.testing.assert_allclose(P.T @ fhat.data, ihat.data, rtol=0, atol=max(tol, 1e-11))
+        np.testing.assert_allclose(P.T @ fhat.reshape(-1), ihat.reshape(-1), rtol=0,
+                                   atol=max(tol, 1e-11))
 
     def test_matrix_is_read_only(self):
         P = build_p(BasisConfig.uniform(0, 1, 2, 2))

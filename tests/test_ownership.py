@@ -18,7 +18,6 @@ import pytest
 import bpcheb
 from bpcheb import solver
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.expansion import CoeffVector
 from bpcheb.kernel import fredholm_operator
 from bpcheb.operational import build_p
 from bpcheb.problem import load
@@ -57,12 +56,14 @@ def _system(**data):
 
 
 # name -> (shape of the caller's array, build(array), the array the object
-# holds, what it holds given the caller's values).  P and Q keep the names
-# of the classes that once held them; they are now plain arrays.
+# holds, what it holds given the caller's values).  P, Q and the coefficients
+# keep the names of the classes that once held them: P and Q are now plain
+# arrays, and the coefficients HybridSolution.xhat, a (K, M, n) array.
 HOLDERS = {
     "SystemSpec.x0": _copy((2,), lambda a: SystemSpec(2, 1, 0.0, 1.0, a), lambda o: o.x0),
-    "CoeffVector.data": _copy((6,), lambda a: CoeffVector(a, 2, 3, 1), lambda o: o.data),
-    "CoeffVector.from_tensor": _copy((2, 3, 1), CoeffVector.from_tensor, lambda o: o.data),
+    "CoeffVector.data": _copy(
+        (6,), lambda a: HybridSolution(CFG, a.reshape(2, 3, 1)), lambda o: o.xhat),
+    "CoeffVector.from_tensor": _copy((2, 3, 1), lambda a: HybridSolution(CFG, a), lambda o: o.xhat),
     "WeightedRule.nodes": _copy((3,), lambda a: WeightedRule(a, np.ones(3)), lambda o: o.nodes),
     "WeightedRule.weights": _copy(
         (3,), lambda a: WeightedRule(np.zeros(3), a), lambda o: o.weights),
@@ -136,7 +137,6 @@ def _solution():
 
 # one factory per class in bpcheb.__all__; the array holders compare by identity
 IDENTITY = {
-    CoeffVector: lambda: CoeffVector(np.zeros(6), 2, 3, 1),
     SystemSpec: lambda: SystemSpec(1, 1, 0.0, 1.0, [1.0]),
     WeightedRule: lambda: WeightedRule([0.5, -0.5], [0.7, 0.8]),
     HybridSolution: _solution,

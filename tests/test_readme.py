@@ -15,3 +15,5 @@ def test_library_usage_example():
     sol, spec = ns["sol"], ns["spec"]
     np.testing.assert_allclose(sol.evaluate(0.5), [0.25, 0.125], rtol=0, atol=1e-10)
     assert ns["residual"](spec, sol, np.linspace(0, 1, 21)) <= 1e-9
+    cfg = ns["cfg"]
+    assert sol.xhat.shape == (cfg.K, cfg.M, spec.n) == (3, 4, 2)

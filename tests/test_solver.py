@@ -16,7 +16,9 @@ from bpcheb import kernel as kernel_module
 from bpcheb.basis import BasisConfig, Partition
 from bpcheb.expansion import ExpansionError, _Nodes, expand_vector
 from bpcheb.linalg import LU, SingularMatrixError, inf_norm
-from bpcheb.solver import SolveError, SystemSpec, assemble, hybrid_solve, residual, solve
+from bpcheb.solver import (
+    HybridSolution, SolveError, SystemSpec, assemble, hybrid_solve, residual, solve,
+)
 
 from conftest import (
     EXP_K,
@@ -61,7 +63,8 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             SystemSpec(**fields)
 
-    @pytest.mark.parametrize("key,value", [("n", 1.5), ("n", 1.0), ("r", 2.0), ("r", "1")])
+    @pytest.mark.parametrize("key,value", [("n", 1.5), ("n", 1.0), ("r", 2.0), ("r", "1"),
+                                           ("n", True), ("n", np.True_), ("r", True), ("r", np.True_)])
     def test_rejects_non_integer_dimensions(self, key, value):
         fields = dict(n=1, r=1, t0=0.0, tf=1.0, x0=[0.0])
         fields[key] = value
@@ -103,8 +106,8 @@ class TestAssemble:
         assert asm.b_blocks.shape == (2, 6, 3) and not asm.b_blocks.any()
         assert asm.Q is None
         sol = solve(asm, None)
-        np.testing.assert_allclose(sol.xhat.tensor()[:, 0, :], [[1.0, -2.0]] * 2, atol=1e-12)
-        np.testing.assert_allclose(sol.xhat.tensor()[:, 1:, :], 0.0, atol=1e-12)
+        np.testing.assert_allclose(sol.xhat[:, 0, :], [[1.0, -2.0]] * 2, atol=1e-12)
+        np.testing.assert_allclose(sol.xhat[:, 1:, :], 0.0, atol=1e-12)
 
     def test_constant_scalar_a_gives_scaled_identity_blocks(self):
         a = 1.7
@@ -148,17 +151,17 @@ class TestSolve:
         )
         cfg = BasisConfig.uniform(0, 1, 1, 4)
         sol = hybrid_solve(spec, cfg)
-        np.testing.assert_allclose(sol.xhat.data, [0.5, 0.25, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(sol.xhat.reshape(-1), [0.5, 0.25, 0, 0], atol=1e-12)
 
     def test_constant_solution(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[3.25])
         sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, 3, 4))
         for k in (1, 2, 3):
-            np.testing.assert_allclose(sol.xhat.tensor()[k - 1][:, 0], [3.25, 0, 0, 0], atol=1e-12)
+            np.testing.assert_allclose(sol.xhat[k - 1][:, 0], [3.25, 0, 0, 0], atol=1e-12)
 
     def test_polynomial_benchmark_coefficients(self, poly_system):
         sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
-        x1_block1 = sol.xhat.tensor()[0, :, 0]
+        x1_block1 = sol.xhat[0, :, 0]
         np.testing.assert_allclose(x1_block1, [5 / 144, 1 / 36, 1 / 144, 0], atol=1e-10)
 
     def test_initial_condition_honored(self, poly_system, expdecay_system):
@@ -179,10 +182,10 @@ class TestSolve:
         asm = assemble(spec, cfg)
         u1 = lambda t: np.array([np.cos(t)])
         u2 = lambda t: np.array([t * t])
-        x0_part = solve(asm, None).xhat.data
-        xs = solve(asm, lambda t: u1(t) + u2(t)).xhat.data
-        x1 = solve(asm, u1).xhat.data
-        x2 = solve(asm, u2).xhat.data
+        x0_part = solve(asm, None).xhat.reshape(-1)
+        xs = solve(asm, lambda t: u1(t) + u2(t)).xhat.reshape(-1)
+        x1 = solve(asm, u1).xhat.reshape(-1)
+        x2 = solve(asm, u2).xhat.reshape(-1)
         np.testing.assert_allclose(xs - x0_part, (x1 - x0_part) + (x2 - x0_part), atol=1e-10)
 
     def test_two_input_control(self):
@@ -209,8 +212,8 @@ class TestSolve:
         sol = solve(asm, expdecay_system.u)
         # rebuild the right-hand side the way solve does and check the defect
         uhat = expand_vector(lambda t: np.atleast_1d(expdecay_system.u(t)), asm.cfg)
-        rhs = x0_coefficients(asm) + asm.PkronT @ (asm.Bop @ uhat.data)
-        defect = inf_norm(asm.system_matrix @ sol.xhat.data - rhs)
+        rhs = x0_coefficients(asm) + asm.PkronT @ (asm.Bop @ uhat.reshape(-1))
+        defect = inf_norm(asm.system_matrix @ sol.xhat.reshape(-1) - rhs)
         assert defect <= 1e-10 * (1.0 + inf_norm(rhs))
 
     def test_linear_system_residual_contract_without_kernel(self):
@@ -218,8 +221,8 @@ class TestSolve:
                                   B=_manufactured_B), BasisConfig.uniform(0, 1, 8, 9))
         sol = solve(asm, _decay_u)
         matrix, rhs = dense_reference_system(asm, _decay_u)
-        assert inf_norm(matrix @ sol.xhat.data - rhs) <= 1e-10 * (1.0 + inf_norm(rhs))
-        np.testing.assert_allclose(asm.apply(sol.xhat.data), matrix @ sol.xhat.data,
+        assert inf_norm(matrix @ sol.xhat.reshape(-1) - rhs) <= 1e-10 * (1.0 + inf_norm(rhs))
+        np.testing.assert_allclose(asm.apply(sol.xhat.reshape(-1)), matrix @ sol.xhat.reshape(-1),
                                    rtol=0, atol=1e-13)
 
     def test_zero_kernel_matches_reference_integrator(self):
@@ -274,7 +277,7 @@ class TestSolve:
         controls = [lambda t: np.array([1.0, 0.0]), lambda t: np.array([np.sin(3 * t), t]),
                     None, lambda t: np.array([np.exp(t), -t * t])]
         for u in controls:
-            got = solve(asm, u).xhat.data
+            got = solve(asm, u).xhat.reshape(-1)
             expected = dense_reference_solve(asm, u)
             assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
         assert factored == [(5, 18, 18)]  # one stack of K = 5 blocks, factored once
@@ -332,9 +335,9 @@ class TestSolve:
     def test_scalar_control_flattened(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], B=lambda t: np.array([[1.0]]))
         asm = assemble(spec, BasisConfig.uniform(0, 1, 2, 3))
-        want = solve(asm, lambda t: np.array([2.0 * t])).xhat.data
+        want = solve(asm, lambda t: np.array([2.0 * t])).xhat.reshape(-1)
         for u in (lambda t: 2.0 * t, lambda t: np.array([[2.0 * t]]), pointwise(lambda t: 2.0 * t)):
-            assert np.array_equal(solve(asm, u).xhat.data, want)
+            assert np.array_equal(solve(asm, u).xhat.reshape(-1), want)
 
 
 def _random_system(rng, n, r, with_a, with_b, with_u):
@@ -383,7 +386,7 @@ class TestBlockMarch:
         for _ in range(3):
             spec, cfg = _random_system(rng, n, r, with_a, with_b, with_u)
             asm = assemble(spec, cfg)
-            got = solve(asm, spec.u).xhat.data
+            got = solve(asm, spec.u).xhat.reshape(-1)
             expected = dense_reference_solve(asm, spec.u)
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(got - expected)) <= 1e-13 * scale
@@ -397,7 +400,8 @@ class TestBlockMarch:
                     for n, r, M in itertools.product((1, 3), (1, 2), (3, 5))]
         for spec, cfg in systems:
             asm = assemble(spec, cfg)
-            assert np.array_equal(solve(asm, spec.u).xhat.data, dense_reference_solve(asm, spec.u))
+            got = solve(asm, spec.u).xhat.reshape(-1)
+            assert np.array_equal(got, dense_reference_solve(asm, spec.u))
 
     def test_fine_mesh_without_dense_matrix(self):
         # K=512, M=16, n=2: the dense system matrix alone would take 2 GiB
@@ -494,6 +498,26 @@ class TestEvaluate:
         sol = hybrid_solve(spec, cfg)
         for t in np.linspace(0, 1, 21):
             assert sol.evaluate(t)[0] == pytest.approx(t * t, abs=1e-11)
+
+
+class TestHybridSolution:
+    CFG = BasisConfig.uniform(0, 1, 2, 3)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 1), (3, 3, 1), (1, 6, 1), (6, 1), (6,), (2, 3, 0)],
+                             ids=["M=4", "K=3", "K=1-M=6", "2-D", "flat", "n=0"])
+    def test_rejects_coefficients_that_do_not_fit_the_basis(self, shape):
+        # a series of another degree or block count would evaluate silently or fail in numpy
+        message = f"xhat has shape {shape}, expected (2, 3, n), n >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HybridSolution(self.CFG, np.ones(shape))
+
+    def test_block_k_coefficients_are_xhat_k_minus_1(self):
+        xhat = np.arange(12.0).reshape(2, 3, 2)
+        sol = HybridSolution(self.CFG, xhat)
+        assert sol.xhat.shape == (2, 3, 2) and np.array_equal(sol.xhat, xhat)
+        # at each block's midpoint S_0 = 1, S_1 = 0 and S_2 = -1
+        assert np.array_equal(sol.evaluate(0.25), xhat[0, 0] - xhat[0, 2])
+        assert np.array_equal(sol.evaluate(0.75), xhat[1, 0] - xhat[1, 2])
 
 
 def _at_times(method: str, spec: SystemSpec, sol, ts):
@@ -610,7 +634,7 @@ class TestThreads:
 
         def work():
             sol = hybrid_solve(spec, cfg)
-            return sol.xhat.data.tobytes() + sol.evaluate_many(ts).tobytes()
+            return sol.xhat.tobytes() + sol.evaluate_many(ts).tobytes()
 
         one = work()
         before = list(warnings.filters)
@@ -652,7 +676,7 @@ class TestGridPath:
         ref_asm = assemble(ref_spec, cfg)
         ref = solve(ref_asm, ref_spec.u)
         ts = np.sort(rng.uniform(0.0, 1.0, 101))
-        for got, want in ((asm.Q, ref_asm.Q), (sol.xhat.data, ref.xhat.data),
+        for got, want in ((asm.Q, ref_asm.Q), (sol.xhat.reshape(-1), ref.xhat.reshape(-1)),
                           (sol.evaluate_many(ts), ref.evaluate_many(ts))):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
@@ -809,12 +833,28 @@ class TestResidual:
         (0, ValueError, "quad_order must be >= 1, got 0"),
         (-3, ValueError, "quad_order must be >= 1, got -3"),
         (2.5, TypeError, "quad_order must be an integer, got 2.5"),
+        (True, TypeError, "quad_order must be an integer, got True"),
+        (np.True_, TypeError, re.escape(f"quad_order must be an integer, got {np.True_!r}")),
     ])
     def test_rejects_bad_quad_order(self, expdecay_system, kernel, bad, error, message):
         spec = expdecay_system if kernel else dataclasses.replace(expdecay_system, N=None)
         sol = hybrid_solve(spec, BasisConfig.uniform(0, 1, 2, 4))
         with pytest.raises(error, match=f"^{message}$"):
             residual(spec, sol, EXP_TS, quad_order=bad)
+
+    @pytest.mark.parametrize("n,tf,message", [
+        (2, 1.0, r"^the system has n=2 but the solution has n=1$"),
+        (1, 2.0, r"^basis covers \[0\.0, 1\.0\] but the system lives on \[0\.0, 2\.0\]$"),
+    ], ids=["n", "interval"])
+    def test_rejects_a_spec_that_does_not_fit_the_solution(self, n, tf, message):
+        # checked before anything is sampled; the interval by assemble's rule and message
+        cfg = BasisConfig.uniform(0, 1, 2, 3)
+        sol = hybrid_solve(SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0]), cfg)
+        calls = []
+        A = lambda t: calls.append(t) or np.eye(n)  # noqa: E731
+        with pytest.raises(ValueError, match=message):
+            residual(SystemSpec(n=n, r=1, t0=0, tf=tf, x0=np.zeros(n), A=A), sol, [0.5])
+        assert calls == []
 
     def test_empty_grid_has_zero_residual(self, poly_system):
         sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
