@@ -57,7 +57,7 @@ class Partition:
         num_blocks = as_index("num_blocks", num_blocks)
         if num_blocks < 1:
             raise ValueError("need at least one block")
-        edges = np.linspace(float(t0), float(tf), num_blocks + 1)
+        edges = np.linspace(as_real("t0", t0), as_real("tf", tf), num_blocks + 1)
         return cls(tuple(edges))
 
     @property
@@ -115,10 +115,13 @@ def as_index(key: str, value) -> int:
 
 
 def as_real(key: str, value) -> float:
-    """value as a Python float; real numbers of any kind pass, else TypeError naming key."""
-    if isinstance(value, numbers.Real):
-        return float(value)
-    raise TypeError(f"{key} must be a real number, got {value!r}")
+    """value as a finite Python float; real numbers of any kind but bool pass, else
+    TypeError naming key; NaN and infinities raise ValueError naming key."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{key} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return float(value)
 
 
 def real_array(key: str, value) -> np.ndarray:

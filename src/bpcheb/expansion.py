@@ -62,8 +62,8 @@ def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
 
 def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
            shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Checked samples of the datum f at every node of grid (shape (K, q)),
-    stacked as (K, q) + sample shape; every message names the datum by name.
+    """Checked samples of the datum f at every node of grid (shape (K, q)), a
+    C-contiguous (K, q) + sample shape array; every message names f by name.
 
     With t given, f is a kernel and the samples are f(t, s) for s on the grid;
     an array t of outer times prefixes its shape.  f's arguments, built once,
@@ -84,14 +84,20 @@ def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
     masked intermediates); any other warning of f reaches the caller from
     every call, kept or not.
     """
+    return sample_into(f, grid, name, ndim, t, shape, None)
+
+
+def sample_into(f: Callable, grid: np.ndarray, name: str, ndim: int, t, shape: tuple | None,
+                axes: tuple | None) -> np.ndarray:
+    """sample's samples with their axes in the order axes (None: as sample), C-contiguous."""
     lead = np.shape(t) + grid.shape
     points = (grid,) if t is None else (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
     args = tuple(np.broadcast_to(p, lead) for p in points)
-    vals = _sample_grid(f, args, ndim, shape)
+    vals = _sample_grid(f, args, ndim, shape, axes)
     if vals is None:
         vals = _sample_points(f, args, name, ndim, shape)
     _require_finite(vals, args, name)
-    return vals
+    return np.ascontiguousarray(vals.transpose(axes or tuple(range(vals.ndim))))
 
 
 def _sample_points(f: Callable, args: tuple, name: str, ndim: int,
@@ -188,9 +194,10 @@ def _nodes_layout(vals, lead: tuple) -> np.ndarray:
     return np.stack(entries).reshape(vals.shape + lead)
 
 
-def _sample_grid(f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np.ndarray | None:
-    """Samples of f on the whole grid from one call, laid out C-contiguous as
-    lead + sample shape; None when no call is kept.
+def _sample_grid(f: Callable, args: tuple, ndim: int, shape: tuple | None,
+                 axes: tuple | None) -> np.ndarray | None:
+    """Samples of f on the whole grid from one call, as lead + sample shape (a
+    view of the copy that _kept makes); None when no call is kept.
 
     f is first called with the arrays args of shape lead (see sample).
     When that result is not kept, f is called once more with each array
@@ -206,7 +213,7 @@ def _sample_grid(f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np
     with np.errstate(all="ignore"):
         for call in (lambda: f(*args), lambda: _nodes_layout(f(*map(_Nodes, args)), lead)):
             try:
-                vals = _kept(call(), f, args, ndim, shape)
+                vals = _kept(call(), f, args, ndim, shape, axes)
             except Exception:
                 continue  # the pointwise loop raises the located error, if any
             if vals is not None:
@@ -214,9 +221,10 @@ def _sample_grid(f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np
     return None
 
 
-def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np.ndarray | None:
-    """A grid call's result laid out by _grid_layout, or None when it is not
-    kept (see _sample_grid)."""
+def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None,
+          axes: tuple | None) -> np.ndarray | None:
+    """A grid call's result as lead + sample shape, a view of its copy in the
+    order axes, or None when it is not kept (see _sample_grid)."""
     lead = args[0].shape
     vals = _grid_layout(vals, ndim, lead)
     if vals is None or shape not in (None, vals.shape[len(lead):]):
@@ -224,6 +232,10 @@ def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np.
     scale = np.abs(vals).max()
     if np.isnan(scale):
         return None
+    # the one copy, always made before the probes call f again: f may overwrite what it returned
+    order = axes or tuple(range(vals.ndim))
+    back = sorted(range(len(order)), key=order.__getitem__)  # inverse; np.argsort is µs slower
+    vals = np.array(vals.transpose(order), order="C").transpose(back)
     for i in ((0,) * len(lead), (-1,) * len(lead)):  # the probe points
         got = vals[i]
         want = _as_float(f(*(a[i] for a in args)), ndim)
@@ -235,17 +247,15 @@ def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None) -> np.
 
 
 def _grid_layout(vals, ndim: int, lead: tuple) -> np.ndarray | None:
-    """A grid call's value_shape + lead result as lead + sample shape; None
-    for another shape or a non-zero imaginary part."""
+    """A grid call's value_shape + lead result as a lead + sample shape view;
+    None for another shape or a non-zero imaginary part."""
     vals = _as_float(vals, 0)
     nv = vals.ndim - len(lead)
     if nv < 0 or vals.shape[nv:] != lead:
         return None
     vals = vals.reshape((1,) * (ndim - nv) + vals.shape)  # pad in front, like ndmin
     nv = max(nv, ndim)
-    # C-contiguous like the pointwise result: expand_vector's matmul, residual's kernel
-    # einsum and the tests' einsum references sum a strided view in another order
-    vals = np.ascontiguousarray(np.moveaxis(vals, range(nv), range(-nv, 0)))
+    vals = np.moveaxis(vals, range(nv), range(-nv, 0))
     return vals.reshape(lead + (-1,)) if ndim == 1 else vals
 
 
@@ -306,14 +316,16 @@ def expand_matrix(
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
     name, shape = expect or ("matrix function", None)
-    fx = sample(mfun, nodes(cfg, rule), name, 2, shape=shape)  # (K, q, n_out, n_in)
-    return read_only(project(proj.T, fx.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3))
+    fx = sample_into(mfun, nodes(cfg, rule), name, 2, None, shape, (1, 0, 2, 3))  # (q, K, ...)
+    return read_only(project(proj.T, fx).transpose(1, 0, 2, 3))
 
 
 def project(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """out[p, ...] = sum over y of w[y, p] * terms[y, ...] by one unoptimized einsum
-    (not BLAS) over a C-contiguous (y; rest) copy of terms: for a rest of two or
-    more entries it adds the terms in order of y from zero, without fused multiply-adds."""
+    (not BLAS) over a C-contiguous (y; rest) terms, copied only if laid out otherwise:
+    for a rest of two or more entries it adds the terms in order of y from zero, without
+    fused multiply-adds, as its batched form "yp,xyr->xpr" does for each x.  With a rest
+    of one entry either takes another loop; kernel._project_each keeps x in the rest then."""
     terms = np.ascontiguousarray(terms)
     out = np.einsum("yp,yr->pr", w, terms.reshape(len(terms), -1))
     return out.reshape(w.shape[1:] + terms.shape[1:])

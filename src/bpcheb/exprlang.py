@@ -219,8 +219,10 @@ def parse(src: str) -> Expr:
 
 
 def evaluate(e: Expr, t: float, s: float = 0.0) -> float:
-    """IEEE double evaluation with t and s bound; a failure raises ExprEvalError."""
-    return _eval(e, t, s)
+    """IEEE double evaluation with t and s bound; a failure raises ExprEvalError.
+    Overflow to inf is silent for numpy scalars too, as for Python floats."""
+    with np.errstate(all="ignore"):
+        return _eval(e, t, s)
 
 
 def _eval(e: Expr, t, s):

@@ -16,11 +16,12 @@ are folded with the triple-product tensor and the closed-form block integrals
 
 (twice operational.block_integral_weights) into one dense matrix Q with
 coeffs(w) = Q coeffs(f), exact up to basis truncation; fredholm_operator
-returns Q itself, a plain read-only array.  Each of the three sums is one
-einsum per chunk (expansion.project), adding the terms in index order
-without fused multiply-adds, as the einsum formula does.  So Q is
-bit-identical to that formula, and the golden outputs stay fixed, except for
-a scalar kernel, where the formula's einsum takes another loop (last bit).
+returns Q itself, a plain read-only array.  A chunk is copied once, as (outer
+node, inner node; outer block, inner block, value); each of the three sums is
+one einsum per chunk whose result is the layout the next one reads, adding the
+terms in index order without fused multiply-adds, as the einsum formula does.
+So Q is bit-identical to that formula, and the golden outputs stay fixed,
+except for a scalar kernel, where the formula's einsum takes another loop.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .basis import BasisConfig, read_only
-from .expansion import default_rule, nodes, product_tensor, project, sample
+from .expansion import default_rule, nodes, product_tensor, project, sample_into
 from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
 
@@ -56,8 +57,8 @@ def fredholm_operator(
 
         sum over even m of (d_k / (m+1)) * sum over i of d^{(i j')}_m C^{(jl)}_{ki},
 
-    laid out so Q acts on the (K, M, n) stacking of expand_vector.  Each chunk is projected
-    and folded by one einsum per sum, in index order (see the module
+    laid out so Q acts on the (K, M, n) stacking of expand_vector.  Each chunk is copied
+    once, projected and folded by one einsum per sum, in index order (see the module
     docstring), and written scaled into its rows of Q.  expect = (name,
     (n_out, n_in)) names the kernel and its shape for sample's checks, which
     raise ExpansionError at the first bad sample, naming (t, s) and the
@@ -71,18 +72,26 @@ def fredholm_operator(
     half_widths = 0.5 * cfg.partition.width_array[:, np.newaxis, np.newaxis]
     name, shape = expect or ("kernel", None)
     out = None
-    # vals[j, x, k, y, a, c] = N(t_x, s_y) for outer node t_x of outer block
-    # rows.start + j + 1 and node s_y of inner block k + 1
-    for rows, vals in sample_kernel(kernel, grid, grid, name, shape):
+    # one copy per chunk, in the layout the sums read: terms[x, y, j, k, a, c] = N(t_x, s_y)
+    # for outer node t_x of outer block rows.start + j + 1 and node s_y of inner block k + 1
+    for rows, terms in sample_kernel(kernel, grid, grid, name, shape, (1, 3, 0, 2, 4, 5)):
         if out is None:
-            n_out, n_in = vals.shape[-2:]
+            n_out, n_in = terms.shape[-2:]
             out = np.empty((K, M, n_out, K, M, n_in))
-        inner = project(proj.T, vals.transpose(3, 0, 1, 2, 4, 5))  # (m; j, x, k, a, c)
-        data = project(proj.T, inner.transpose(2, 0, 1, 4, 3, 5))  # (l; m, j, a, k, c)
-        fold = project(g, data.transpose(1, 2, 0, 3, 4, 5))  # (p; j, l, a, k, c)
-        # out[j, l, a, k, p, c] = (d_k/2) * sum_i data[l, i, j, a, k, c] g[i, p]
-        np.multiply(fold.transpose(1, 2, 3, 4, 0, 5), half_widths, out=out[rows])
+        data = project(proj.T, _project_each(proj.T, terms))  # (l; m, j, k, a, c)
+        fold = _project_each(g, data)  # (l, p, j, k, a, c)
+        # out[j, l, a, k, p, c] = (d_k/2) * sum_i data[l, i, j, k, a, c] g[i, p]
+        np.multiply(fold.transpose(2, 0, 4, 3, 1, 5), half_widths, out=out[rows])
+        del terms, data, fold  # before the next chunk is sampled
     return read_only(out.reshape(K * M * n_out, K * M * n_in))
+
+
+def _project_each(w: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """project(w, terms[x]) stacked over x, bit for bit (see expansion.project)."""
+    if terms[0, 0].size > 1:  # one batched einsum over C-contiguous terms
+        out = np.einsum("yp,xyr->xpr", w, terms.reshape(terms.shape[:2] + (-1,)))
+        return out.reshape(terms.shape[:1] + w.shape[1:] + terms.shape[2:])
+    return np.moveaxis(project(w, np.moveaxis(terms, 1, 0)), 0, 1)  # x in project's rest
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -94,10 +103,11 @@ def _fold_weights(M: int) -> np.ndarray:
 
 
 def sample_kernel(kernel: Callable, grid: np.ndarray, ts: np.ndarray, name: str,
-                  shape: tuple[int, int] | None) -> Iterator[tuple[slice, np.ndarray]]:
+                  shape: tuple[int, int] | None, axes: tuple[int, ...] | None = None,
+                  ) -> Iterator[tuple[slice, np.ndarray]]:
     """Checked samples of kernel(t, s) for s on grid, in chunks of the rows
     ts[i] of outer times: yields (rows, vals), vals laid out as
-    sample(kernel, grid, name, 2, t=ts[rows], shape=shape) returns it.
+    sample_into(kernel, grid, name, 2, ts[rows], shape, axes) returns it, value axes last.
 
     A chunk is one sample call over as many rows as fit in _CHUNK_NODES
     (t, s) nodes, and at least one row.  Every chunk gets a new array and
@@ -106,6 +116,7 @@ def sample_kernel(kernel: Callable, grid: np.ndarray, ts: np.ndarray, name: str,
     step = max(1, _CHUNK_NODES // (np.size(ts[0]) * grid.size))
     for start in range(0, len(ts), step):
         rows = slice(start, start + step)
-        vals = sample(kernel, grid, name, 2, t=ts[rows], shape=shape)
+        vals = sample_into(kernel, grid, name, 2, ts[rows], shape, axes)
         shape = vals.shape[np.ndim(ts) + grid.ndim:]
         yield rows, vals
+        del vals  # before the next chunk is sampled

@@ -104,10 +104,7 @@ class SystemSpec:
         if self.n < 1 or self.r < 1:
             raise ValueError(f"dimensions must be positive, got n={self.n}, r={self.r}")
         for key in ("t0", "tf"):
-            value = as_real(key, getattr(self, key))
-            if not np.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
-            object.__setattr__(self, key, value)
+            object.__setattr__(self, key, as_real(key, getattr(self, key)))
         if not self.tf > self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
         x0 = read_only(real_array("x0", self.x0).reshape(-1))

@@ -45,6 +45,25 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((1.0,))
 
+    # t0 and tf follow SystemSpec's rule (basis.as_real): real numbers but bools, finite
+    @pytest.mark.parametrize("t0,tf,error,message", [
+        ("0", "1", TypeError, "t0 must be a real number, got '0'"),
+        (0, "1", TypeError, "tf must be a real number, got '1'"),
+        (False, 1, TypeError, "t0 must be a real number, got False"),
+        (0, np.True_, TypeError, f"tf must be a real number, got {np.True_!r}"),
+        (0, math.nan, ValueError, "tf must be finite, got nan"),
+        (-math.inf, 1, ValueError, "t0 must be finite, got -inf"),
+    ])
+    def test_uniform_checks_t0_and_tf(self, t0, tf, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            BasisConfig.uniform(t0, tf, 2, 3)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Partition.uniform(t0, tf, 2)
+
+    def test_uniform_accepts_real_numbers_of_any_kind(self):
+        p = Partition.uniform(np.float32(0.5), np.int64(2), 3)
+        assert p.breakpoints == (0.5, 1.0, 1.5, 2.0)
+
     def test_uniform_rejects_zero_blocks(self):
         with pytest.raises(ValueError, match="^need at least one block$"):
             Partition.uniform(0, 1, 0)

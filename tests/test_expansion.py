@@ -303,6 +303,33 @@ class TestGridSampling:
             sample(vec if grid else pointwise(vec), self.GRID, "u", 1, shape=(1,))
 
 
+    # f returns one buffer from its grid call and overwrites all of it on each later
+    # call, so the grid samples are copied before the probe calls, in every layout: a
+    # scalar f's result is already C-contiguous as (K, q) + (1, 1) or (K, q, 1)
+    @pytest.mark.parametrize("via", ["sample", "expand_matrix", "expand_vector"])
+    @pytest.mark.parametrize("ref", [
+        lambda t: np.array([[np.sin(t), t], [t * t, 1.0 + 0 * t]]),
+        lambda t: np.sin(t) + t,
+    ], ids=["2x2", "scalar"])
+    def test_grid_buffer_overwritten_by_the_probe_calls(self, via, ref):
+        buffer = []
+
+        def f(t):
+            val = ref(t)
+            if not buffer:
+                buffer.append(val)
+                return val
+            buffer[0][...] = val.reshape(val.shape + (1,) * (buffer[0].ndim - val.ndim))
+            return val
+
+        cfg = BasisConfig(Partition((0.0, 0.5, 1.0)), 3)
+        if via == "sample":
+            assert np.array_equal(sample(f, self.GRID, "A", 2), sample(ref, self.GRID, "A", 2))
+        else:
+            expand = expand_matrix if via == "expand_matrix" else expand_vector
+            assert np.array_equal(expand(f, cfg), expand(ref, cfg))
+
+
 class TestWarningsAndThreads:
     """The grid attempts run under np.errstate(all="ignore"), which numpy keeps
     per thread: sampling holds no lock and leaves every warning but numpy's

@@ -110,6 +110,16 @@ class TestEvaluate:
     def test_exp_reference_value(self):
         assert evaluate(parse("exp(-t)"), 1.0) == pytest.approx(0.36787944117144, abs=1e-13)
 
+    # np.float64 is a float: its overflow to inf warns in numpy, which fails the suite
+    @pytest.mark.parametrize("t", [2.5, np.float64(2.5)], ids=["float", "float64"])
+    def test_overflow_to_inf_is_silent(self, t):
+        tree = BinOp("/", Var("t"), Num(2.225073858507203e-309))
+        assert evaluate(tree, t) == math.inf
+        assert as_function(tree)(t) == math.inf
+        # the array walk fails at s = 0, so evaluate runs per element, on numpy scalars
+        with pytest.raises(ExprEvalError, match="division by zero"):
+            as_function(parse("t/s"))(np.array([t, 1.0]), np.array([1e-309, 0.0]))
+
     def test_division_by_zero(self):
         with pytest.raises(ExprEvalError, match="division by zero"):
             evaluate(parse("1/t"), 0.0)

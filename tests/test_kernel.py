@@ -249,6 +249,37 @@ class TestSampling:
         np.testing.assert_allclose(einsum_fredholm_q(pointwise(kernel), cfg, rule), want,
                                    rtol=0, atol=1e-13 * np.abs(want).max())
 
+    # a scalar kernel on one block: one entry per (t, s) node of a chunk, where the
+    # batched einsum of the inner sum and the fold takes another loop
+    @pytest.mark.parametrize("M", [2, 3, 7, 12, 16])
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_scalar_kernel_on_one_block_matches_the_references(self, monkeypatch, M, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(kernel_module, "_CHUNK_NODES", chunk)
+        kernel = lambda t, s: np.exp(-t * s) + np.cos(3 * t - s)  # noqa: E731
+        cfg = BasisConfig(Partition((-0.5, 1.2)), M)
+        rule = default_rule(cfg)
+        want = pointwise_fredholm_q(kernel, cfg, rule)
+        assert np.array_equal(fredholm_operator(kernel, cfg, rule), want)
+        assert np.array_equal(fredholm_operator(pointwise(kernel), cfg, rule), want)
+        np.testing.assert_allclose(einsum_fredholm_q(kernel, cfg, rule), want,
+                                   rtol=0, atol=1e-13 * np.abs(want).max())
+
+    # one outer block per chunk: a scalar kernel's batched sums have K entries per node
+    @pytest.mark.parametrize("K,M", [(2, 3), (3, 6), (5, 12)])
+    def test_scalar_kernel_in_one_block_chunks_matches_the_references(self, monkeypatch, K, M):
+        rng = np.random.default_rng([K, M])
+        cfg = BasisConfig(random_config(rng, K).partition, M)
+        rule = default_rule(cfg)
+        kernel = random_kernel(rng, ())
+        want = fredholm_operator(kernel, cfg, rule)
+        monkeypatch.setattr(kernel_module, "_CHUNK_NODES", 1)
+        assert np.array_equal(fredholm_operator(kernel, cfg, rule), want)
+        assert np.array_equal(fredholm_operator(pointwise(kernel), cfg, rule),
+                              pointwise_fredholm_q(kernel, cfg, rule))
+        np.testing.assert_allclose(want, einsum_fredholm_q(kernel, cfg, rule),
+                                   rtol=0, atol=1e-15 * np.abs(want).max())
+
     @pytest.mark.parametrize("kernel,bp,M", [
         (expdecay_N, (0.0, 1 / 3, 2 / 3, 1.0), 4),
         (expdecay_N, (0.0, 0.1, 0.45, 0.5, 1.0), 12),
@@ -392,6 +423,28 @@ class TestSampling:
         # all outer blocks fit in one chunk: the grid, then the two probes
         assert calls == [(cfg.K, q, cfg.K, q), (), ()]
         assert np.array_equal(got, fredholm_operator(pointwise(kernel), cfg))
+
+    # the kernel returns one buffer from its grid call and overwrites all of it on each
+    # later call: the chunk is copied into the layout of the sums before the probes, also
+    # for a scalar kernel on one block, whose result is already C-contiguous in that layout
+    @pytest.mark.parametrize("ref,bp", [
+        (lambda t, s: np.array([[t * s, np.cos(t - s)]]), (0.0, 0.3, 1.0)),
+        (lambda t, s: t * s + np.cos(t - s), (0.0, 0.3, 1.0)),
+        (lambda t, s: t * s + np.cos(t - s), (0.0, 1.0)),
+    ], ids=["1x2", "scalar", "scalar-one-block"])
+    def test_grid_buffer_overwritten_by_the_probe_calls(self, ref, bp):
+        buffer = []
+
+        def kernel(t, s):
+            val = ref(t, s)
+            if not buffer:
+                buffer.append(val)
+                return val
+            buffer[0][...] = val.reshape(val.shape + (1,) * (buffer[0].ndim - val.ndim))
+            return val
+
+        cfg = BasisConfig(Partition(bp), 4)
+        assert np.array_equal(fredholm_operator(kernel, cfg), fredholm_operator(ref, cfg))
 
     def test_chunks_give_the_same_operator(self, monkeypatch):
         cfg = BasisConfig(Partition((0.0, 0.15, 0.3, 0.7, 0.8, 1.0)), 4)
@@ -548,3 +601,21 @@ class TestFredholmOperator:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * q.nbytes
+
+    def test_peak_memory_holds_one_chunk_at_a_time(self):
+        # two chunks (10 and 6 outer blocks): each chunk's samples are copied once and
+        # released, with its sums, before the next chunk is sampled.  Holding the samples
+        # twice and the previous chunk while sampling the next peaked at 8.4 MB here
+        cfg = BasisConfig.uniform(0, 1, 16, 12)
+        q = len(default_rule(cfg).nodes)
+        step = kernel_module._CHUNK_NODES // (q * cfg.K * q)
+        assert step < cfg.K
+        chunk_bytes = step * q * cfg.K * q * 4 * 8  # (t, s) nodes times 2x2 samples
+        fredholm_operator(expdecay_N, cfg)  # the per-M caches, outside the peak
+        tracemalloc.start()
+        try:
+            got = fredholm_operator(expdecay_N, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + 2.5 * chunk_bytes

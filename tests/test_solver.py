@@ -63,6 +63,19 @@ class TestSystemSpec:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             SystemSpec(**fields)
 
+    # a bool is an int to numbers.Real, but not a time, as it is not a size
+    @pytest.mark.parametrize("key,value", [("t0", False), ("tf", True),
+                                           ("t0", np.False_), ("tf", np.True_)])
+    def test_rejects_bool_times(self, key, value):
+        fields = dict(n=1, r=1, t0=0.0, tf=2.0, x0=[0.0])
+        fields[key] = value
+        with pytest.raises(TypeError, match=re.escape(f"{key} must be a real number, got {value!r}")):
+            SystemSpec(**fields)
+
+    def test_rejects_a_bool_interval_naming_t0(self):
+        with pytest.raises(TypeError, match="^t0 must be a real number, got False$"):
+            SystemSpec(1, 1, False, True, [0.0])
+
     @pytest.mark.parametrize("key,value", [("n", 1.5), ("n", 1.0), ("r", 2.0), ("r", "1"),
                                            ("n", True), ("n", np.True_), ("r", True), ("r", np.True_)])
     def test_rejects_non_integer_dimensions(self, key, value):
