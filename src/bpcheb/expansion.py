@@ -61,9 +61,10 @@ def nodes(cfg: BasisConfig, rule: WeightedRule) -> np.ndarray:
 
 
 def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
-           shape: tuple[int, ...] | None = None) -> np.ndarray:
+           shape: tuple[int, ...] | None = None, axes: tuple[int, ...] | None = None) -> np.ndarray:
     """Checked samples of the datum f at every node of grid (shape (K, q)), a
-    C-contiguous (K, q) + sample shape array; every message names f by name.
+    C-contiguous (K, q) + sample shape array, its axes in the order axes when
+    given; every message names f by name.
 
     With t given, f is a kernel and the samples are f(t, s) for s on the grid;
     an array t of outer times prefixes its shape.  f's arguments, built once,
@@ -84,12 +85,6 @@ def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
     masked intermediates); any other warning of f reaches the caller from
     every call, kept or not.
     """
-    return sample_into(f, grid, name, ndim, t, shape, None)
-
-
-def sample_into(f: Callable, grid: np.ndarray, name: str, ndim: int, t, shape: tuple | None,
-                axes: tuple | None) -> np.ndarray:
-    """sample's samples with their axes in the order axes (None: as sample), C-contiguous."""
     lead = np.shape(t) + grid.shape
     points = (grid,) if t is None else (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
     args = tuple(np.broadcast_to(p, lead) for p in points)
@@ -196,42 +191,47 @@ def _nodes_layout(vals, lead: tuple) -> np.ndarray:
 
 def _sample_grid(f: Callable, args: tuple, ndim: int, shape: tuple | None,
                  axes: tuple | None) -> np.ndarray | None:
-    """Samples of f on the whole grid from one call, as lead + sample shape (a
-    view of the copy that _kept makes); None when no call is kept.
+    """Samples of f on the whole grid from the first kept call (see _kept);
+    None when neither is kept and the pointwise loop must run.
 
     f is first called with the arrays args of shape lead (see sample).
     When that result is not kept, f is called once more with each array
-    wrapped in a _Nodes, which serves code written for a scalar t.  A
-    result is kept when the call raises nothing and gives a real shape
-    value_shape + lead with no NaN, value_shape matches shape when given,
-    and the samples at the first and the last point agree with
-    single-point calls there to PROBE_RTOL times the largest magnitude
-    (exactly, where that is 0 or not finite).  Both attempts and their
-    probes run under np.errstate(all="ignore"), which numpy keeps per thread.
+    wrapped in a _Nodes, which serves code written for a scalar t.  Both
+    attempts and their probes run under np.errstate(all="ignore"), which
+    numpy keeps per thread.
     """
     lead = args[0].shape
     with np.errstate(all="ignore"):
         for call in (lambda: f(*args), lambda: _nodes_layout(f(*map(_Nodes, args)), lead)):
             try:
-                vals = _kept(call(), f, args, ndim, shape, axes)
+                return _kept(call(), f, args, ndim, shape, axes)
             except Exception:
-                continue  # the pointwise loop raises the located error, if any
-            if vals is not None:
-                return vals
+                pass  # the pointwise loop raises the located error, if any
     return None
 
 
 def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None,
-          axes: tuple | None) -> np.ndarray | None:
-    """A grid call's result as lead + sample shape, a view of its copy in the
-    order axes, or None when it is not kept (see _sample_grid)."""
+          axes: tuple | None) -> np.ndarray:
+    """A grid call's value_shape + lead result as lead + sample shape, a view
+    of its one copy in the order axes; raises unless it is kept.
+
+    A result is kept when it is real, of shape value_shape + lead with no
+    NaN, value_shape matches shape when given, and the samples at the first
+    and the last point agree with single-point calls there to PROBE_RTOL
+    times the largest magnitude (exactly, where that is 0 or not finite).
+    """
     lead = args[0].shape
-    vals = _grid_layout(vals, ndim, lead)
-    if vals is None or shape not in (None, vals.shape[len(lead):]):
-        return None
-    scale = np.abs(vals).max()
-    if np.isnan(scale):
-        return None
+    vals = _as_float(vals, 0)
+    nv = vals.ndim - len(lead)
+    if nv < 0 or vals.shape[nv:] != lead:
+        raise ValueError(f"shape {vals.shape} does not end in {lead}")
+    vals = vals.reshape((1,) * (ndim - nv) + vals.shape)  # pad in front, like ndmin
+    nv = max(nv, ndim)
+    vals = np.moveaxis(vals, range(nv), range(-nv, 0))
+    vals = vals.reshape(lead + (-1,)) if ndim == 1 else vals
+    scale = max(vals.max(), -vals.min())  # the largest magnitude (or NaN), with no temporary
+    if shape not in (None, vals.shape[len(lead):]) or np.isnan(scale):
+        raise ValueError("a sample of another shape, or a NaN")
     # the one copy, always made before the probes call f again: f may overwrite what it returned
     order = axes or tuple(range(vals.ndim))
     back = sorted(range(len(order)), key=order.__getitem__)  # inverse; np.argsort is µs slower
@@ -242,21 +242,8 @@ def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None,
         # with an infinite sample anywhere, only an exact match (inf == inf) counts
         close = got == want if scale == np.inf else abs(got - want) <= PROBE_RTOL * scale
         if got.shape != want.shape or not close.all():
-            return None
+            raise ValueError("a probe disagrees with its single-point call")
     return vals
-
-
-def _grid_layout(vals, ndim: int, lead: tuple) -> np.ndarray | None:
-    """A grid call's value_shape + lead result as a lead + sample shape view;
-    None for another shape or a non-zero imaginary part."""
-    vals = _as_float(vals, 0)
-    nv = vals.ndim - len(lead)
-    if nv < 0 or vals.shape[nv:] != lead:
-        return None
-    vals = vals.reshape((1,) * (ndim - nv) + vals.shape)  # pad in front, like ndmin
-    nv = max(nv, ndim)
-    vals = np.moveaxis(vals, range(nv), range(-nv, 0))
-    return vals.reshape(lead + (-1,)) if ndim == 1 else vals
 
 
 def _require_finite(vals: np.ndarray, args: tuple, name: str) -> None:
@@ -316,7 +303,7 @@ def expand_matrix(
     rule = rule or default_rule(cfg)
     proj = projection_matrix(cfg.M - 1, rule)
     name, shape = expect or ("matrix function", None)
-    fx = sample_into(mfun, nodes(cfg, rule), name, 2, None, shape, (1, 0, 2, 3))  # (q, K, ...)
+    fx = sample(mfun, nodes(cfg, rule), name, 2, shape=shape, axes=(1, 0, 2, 3))  # (q, K, ...)
     return read_only(project(proj.T, fx).transpose(1, 0, 2, 3))
 
 

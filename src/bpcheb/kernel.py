@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .basis import BasisConfig, read_only
-from .expansion import default_rule, nodes, product_tensor, project, sample_into
+from .expansion import default_rule, nodes, product_tensor, project, sample
 from .operational import block_integral_weights
 from .quadrature import WeightedRule, projection_matrix
 
@@ -106,8 +106,8 @@ def sample_kernel(kernel: Callable, grid: np.ndarray, ts: np.ndarray, name: str,
                   shape: tuple[int, int] | None, axes: tuple[int, ...] | None = None,
                   ) -> Iterator[tuple[slice, np.ndarray]]:
     """Checked samples of kernel(t, s) for s on grid, in chunks of the rows
-    ts[i] of outer times: yields (rows, vals), vals laid out as
-    sample_into(kernel, grid, name, 2, ts[rows], shape, axes) returns it, value axes last.
+    ts[i] of outer times: yields (rows, vals), vals as
+    sample(kernel, grid, name, 2, ts[rows], shape, axes=axes) returns it.
 
     A chunk is one sample call over as many rows as fit in _CHUNK_NODES
     (t, s) nodes, and at least one row.  Every chunk gets a new array and
@@ -116,7 +116,7 @@ def sample_kernel(kernel: Callable, grid: np.ndarray, ts: np.ndarray, name: str,
     step = max(1, _CHUNK_NODES // (np.size(ts[0]) * grid.size))
     for start in range(0, len(ts), step):
         rows = slice(start, start + step)
-        vals = sample_into(kernel, grid, name, 2, ts[rows], shape, axes)
+        vals = sample(kernel, grid, name, 2, ts[rows], shape, axes=axes)
         shape = vals.shape[np.ndim(ts) + grid.ndim:]
         yield rows, vals
         del vals  # before the next chunk is sampled

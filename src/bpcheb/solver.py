@@ -147,16 +147,13 @@ class AssembledSystem:
         _check_window(spec, cfg)
         M, K, n, r = cfg.M, cfg.K, spec.n, spec.r
         self.cfg, self.n, self.r, self.x0 = cfg, n, r, spec.x0
-        if spec.A is None:
-            phi_blocks = np.zeros((K, M * n, M * n))
-        else:
-            phi_blocks = product_blocks(expand_matrix(spec.A, cfg, expect=("A", (n, n))))
-        if spec.B is None:
-            b_blocks = np.zeros((K, M * n, M * r))
-        else:
-            b_blocks = product_blocks(expand_matrix(spec.B, cfg, expect=("B", (n, r))))
-        self.phi_blocks = read_only(phi_blocks)
-        self.b_blocks = read_only(b_blocks)
+
+        def blocks(f, name: str, cols: int) -> np.ndarray:  # A's or B's product operators
+            if f is None:
+                return read_only(np.zeros((K, M * n, M * cols)))
+            return read_only(product_blocks(expand_matrix(f, cfg, expect=(name, (n, cols)))))
+
+        self.phi_blocks, self.b_blocks = blocks(spec.A, "A", n), blocks(spec.B, "B", r)
         self.Q = None if spec.N is None else fredholm_operator(spec.N, cfg, expect=("N", (n, n)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:

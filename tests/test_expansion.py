@@ -117,6 +117,32 @@ def _matrix_fn(t):
     return np.array([[np.sin(t) + 0.0 * t, t * t], [np.ones_like(t), np.exp(-t)]])
 
 
+# one 2x2 datum of t, or kernel of (t, s), in three forms with the same samples on
+# every path: arithmetic only, so a grid call and the per-point calls agree bit for bit
+def _broadcasting(*x):
+    t, s = x[0], x[-1]
+    return np.array([[1.0 + 0 * s, t + 0 * s], [t * s, s - t * t]])
+
+
+def _ragged(*x):
+    t, s = x[0], x[-1]
+    return np.array([[1.0, t], [t * s, s - t * t]])
+
+
+def _overwriting():
+    buffer = []
+
+    def f(*x):
+        val = _broadcasting(*x)
+        if not buffer:
+            buffer.append(val)
+            return val
+        buffer[0][...] = val.reshape(val.shape + (1,) * (buffer[0].ndim - val.ndim))
+        return val
+
+    return f
+
+
 class TestGridSampling:
     GRID = np.array([[0.1, 0.2, 0.35], [0.6, 0.7, 0.9]])
 
@@ -328,6 +354,24 @@ class TestGridSampling:
         else:
             expand = expand_matrix if via == "expand_matrix" else expand_vector
             assert np.array_equal(expand(f, cfg), expand(ref, cfg))
+
+    # axes= gives the samples in another axis order, as one C-contiguous array, on
+    # every path: the permutations are expand_matrix's and sample_kernel's (t given)
+    @pytest.mark.parametrize("t, axes", [(None, (1, 0, 2, 3)),
+                                         (np.array([[0.15, 0.5], [0.8, 0.95]]), (1, 3, 0, 2, 4, 5))],
+                             ids=["matrix", "kernel"])
+    @pytest.mark.parametrize("make", [
+        lambda: _broadcasting,
+        lambda: _ragged,  # the array call fails, so the _Nodes call is kept
+        lambda: pointwise(_ragged),  # both grid calls fail: one call per point
+        _overwriting,  # the probe calls overwrite the buffer the grid call returned
+    ], ids=["array", "nodes", "pointwise", "overwrites"])
+    def test_axes_give_the_transposed_samples(self, make, t, axes):
+        got = sample(make(), self.GRID, "N", 2, t, axes=axes)
+        plain = sample(make(), self.GRID, "N", 2, t)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.ascontiguousarray(plain.transpose(axes)))
+        assert np.array_equal(plain, sample(pointwise(_ragged), self.GRID, "N", 2, t))
 
 
 class TestWarningsAndThreads:
