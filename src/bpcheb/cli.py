@@ -41,12 +41,10 @@ def _meta_line(problem: Problem) -> str:
 def _exact_values(problem: Problem, ts) -> np.ndarray | None:
     if problem.output.exact is None:
         return None
-    fns = [exprlang.as_function(e) for e in problem.output.exact]
-    try:
-        values = np.stack([f(np.asarray(ts, dtype=float)) for f in fns], axis=1)
-    except ExprEvalError:
-        # point by point, so the error names the first failing t of the first failing column
-        values = np.array([[f(t) for f in fns] for t in ts])
+    try:  # one row per t, in row-major order: a failure names the first failing t, then column
+        values = exprlang.as_function(problem.output.exact)(np.asarray(ts, dtype=float)).T
+    except ExprEvalError as exc:
+        raise ProblemError(f"[output].exact: {exc}") from exc
     bad = np.argwhere(~np.isfinite(values))  # row-major, like the point-by-point order
     if bad.size:
         row, col = bad[0]

@@ -14,7 +14,10 @@ s (kernel integration variable); functions exp, sin, cos, sqrt, ln, abs;
 constants pi and e.
 
 One tree walk evaluates floats and numpy arrays alike: evaluate runs it on
-floats, as_function also on arrays that broadcast together.  Bit-identity
+floats, as_function also on arrays that broadcast together.  as_function
+compiles one expression or a whole grid of them (a problem file's A, B, N,
+u or exact) into one function, whose result has the grid's shape in front
+of the broadcast shape of t and s.  Bit-identity
 between the two comes from the operations themselves: + - * / and negation
 are Python or numpy arithmetic, whose IEEE results are the same, and every
 function call and ^ apply the same math function, to the float or to each
@@ -23,8 +26,8 @@ round differently.  as_function cuts zero-stride axes of its inputs
 (np.broadcast_to views) to length 1 first, so a sub-expression of t alone
 makes one math call per distinct t, not one per (t, s).  When the walk fails
 on arrays (division by zero, domain error, overflow), as_function re-runs
-evaluate element by element, so the ExprEvalError raised names the first
-failing (t, s).
+evaluate point by point, every entry at each point, so the ExprEvalError
+raised names the first failing (t, s) and the first failing entry there.
 """
 
 from __future__ import annotations
@@ -335,30 +338,39 @@ def variables(e: Expr) -> set[str]:
     return set()
 
 
-def as_function(e: Expr) -> Callable:
-    """A (t, s=0.0) callable, bit-identical to evaluate.
+def as_function(exprs) -> Callable:
+    """A (t, s=0.0) callable of one Expr, or of a nested tuple or list of
+    them (a grid), bit-identical to evaluate at every entry.
 
-    Floats in give evaluate's float out; arrays in give an array of shape
-    np.broadcast(t, s).shape whose every element equals evaluate at that
-    element.  When the walk on arrays raises ExprEvalError, evaluate runs
-    element by element, so the error names the first failing element, in
-    C order.
+    Floats in give evaluate's float out for one Expr, and a float array of
+    the grid's shape for a grid.  Arrays in give an array of shape grid
+    shape + np.broadcast(t, s).shape whose every element equals evaluate at
+    that element: t and s are compacted once, and each entry's walk fills its
+    slot.  When the walk on arrays raises ExprEvalError, evaluate runs point
+    by point in C order, every entry at each point, so the error names the
+    first failing point and the first failing entry there.
     """
+    grid = np.array(exprs, dtype=object)
+    entries = list(np.ndenumerate(grid))
 
     def f(t, s=0.0):
         if not (isinstance(t, np.ndarray) or isinstance(s, np.ndarray)):
-            return float(evaluate(e, t, s))
+            out = np.empty(grid.shape)
+            for i, e in entries:
+                out[i] = evaluate(e, t, s)
+            return out if grid.ndim else float(out)
         t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-        shape = np.broadcast(t, s).shape
+        out = np.empty(grid.shape + np.broadcast(t, s).shape)
+        ct, cs = _compact(t), _compact(s)
         try:
             with np.errstate(all="ignore"):  # overflow to inf is silent, as for floats
-                val = _eval(e, _compact(t), _compact(s))
+                for i, e in entries:
+                    out[i] = _eval(e, ct, cs)
         except ExprEvalError:
-            tt, ss = np.broadcast_arrays(t, s)
-            val = [evaluate(e, a, b) for a, b in zip(tt.flat, ss.flat)]
-            return np.array(val, dtype=float).reshape(shape)
-        out = np.empty(shape)
-        out[...] = val
+            for a, b in np.broadcast(t, s):
+                for e in grid.flat:
+                    evaluate(e, a, b)
+            raise
         return out
 
     return f

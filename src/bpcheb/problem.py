@@ -90,25 +90,18 @@ class Problem:
         return BasisConfig(Partition(self.breakpoints), self.M)
 
     def system_spec(self) -> SystemSpec:
-        """The system with every datum a function of its parsed expressions."""
-        def grid_fn(grid):  # A, B of t, or N of (t, s)
-            fns = [[exprlang.as_function(e) for e in row] for row in grid]
-            return lambda *ts: np.array([[f(*ts) for f in row] for row in fns])
-
-        def vec_fn(entries):
-            fns = [exprlang.as_function(e) for e in entries]
-            return lambda t: np.array([f(t) for f in fns])
-
+        """The system with every datum one exprlang.as_function of its whole
+        grid of parsed expressions: A and B of t, N of (t, s), u of t."""
         return SystemSpec(
             n=self.n,
             r=self.r,
             t0=self.t0,
             tf=self.tf,
             x0=np.array(self.x0),
-            A=grid_fn(self.A) if self.A is not None else None,
-            B=grid_fn(self.B) if self.B is not None else None,
-            N=grid_fn(self.N) if self.N is not None else None,
-            u=vec_fn(self.u) if self.u is not None else None,
+            A=None if self.A is None else exprlang.as_function(self.A),
+            B=None if self.B is None else exprlang.as_function(self.B),
+            N=None if self.N is None else exprlang.as_function(self.N),
+            u=None if self.u is None else exprlang.as_function(self.u),
         )
 
     def with_overrides(self, K: int | None = None, M: int | None = None,

@@ -178,15 +178,21 @@ class TestSolveCommand:
         assert err.startswith("bpcheb: input error: ")
         assert where in err
 
-    def test_failing_exact_column_names_the_first_failing_point(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [["solve"], ["table", "--M-list", "4"]])
+    def test_failing_exact_column_names_the_first_failing_point(self, tmp_path, capsys,
+                                                                command):
         # both columns fail; the first point that fails, t=0, is named, in column 2
         text = open(POLY).read().replace('exact = ["t^2", "t^3"]', 'exact = ["1/(t-1)", "1/t"]')
         cfgfile = tmp_path / "exact.prob"
         cfgfile.write_text(text)
-        assert main(["solve", "--config", str(cfgfile)]) == 1
-        err = capsys.readouterr().err
+        assert main([*command, "--config", str(cfgfile)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        err = out.err
         assert err.startswith("bpcheb: input error: ")
         assert "division by zero in '1.0/t' at t=0.0" in err
+        # one line, naming the key the way the non-finite check does
+        assert err.startswith("bpcheb: input error: [output].exact: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["solve"], ["table", "--M-list", "4"]])
     def test_non_finite_exact_value_exits_1(self, tmp_path, capsys, command):

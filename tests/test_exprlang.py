@@ -1,9 +1,11 @@
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
+from bpcheb import expansion
 from bpcheb.exprlang import (
     FUNCTIONS,
     BinOp,
@@ -20,6 +22,9 @@ from bpcheb.exprlang import (
     to_str,
     variables,
 )
+from bpcheb.problem import load
+
+PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 class TestParse:
@@ -318,3 +323,70 @@ class TestCompiled:
                 as_function(tree)(t)
         else:
             _assert_bit_equal(as_function(tree)(t), want)
+
+
+def _stacked(grid, *args):
+    """The per-entry stacking that a grid as_function replaces."""
+    return np.array([[as_function(e)(*args) for e in row] for row in grid])
+
+
+class TestGrid:
+    GRID = tuple(tuple(map(parse, row)) for row in (("3*s^2", "exp(-t)-s^2"),
+                                                    ("3*t^2+s*exp(-t)", "-t^2"),
+                                                    ("2", "t/(1+s)")))
+
+    def test_arrays_are_the_per_entry_stacking(self):
+        t, s = np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.1, 0.9, 4)
+        got = as_function(self.GRID)(t, s)
+        assert got.shape == (3, 2, 5, 4)
+        _assert_bit_equal(got, _stacked(self.GRID, t, s))
+
+    def test_broadcast_views_are_the_per_entry_stacking(self):
+        shape = (5, 3, 4)
+        t = np.broadcast_to(np.linspace(0.0, 1.0, 5)[:, None, None], shape)
+        s = np.broadcast_to(np.linspace(0.1, 0.9, 12).reshape(3, 4), shape)
+        got = as_function(self.GRID)(t, s)
+        assert got.shape == (3, 2) + shape and got.flags.writeable
+        _assert_bit_equal(got, _stacked(self.GRID, t, s))
+
+    def test_floats_are_the_per_entry_stacking(self):
+        for t, s in ((0.3, 0.7), (np.float64(0.25), np.float64(0.5)), (1.0, 0.0)):
+            got = as_function(self.GRID)(t, s)
+            assert type(got) is np.ndarray and got.dtype == float
+            _assert_bit_equal(got, _stacked(self.GRID, t, s))
+
+    def test_list_of_entries(self):
+        entries = [parse("t^2"), parse("exp(-t)")]
+        t = np.linspace(0.0, 1.0, 7)
+        got = as_function(entries)(t)
+        assert got.shape == (2, 7)
+        _assert_bit_equal(got, np.array([as_function(e)(t) for e in entries]))
+        _assert_bit_equal(as_function(entries)(0.5), np.array([0.25, math.exp(-0.5)]))
+
+    def test_failure_names_the_first_failing_point_then_entry(self):
+        # at t=0.25 only ln fails; at t=0.5 only the division does: the first point wins
+        grid = ((parse("1/(t-0.5)"), parse("ln(t-0.3)")),)
+        with pytest.raises(ExprEvalError, match=r"^math domain error in ln\(.*\) at t=0.25, s=0.0$"):
+            as_function(grid)(np.array([0.25, 0.5]))
+        # two entries fail at t=0.5 only: the first in C order is named
+        grid = ((parse("t"), parse("1/(t-0.5)")), (parse("sqrt(0.4-t)"), parse("1")))
+        with pytest.raises(ExprEvalError, match=r"^division by zero in .* at t=0.5, s=0.0$"):
+            as_function(grid)(np.array([0.25, 0.5]))
+
+    @pytest.mark.parametrize("fname", ["polynomial_ivp.prob", "exp_decay_ivp.prob"])
+    def test_system_spec_data_are_the_per_entry_stacking(self, fname):
+        p = load(os.path.join(PROBLEMS_DIR, fname)).with_overrides(K=3, M=4)
+        spec = p.system_spec()
+        grid = expansion.nodes(p.basis_config(), expansion.default_rule(p.basis_config()))
+        ts = np.linspace(p.t0, p.tf, 5)
+        lead = ts.shape + grid.shape
+        t = np.broadcast_to(ts[:, None, None], lead)
+        s = np.broadcast_to(grid, lead)
+        for name, kernel in (("A", False), ("B", False), ("N", True)):
+            f, data = getattr(spec, name), getattr(p, name)
+            args = (t, s) if kernel else (grid,)
+            _assert_bit_equal(f(*args), _stacked(data, *args))
+            probe = tuple(a[(0,) * a.ndim] for a in args)
+            _assert_bit_equal(f(*probe), _stacked(data, *probe))
+        for args in ((grid,), (np.float64(0.3),)):
+            _assert_bit_equal(spec.u(*args), np.array([as_function(e)(*args) for e in p.u]))
