@@ -24,6 +24,7 @@ import importlib.util
 import os
 import sys
 import threading
+from typing import Iterator
 
 import numpy as np
 import scipy
@@ -32,6 +33,8 @@ __all__ = ["SingularMatrixError", "LU", "inf_norm"]
 
 # pivots below this times the matrix inf-norm count as singular
 PIVOT_RTOL = 1e-13
+# a stack is worked on this many float entries at a time (see _chunks)
+_CHUNK_ENTRIES = 2**15
 
 
 def _load_extension(name: str, directory: str):
@@ -73,6 +76,13 @@ class SingularMatrixError(Exception):
         )
 
 
+def _chunks(K: int, size: int) -> Iterator[slice]:
+    """Slices that cover range(K) in order, each of as many items of size
+    entries as fit in _CHUNK_ENTRIES, and at least one."""
+    step = max(1, _CHUNK_ENTRIES // max(1, size))
+    return (slice(start, min(start + step, K)) for start in range(0, K, step))
+
+
 def inf_norm(a: np.ndarray) -> float:
     """Infinity norm of a vector: its largest absolute entry, 0 when empty."""
     a = np.asarray(a, dtype=float)
@@ -85,27 +95,43 @@ class LU:
     a is one square matrix (m, m) or a stack (K, m, m) of them.  A singular
     or non-finite matrix in a stack is named by its 1-based index as
     SingularMatrixError.block or in the ValueError.
+
+    The factors are held in Fortran-ordered storage, a copy of a by default.
+    With overwrite_a=True, as in scipy.linalg.lu_factor, a's own storage may
+    hold them: a float64 array that is writeable and whose matrices are each
+    Fortran-ordered is factored in place, so its contents are the factors
+    afterwards, and any other a is copied.  The stack is checked, measured
+    and copied chunk by chunk, so the only array of its size is the factors.
     """
 
-    def __init__(self, a: np.ndarray):
+    def __init__(self, a: np.ndarray, overwrite_a: bool = False):
         a = np.asarray(a, dtype=float)
         if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
             raise ValueError(f"need a square matrix or a stack of them, got shape {a.shape}")
         stack = a if a.ndim == 3 else a[np.newaxis]
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            where = f" (diagonal block {np.argmin(finite) + 1})" if a.ndim == 3 else ""
-            raise ValueError(f"matrix must not contain infs or NaNs{where}")
         K, m, _ = stack.shape
-        lu = np.empty((K, m, m)).transpose(0, 2, 1)  # every slice Fortran-ordered
-        lu[...] = stack
-        piv = np.empty(stack.shape[:2], dtype=np.int32)
-        with _LAPACK_LOCK:
-            for k, lu_k in enumerate(lu):
-                _, piv[k], info = _getrf(lu_k, overwrite_a=True)  # factors lu_k in place
-                if info < 0:
-                    raise ValueError(f"illegal value in argument {-info} of getrf")
-        thresholds = PIVOT_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
+        if overwrite_a and a.flags.writeable and stack.transpose(0, 2, 1).flags.c_contiguous:
+            lu = stack
+        else:
+            lu = np.empty((K, m, m)).transpose(0, 2, 1)  # every slice Fortran-ordered
+        piv = np.empty((K, m), dtype=np.int32)
+        thresholds = np.empty(K)
+        for rows in _chunks(K, m * m):
+            block = stack[rows]
+            finite = np.isfinite(block).all(axis=(1, 2))
+            if not finite.all():
+                k = rows.start + np.argmin(finite)
+                where = f" (diagonal block {k + 1})" if a.ndim == 3 else ""
+                raise ValueError(f"matrix must not contain infs or NaNs{where}")
+            # PIVOT_RTOL times the inf-norm of each matrix, measured before it is factored
+            thresholds[rows] = PIVOT_RTOL * (np.abs(block) @ np.ones(m)).max(axis=1)
+            if lu is not stack:
+                lu[rows] = block
+            with _LAPACK_LOCK:
+                for k in range(rows.start, rows.stop):
+                    _, piv[k], info = _getrf(lu[k], overwrite_a=True)  # factors lu[k] in place
+                    if info < 0:
+                        raise ValueError(f"illegal value in argument {-info} of getrf")
         diag = np.abs(np.diagonal(lu, axis1=1, axis2=2))
         singular = (diag <= thresholds[:, np.newaxis]).any(axis=1)
         if singular.any():

@@ -19,7 +19,9 @@ for every later block j > i, the first-column entries d_i/(2kappa-1) at rows
 pt_parts is the only code that writes this structure down.  apply_pt
 applies P^T kron I_n from its two pieces without forming P, and every dense
 form is apply_pt of an identity: build_p returns P as a plain read-only
-array, and the solver's P^T kron I_n is apply_pt(cfg, I_{KMn}).
+array, and the solver's P^T kron I_n is apply_pt(cfg, I_{KMn}).  The
+solver's block march takes the two pieces, build_phat and
+block_integral_weights, folded into the product tensor.
 """
 
 from __future__ import annotations

@@ -16,31 +16,34 @@ Fredholm operator Q of N, and X0hat the coefficients of the constant x0
 
 * Without a kernel, Phi is block diagonal, and P is block upper-triangular:
   a finished block adds only a constant, its full integral, to each later
-  block.  The system matrix is then block lower-triangular.  The K diagonal
-  blocks (Mn x Mn) are factored as one linalg.LU stack (one LAPACK getrf
-  per block), every block's right-hand side is solved by one LU.solve, and
-  the only Python loop over the blocks carries an n-vector forward (see
-  AssembledSystem).  Nothing of size (KMn)^2 is formed.
+  block.  The system matrix is then block lower-triangular.  Its K diagonal
+  blocks (Mn x Mn) are written straight from A's coefficients into one
+  Fortran-ordered stack, a chunk of blocks at a time, and factored there
+  as one linalg.LU stack (one LAPACK getrf per block); every block's
+  right-hand side is solved by one LU.solve, and the only Python loop over
+  the blocks carries an n-vector forward (see AssembledSystem).  The LU
+  factors are the one array of size K(Mn)^2, every temporary holds at most
+  one chunk of blocks, and no product operator is formed.
 * With a kernel, Q couples every pair of blocks, so the dense system matrix
-  is formed and LU-factored.  Its dense P^T kron I_n and Bop are their
-  structured operators (operational.apply_pt, _apply_blocks) applied to an
-  identity, so no Kronecker product is taken; its Phi is Q with the blocks
-  of A added onto its diagonal blocks.
+  is formed and LU-factored.  Its dense P^T kron I_n is apply_pt applied to
+  an identity, so no Kronecker product is taken; its Phi is Q with the
+  product operators of A (expansion.product_blocks) added onto its diagonal
+  blocks, and Bop holds those of B on its diagonal blocks.
 
-The operators are plain arrays: the product operators of A and B are
-stacked diagonal blocks (K, Mn, Mn) and (K, Mn, Mr), Q is a (KMn, KMn)
-array.  AssembledSystem(spec, cfg) builds them and holds them read-only,
-without copying them.
+AssembledSystem(spec, cfg) holds what these are built from, as plain
+read-only arrays it made and never copies: the hybrid coefficients of A and
+B, (K, M, n, n) and (K, M, n, r), and Q, a (KMn, KMn) array.
 
 Either way the factors are computed at the first solve and serve any number
-of controls, and every solve checks the defect of its answer by applying
-the operator blockwise.
+of controls.  Every solve checks the defect of its answer with
+AssembledSystem.apply, which multiplies by A by the product rule on its
+coefficients (expansion.product_tensor) and integrates by apply_pt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,10 +51,12 @@ import numpy as np
 from .basis import (
     BasisConfig, as_index, as_real, chebyshev_u_derivative_coeffs, read_only, real_array,
 )
-from .expansion import expand_matrix, expand_vector, nodes, product_blocks, sample, synthesize
+from .expansion import (
+    expand_matrix, expand_vector, nodes, product_blocks, product_tensor, sample, synthesize,
+)
 from .kernel import fredholm_operator, sample_kernel
-from .linalg import LU, inf_norm
-from .operational import apply_pt, pt_parts
+from .linalg import LU, _chunks, inf_norm
+from .operational import apply_pt, block_integral_weights, build_phat
 from .quadrature import WeightedRule
 
 __all__ = [
@@ -116,54 +121,69 @@ class SystemSpec:
 
 
 class AssembledSystem:
-    """Discretized operators of one system on one basis; immutable.
+    """Discretized system on one basis; immutable.
 
-    AssembledSystem(spec, cfg) expands the system's data on cfg.  phi_blocks
-    (K, Mn, Mn) holds the block-k product operator of A at index k-1 and
-    b_blocks (K, Mn, Mr) that of B; Q is the (KMn x KMn) Fredholm operator
-    of N (kernel.fredholm_operator), or None without a kernel.  All of them,
-    and the control's coefficients in solve, are projections on
-    expansion.default_rule.  x0 is spec.x0 itself, the spec's read-only copy;
-    n and r are the spec's.
+    AssembledSystem(spec, cfg) expands the system's data on cfg.  Ahat
+    (K, M, n, n) holds A's hybrid coefficients and Bhat (K, M, n, r) B's, as
+    expand_matrix returns them; Ahat is zero without A, and Bhat is None
+    without B, so that solve samples no control.  Q is the (KMn x KMn)
+    Fredholm operator of N (kernel.fredholm_operator), or None without a
+    kernel.  All of them, and the control's coefficients in solve, are
+    projections on expansion.default_rule.  x0 is spec.x0 itself, the spec's
+    read-only copy; n and r are the spec's.  phi_blocks (K, Mn, Mn) and
+    b_blocks (K, Mn, Mr), the product operators of A and B
+    (expansion.product_blocks, block k's at index k-1), are built when first
+    read; only the dense operators read them.
 
     Without a kernel, block k satisfies D_k x_k = rhs_k + (e_0 kron I_n) c_k
     with D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and the carry
     c_k = sum_{i<k} S_i x_i, where the rows S_k = d_k (v^T kron I_n) Phi_k
     (v_m = 1/(m+1) for even m, else 0) give block k's full integral.  The
-    first solve factors all D_k as one LU stack and keeps S_k,
+    first solve writes every D_k and S_k straight from Ahat, a chunk of
+    blocks at a time, through one tensor per M (_march_weights), into the
+    storage where LU factors them in place (with each block's unknowns
+    ordered by component, then degree), and keeps S_k,
     G_k = D_k^-1 (e_0 kron I_n) and T_k = I_n + S_k G_k.  A solve is then
     y_k = D_k^-1 rhs_k for all blocks at once, the n-dimensional recurrence
     c_1 = 0, c_{k+1} = T_k c_k + S_k y_k, and x_k = y_k + G_k c_k.  With a
     kernel, the first solve LU-factors the dense system_matrix
     I - PkronT @ Phi, with Phi a copy of Q plus phi_blocks on its diagonal
-    blocks.  PkronT and Bop, the control's dense operator, are apply_pt and
-    _apply_blocks(b_blocks, .) applied to the identity.  Later solves share
-    the factors; concurrent solves are safe, since linalg serializes its
-    LAPACK calls.  The system owns the arrays it builds: each is made here,
-    frozen in place and never copied.  The dense operators are read-only too.
+    blocks.  PkronT is apply_pt applied to the identity, and Bop, the
+    control's dense operator, holds b_blocks on its diagonal blocks.  Later
+    solves share the factors; concurrent solves are safe, since linalg
+    serializes its LAPACK calls.  The system owns the arrays it builds: each
+    is made here, frozen in place and never copied.  The dense operators are
+    read-only too.
     """
 
     def __init__(self, spec: SystemSpec, cfg: BasisConfig):
         _check_window(spec, cfg)
         M, K, n, r = cfg.M, cfg.K, spec.n, spec.r
         self.cfg, self.n, self.r, self.x0 = cfg, n, r, spec.x0
-
-        def blocks(f, name: str, cols: int) -> np.ndarray:  # A's or B's product operators
-            if f is None:
-                return read_only(np.zeros((K, M * n, M * cols)))
-            return read_only(product_blocks(expand_matrix(f, cfg, expect=(name, (n, cols)))))
-
-        self.phi_blocks, self.b_blocks = blocks(spec.A, "A", n), blocks(spec.B, "B", r)
+        self.Ahat = (read_only(np.zeros((K, M, n, n))) if spec.A is None
+                     else expand_matrix(spec.A, cfg, expect=("A", (n, n))))
+        self.Bhat = None if spec.B is None else expand_matrix(spec.B, cfg, expect=("B", (n, r)))
         self.Q = None if spec.N is None else fredholm_operator(spec.N, cfg, expect=("N", (n, n)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """[I - (P^T kron I_n) Phi] x, without forming the matrix."""
-        phix = _apply_blocks(self.phi_blocks, x)
+        K, M, n = self.cfg.K, self.cfg.M, self.n
+        phix = _products(self.Ahat, x.reshape(K, M, n))
         if self.Q is not None:
-            phix += self.Q @ x
-        return x - apply_pt(self.cfg, phix)
+            phix += (self.Q @ x).reshape(K, M, n)
+        return x - apply_pt(self.cfg, phix).reshape(-1)
 
-    # dense operators, which solve uses only for systems with a kernel
+    # product operators and dense operators, which solve uses only for systems with a kernel
+
+    @cached_property
+    def phi_blocks(self) -> np.ndarray:
+        return read_only(product_blocks(self.Ahat))
+
+    @cached_property
+    def b_blocks(self) -> np.ndarray:
+        K, M, n, r = self.cfg.K, self.cfg.M, self.n, self.r
+        Bhat = np.zeros((K, M, n, r)) if self.Bhat is None else self.Bhat
+        return read_only(product_blocks(Bhat))
 
     @cached_property
     def PkronT(self) -> np.ndarray:
@@ -171,14 +191,14 @@ class AssembledSystem:
 
     @cached_property
     def Bop(self) -> np.ndarray:
-        return read_only(_apply_blocks(self.b_blocks, np.eye(self.cfg.K * self.cfg.M * self.r)))
+        K, Mn, Mr = self.b_blocks.shape
+        return read_only(_add_diagonal_blocks(np.zeros((K * Mn, K * Mr)), self.b_blocks))
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
         K, Mn = self.phi_blocks.shape[:2]
         Phi = np.zeros((K * Mn, K * Mn)) if self.Q is None else self.Q.copy()
-        k = np.arange(K)
-        Phi.reshape(K, Mn, K, Mn)[k, :, k, :] += self.phi_blocks  # the diagonal blocks
+        _add_diagonal_blocks(Phi, self.phi_blocks)
         return read_only(np.eye(K * Mn) - self.PkronT @ Phi)
 
     @cached_property
@@ -190,24 +210,53 @@ class AssembledSystem:
     @cached_property
     def _march(self) -> tuple[LU, np.ndarray, np.ndarray, np.ndarray]:
         """The stacked LU of every D_k, G_k = D_k^-1 (e_0 kron I_n) as
-        (K, Mn, n), S_k as (K, n, Mn), and T_k = I_n + S_k G_k as (K, n, n)."""
+        (K, Mn, n), S_k as (K, n, Mn), and T_k = I_n + S_k G_k as (K, n, n).
+        Each block's unknowns are ordered (component, degree), the transpose
+        of the (degree, component) stacking, so that the copy into D runs
+        over whole degree ranges; _solve transposes in and out."""
         K, M, n = self.cfg.K, self.cfg.M, self.n
-        within, S = pt_parts(self.cfg, self.phi_blocks.reshape(K, M, n, M * n))
-        D = within.reshape(K, M * n, M * n)
-        lu = LU(np.subtract(np.eye(M * n), D, out=D))  # in place: one stack fewer
-        G = lu.solve(np.broadcast_to(np.eye(M * n, n), (K, M * n, n)))
+        m = M * n
+        w = _march_weights(M).reshape(M, -1)
+        minus_half_widths = -0.5 * self.cfg.partition.width_array
+        # D[k - 1] holds D_k transposed, so each D_k is Fortran-ordered, as getrf factors it
+        D, S = np.empty((K, m, m)), np.empty((K, n, m))
+        for rows in _chunks(K, m * m):
+            # terms[k, a, b, j, p] = -(d_k/2) sum_i Ahat[k, i, a, b] w[i, j, p]
+            scaled = np.moveaxis(self.Ahat[rows], 1, -1) * minus_half_widths[rows, None, None, None]
+            terms = (scaled.reshape(-1, M) @ w).reshape(-1, n, n, M, M + 1)
+            Dt = D[rows]  # (k, (b, j), (a, p)): entry (a, p), (b, j) of D_k
+            Dt.reshape(-1, n, M, n, M)[...] = terms[..., :M].transpose(0, 2, 3, 1, 4)
+            Dt.reshape(len(Dt), -1)[:, :: m + 1] += 1.0
+            np.negative(terms[..., M].reshape(-1, n, m), out=S[rows])
+            del scaled, terms  # before the next chunk
+        lu = LU(D.transpose(0, 2, 1), overwrite_a=True)  # factors D in place
+        G = lu.solve(np.broadcast_to(np.eye(m)[:, ::M], (K, m, n)))  # columns (a, 0)
         return lu, G, S, np.eye(n) + S @ G
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.Q is not None:
             return self._lu.solve(rhs)
+        K, M, n = self.cfg.K, self.cfg.M, self.n
         lu, G, S, T = self._march
-        y = lu.solve(rhs.reshape(self.cfg.K, -1))
+        y = lu.solve(rhs.reshape(K, M, n).transpose(0, 2, 1).reshape(K, -1))
         Sy = (S @ y[..., np.newaxis])[..., 0]
-        c = np.zeros((self.cfg.K, self.n))  # c_k: sum over i < k of S_i x_i
-        for k in range(self.cfg.K - 1):
+        c = np.zeros((K, n))  # c_k: sum over i < k of S_i x_i
+        for k in range(K - 1):
             c[k + 1] = T[k] @ c[k] + Sy[k]
-        return (y + (G @ c[..., np.newaxis])[..., 0]).reshape(-1)
+        x = y + (G @ c[..., np.newaxis])[..., 0]
+        return x.reshape(K, n, M).transpose(0, 2, 1).reshape(-1)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _march_weights(M: int) -> np.ndarray:
+    """w[i, j, p] (coefficient degree i of A, column degree j, row p): the
+    product tensor with the block integrals folded in, so that D_k and S_k
+    are (d_k/2) sums over i of w times A's coefficients.  Rows p < M give
+    sum_m d[i, j, m] Phat[m, p], the running integral inside the block; row
+    M gives sum_m d[i, j, m] 2 v_m, its full integral.  Read-only, built
+    once per M and shared for the life of the process."""
+    fold = np.column_stack([build_phat(M), 2.0 * block_integral_weights(M)])  # (m, p)
+    return read_only(np.einsum("ijm,mp->ijp", product_tensor(M), fold))
 
 
 def _check_window(spec: SystemSpec, cfg: BasisConfig) -> None:
@@ -219,11 +268,29 @@ def _check_window(spec: SystemSpec, cfg: BasisConfig) -> None:
         )
 
 
-def _apply_blocks(blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix of the stacked blocks (K, p, q) times z, a
-    vector (Kq,) or a matrix (Kq, c); the result is (Kp,) or (Kp, c)."""
+def _add_diagonal_blocks(out: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """out, a (Kp, Kq) array, with the stacked blocks (K, p, q) added onto its
+    K diagonal blocks in place."""
     K, p, q = blocks.shape
-    return np.matmul(blocks, z.reshape(K, q, -1)).reshape((K * p,) + z.shape[1:])
+    k = np.arange(K)
+    out.reshape(K, p, K, q)[k, :, k, :] += blocks
+    return out
+
+
+def _products(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The hybrid coefficients (K, M, n_out) of M(t) f(t), by the product rule
+    on coeffs (K, M, n_out, n_in), M's as expand_matrix returns them, and z
+    (K, M, n_in), f's: block k's are product_blocks(coeffs)[k-1] applied to
+    z[k-1], without those operators, a chunk of blocks at a time."""
+    K, M, n_out, n_in = coeffs.shape
+    # d[i, j, m] is symmetric in i and j, so row m of this is d[:, :, m] over (j, i)
+    d = product_tensor(M).reshape(M * M, M).T
+    out = np.empty((K, M, n_out))
+    for rows in _chunks(K, M * M * n_out):
+        # pairs[k, j, (i, a)] = sum_b z[k, j, b] coeffs[k, i, a, b]
+        pairs = z[rows] @ coeffs[rows].reshape(-1, M * n_out, n_in).transpose(0, 2, 1)
+        np.matmul(d, pairs.reshape(-1, M * M, n_out), out=out[rows])
+    return out
 
 
 def assemble(spec: SystemSpec, cfg: BasisConfig) -> AssembledSystem:
@@ -232,16 +299,18 @@ def assemble(spec: SystemSpec, cfg: BasisConfig) -> AssembledSystem:
 
 
 def solve(asm: AssembledSystem, u: Callable[[float], np.ndarray] | None) -> "HybridSolution":
-    """Solve for the hybrid coefficients of the state under the control u."""
+    """Solve for the hybrid coefficients of the state under the control u.
+
+    u is not sampled when the system has no B: the control term is zero."""
     cfg = asm.cfg
     rhs = np.zeros(cfg.K * cfg.M * asm.n)
     rhs.reshape(cfg.K, cfg.M, asm.n)[:, 0] = asm.x0  # X0hat
-    if u is not None:
-        uhat = expand_vector(u, cfg, expect=("u", (asm.r,))).reshape(-1)
+    if u is not None and asm.Bhat is not None:
+        uhat = expand_vector(u, cfg, expect=("u", (asm.r,)))
         if asm.Q is None:
-            rhs += apply_pt(cfg, _apply_blocks(asm.b_blocks, uhat))
+            rhs += apply_pt(cfg, _products(asm.Bhat, uhat)).reshape(-1)
         else:
-            rhs += asm.PkronT @ (asm.Bop @ uhat)
+            rhs += asm.PkronT @ (asm.Bop @ uhat.reshape(-1))
     xhat = asm._solve(rhs)
     defect = inf_norm(asm.apply(xhat) - rhs)
     bound = RESIDUAL_RTOL * (1.0 + inf_norm(rhs))

@@ -160,6 +160,80 @@ class TestAgainstScipy:
         assert excinfo.value.block == 41
 
 
+class TestOverwrite:
+    """LU(a, overwrite_a=True) gives LU(a)'s factors, pivots and solutions bit
+    for bit, in a's own storage when its matrices are Fortran-ordered."""
+
+    @staticmethod
+    def _fortran_stack(K, m, seed):
+        rng = np.random.default_rng(seed)
+        a = (rng.standard_normal((K, m, m)) + 2 * np.eye(m)).transpose(0, 2, 1).copy()
+        return a.transpose(0, 2, 1), rng  # every slice Fortran-ordered
+
+    @pytest.mark.parametrize("K", [1, 3, 64])
+    def test_in_place_is_bit_identical_to_a_copy(self, K):
+        a, rng = self._fortran_stack(K, 9, K)
+        want = LU(a)
+        original = a.copy()
+        got = LU(a, overwrite_a=True)
+        assert np.shares_memory(got._lu, a) and not np.array_equal(a, original)
+        assert np.array_equal(got._lu, want._lu) and np.array_equal(got._piv, want._piv)
+        b = rng.standard_normal((K, 9, 2))
+        assert np.array_equal(got.solve(b), want.solve(b))
+
+    @pytest.mark.parametrize("make", [
+        lambda a: np.ascontiguousarray(a),  # C-ordered slices
+        lambda a: np.asfortranarray(a),  # Fortran-ordered as a whole, not per slice
+        lambda a: a[::2],  # strided
+        lambda a: np.asfortranarray(a[0]).astype(np.float32),  # another dtype
+    ])
+    def test_other_layouts_are_copied(self, make):
+        a = make(self._fortran_stack(4, 6, 5)[0])
+        before = a.copy()
+        got = LU(a, overwrite_a=True)
+        assert np.array_equal(a, before) and not np.shares_memory(got._lu, a)
+        assert np.array_equal(got._lu, LU(a)._lu)
+
+    def test_single_matrix_in_place(self):
+        a = np.asfortranarray(self._fortran_stack(1, 12, 3)[0][0])
+        want = LU(a)
+        got = LU(a, overwrite_a=True)
+        assert np.shares_memory(got._lu, a) and got._lu.shape == (12, 12)
+        assert np.array_equal(got._lu, want._lu) and np.array_equal(got._piv, want._piv)
+
+    def test_read_only_input_is_copied(self):
+        a, _ = self._fortran_stack(2, 4, 8)
+        a.flags.writeable = False
+        got = LU(a, overwrite_a=True)
+        assert not np.shares_memory(got._lu, a) and np.array_equal(got._lu, LU(a)._lu)
+
+    @pytest.mark.parametrize("overwrite_a", [False, True])
+    def test_last_chunk_is_checked(self, overwrite_a, monkeypatch):
+        # chunks of 3 blocks: block 7 is alone in the last chunk, and is named
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 3 * 5 * 5)
+        a, _ = self._fortran_stack(7, 5, 13)
+        bad = a.copy()
+        bad[6, 2, 3] = np.nan
+        with pytest.raises(ValueError, match=r"infs or NaNs \(diagonal block 7\)"):
+            LU(bad, overwrite_a=overwrite_a)
+        singular = a.copy()
+        # column 4 = 2 * column 1, and row 3 holds the largest row sum, which
+        # elimination changes: the threshold is measured before factoring
+        singular[6, :, 4] = 2.0 * singular[6, :, 1]
+        singular[6, 3, 2] += 50.0
+        norm = np.abs(singular[6]).sum(axis=1).max()
+        with pytest.raises(SingularMatrixError, match="diagonal block 7") as excinfo:
+            LU(singular, overwrite_a=overwrite_a)
+        assert excinfo.value.block == 7
+        assert excinfo.value.threshold == pytest.approx(linalg.PIVOT_RTOL * norm, rel=1e-14, abs=0)
+
+    def test_chunks_cover_the_stack_in_order(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 100)
+        assert list(linalg._chunks(7, 30)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert list(linalg._chunks(2, 1000)) == [slice(0, 1), slice(1, 2)]
+        assert list(linalg._chunks(0, 30)) == []
+
+
 class TestRightHandSideShape:
     @pytest.mark.parametrize("shape", [(4,), (1, 4), (2, 4), (5,), (5, 4, 2, 1), (5, 3)])
     def test_stack_rejects(self, shape):

@@ -71,6 +71,10 @@ HOLDERS = {
         (1, 1), lambda a: fredholm_operator(_returns(a), CFG), lambda o: o),
     "OperationalMatrix.P": _computed(
         (3,), lambda a: build_p(BasisConfig(Partition(a), 3)), lambda o: o),
+    "AssembledSystem.Ahat": _computed(
+        (2, 2), lambda a: _system(A=_returns(a)), lambda o: o.Ahat),
+    "AssembledSystem.Bhat": _computed(
+        (2, 1), lambda a: _system(B=_returns(a)), lambda o: o.Bhat),
     "AssembledSystem.phi_blocks": _computed(
         (2, 2), lambda a: _system(A=_returns(a)), lambda o: o.phi_blocks),
     "AssembledSystem.b_blocks": _computed(
@@ -117,7 +121,8 @@ def _assert_read_only(a):
 
 
 def _held(asm):
-    return (asm.phi_blocks, asm.b_blocks, asm.Q, asm.PkronT, asm.Bop, asm.system_matrix)
+    return (asm.Ahat, asm.Bhat, asm.phi_blocks, asm.b_blocks, asm.Q, asm.PkronT, asm.Bop,
+            asm.system_matrix)
 
 
 def test_assembled_system_owns_read_only_arrays():

@@ -23,6 +23,7 @@ SHARED = {
     "block integral weights": lambda: block_integral_weights(5),
     "product tensor": lambda: product_tensor(5),
     "fold weights": lambda: kernel._fold_weights(5),
+    "march weights": lambda: solver._march_weights(5),
     "breakpoint array": lambda: PARTITION.breakpoint_array,
     "width array": lambda: PARTITION.width_array,
 }
@@ -40,7 +41,8 @@ def test_repeated_calls_return_the_same_object(name):
     assert SHARED[name]() is SHARED[name]()
 
 
-@pytest.mark.parametrize("build", [build_phat, product_tensor, kernel._fold_weights])
+@pytest.mark.parametrize("build", [build_phat, product_tensor, kernel._fold_weights,
+                                   solver._march_weights])
 def test_cache_is_keyed_by_type(build):
     """A float size fails as it does uncached, also after the int size is cached."""
     build(3)
@@ -103,6 +105,7 @@ def touch_every_constant(cfg: BasisConfig) -> None:
     nodes(cfg, rule)
     pt_parts(cfg, np.zeros((cfg.K, cfg.M, 1)))
     kernel._fold_weights(cfg.M)
+    solver._march_weights(cfg.M)
 
 
 def test_many_configs_leave_no_module_level_entries():

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bpcheb import exprlang, solver
+from bpcheb import exprlang, linalg, solver
 from bpcheb.problem import load
 from bpcheb import kernel as kernel_module
 from bpcheb.basis import BasisConfig, Partition
-from bpcheb.expansion import ExpansionError, _Nodes, expand_vector
+from bpcheb.expansion import ExpansionError, _Nodes, expand_vector, product_blocks
 from bpcheb.linalg import LU, SingularMatrixError, inf_norm
 from bpcheb.solver import (
     HybridSolution, SolveError, SystemSpec, assemble, hybrid_solve, residual, solve,
@@ -277,8 +277,9 @@ class TestSolve:
         first = asm._march
         solve(asm, lambda t: np.array([t]))
         assert asm._march is first
-        # no dense operator is formed without a kernel
-        assert not {"PkronT", "Bop", "system_matrix", "_lu"} & set(vars(asm))
+        # no product operator and no dense operator is formed without a kernel
+        formed = {"phi_blocks", "b_blocks", "PkronT", "Bop", "system_matrix", "_lu"}
+        assert not formed & set(vars(asm))
 
     def test_factorization_reused_across_controls_on_non_uniform_partition(self, monkeypatch):
         spec = SystemSpec(n=2, r=2, t0=-0.5, tf=1.5, x0=[1.0, -2.0], A=expdecay_A,
@@ -286,7 +287,7 @@ class TestSolve:
         cfg = BasisConfig(Partition((-0.5, -0.4, 0.1, 0.15, 0.9, 1.5)), 9)
         asm = assemble(spec, cfg)
         factored = []
-        monkeypatch.setattr(solver, "LU", lambda a: factored.append(a.shape) or LU(a))
+        monkeypatch.setattr(solver, "LU", lambda a, **kw: factored.append(a.shape) or LU(a, **kw))
         controls = [lambda t: np.array([1.0, 0.0]), lambda t: np.array([np.sin(3 * t), t]),
                     None, lambda t: np.array([np.exp(t), -t * t])]
         for u in controls:
@@ -294,6 +295,22 @@ class TestSolve:
             expected = dense_reference_solve(asm, u)
             assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
         assert factored == [(5, 18, 18)]  # one stack of K = 5 blocks, factored once
+
+    @pytest.mark.parametrize("with_kernel", [False, True])
+    def test_control_is_not_sampled_without_b(self, with_kernel, expdecay_system):
+        # residual ignores u without B; solve does too, so a failing u cannot stop it
+        def failing_u(t):
+            raise ZeroDivisionError("division by zero")
+
+        spec = dataclasses.replace(expdecay_system, B=None,
+                                   N=expdecay_system.N if with_kernel else None)
+        cfg = BasisConfig(Partition((0.0, 0.3, 0.45, 1.0)), 6)
+        asm = assemble(spec, cfg)
+        want = solve(asm, None).xhat
+        assert np.array_equal(solve(asm, failing_u).xhat, want)
+        sol = hybrid_solve(dataclasses.replace(spec, u=failing_u), cfg)
+        assert np.array_equal(sol.xhat, want)
+        assert math.isfinite(residual(dataclasses.replace(spec, u=failing_u), sol, [0.2, 0.49]))
 
     def test_factorization_reused_across_controls_with_kernel(self, expdecay_system):
         asm = assemble(expdecay_system, BasisConfig.uniform(0, 1, 2, 4))
@@ -415,6 +432,73 @@ class TestBlockMarch:
             asm = assemble(spec, cfg)
             got = solve(asm, spec.u).xhat.reshape(-1)
             assert np.array_equal(got, dense_reference_solve(asm, spec.u))
+
+    @pytest.mark.parametrize("n,M,chunk", [(2, 16, None), (1, 5, 3), (2, 3, 4), (3, 4, 1)])
+    def test_chunk_edges_agree_with_dense_oracle(self, n, M, chunk, monkeypatch):
+        # K of one block, one chunk less one, one chunk and one chunk more, on random
+        # partitions; chunk=None is the library's own chunk size at M=16, n=2
+        m = M * n
+        if chunk is not None:
+            monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", chunk * m * m)
+        chunk = linalg._CHUNK_ENTRIES // (m * m)
+        rng = np.random.default_rng([n, M])
+        a0, a1 = rng.uniform(-1, 1, (2, n, n))
+        b0 = rng.uniform(-1, 1, (n, 1))
+        spec = SystemSpec(n=n, r=1, t0=0.0, tf=1.0, x0=rng.uniform(-1, 1, n),
+                          A=lambda t: a0 + a1 * np.sin(3 * t), B=lambda t: b0 * np.exp(t),
+                          u=lambda t: np.cos(t))
+        for K in sorted({1, chunk - 1, chunk, chunk + 1} - {0}):
+            bp = np.sort(rng.uniform(0, 1, K - 1))
+            asm = assemble(spec, BasisConfig(Partition((0.0, *bp, 1.0)), M))
+            got = solve(asm, spec.u).xhat.reshape(-1)
+            expected = dense_reference_solve(asm, spec.u)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(got - expected)) <= 1e-13 * scale, K
+
+    def test_singular_block_in_the_last_chunk_is_named(self, monkeypatch):
+        # M=1: D_k = I - (d_k/2) A_k, so A_K = (2/d_K)(I - D_K) gives the singular
+        # D_K = [[0, 0, 0], [1, 1, 0], [1, 0, 1]], whose LU factors have a larger
+        # row sum (3) than D_K (2); with chunks of 3 blocks, block K=7 is alone
+        # in the last chunk
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 3 * 3 * 3)
+        K = 7
+        last = 2.0 * K * np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        spec = SystemSpec(n=3, r=1, t0=0, tf=1, x0=[1.0, 1.0, 1.0],
+                          A=lambda t: last if t > (K - 1) / K else np.eye(3))
+        asm = assemble(spec, BasisConfig.uniform(0, 1, K, 1))
+        with pytest.raises(SingularMatrixError, match=f"diagonal block {K}") as excinfo:
+            solve(asm, None)
+        assert excinfo.value.block == K
+        assert abs(excinfo.value.pivot) <= excinfo.value.threshold
+        # the threshold is PIVOT_RTOL times the inf-norm of the oracle's block D_K,
+        # measured before it is factored
+        D_K = dense_reference_system(asm, None)[0][-3:, -3:]
+        want = linalg.PIVOT_RTOL * np.abs(D_K).sum(axis=1).max()
+        assert want == pytest.approx(2 * linalg.PIVOT_RTOL, rel=1e-14, abs=0)
+        assert excinfo.value.threshold == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n_out,n_in,M", [(1, 1, 1), (2, 3, 5), (3, 1, 8)])
+    def test_products_match_the_product_operators(self, n_out, n_in, M):
+        rng = np.random.default_rng([n_out, n_in, M])
+        coeffs, z = rng.standard_normal((4, M, n_out, n_in)), rng.standard_normal((4, M, n_in))
+        blocks = product_blocks(coeffs)
+        want = np.stack([blocks[k] @ z[k].reshape(-1) for k in range(4)]).reshape(4, M, n_out)
+        np.testing.assert_allclose(solver._products(coeffs, z), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("K", [64, 512])
+    def test_peak_memory_stays_near_the_lu_factors(self, K):
+        # the LU factors are the only array of size K (Mn)^2 that a kernel-free solve makes
+        spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, 3.0], A=expdecay_A, B=_manufactured_B,
+                          u=_decay_u)
+        cfg = BasisConfig.uniform(0, 1, K, 16)
+        tracemalloc.start()
+        try:
+            hybrid_solve(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = K * (16 * 2) ** 2 * 8
+        assert peak < 2.5 * stack, peak / stack
 
     def test_fine_mesh_without_dense_matrix(self):
         # K=512, M=16, n=2: the dense system matrix alone would take 2 GiB
