@@ -68,11 +68,12 @@ def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
 
     With t given, f is a kernel and the samples are f(t, s) for s on the grid;
     an array t of outer times prefixes its shape.  f's arguments, built once,
-    are read-only arrays of one shape lead = t's shape + (K, q): (grid,), or
-    (t, s) broadcast against each other; a point is one entry of each.  Each
-    sample becomes a float array of at least ndim dimensions (ndim 1:
-    flattened to a vector) and must have the given shape; without one, the
-    first sample sets it.
+    are read-only arrays of one shape lead = t's shape + (K, q): a datum of t
+    alone gets one, a read-only view of grid itself (so a write to it raises
+    and leaves grid as it was), and a kernel gets (t, s) broadcast against
+    each other; a point is one entry of each.  Each sample becomes a float
+    array of at least ndim dimensions (ndim 1: flattened to a vector) and
+    must have the given shape; without one, the first sample sets it.
 
     f is first called for the whole grid (see _sample_grid), then, when
     that result is not kept, once per point (see _sample_points).  Either
@@ -85,14 +86,18 @@ def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
     masked intermediates); any other warning of f reaches the caller from
     every call, kept or not.
     """
-    lead = np.shape(t) + grid.shape
-    points = (grid,) if t is None else (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
-    args = tuple(np.broadcast_to(p, lead) for p in points)
+    if t is None:
+        args = (read_only(grid.view()),)
+    else:
+        lead = np.shape(t) + grid.shape
+        points = (np.reshape(t, np.shape(t) + (1,) * grid.ndim), grid)
+        args = tuple(np.broadcast_to(p, lead) for p in points)
     vals = _sample_grid(f, args, ndim, shape, axes)
     if vals is None:
         vals = _sample_points(f, args, name, ndim, shape)
     _require_finite(vals, args, name)
-    return np.ascontiguousarray(vals.transpose(axes or tuple(range(vals.ndim))))
+    # both paths return C-contiguous samples in the natural order: only axes needs a copy
+    return vals if axes is None else np.ascontiguousarray(vals.transpose(axes))
 
 
 def _sample_points(f: Callable, args: tuple, name: str, ndim: int,
@@ -227,7 +232,7 @@ def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None,
         raise ValueError(f"shape {vals.shape} does not end in {lead}")
     vals = vals.reshape((1,) * (ndim - nv) + vals.shape)  # pad in front, like ndmin
     nv = max(nv, ndim)
-    vals = np.moveaxis(vals, range(nv), range(-nv, 0))
+    vals = vals.transpose((*range(nv, vals.ndim), *range(nv)))  # value axes last
     vals = vals.reshape(lead + (-1,)) if ndim == 1 else vals
     scale = max(vals.max(), -vals.min())  # the largest magnitude (or NaN), with no temporary
     if shape not in (None, vals.shape[len(lead):]) or np.isnan(scale):

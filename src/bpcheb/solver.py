@@ -35,9 +35,11 @@ read-only arrays it made and never copies: the hybrid coefficients of A and
 B, (K, M, n, n) and (K, M, n, r), and Q, a (KMn, KMn) array.
 
 Either way the factors are computed at the first solve and serve any number
-of controls.  Every solve checks the defect of its answer with
-AssembledSystem.apply, which multiplies by A by the product rule on its
-coefficients (expansion.product_tensor) and integrates by apply_pt.
+of controls.  Every solve checks the defect b - S x of its answer x against
+the matrix S that it inverted, by AssembledSystem.apply: with a kernel, one
+product with system_matrix, the dense matrix the LU factored; without one,
+S is not formed, so A's part is applied by the product rule on its
+coefficients (expansion.product_tensor) and integrated by apply_pt.
 """
 
 from __future__ import annotations
@@ -151,9 +153,11 @@ class AssembledSystem:
     blocks.  PkronT is apply_pt applied to the identity, and Bop, the
     control's dense operator, holds b_blocks on its diagonal blocks.  Later
     solves share the factors; concurrent solves are safe, since linalg
-    serializes its LAPACK calls.  The system owns the arrays it builds: each
-    is made here, frozen in place and never copied.  The dense operators are
-    read-only too.
+    serializes its LAPACK calls.  apply(x), which solve's defect check uses,
+    is S x for the S that the solves invert: system_matrix @ x with a kernel,
+    and without one the product rule on Ahat integrated by apply_pt.  The
+    system owns the arrays it builds: each is made here, frozen in place and
+    never copied.  The dense operators are read-only too.
     """
 
     def __init__(self, spec: SystemSpec, cfg: BasisConfig):
@@ -166,12 +170,14 @@ class AssembledSystem:
         self.Q = None if spec.N is None else fredholm_operator(spec.N, cfg, expect=("N", (n, n)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """[I - (P^T kron I_n) Phi] x, without forming the matrix."""
-        K, M, n = self.cfg.K, self.cfg.M, self.n
-        phix = _products(self.Ahat, x.reshape(K, M, n))
+        """S x, for the matrix S = I - (P^T kron I_n) Phi that the solves invert.
+        With a kernel S is system_matrix, the dense matrix the LU factors, so
+        this is one matrix-vector product; without one, S is not formed, and A's
+        part is applied by the product rule on its coefficients and apply_pt."""
         if self.Q is not None:
-            phix += (self.Q @ x).reshape(K, M, n)
-        return x - apply_pt(self.cfg, phix).reshape(-1)
+            return self.system_matrix @ x
+        K, M, n = self.cfg.K, self.cfg.M, self.n
+        return x - apply_pt(self.cfg, _products(self.Ahat, x.reshape(K, M, n))).reshape(-1)
 
     # product operators and dense operators, which solve uses only for systems with a kernel
 

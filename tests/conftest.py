@@ -17,6 +17,8 @@ import scipy.linalg
 
 from bpcheb import SystemSpec, build_p, expand_vector
 from bpcheb.basis import chebyshev_u_derivative_coeffs, chebyshev_u_series
+from bpcheb.operational import apply_pt
+from bpcheb.solver import _products
 
 E1 = np.exp(-1.0)
 
@@ -227,6 +229,17 @@ def dense_reference_system(asm, u) -> tuple[np.ndarray, np.ndarray]:
         uhat = expand_vector(lambda t: np.atleast_1d(u(t)), asm.cfg).reshape(-1)
         rhs += pkron @ (scipy.linalg.block_diag(*asm.b_blocks) @ uhat)
     return np.eye(rhs.size) - pkron @ phi, rhs
+
+
+def structured_apply(asm, x: np.ndarray) -> np.ndarray:
+    """Oracle for AssembledSystem.apply: [I - (P^T kron I_n) Phi] x without
+    forming the matrix, A's part by the product rule on its coefficients
+    (solver._products), Q's by one product with Q, then integrated by apply_pt."""
+    K, M, n = asm.cfg.K, asm.cfg.M, asm.n
+    phix = _products(asm.Ahat, x.reshape(K, M, n))
+    if asm.Q is not None:
+        phix += (asm.Q @ x).reshape(K, M, n)
+    return x - apply_pt(asm.cfg, phix).reshape(-1)
 
 
 def dense_reference_solve(asm, u) -> np.ndarray:

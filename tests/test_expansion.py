@@ -182,6 +182,34 @@ class TestGridSampling:
         sample(kern, self.GRID, "kernel", 2, t=np.array([0.15, 0.5, 0.8]))
         assert seen[0] == ((3, 2, 3), (3, 2, 3), False, False)
 
+    def test_datum_of_t_gets_one_read_only_view_of_the_grid(self):
+        grid = self.GRID.copy()
+        seen = []
+
+        def f(*x):
+            val = _broadcasting(*x)
+            if isinstance(x[0], np.ndarray) and x[0].ndim:  # the grid call, not a probe
+                seen.append((len(x), x[0].shape, x[0].flags.writeable))
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0][...] = 0.0
+            return val
+
+        got = sample(f, grid, "A", 2)
+        assert seen == [(1, (2, 3), False)]
+        assert np.array_equal(grid, self.GRID)
+        assert np.array_equal(got, sample(pointwise(_broadcasting), self.GRID, "A", 2))
+
+    # the samples of a datum of t alone (A and B with ndim 2, u with ndim 1) on every
+    # path equal the pointwise samples bit for bit, as one C-contiguous array
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("make", [
+        lambda: _broadcasting, lambda: _ragged, lambda: pointwise(_ragged), _overwriting,
+    ], ids=["array", "nodes", "pointwise", "overwrites"])
+    def test_datum_of_t_samples_on_every_path(self, make, ndim):
+        got = sample(make(), self.GRID, "u", ndim)
+        assert got.flags.c_contiguous and got.shape == (2, 3) + ((4,) if ndim == 1 else (2, 2))
+        assert np.array_equal(got, sample(pointwise(_ragged), self.GRID, "u", ndim))
+
     def test_failure_falls_back_to_the_located_error(self):
         def fn(t):
             if np.any(t == 0.7):

@@ -31,6 +31,7 @@ from conftest import (
     reference_derivative,
     reference_residual,
     rk4_reference,
+    structured_apply,
     x0_coefficients,
 )
 
@@ -328,6 +329,32 @@ class TestSolve:
         with pytest.raises(SolveError, match="residual nan exceeds"):
             solve(asm, spec.u)
 
+    # a kernel system's defect is measured against system_matrix, the matrix its LU
+    # factors, and agrees with the structured product to rounding, relative to |S| |x|
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_kernel_apply_is_the_structured_product(self, K, n):
+        spec, cfg = _random_kernel_system(n, 2, 5, K)
+        asm = assemble(spec, cfg)
+        x = np.random.default_rng([K, n]).uniform(-1, 1, K * cfg.M * n)
+        for v in (x, solve(asm, spec.u).xhat.reshape(-1)):
+            scale = np.abs(asm.system_matrix).sum(axis=1).max() * inf_norm(v)
+            assert inf_norm(asm.apply(v) - structured_apply(asm, v)) <= 1e-13 * scale
+            assert np.array_equal(asm.apply(v), asm.system_matrix @ v)
+
+    def test_near_singular_kernel_defects_agree(self):
+        # N = 2 - delta on [0, 1] makes S nearly singular: |x| is about 2/delta
+        delta = 1e-8
+        spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[1.0], N=lambda t, s: 2.0 - delta + 0 * (t + s))
+        asm = assemble(spec, BasisConfig.uniform(0, 1, 4, 6))
+        rhs = x0_coefficients(asm)
+        x = asm._solve(rhs)
+        scale = np.abs(asm.system_matrix).sum(axis=1).max() * inf_norm(x)
+        assert inf_norm(x) > 1e8
+        defect, oracle = inf_norm(asm.apply(x) - rhs), inf_norm(structured_apply(asm, x) - rhs)
+        assert abs(defect - oracle) <= 1e-13 * scale
+        assert max(defect, oracle) <= 1e-14 * scale
+
     @pytest.mark.parametrize("datum", ["A", "N", "u"])
     def test_complex_data_are_rejected(self, datum, expdecay_system):
         # solving for the real part alone would answer a different problem, silently
@@ -389,10 +416,10 @@ def _random_system(rng, n, r, with_a, with_b, with_u):
     return spec, cfg
 
 
-def _random_kernel_system(n, r, M):
-    """Smooth random data with a kernel on a random non-uniform partition of [0, 1], K=4."""
+def _random_kernel_system(n, r, M, K=4):
+    """Smooth random data with a kernel on a random non-uniform partition of [0, 1]."""
     rng = np.random.default_rng([n, r, M])
-    cfg = BasisConfig(Partition((0.0, *np.sort(rng.uniform(0, 1, 3)), 1.0)), M)
+    cfg = BasisConfig(Partition((0.0, *np.sort(rng.uniform(0, 1, K - 1)), 1.0)), M)
     a0, c0 = rng.uniform(-1, 1, (2, n, n))
     b0, b1 = rng.uniform(-1, 1, (2, n, r))
     w = rng.uniform(0.5, 3, r)
