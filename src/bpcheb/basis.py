@@ -34,6 +34,8 @@ __all__ = [
 class Partition:
     """Strictly increasing breakpoints [t_0, ..., t_K] of the time interval;
     block k (1-based) is [t_{k-1}, t_k], that is breakpoints[k - 1:k + 1].
+    Breakpoints that are not a 1-D sequence of reals raise an error naming
+    breakpoints.
 
     breakpoint_array and width_array hold the breakpoints and the block
     widths as read-only float arrays, each computed on first use and kept
@@ -43,7 +45,10 @@ class Partition:
     breakpoints: tuple[float, ...]
 
     def __post_init__(self):
-        bp = tuple(map(float, real_array("breakpoints", self.breakpoints)))
+        bp = real_array("breakpoints", self.breakpoints)
+        if bp.ndim != 1:
+            raise ValueError(f"breakpoints must be a 1-D sequence, got shape {bp.shape}")
+        bp = tuple(map(float, bp))
         object.__setattr__(self, "breakpoints", bp)
         if len(bp) < 2:
             raise ValueError("partition needs at least two breakpoints")
@@ -91,6 +96,8 @@ class BasisConfig:
     M: int
 
     def __post_init__(self):
+        if not isinstance(self.partition, Partition):
+            raise TypeError(f"partition must be a Partition, got {self.partition!r}")
         object.__setattr__(self, "M", as_index("M", self.M))
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
@@ -125,11 +132,12 @@ def as_real(key: str, value) -> float:
 
 
 def real_array(key: str, value) -> np.ndarray:
-    """value as a new float array; bool, int and float entries pass, else TypeError naming key."""
+    """value as a float array, not copied when it is one already (a caller that keeps it
+    copies it); bool, int and float entries pass, else TypeError naming key."""
     a = np.asarray(value)
     if a.dtype.kind not in "biuf":
         raise TypeError(f"{key} must be real numbers, got {value!r}")
-    return a.astype(float)
+    return a.astype(float, copy=False)
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

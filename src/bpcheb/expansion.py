@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisConfig, chebyshev_u_series, read_only
+from .basis import BasisConfig, chebyshev_u_series, read_only, real_array
 from .quadrature import WeightedRule, gauss_u_rule, projection_matrix
 
 __all__ = [
@@ -361,13 +361,14 @@ def synthesize(coeffs: np.ndarray, cfg: BasisConfig, t) -> np.ndarray:
     """Reconstruction sum_{km} f_{km} h_{km}(t) at a time t or at each time of an array t,
     from the (K, M, n) coefficients of expand_vector.
 
-    The result has shape np.shape(t) + (n,).  A time outside [t0, tf], NaN
-    too, raises ValueError naming the first such time in C order.  Only the
-    block containing a time contributes (t_{k-1} <= t < t_k, and t_f in
-    block K), evaluated by one Clenshaw pass over all times.
+    The result has shape np.shape(t) + (n,).  A string or complex time raises
+    TypeError naming t (basis.real_array), and a time outside [t0, tf], NaN
+    too, ValueError naming the first such time in C order.  Only the block
+    containing a time contributes (t_{k-1} <= t < t_k, and t_f in block K),
+    evaluated by one Clenshaw pass over all times.
     """
     p = cfg.partition
-    ts = np.asarray(t, dtype=float)
+    ts = real_array("t", t)
     flat = ts.reshape(-1)
     outside = ~((flat >= p.t0) & (flat <= p.tf))
     if outside.any():

@@ -1,12 +1,12 @@
 """Checked LU: LAPACK's partial-pivot getrf/getrs plus a pivot-magnitude check.
 
-Matrices are plain numpy arrays: one (m, m) matrix, or a stack (K, m, m) of
-independent ones; a single matrix is handled as a stack of one.  Each matrix
-is factored by one direct getrf call into Fortran-ordered storage, which
-getrs then reads without a copy, so the factors and solutions are those of
-scipy.linalg.lu_factor/lu_solve without their per-call wrappers.  The pivot
-check makes singular systems fail loudly with the offending pivot (and, in
-a stack, the offending matrix), instead of returning garbage.
+Matrices come as a stack (K, m, m) of independent plain numpy arrays; one
+matrix is a stack of one.  Each matrix is factored by one direct getrf call
+into Fortran-ordered storage, which getrs then reads without a copy, so the
+factors and solutions are those of scipy.linalg.lu_factor/lu_solve without
+their per-call wrappers.  The pivot check makes singular systems fail loudly
+with the offending pivot and the offending matrix, instead of returning
+garbage.
 
 LAPACK is reached through scipy's compiled module scipy.linalg._flapack,
 loaded straight from its file after importing only the top-level scipy
@@ -60,7 +60,8 @@ _LAPACK_LOCK = threading.Lock()
 class SingularMatrixError(Exception):
     """A pivot fell below the singularity threshold.
 
-    block, when given, is the 1-based diagonal block whose factorization failed.
+    block, when given, is the 1-based matrix of the stack whose factorization
+    failed (LU always gives it); for a stack of one it is 1, the whole matrix.
     """
 
     def __init__(self, pivot_index: int, pivot: float, threshold: float,
@@ -92,8 +93,9 @@ def inf_norm(a: np.ndarray) -> float:
 class LU:
     """Partial-pivot LU factorization reusable across many right-hand sides.
 
-    a is one square matrix (m, m) or a stack (K, m, m) of them.  A singular
-    or non-finite matrix in a stack is named by its 1-based index as
+    a is a stack (K, m, m) of square matrices, one matrix being a stack of
+    one; any other shape raises ValueError naming it.  A singular or
+    non-finite matrix is named by its 1-based index in the stack, as
     SingularMatrixError.block or in the ValueError.
 
     The factors are held in Fortran-ordered storage, a copy of a by default.
@@ -106,26 +108,24 @@ class LU:
 
     def __init__(self, a: np.ndarray, overwrite_a: bool = False):
         a = np.asarray(a, dtype=float)
-        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-            raise ValueError(f"need a square matrix or a stack of them, got shape {a.shape}")
-        stack = a if a.ndim == 3 else a[np.newaxis]
-        K, m, _ = stack.shape
-        if overwrite_a and a.flags.writeable and stack.transpose(0, 2, 1).flags.c_contiguous:
-            lu = stack
+        if a.ndim != 3 or a.shape[-1] != a.shape[-2]:
+            raise ValueError(f"need a stack (K, m, m) of square matrices, got shape {a.shape}")
+        K, m, _ = a.shape
+        if overwrite_a and a.flags.writeable and a.transpose(0, 2, 1).flags.c_contiguous:
+            lu = a
         else:
             lu = np.empty((K, m, m)).transpose(0, 2, 1)  # every slice Fortran-ordered
         piv = np.empty((K, m), dtype=np.int32)
         thresholds = np.empty(K)
         for rows in _chunks(K, m * m):
-            block = stack[rows]
+            block = a[rows]
             finite = np.isfinite(block).all(axis=(1, 2))
             if not finite.all():
                 k = rows.start + np.argmin(finite)
-                where = f" (diagonal block {k + 1})" if a.ndim == 3 else ""
-                raise ValueError(f"matrix must not contain infs or NaNs{where}")
+                raise ValueError(f"matrix must not contain infs or NaNs (diagonal block {k + 1})")
             # PIVOT_RTOL times the inf-norm of each matrix, measured before it is factored
             thresholds[rows] = PIVOT_RTOL * (np.abs(block) @ np.ones(m)).max(axis=1)
-            if lu is not stack:
+            if lu is not a:
                 lu[rows] = block
             with _LAPACK_LOCK:
                 for k in range(rows.start, rows.stop):
@@ -138,36 +138,24 @@ class LU:
             k = int(np.argmax(singular))
             worst = int(np.argmin(diag[k]))
             raise SingularMatrixError(worst, float(diag[k, worst]), float(thresholds[k]),
-                                      block=k + 1 if a.ndim == 3 else None)
-        # factors and pivots in the shape of a: (K, m, m) and (K, m), or (m, m) and (m,)
-        self._lu, self._piv = (lu, piv) if a.ndim == 3 else (lu[0], piv[0])
+                                      block=k + 1)
+        self._lu, self._piv = lu, piv  # (K, m, m) and (K, m)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with a x = b: b is (m,) or (m, p) for one matrix, (K, m) or
-        (K, m, p) for a stack."""
+        """x with a x = b, matrix by matrix: b is (K, m) or (K, m, p)."""
         b = np.asarray(b, dtype=float)
-        lu, piv = self._lu, self._piv
-        single = lu.ndim == 2
-        lead = lu.shape[:-1]  # (m,) or (K, m)
-        if b.shape[:len(lead)] != lead or b.ndim - len(lead) not in (0, 1):
-            dims = ", ".join(map(str, lead))
-            raise ValueError(
-                f"right-hand side of shape {b.shape} does not fit the "
-                f"{'matrix' if single else 'stack'} of shape {lu.shape}: "
-                f"expected ({dims}) or ({dims}, p)"
-            )
+        K, m, _ = self._lu.shape
+        if b.shape[:2] != (K, m) or b.ndim not in (2, 3):
+            raise ValueError(f"right-hand side of shape {b.shape} does not fit the stack of "
+                             f"shape {self._lu.shape}: expected ({K}, {m}) or ({K}, {m}, p)")
         if not np.isfinite(b).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
-        p = b.shape[-1] if b.ndim > len(lead) else 1
-        if single:
-            lu, piv, b = lu[np.newaxis], piv[np.newaxis], b[np.newaxis]
-        K, m = b.shape[:2]
+        p = b.shape[2] if b.ndim == 3 else 1
         x = np.empty((K, p, m)).transpose(0, 2, 1)  # Fortran-ordered (m, p) slices
         x[...] = b.reshape(K, m, p)
         with _LAPACK_LOCK:
-            for lu_k, piv_k, x_k in zip(lu, piv, x):
+            for lu_k, piv_k, x_k in zip(self._lu, self._piv, x):
                 _, info = _getrs(lu_k, piv_k, x_k, overwrite_b=True)
                 if info < 0:
                     raise ValueError(f"illegal value in argument {-info} of getrs")
-        x = np.ascontiguousarray(x).reshape(b.shape)  # C order, like b
-        return x[0] if single else x
+        return np.ascontiguousarray(x).reshape(b.shape)  # C order, like b

@@ -25,10 +25,12 @@ Fredholm operator Q of N, and X0hat the coefficients of the constant x0
   factors are the one array of size K(Mn)^2, every temporary holds at most
   one chunk of blocks, and no product operator is formed.
 * With a kernel, Q couples every pair of blocks, so the dense system matrix
-  is formed and LU-factored.  Its dense P^T kron I_n is apply_pt applied to
-  an identity, so no Kronecker product is taken; its Phi is Q with the
-  product operators of A (expansion.product_blocks) added onto its diagonal
-  blocks, and Bop holds those of B on its diagonal blocks.
+  is formed and LU-factored as a linalg.LU stack of one.  Its dense
+  P^T kron I_n is apply_pt applied to an identity, so no Kronecker product
+  is taken; its Phi is Q with the product operators of A
+  (expansion.product_blocks) added onto its diagonal blocks, and Bop holds
+  those of B on its diagonal blocks; each set of product operators is built
+  where it is read, and not kept.
 
 AssembledSystem(spec, cfg) holds what these are built from, as plain
 read-only arrays it made and never copies: the hybrid coefficients of A and
@@ -114,7 +116,7 @@ class SystemSpec:
             object.__setattr__(self, key, as_real(key, getattr(self, key)))
         if not self.tf > self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
-        x0 = read_only(real_array("x0", self.x0).reshape(-1))
+        x0 = read_only(real_array("x0", self.x0).flatten())  # a copy: the caller keeps its flags
         if x0.size != self.n:
             raise ValueError(f"x0 has {x0.size} components, expected n={self.n}")
         if not np.isfinite(x0).all():
@@ -132,10 +134,7 @@ class AssembledSystem:
     Fredholm operator of N (kernel.fredholm_operator), or None without a
     kernel.  All of them, and the control's coefficients in solve, are
     projections on expansion.default_rule.  x0 is spec.x0 itself, the spec's
-    read-only copy; n and r are the spec's.  phi_blocks (K, Mn, Mn) and
-    b_blocks (K, Mn, Mr), the product operators of A and B
-    (expansion.product_blocks, block k's at index k-1), are built when first
-    read; only the dense operators read them.
+    read-only copy; n and r are the spec's.
 
     Without a kernel, block k satisfies D_k x_k = rhs_k + (e_0 kron I_n) c_k
     with D_k = I - (d_k/2)(Phat^T kron I_n) Phi_k and the carry
@@ -149,9 +148,11 @@ class AssembledSystem:
     y_k = D_k^-1 rhs_k for all blocks at once, the n-dimensional recurrence
     c_1 = 0, c_{k+1} = T_k c_k + S_k y_k, and x_k = y_k + G_k c_k.  With a
     kernel, the first solve LU-factors the dense system_matrix
-    I - PkronT @ Phi, with Phi a copy of Q plus phi_blocks on its diagonal
-    blocks.  PkronT is apply_pt applied to the identity, and Bop, the
-    control's dense operator, holds b_blocks on its diagonal blocks.  Later
+    I - PkronT @ Phi as a stack of one, with Phi a copy of Q plus the product
+    operators of A (expansion.product_blocks, block k's on diagonal block k)
+    added in place.  PkronT is apply_pt applied to the identity, and Bop, the
+    control's dense operator, holds the product operators of B on its
+    diagonal blocks; neither set of product operators is kept.  Later
     solves share the factors; concurrent solves are safe, since linalg
     serializes its LAPACK calls.  apply(x), which solve's defect check uses,
     is S x for the S that the solves invert: system_matrix @ x with a kernel,
@@ -179,17 +180,7 @@ class AssembledSystem:
         K, M, n = self.cfg.K, self.cfg.M, self.n
         return x - apply_pt(self.cfg, _products(self.Ahat, x.reshape(K, M, n))).reshape(-1)
 
-    # product operators and dense operators, which solve uses only for systems with a kernel
-
-    @cached_property
-    def phi_blocks(self) -> np.ndarray:
-        return read_only(product_blocks(self.Ahat))
-
-    @cached_property
-    def b_blocks(self) -> np.ndarray:
-        K, M, n, r = self.cfg.K, self.cfg.M, self.n, self.r
-        Bhat = np.zeros((K, M, n, r)) if self.Bhat is None else self.Bhat
-        return read_only(product_blocks(Bhat))
+    # dense operators, which solve uses only for systems with a kernel
 
     @cached_property
     def PkronT(self) -> np.ndarray:
@@ -197,19 +188,18 @@ class AssembledSystem:
 
     @cached_property
     def Bop(self) -> np.ndarray:
-        K, Mn, Mr = self.b_blocks.shape
-        return read_only(_add_diagonal_blocks(np.zeros((K * Mn, K * Mr)), self.b_blocks))
+        blocks = product_blocks(self.Bhat)
+        K, Mn, Mr = blocks.shape
+        return read_only(_add_diagonal_blocks(np.zeros((K * Mn, K * Mr)), blocks))
 
     @cached_property
     def system_matrix(self) -> np.ndarray:
-        K, Mn = self.phi_blocks.shape[:2]
-        Phi = np.zeros((K * Mn, K * Mn)) if self.Q is None else self.Q.copy()
-        _add_diagonal_blocks(Phi, self.phi_blocks)
-        return read_only(np.eye(K * Mn) - self.PkronT @ Phi)
+        Phi = _add_diagonal_blocks(self.Q.copy(), product_blocks(self.Ahat))
+        return read_only(np.eye(len(Phi)) - self.PkronT @ Phi)
 
     @cached_property
     def _lu(self) -> LU:
-        return LU(self.system_matrix)
+        return LU(self.system_matrix[np.newaxis])
 
     # block march, for systems without a kernel
 
@@ -241,7 +231,7 @@ class AssembledSystem:
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.Q is not None:
-            return self._lu.solve(rhs)
+            return self._lu.solve(rhs[np.newaxis])[0]
         K, M, n = self.cfg.K, self.cfg.M, self.n
         lu, G, S, T = self._march
         y = lu.solve(rhs.reshape(K, M, n).transpose(0, 2, 1).reshape(K, -1))
@@ -346,7 +336,7 @@ class HybridSolution:
     xhat: np.ndarray
 
     def __post_init__(self):
-        xhat = read_only(real_array("xhat", self.xhat))
+        xhat = read_only(real_array("xhat", self.xhat).copy())
         K, M = self.cfg.K, self.cfg.M
         if xhat.ndim != 3 or xhat.shape[:2] != (K, M) or not xhat.shape[2]:
             raise ValueError(f"xhat has shape {xhat.shape}, expected ({K}, {M}, n), n >= 1")
@@ -390,7 +380,9 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
     ExpansionError naming the datum, its t or (t, s), and the block (for N,
     the inner block of the quadrature).  quad_order must be an integer >= 1,
     with or without a kernel.  A spec whose n or [t0, tf] differs from the
-    solution's raises ValueError before anything is sampled.
+    solution's raises ValueError before anything is sampled, and a string or
+    complex time in tgrid raises TypeError naming tgrid
+    (basis.real_array).
     """
     quad_order = as_index("quad_order", quad_order)
     if quad_order < 1:
@@ -398,7 +390,7 @@ def residual(spec: SystemSpec, sol: HybridSolution, tgrid: Sequence[float],
     _check_window(spec, sol.cfg)
     if spec.n != sol.xhat.shape[2]:
         raise ValueError(f"the system has n={spec.n} but the solution has n={sol.xhat.shape[2]}")
-    ts = np.asarray(tgrid, dtype=float).reshape(-1)
+    ts = real_array("tgrid", tgrid).reshape(-1)
     if not ts.size:
         return 0.0
     x = sol.evaluate(ts)  # (len(ts), n); rejects times outside [t0, tf]

@@ -17,6 +17,7 @@ import scipy.linalg
 
 from bpcheb import SystemSpec, build_p, expand_vector
 from bpcheb.basis import chebyshev_u_derivative_coeffs, chebyshev_u_series
+from bpcheb.expansion import product_blocks
 from bpcheb.operational import apply_pt
 from bpcheb.solver import _products
 
@@ -215,19 +216,19 @@ def x0_coefficients(asm) -> np.ndarray:
 def dense_reference_system(asm, u) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for solve: the dense matrix I - kron(P^T, I_n) Phi and its right-hand side.
 
-    Phi is the block diagonal of asm.phi_blocks plus the Fredholm operator;
-    the control enters through kron(P^T, I_n) times the block diagonal of
-    asm.b_blocks.  Every system was solved this way before the block march,
-    and kernel systems still are.
+    Phi is the block diagonal of A's product operators (product_blocks) plus
+    the Fredholm operator; the control enters through kron(P^T, I_n) times the
+    block diagonal of B's, and not at all without B.  Every system was solved
+    this way before the block march, and kernel systems still are.
     """
     pkron = np.kron(build_p(asm.cfg).T, np.eye(asm.n))
-    phi = scipy.linalg.block_diag(*asm.phi_blocks)
+    phi = scipy.linalg.block_diag(*product_blocks(asm.Ahat))
     if asm.Q is not None:
         phi += asm.Q
     rhs = x0_coefficients(asm)
-    if u is not None:
+    if u is not None and asm.Bhat is not None:
         uhat = expand_vector(lambda t: np.atleast_1d(u(t)), asm.cfg).reshape(-1)
-        rhs += pkron @ (scipy.linalg.block_diag(*asm.b_blocks) @ uhat)
+        rhs += pkron @ (scipy.linalg.block_diag(*product_blocks(asm.Bhat)) @ uhat)
     return np.eye(rhs.size) - pkron @ phi, rhs
 
 

@@ -12,6 +12,7 @@ from bpcheb.basis import (
     chebyshev_u_derivative_coeffs,
     chebyshev_u_eval,
     chebyshev_u_series,
+    real_array,
 )
 from bpcheb.operational import build_p
 
@@ -98,6 +99,24 @@ class TestBasisConfig:
     def test_accepts_numpy_integers(self):
         cfg = BasisConfig.uniform(0, 1, np.int64(2), np.int32(3))
         assert (cfg.K, cfg.M) == (2, 3) and type(cfg.M) is int
+
+    # rejected where they enter, naming the key, not by numpy or a later attribute lookup
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Partition([[0, 1], [2, 3]]), ValueError,
+         "breakpoints must be a 1-D sequence, got shape (2, 2)"),
+        (lambda: Partition(5.0), ValueError, "breakpoints must be a 1-D sequence, got shape ()"),
+        (lambda: BasisConfig("x", 3), TypeError, "partition must be a Partition, got 'x'"),
+    ], ids=["2-D breakpoints", "scalar breakpoints", "partition not a Partition"])
+    def test_malformed_partition_names_its_key(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
+
+class TestRealArray:
+    def test_a_float_array_is_not_copied(self):
+        # evaluation times pass here on every evaluate
+        a = np.linspace(0.0, 1.0, 5)
+        assert real_array("t", a) is a
 
 
 class TestChebyshevU:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from bpcheb import solver
 from bpcheb.cli import emit_csv, emit_text_table, main
 
 PROBLEMS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -88,6 +89,19 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfgfile)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("bpcheb: input error: [solve].breakpoints: must span")
+
+    def test_states_go_through_solver_synthesize(self, capsys, monkeypatch):
+        # the benchmark self-test perturbs every printed state through this name
+        assert main(["solve", "--config", POLY]) == 0
+        clean = _columns(capsys.readouterr().out)
+        original = solver.synthesize
+        monkeypatch.setattr(solver, "synthesize", lambda *args: original(*args) + 1.0)
+        main(["solve", "--config", POLY])
+        perturbed = _columns(capsys.readouterr().out)
+        assert perturbed["t"] == clean["t"] and perturbed["exact1"] == clean["exact1"]
+        for key in ("x1", "x2"):
+            np.testing.assert_allclose(np.float64(perturbed[key]), np.float64(clean[key]) + 1.0,
+                                       rtol=0, atol=1e-12)
 
     def test_deterministic_output(self, capsys):
         main(["solve", "--config", POLY])

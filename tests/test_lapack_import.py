@@ -55,8 +55,9 @@ def test_same_functions_as_get_lapack_funcs(bpcheb_first):
         print(_getrf is getrf, _getrs is getrs)
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((40, 40)), rng.standard_normal((40, 3))
-        (lu, piv), ours = lu_factor(a), LU(a)
-        print(np.array_equal(lu, ours._lu), np.array_equal(lu_solve((lu, piv), b), ours.solve(b)))
+        (lu, piv), ours = lu_factor(a), LU(a[np.newaxis])
+        print(np.array_equal(lu, ours._lu[0]),
+              np.array_equal(lu_solve((lu, piv), b), ours.solve(b[np.newaxis])[0]))
     """)
     assert out.split("\n") == ["True True", "True True", ""]
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,43 +11,51 @@ from conftest import in_threads
 
 
 class TestLuSolve:
+    """One matrix is factored and solved as a stack of one."""
+
     def test_identity(self):
-        b = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_allclose(LU(np.eye(3)).solve(b), b)
+        b = np.array([[3.0, -1.0, 2.0]])
+        np.testing.assert_allclose(LU(np.eye(3)[np.newaxis]).solve(b), b)
 
     def test_diagonal(self):
-        np.testing.assert_allclose(LU(np.diag([2.0, 4.0])).solve([2.0, 8.0]), [1.0, 2.0])
+        got = LU(np.diag([2.0, 4.0])[np.newaxis]).solve([[2.0, 8.0]])
+        np.testing.assert_allclose(got, [[1.0, 2.0]])
 
     def test_random_system_residual(self):
         rng = np.random.default_rng(17)
         a = rng.standard_normal((50, 50)) + 50 * np.eye(50)
         b = rng.standard_normal(50)
-        x = LU(a).solve(b)
+        x = LU(a[np.newaxis]).solve(b[np.newaxis])[0]
         assert inf_norm(a @ x - b) <= 1e-10 * (1.0 + inf_norm(b))
 
     def test_round_trip(self):
         rng = np.random.default_rng(23)
         a = rng.standard_normal((30, 30)) + 10 * np.eye(30)
         x = rng.standard_normal(30)
-        np.testing.assert_allclose(LU(a).solve(a @ x), x, rtol=0, atol=1e-9)
+        got = LU(a[np.newaxis]).solve((a @ x)[np.newaxis])[0]
+        np.testing.assert_allclose(got, x, rtol=0, atol=1e-9)
 
     def test_singular_matrix_reports_pivot(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        a = np.array([[[1.0, 2.0], [2.0, 4.0]]])
         with pytest.raises(SingularMatrixError, match="pivot") as excinfo:
-            LU(a).solve(np.array([1.0, 1.0]))
+            LU(a)
         assert excinfo.value.pivot_index == 1
+        assert excinfo.value.block == 1  # a stack of one names its one matrix
 
     def test_factorization_reuse(self):
         rng = np.random.default_rng(29)
         a = rng.standard_normal((10, 10)) + 5 * np.eye(10)
-        lu = LU(a)
+        lu = LU(a[np.newaxis])
         for _ in range(3):
             b = rng.standard_normal(10)
-            np.testing.assert_allclose(a @ lu.solve(b), b, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(a @ lu.solve(b[np.newaxis])[0], b, rtol=0, atol=1e-10)
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            LU(np.zeros((2, 3)))
+        # a lone matrix, square or not, is not a stack: it raises, naming its shape
+        for shape in [(2, 3), (3, 3), (3,), ()]:
+            match = rf"stack \(K, m, m\) of square matrices, got shape {re.escape(str(shape))}"
+            with pytest.raises(ValueError, match=match):
+                LU(np.zeros(shape))
 
 
 class TestStack:
@@ -59,13 +69,14 @@ class TestStack:
     def test_matches_per_slice_lu_exactly(self):
         a, rng = self._stack(31)
         stack = LU(a)
-        singles = [LU(block) for block in a]
-        assert np.array_equal(stack._lu, np.stack([lu._lu for lu in singles]))
-        assert np.array_equal(stack._piv, np.stack([lu._piv for lu in singles]))
+        singles = [LU(block[np.newaxis]) for block in a]
+        assert np.array_equal(stack._lu, np.concatenate([lu._lu for lu in singles]))
+        assert np.array_equal(stack._piv, np.concatenate([lu._piv for lu in singles]))
         for b in (rng.standard_normal((6, 7)), rng.standard_normal((6, 7, 3))):
             got = stack.solve(b)
             assert got.shape == b.shape
-            assert np.array_equal(got, np.stack([lu.solve(bk) for lu, bk in zip(singles, b)]))
+            want = np.concatenate([lu.solve(bk[np.newaxis]) for lu, bk in zip(singles, b)])
+            assert np.array_equal(got, want)
 
     def test_names_the_first_singular_block(self):
         a, _ = self._stack(37)
@@ -75,9 +86,9 @@ class TestStack:
             LU(a)
         assert excinfo.value.block == 3
         assert excinfo.value.pivot == 0.0
-        with pytest.raises(SingularMatrixError) as excinfo:
-            LU(a[2])
-        assert excinfo.value.block is None
+        with pytest.raises(SingularMatrixError, match="diagonal block 1") as excinfo:
+            LU(a[2:3])
+        assert excinfo.value.block == 1
 
     def test_pivot_threshold_is_per_block(self):
         # a tiny but regular block next to a large one is not singular
@@ -92,14 +103,14 @@ class TestStack:
         a[3, 1, 2] = bad
         with pytest.raises(ValueError, match=r"infs or NaNs \(diagonal block 4\)"):
             LU(a)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            LU(a[3])
+        with pytest.raises(ValueError, match=r"infs or NaNs \(diagonal block 1\)"):
+            LU(a[3:4])
         lu = LU(self._stack(41)[0])
         b[5, 0] = bad
         with pytest.raises(ValueError, match="right-hand side must not contain infs or NaNs"):
             lu.solve(b)
         with pytest.raises(ValueError, match="right-hand side"):
-            LU(np.eye(2)).solve([1.0, bad])
+            LU(np.eye(2)[np.newaxis]).solve([[1.0, bad]])
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="square"):
@@ -135,14 +146,15 @@ class TestAgainstScipy:
             assert np.array_equal(x, self._scipy_solve(a, b))
 
     def test_single_matrix_matches_scipy_exactly(self):
+        # the dense kernel system's LU: one large matrix as a stack of one
         rng = np.random.default_rng(192)
         a = rng.standard_normal((192, 192))
-        lu = LU(a)
+        lu = LU(a[np.newaxis])
         lu_piv = scipy.linalg.lu_factor(a)
-        assert np.array_equal(lu._lu, lu_piv[0]) and np.array_equal(lu._piv, lu_piv[1])
-        assert lu._lu.shape == (192, 192) and lu._lu.flags.f_contiguous
+        assert np.array_equal(lu._lu[0], lu_piv[0]) and np.array_equal(lu._piv[0], lu_piv[1])
+        assert lu._lu.shape == (1, 192, 192) and lu._lu[0].flags.f_contiguous
         for b in (rng.standard_normal(192), rng.standard_normal((192, 4))):
-            assert np.array_equal(lu.solve(b), scipy.linalg.lu_solve(lu_piv, b))
+            assert np.array_equal(lu.solve(b[np.newaxis])[0], scipy.linalg.lu_solve(lu_piv, b))
 
     def test_fortran_ordered_input(self):
         rng = np.random.default_rng(7)
@@ -185,7 +197,7 @@ class TestOverwrite:
         lambda a: np.ascontiguousarray(a),  # C-ordered slices
         lambda a: np.asfortranarray(a),  # Fortran-ordered as a whole, not per slice
         lambda a: a[::2],  # strided
-        lambda a: np.asfortranarray(a[0]).astype(np.float32),  # another dtype
+        lambda a: np.asfortranarray(a[:1]).astype(np.float32),  # another dtype
     ])
     def test_other_layouts_are_copied(self, make):
         a = make(self._fortran_stack(4, 6, 5)[0])
@@ -195,10 +207,10 @@ class TestOverwrite:
         assert np.array_equal(got._lu, LU(a)._lu)
 
     def test_single_matrix_in_place(self):
-        a = np.asfortranarray(self._fortran_stack(1, 12, 3)[0][0])
+        a = np.asfortranarray(self._fortran_stack(1, 12, 3)[0][0])[np.newaxis]
         want = LU(a)
         got = LU(a, overwrite_a=True)
-        assert np.shares_memory(got._lu, a) and got._lu.shape == (12, 12)
+        assert np.shares_memory(got._lu, a) and got._lu.shape == (1, 12, 12)
         assert np.array_equal(got._lu, want._lu) and np.array_equal(got._piv, want._piv)
 
     def test_read_only_input_is_copied(self):
@@ -242,24 +254,24 @@ class TestRightHandSideShape:
         with pytest.raises(ValueError, match=match):
             lu.solve(np.ones(shape))
 
-    @pytest.mark.parametrize("shape", [(3,), (1, 4), (4, 2, 1), ()])
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), (1, 4, 2, 1), ()])
     def test_single_matrix_rejects(self, shape):
-        with pytest.raises(ValueError, match=r"does not fit the matrix of shape \(4, 4\)"):
-            LU(np.eye(4)).solve(np.ones(shape))
+        with pytest.raises(ValueError, match=r"does not fit the stack of shape \(1, 4, 4\)"):
+            LU(np.eye(4)[np.newaxis]).solve(np.ones(shape))
 
     def test_accepted_shapes(self):
-        assert LU(np.eye(4)).solve(np.ones((4, 1))).shape == (4, 1)
+        assert LU(np.eye(4)[np.newaxis]).solve(np.ones((1, 4, 1))).shape == (1, 4, 1)
         assert LU(np.stack([np.eye(4)] * 5)).solve(np.ones((5, 4, 1))).shape == (5, 4, 1)
 
     def test_illegal_lapack_argument_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "_getrf", lambda a, overwrite_a: (a, np.arange(len(a)), -4))
         with pytest.raises(ValueError, match="argument 4 of getrf"):
-            LU(np.eye(3))
+            LU(np.eye(3)[np.newaxis])
         monkeypatch.undo()
-        lu = LU(np.eye(3))
+        lu = LU(np.eye(3)[np.newaxis])
         monkeypatch.setattr(linalg, "_getrs", lambda lu, piv, b, overwrite_b: (b, -2))
         with pytest.raises(ValueError, match="argument 2 of getrs"):
-            lu.solve(np.ones(3))
+            lu.solve(np.ones((1, 3)))
 
 
 class TestInfNorm:

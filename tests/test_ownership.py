@@ -75,10 +75,6 @@ HOLDERS = {
         (2, 2), lambda a: _system(A=_returns(a)), lambda o: o.Ahat),
     "AssembledSystem.Bhat": _computed(
         (2, 1), lambda a: _system(B=_returns(a)), lambda o: o.Bhat),
-    "AssembledSystem.phi_blocks": _computed(
-        (2, 2), lambda a: _system(A=_returns(a)), lambda o: o.phi_blocks),
-    "AssembledSystem.b_blocks": _computed(
-        (2, 1), lambda a: _system(B=_returns(a)), lambda o: o.b_blocks),
     "AssembledSystem.Q": _computed(
         (2, 2), lambda a: _system(N=_returns(a)), lambda o: o.Q),
 }
@@ -121,8 +117,7 @@ def _assert_read_only(a):
 
 
 def _held(asm):
-    return (asm.Ahat, asm.Bhat, asm.phi_blocks, asm.b_blocks, asm.Q, asm.PkronT, asm.Bop,
-            asm.system_matrix)
+    return asm.Ahat, asm.Bhat, asm.Q, asm.PkronT, asm.Bop, asm.system_matrix
 
 
 def test_assembled_system_owns_read_only_arrays():

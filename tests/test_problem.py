@@ -368,7 +368,7 @@ class TestSystemSpec:
             cfg = BasisConfig(Partition(tuple(bp)), M)
         spec, ref = p.system_spec(), interpreter_spec(p)
         asm, want = assemble(spec, cfg), assemble(ref, cfg)
-        for name in ("phi_blocks", "b_blocks", "Q"):
+        for name in ("Ahat", "Bhat", "Q"):
             assert np.array_equal(getattr(asm, name), getattr(want, name)), name
         assert np.array_equal(solve(asm, spec.u).xhat, solve(want, ref.u).xhat)
 

@@ -116,9 +116,8 @@ class TestAssemble:
         spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, -2.0])
         cfg = BasisConfig.uniform(0, 1, 2, 3)
         asm = assemble(spec, cfg)
-        assert asm.phi_blocks.shape == (2, 6, 6) and not asm.phi_blocks.any()
-        assert asm.b_blocks.shape == (2, 6, 3) and not asm.b_blocks.any()
-        assert asm.Q is None
+        assert asm.Ahat.shape == (2, 3, 2, 2) and not asm.Ahat.any()
+        assert asm.Bhat is None and asm.Q is None
         sol = solve(asm, None)
         np.testing.assert_allclose(sol.xhat[:, 0, :], [[1.0, -2.0]] * 2, atol=1e-12)
         np.testing.assert_allclose(sol.xhat[:, 1:, :], 0.0, atol=1e-12)
@@ -128,7 +127,7 @@ class TestAssemble:
         spec = SystemSpec(n=1, r=1, t0=0, tf=1, x0=[0.0], A=lambda t: np.array([[a]]))
         cfg = BasisConfig.uniform(0, 1, 2, 4)
         asm = assemble(spec, cfg)
-        np.testing.assert_allclose(asm.phi_blocks, [a * np.eye(4)] * 2, atol=1e-12)
+        np.testing.assert_allclose(product_blocks(asm.Ahat), [a * np.eye(4)] * 2, atol=1e-12)
 
     def test_basis_domain_mismatch(self):
         spec = SystemSpec(n=1, r=1, t0=0, tf=2, x0=[0.0])
@@ -259,6 +258,16 @@ class TestSolve:
         with pytest.raises(SingularMatrixError, match=r"diagonal block 1: \|pivot 0\|"):
             solve(asm, None)
 
+    def test_singular_kernel_system_names_block_1(self):
+        # the dense kernel system is factored as a stack of one, so block 1 is the whole
+        # matrix: S = diag(1 - 2/2, 1 - 1/2), singular in its first unknown
+        spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, 1.0], A=lambda t: np.diag([2.0, 0.0]),
+                          N=lambda t, s: np.diag([0.0, 1.0]))
+        asm = assemble(spec, BasisConfig.uniform(0, 1, 1, 1))
+        with pytest.raises(SingularMatrixError, match=r"diagonal block 1: \|pivot 0\|") as excinfo:
+            solve(asm, None)
+        assert (excinfo.value.block, excinfo.value.pivot_index) == (1, 0)
+
     def test_singular_block_is_named(self):
         # D_2 = I - (d_2/2) diag(4, 0) = diag(0, 1) on a block of width 1/2;
         # block 1 (A = diag(1, 0)) is regular
@@ -278,8 +287,8 @@ class TestSolve:
         first = asm._march
         solve(asm, lambda t: np.array([t]))
         assert asm._march is first
-        # no product operator and no dense operator is formed without a kernel
-        formed = {"phi_blocks", "b_blocks", "PkronT", "Bop", "system_matrix", "_lu"}
+        # no dense operator is formed without a kernel
+        formed = {"PkronT", "Bop", "system_matrix", "_lu"}
         assert not formed & set(vars(asm))
 
     def test_factorization_reused_across_controls_on_non_uniform_partition(self, monkeypatch):
@@ -369,8 +378,8 @@ class TestSolve:
 
     def test_dense_block_diagonals_match_scipy(self, expdecay_system):
         asm = assemble(expdecay_system, BasisConfig(Partition((0.0, 0.2, 0.7, 1.0)), 6))
-        assert np.array_equal(asm.Bop, scipy.linalg.block_diag(*asm.b_blocks))
-        phi = scipy.linalg.block_diag(*asm.phi_blocks) + asm.Q
+        assert np.array_equal(asm.Bop, scipy.linalg.block_diag(*product_blocks(asm.Bhat)))
+        phi = scipy.linalg.block_diag(*product_blocks(asm.Ahat)) + asm.Q
         assert np.array_equal(asm.system_matrix, np.eye(len(phi)) - asm.PkronT @ phi)
 
     def test_control_shape_mismatch(self):
@@ -675,6 +684,18 @@ class TestTimeRange:
                 assert np.array_equal(np.reshape(at, -1), ends[i])
         empty = _at_times(method, poly_system, sol, np.empty(0))
         assert empty == 0.0 if method == "residual" else np.shape(empty) == (0, 2)
+
+    # a string is not parsed, and a complex time is not cut to its real part
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", ["0.5", np.array([0.5 + 0.5j]), np.array([0.5 + 1j]),
+                                     ["0.25", "0.5"]], ids=["str", "complex", "complex-1j", "strs"])
+    def test_rejects_non_real_times(self, poly_system, method, bad):
+        sol = hybrid_solve(poly_system, BasisConfig.uniform(0, 1, 3, 4))
+        key = "tgrid" if method == "residual" else "t"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(TypeError, match=f"^{key} must be real numbers, got "):
+                _at_times(method, poly_system, sol, bad)
 
     def test_evaluation_goes_through_solver_synthesize(self, poly_system, monkeypatch):
         # the benchmark self-test perturbs every state through this name
