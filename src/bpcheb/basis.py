@@ -61,7 +61,7 @@ class Partition:
     def uniform(cls, t0: float, tf: float, num_blocks: int) -> "Partition":
         num_blocks = as_index("num_blocks", num_blocks)
         if num_blocks < 1:
-            raise ValueError("need at least one block")
+            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
         edges = np.linspace(as_real("t0", t0), as_real("tf", tf), num_blocks + 1)
         return cls(tuple(edges))
 

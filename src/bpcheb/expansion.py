@@ -13,6 +13,7 @@ the rule S_i S_j = sum over r = 0..min(i,j) of S_{i+j-2r}.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable
 
@@ -76,15 +77,16 @@ def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
     must have the given shape; without one, the first sample sets it.
 
     f is first called for the whole grid (see _sample_grid), then, when
-    that result is not kept, once per point (see _sample_points).  Either
-    way a failing call, a sample with a non-zero imaginary part, a sample
-    of another shape, and a NaN or infinite sample raise ExpansionError
-    naming the first such point, in C order over lead, and its block.
+    that result is not kept, once per point (see _sample_points).  A grid
+    result is kept only when all its samples are finite and pass the
+    probes, so only the per-point loop names a bad sample: a failing call,
+    a sample with a non-zero imaginary part, a sample of another shape, or
+    a NaN or infinite sample raises ExpansionError naming the first such
+    point, in C order over lead, and its block.
 
     numpy's floating-point warnings never come from the grid calls (a kept
-    result has no NaN and an inf sample raises, so they would come only from
-    masked intermediates); any other warning of f reaches the caller from
-    every call, kept or not.
+    result is finite, so they would come only from masked intermediates);
+    any other warning of f reaches the caller from every call, kept or not.
     """
     if t is None:
         args = (read_only(grid.view()),)
@@ -95,17 +97,17 @@ def sample(f: Callable, grid: np.ndarray, name: str, ndim: int, t=None,
     vals = _sample_grid(f, args, ndim, shape, axes)
     if vals is None:
         vals = _sample_points(f, args, name, ndim, shape)
-    _require_finite(vals, args, name)
     # both paths return C-contiguous samples in the natural order: only axes needs a copy
     return vals if axes is None else np.ascontiguousarray(vals.transpose(axes))
 
 
 def _sample_points(f: Callable, args: tuple, name: str, ndim: int,
                    shape: tuple | None) -> np.ndarray:
-    """Samples of f from one call per point, with numpy scalars.  Each result
-    is converted and copied into the samples as it comes back; a failing
-    call or conversion, a complex sample, or a sample whose shape differs
-    from shape (or else from the first sample's) raises ExpansionError."""
+    """Samples of f from one call per point, with numpy scalars, in C order.
+    Each result is checked, converted and copied into the samples as it
+    comes back, so the first bad point raises ExpansionError: a failing call
+    or conversion, a complex sample, a sample whose shape differs from shape
+    (or else from the first sample's), or a NaN or infinite sample."""
     out = None
     for n, point in enumerate(zip(*(a.flat for a in args))):  # n: the flat index of point
         try:
@@ -120,6 +122,9 @@ def _sample_points(f: Callable, args: tuple, name: str, ndim: int,
             if out is None:  # the first sample, against the given shape
                 raise ExpansionError(f"{name} failed at {at}: {_misfit(name, shape, point, val)}")
             raise ExpansionError(f"{name} at {at} has shape {val.shape}, expected {shape}")
+        # Python floats: a numpy reduction costs more than the call on a sample this small
+        if not all(map(math.isfinite, val.ravel().tolist())):
+            raise ExpansionError(f"{name} is {val[~np.isfinite(val)][0]} at {_where(args, n)}")
         if out is None:
             shape, out = val.shape, np.empty((args[0].size,) + val.shape)
         out[n] = val  # a copy: f may overwrite what it returned
@@ -220,10 +225,11 @@ def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None,
     """A grid call's value_shape + lead result as lead + sample shape, a view
     of its one copy in the order axes; raises unless it is kept.
 
-    A result is kept when it is real, of shape value_shape + lead with no
-    NaN, value_shape matches shape when given, and the samples at the first
-    and the last point agree with single-point calls there to PROBE_RTOL
-    times the largest magnitude (exactly, where that is 0 or not finite).
+    A result is kept when it is real, of shape value_shape + lead, its
+    largest magnitude is finite (so every sample is: a NaN makes it NaN and
+    an inf makes it inf), value_shape matches shape when given, and the
+    samples at the first and the last point agree with single-point calls
+    there to PROBE_RTOL times that magnitude (exactly, where it is 0).
     """
     lead = args[0].shape
     vals = _as_float(vals, 0)
@@ -235,8 +241,8 @@ def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None,
     vals = vals.transpose((*range(nv, vals.ndim), *range(nv)))  # value axes last
     vals = vals.reshape(lead + (-1,)) if ndim == 1 else vals
     scale = max(vals.max(), -vals.min())  # the largest magnitude (or NaN), with no temporary
-    if shape not in (None, vals.shape[len(lead):]) or np.isnan(scale):
-        raise ValueError("a sample of another shape, or a NaN")
+    if shape not in (None, vals.shape[len(lead):]) or not np.isfinite(scale):
+        raise ValueError("a sample of another shape, or not finite")
     # the one copy, always made before the probes call f again: f may overwrite what it returned
     order = axes or tuple(range(vals.ndim))
     back = sorted(range(len(order)), key=order.__getitem__)  # inverse; np.argsort is µs slower
@@ -244,22 +250,9 @@ def _kept(vals, f: Callable, args: tuple, ndim: int, shape: tuple | None,
     for i in ((0,) * len(lead), (-1,) * len(lead)):  # the probe points
         got = vals[i]
         want = _as_float(f(*(a[i] for a in args)), ndim)
-        # with an infinite sample anywhere, only an exact match (inf == inf) counts
-        close = got == want if scale == np.inf else abs(got - want) <= PROBE_RTOL * scale
-        if got.shape != want.shape or not close.all():
+        if got.shape != want.shape or not (abs(got - want) <= PROBE_RTOL * scale).all():
             raise ValueError("a probe disagrees with its single-point call")
     return vals
-
-
-def _require_finite(vals: np.ndarray, args: tuple, name: str) -> None:
-    """Raise ExpansionError naming the first non-finite sample of vals, laid out
-    as sample returns it: its value, its point and block."""
-    finite = np.isfinite(vals)
-    if finite.all():
-        return
-    rows, ok = vals.reshape(args[0].size, -1), finite.reshape(args[0].size, -1)
-    n = np.argmin(ok.all(axis=1))
-    raise ExpansionError(f"{name} is {rows[n][~ok[n]][0]} at {_where(args, n)}")
 
 
 def _where(args: tuple, n: int) -> str:

@@ -329,13 +329,16 @@ class HybridSolution:
 
     xhat is a read-only copy of the coefficients given, shape (K, M, n) as
     expand_vector stacks them: block k's are xhat[k - 1], shape (M, n).  Any
-    other shape raises ValueError naming xhat.
+    other shape raises ValueError naming xhat, and a cfg that is not a
+    BasisConfig TypeError naming cfg.
     """
 
     cfg: BasisConfig
     xhat: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.cfg, BasisConfig):
+            raise TypeError(f"cfg must be a BasisConfig, got {self.cfg!r}")
         xhat = read_only(real_array("xhat", self.xhat).copy())
         K, M = self.cfg.K, self.cfg.M
         if xhat.ndim != 3 or xhat.shape[:2] != (K, M) or not xhat.shape[2]:

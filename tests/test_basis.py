@@ -66,7 +66,7 @@ class TestPartition:
         assert p.breakpoints == (0.5, 1.0, 1.5, 2.0)
 
     def test_uniform_rejects_zero_blocks(self):
-        with pytest.raises(ValueError, match="^need at least one block$"):
+        with pytest.raises(ValueError, match="^num_blocks must be >= 1, got 0$"):
             Partition.uniform(0, 1, 0)
 
     @pytest.mark.parametrize("bp", [("0", "1"), (0.0, "0.5", 1.0), (0.0, 1j), (None, 1.0)])

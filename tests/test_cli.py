@@ -159,7 +159,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", POLY, "--K", "0"]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "bpcheb: input error: need at least one block\n"
+        assert out.err == "bpcheb: input error: num_blocks must be >= 1, got 0\n"
 
     def test_singular_system_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "singular.prob"

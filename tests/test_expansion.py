@@ -289,7 +289,7 @@ class TestGridSampling:
         np.testing.assert_array_equal(got, self.GRID[:, :, None])
 
     def test_probe_tolerance(self):
-        # off by 1e-14 relative: kept; by 1e-12: dropped; inf needs an exact match
+        # off by 1e-14 relative: kept; by 1e-12: dropped; an inf result is never kept
         for eps, kept in ((1e-14, True), (1e-12, False)):
             fn = lambda t, eps=eps: t * (1.0 + eps) if np.ndim(t) else t  # noqa: E731
             grid_fn = _Recorder(fn)
@@ -298,7 +298,8 @@ class TestGridSampling:
             # its two probes
             assert grid_fn.calls == (3 if kept else 2 + 3)
             assert np.array_equal(got, fn(self.GRID)[:, :, None] if kept else self.GRID[:, :, None])
-        # the inf grid result is kept after its two probes, then named as the first inf sample
+        # neither inf grid result is kept: the array call, the _Nodes call, then the first
+        # per-node call names the first inf sample
         inf = _Recorder(lambda t: np.full(np.shape(t), np.inf))
         with pytest.raises(ExpansionError, match=r"^vector function is inf at t=0.1 \(block 1\)$"):
             sample(inf, self.GRID, "vector function", 1)
@@ -467,12 +468,13 @@ class TestWarningsAndThreads:
         assert np.array_equal(got, self.GRID[:, :, None])
 
     def test_pointwise_overflow_still_warns(self):
+        # the first node overflows, warns and ends the loop
         u = lambda t: np.array([np.exp(1e4 * np.float64(float(t)))])  # noqa: E731
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ExpansionError, match=r"^u is inf at t=0.1 \(block 1\)$"):
                 sample(u, self.GRID, "u", 1)
-        assert [str(w.message) for w in caught] == ["overflow encountered in exp"] * self.GRID.size
+        assert [str(w.message) for w in caught] == ["overflow encountered in exp"]
 
 
 class TestNodesCall:
@@ -621,6 +623,20 @@ class TestNonFiniteData:
             expand_vector(lambda t: np.array([t, None]), self.CFG)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sign, bad", [(1.0, "-inf"), (-1.0, "inf")])
+    def test_matrix_inf_from_the_nodes_call(self, sign, bad):
+        # scalar code: the array call is ragged, the _Nodes call returns every sample,
+        # with an infinite one wherever t <= 0.4; it is not kept, and the per-node loop
+        # names the first
+        A = _Recorder(lambda t: np.array([[1.0, sign * np.log(np.maximum(t - 0.4, 0.0))],
+                                          [t, 1.0]]))
+        grid = nodes(self.CFG, default_rule(self.CFG))
+        t, k = _first_flat(grid, grid <= 0.4)
+        with pytest.raises(ExpansionError, match=rf"^A is {bad} at t={t} \(block {k}\)$"):
+            expand_matrix(A, self.CFG, expect=("A", (2, 2)))
+        assert (A.array_calls, A.node_calls, A.calls) == (1, 1, 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matrix_nan_on_part_of_the_domain(self):
         A = lambda t: np.array([[1.0, np.sqrt(t - 0.4)], [t, 1.0]])  # ragged: per node
         grid = nodes(self.CFG, default_rule(self.CFG))
@@ -740,6 +756,29 @@ class TestPointwiseSampling:
                                                  r"could not convert"):
             sample(f, self.GRID, "vector function", 1)
         assert seen == [0.1, 0.2, 0.35, 0.6]
+
+    @pytest.mark.parametrize("bad, late", [
+        (math.nan, lambda t: 1 / 0),  # a late failing call
+        (math.inf, lambda t: np.array([t, t])),  # a late sample of another shape
+        (-math.inf, lambda t: 1j * t),  # a late complex sample
+    ], ids=["nan-then-failure", "inf-then-misshapen", "-inf-then-complex"])
+    def test_early_non_finite_sample_is_named_before_a_later_bad_one(self, bad, late):
+        # scalar-only code that is bad twice: the first bad point in C order is named,
+        # and no node after it is called
+        cfg = BasisConfig.uniform(0, 1, 2, 3)
+        grid = nodes(cfg, default_rule(cfg))
+        seen = []
+
+        def u(t):
+            t = float(t)
+            seen.append(t)
+            return late(t) if t > 0.9 else np.array([bad if t < 0.1 else t])
+
+        t, k = _first_flat(grid, grid < 0.1)
+        with pytest.raises(ExpansionError, match=rf"^u is {bad} at t={t} \(block {k}\)$"):
+            expand_vector(u, cfg, expect=("u", (1,)))
+        flat = list(grid.flat)
+        assert seen == flat[:flat.index(t) + 1]  # no node after t is called
 
     def test_ragged_sample_names_the_point(self):
         f = lambda t: [[1.0, t], [t]] if t > 0.5 else [[1.0, t], [t, 1.0]]  # noqa: E731

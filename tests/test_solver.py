@@ -644,6 +644,11 @@ class TestHybridSolution:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HybridSolution(self.CFG, np.ones(shape))
 
+    @pytest.mark.parametrize("cfg", ["x", None, Partition((0.0, 1.0))], ids=["str", "None", "Partition"])
+    def test_rejects_a_cfg_that_is_not_a_basis_config(self, cfg):
+        with pytest.raises(TypeError, match=f"^cfg must be a BasisConfig, got {re.escape(repr(cfg))}$"):
+            HybridSolution(cfg, np.zeros((2, 3, 1)))
+
     def test_block_k_coefficients_are_xhat_k_minus_1(self):
         xhat = np.arange(12.0).reshape(2, 3, 2)
         sol = HybridSolution(self.CFG, xhat)
