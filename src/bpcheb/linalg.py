@@ -4,9 +4,11 @@ Matrices come as a stack (K, m, m) of independent plain numpy arrays; one
 matrix is a stack of one.  Each matrix is factored by one direct getrf call
 into Fortran-ordered storage, which getrs then reads without a copy, so the
 factors and solutions are those of scipy.linalg.lu_factor/lu_solve without
-their per-call wrappers.  The pivot check makes singular systems fail loudly
-with the offending pivot and the offending matrix, instead of returning
-garbage.
+their per-call wrappers.  LU.solve makes one getrs call per matrix, and
+with a coupling S of each matrix's unknowns to the later matrices' rows it
+solves the block lower-triangular system in the same one forward sweep.
+The pivot check makes singular systems fail loudly with the offending
+pivot and the offending matrix, instead of returning garbage.
 
 LAPACK is reached through scipy's compiled module scipy.linalg._flapack,
 loaded straight from its file after importing only the top-level scipy
@@ -95,8 +97,9 @@ class LU:
 
     a is a stack (K, m, m) of square matrices, one matrix being a stack of
     one; any other shape raises ValueError naming it.  A singular or
-    non-finite matrix is named by its 1-based index in the stack, as
-    SingularMatrixError.block or in the ValueError.
+    non-finite matrix, or one whose inf-norm overflows, is named by its
+    1-based index in the stack, as SingularMatrixError.block or in the
+    ValueError.
 
     The factors are held in Fortran-ordered storage, a copy of a by default.
     With overwrite_a=True, as in scipy.linalg.lu_factor, a's own storage may
@@ -119,12 +122,14 @@ class LU:
         thresholds = np.empty(K)
         for rows in _chunks(K, m * m):
             block = a[rows]
-            finite = np.isfinite(block).all(axis=(1, 2))
+            # PIVOT_RTOL times the inf-norm of each matrix, measured before it is factored:
+            # a NaN or inf entry makes it non-finite, and so does a row sum that overflows
+            with np.errstate(over="ignore"):
+                thresholds[rows] = PIVOT_RTOL * (np.abs(block) @ np.ones(m)).max(axis=1)
+            finite = np.isfinite(thresholds[rows])
             if not finite.all():
-                k = rows.start + np.argmin(finite)
-                raise ValueError(f"matrix must not contain infs or NaNs (diagonal block {k + 1})")
-            # PIVOT_RTOL times the inf-norm of each matrix, measured before it is factored
-            thresholds[rows] = PIVOT_RTOL * (np.abs(block) @ np.ones(m)).max(axis=1)
+                raise ValueError("matrix must not contain infs or NaNs (diagonal block "
+                                 f"{rows.start + np.argmin(finite) + 1}) nor overflow its inf-norm")
             if lu is not a:
                 lu[rows] = block
             with _LAPACK_LOCK:
@@ -141,8 +146,15 @@ class LU:
                                       block=k + 1)
         self._lu, self._piv = lu, piv  # (K, m, m) and (K, m)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with a x = b, matrix by matrix: b is (K, m) or (K, m, p)."""
+    def solve(self, b: np.ndarray, S: np.ndarray | None = None,
+              rows: slice = slice(0)) -> np.ndarray:
+        """x with a x = b, matrix by matrix: b is (K, m) or (K, m, p).
+
+        With S, a (K, q, m) stack, x solves instead the block lower-triangular
+        system with the matrices a_k on its diagonal and -E S_i in block (k, i)
+        for i < k, E placing a q-vector on the given rows of a block.  One forward
+        sweep solves a_k x_k = b_k + E c_k block by block, with the carry
+        c_1 = 0 and c_{k+1} = c_k + S_k x_k: K getrs calls, as without S."""
         b = np.asarray(b, dtype=float)
         K, m, _ = self._lu.shape
         if b.shape[:2] != (K, m) or b.ndim not in (2, 3):
@@ -150,12 +162,15 @@ class LU:
                              f"shape {self._lu.shape}: expected ({K}, {m}) or ({K}, {m}, p)")
         if not np.isfinite(b).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
-        p = b.shape[2] if b.ndim == 3 else 1
-        x = np.empty((K, p, m)).transpose(0, 2, 1)  # Fortran-ordered (m, p) slices
-        x[...] = b.reshape(K, m, p)
+        x = b.swapaxes(1, -1).copy().swapaxes(1, -1)  # each x_k Fortran-ordered (or a vector)
+        S = np.zeros((K, 0, m)) if S is None else S
+        c = np.zeros(S.shape[1:2] + x.shape[2:])
         with _LAPACK_LOCK:
-            for lu_k, piv_k, x_k in zip(self._lu, self._piv, x):
-                _, info = _getrs(lu_k, piv_k, x_k, overwrite_b=True)
+            for lu_k, piv_k, x_k, s_k, carried in zip(self._lu, self._piv, x, S, x[:, rows],
+                                                      strict=True):
+                carried += c
+                _, info = _getrs(lu_k, piv_k, x_k, overwrite_b=True)  # solves in x_k
                 if info < 0:
                     raise ValueError(f"illegal value in argument {-info} of getrs")
-        return np.ascontiguousarray(x).reshape(b.shape)  # C order, like b
+                c += np.dot(s_k, x_k)
+        return np.ascontiguousarray(x)  # C order, like b

@@ -19,11 +19,12 @@ Fredholm operator Q of N, and X0hat the coefficients of the constant x0
   block.  The system matrix is then block lower-triangular.  Its K diagonal
   blocks (Mn x Mn) are written straight from A's coefficients into one
   Fortran-ordered stack, a chunk of blocks at a time, and factored there
-  as one linalg.LU stack (one LAPACK getrf per block); every block's
-  right-hand side is solved by one LU.solve, and the only Python loop over
-  the blocks carries an n-vector forward (see AssembledSystem).  The LU
-  factors are the one array of size K(Mn)^2, every temporary holds at most
-  one chunk of blocks, and no product operator is formed.
+  as one linalg.LU stack (one LAPACK getrf per block).  A solve is one
+  forward sweep over the blocks, LU.solve with the coupling of each block
+  to the later ones: one getrs per block, with an n-vector carried from
+  block to block (see AssembledSystem).  The LU factors are the one array
+  of size K(Mn)^2, every temporary holds at most one chunk of blocks, and
+  no product operator is formed.
 * With a kernel, Q couples every pair of blocks, so the dense system matrix
   is formed and LU-factored as a linalg.LU stack of one.  Its dense
   P^T kron I_n is apply_pt applied to an identity, so no Kronecker product
@@ -143,10 +144,10 @@ class AssembledSystem:
     first solve writes every D_k and S_k straight from Ahat, a chunk of
     blocks at a time, through one tensor per M (_march_weights), into the
     storage where LU factors them in place (with each block's unknowns
-    ordered by component, then degree), and keeps S_k,
-    G_k = D_k^-1 (e_0 kron I_n) and T_k = I_n + S_k G_k.  A solve is then
-    y_k = D_k^-1 rhs_k for all blocks at once, the n-dimensional recurrence
-    c_1 = 0, c_{k+1} = T_k c_k + S_k y_k, and x_k = y_k + G_k c_k.  With a
+    ordered by component, then degree), and keeps the factors and S_k.
+    Every solve is then one forward sweep, block by block: add c_k to the
+    degree-0 rows of rhs_k, solve D_k x_k = rhs_k by the factors, and set
+    c_{k+1} = c_k + S_k x_k (LU.solve with S), with c_1 = 0.  With a
     kernel, the first solve LU-factors the dense system_matrix
     I - PkronT @ Phi as a stack of one, with Phi a copy of Q plus the product
     operators of A (expansion.product_blocks, block k's on diagonal block k)
@@ -204,12 +205,11 @@ class AssembledSystem:
     # block march, for systems without a kernel
 
     @cached_property
-    def _march(self) -> tuple[LU, np.ndarray, np.ndarray, np.ndarray]:
-        """The stacked LU of every D_k, G_k = D_k^-1 (e_0 kron I_n) as
-        (K, Mn, n), S_k as (K, n, Mn), and T_k = I_n + S_k G_k as (K, n, n).
-        Each block's unknowns are ordered (component, degree), the transpose
-        of the (degree, component) stacking, so that the copy into D runs
-        over whole degree ranges; _solve transposes in and out."""
+    def _march(self) -> tuple[LU, np.ndarray]:
+        """The stacked LU of every D_k and S_k as (K, n, Mn).  Each block's
+        unknowns are ordered (component, degree), the transpose of the
+        (degree, component) stacking, so that the copy into D runs over whole
+        degree ranges; _solve transposes in and out."""
         K, M, n = self.cfg.K, self.cfg.M, self.n
         m = M * n
         w = _march_weights(M).reshape(M, -1)
@@ -225,21 +225,15 @@ class AssembledSystem:
             Dt.reshape(len(Dt), -1)[:, :: m + 1] += 1.0
             np.negative(terms[..., M].reshape(-1, n, m), out=S[rows])
             del scaled, terms  # before the next chunk
-        lu = LU(D.transpose(0, 2, 1), overwrite_a=True)  # factors D in place
-        G = lu.solve(np.broadcast_to(np.eye(m)[:, ::M], (K, m, n)))  # columns (a, 0)
-        return lu, G, S, np.eye(n) + S @ G
+        return LU(D.transpose(0, 2, 1), overwrite_a=True), S  # factors D in place
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.Q is not None:
             return self._lu.solve(rhs[np.newaxis])[0]
         K, M, n = self.cfg.K, self.cfg.M, self.n
-        lu, G, S, T = self._march
-        y = lu.solve(rhs.reshape(K, M, n).transpose(0, 2, 1).reshape(K, -1))
-        Sy = (S @ y[..., np.newaxis])[..., 0]
-        c = np.zeros((K, n))  # c_k: sum over i < k of S_i x_i
-        for k in range(K - 1):
-            c[k + 1] = T[k] @ c[k] + Sy[k]
-        x = y + (G @ c[..., np.newaxis])[..., 0]
+        lu, S = self._march
+        x = lu.solve(rhs.reshape(K, M, n).transpose(0, 2, 1).reshape(K, -1), S,
+                     slice(None, None, M))  # the carry enters at degree 0
         return x.reshape(K, n, M).transpose(0, 2, 1).reshape(-1)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bpcheb import SystemSpec, build_p, expand_vector
+from bpcheb import SystemSpec, build_p, expand_vector, linalg
 from bpcheb.basis import chebyshev_u_derivative_coeffs, chebyshev_u_series
 from bpcheb.expansion import product_blocks
 from bpcheb.operational import apply_pt
@@ -37,6 +37,18 @@ def in_threads(work, count: int = 4, timeout: float = 60.0) -> list:
     finally:
         pool.shutdown(wait=False)
         sys.setswitchinterval(old)
+
+
+def count_lapack_calls(monkeypatch) -> dict:
+    """The number of linalg's getrf and getrs calls from here on, by name,
+    counted by wrappers around them that monkeypatch removes."""
+    calls = {"getrf": 0, "getrs": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(linalg, f"_{name}"), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(linalg, f"_{name}", counted)
+    return calls
 
 
 def block_of(t: float, p) -> int | None:

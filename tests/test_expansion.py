@@ -599,7 +599,7 @@ def _first_flat(grid, mask):
 
 
 class TestNonFiniteData:
-    """Non-finite samples are named where they enter; sample itself passes them on."""
+    """Non-finite samples are named where they enter: sample raises on the first."""
 
     CFG = BasisConfig(Partition((0.0, 0.3, 0.55, 1.0)), 5)
 
@@ -638,7 +638,9 @@ class TestNonFiniteData:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_matrix_nan_on_part_of_the_domain(self):
-        A = lambda t: np.array([[1.0, np.sqrt(t - 0.4)], [t, 1.0]])  # ragged: per node
+        # the array call is ragged; the _Nodes call computes every sample and is dropped
+        # only for its NaN, so the per-node loop names the first
+        A = lambda t: np.array([[1.0, np.sqrt(t - 0.4)], [t, 1.0]])
         grid = nodes(self.CFG, default_rule(self.CFG))
         t, k = _first_flat(grid, grid < 0.4)
         with pytest.raises(ExpansionError, match=rf"^A is nan at t={t} \(block {k}\)$"):

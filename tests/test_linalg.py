@@ -7,7 +7,7 @@ import scipy.linalg
 from bpcheb import linalg
 from bpcheb.linalg import LU, SingularMatrixError, inf_norm
 
-from conftest import in_threads
+from conftest import count_lapack_calls, in_threads
 
 
 class TestLuSolve:
@@ -117,6 +117,97 @@ class TestStack:
             LU(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="square"):
             LU(np.zeros((2, 2, 2, 2)))
+
+
+class TestNonFiniteStack:
+    """A matrix with a NaN or inf entry, or whose inf-norm overflows, is
+    named in a ValueError before it is factored, from the norms that set
+    the pivot thresholds."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+    def test_later_chunk_is_named_before_any_getrs(self, bad, monkeypatch):
+        # chunks of 3 blocks: block 5 is in the second chunk, so only the first is factored
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 3 * 4 * 4)
+        a = np.random.default_rng(43).standard_normal((7, 4, 4)) + 4 * np.eye(4)
+        if bad == "overflow":
+            a[4, 2, :2] = 1e308  # every entry finite, their row sum is not
+        else:
+            a[4, 2, 1] = bad
+        calls = count_lapack_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"infs or NaNs \(diagonal block 5\) nor overflow "
+                                             "its inf-norm"):
+            LU(a)
+        assert calls == {"getrf": 3, "getrs": 0}
+
+
+class TestBlockLowerSolve:
+    """solve(b, S, rows) is one forward sweep over the block lower-triangular
+    system with the stack on its diagonal and -E S_i in block (k, i), i < k."""
+
+    @staticmethod
+    def _system(K, m, q, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((K, m, m)) + 2 * m**0.5 * np.eye(m)
+        S = rng.standard_normal((K, q, m))
+        return a, S, rng.standard_normal((K, m))
+
+    @staticmethod
+    def _dense(a, S, rows):
+        """The whole system as one dense matrix."""
+        K, m, _ = a.shape
+        dense = scipy.linalg.block_diag(*a)
+        for k in range(K):
+            for i in range(k):
+                dense[k * m:(k + 1) * m][rows, i * m:(i + 1) * m] -= S[i]
+        return dense
+
+    @pytest.mark.parametrize("K,m,q,step", [(1, 3, 1, 3), (2, 4, 2, 2), (9, 12, 3, 4),
+                                            (64, 32, 2, 16)])
+    def test_agrees_with_the_dense_system(self, K, m, q, step):
+        a, S, b = self._system(K, m, q, K * m)
+        rows = slice(None, None, step)
+        x = LU(a).solve(b, S, rows)
+        assert x.shape == (K, m) and x.flags.c_contiguous
+        want = scipy.linalg.solve(self._dense(a, S, rows), b.reshape(-1)).reshape(K, m)
+        assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_columns_are_swept_as_one_by_one(self):
+        a, S, _ = self._system(5, 6, 2, 2)
+        b = np.random.default_rng(3).standard_normal((5, 6, 3))
+        lu = LU(a)
+        x = lu.solve(b, S, slice(1, 3))
+        assert x.shape == b.shape and x.flags.c_contiguous
+        for j in range(3):  # getrs with three columns rounds otherwise than with one
+            want = lu.solve(b[..., j], S, slice(1, 3))
+            assert np.max(np.abs(x[..., j] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_without_coupling_it_is_the_plain_solve(self):
+        a, S, b = self._system(5, 6, 2, 3)
+        lu = LU(a)
+        assert np.array_equal(lu.solve(b, np.zeros_like(S), slice(0, 2)), lu.solve(b))
+
+    def test_one_getrs_per_block(self, monkeypatch):
+        a, S, b = self._system(7, 5, 2, 4)
+        lu = LU(a)
+        calls = count_lapack_calls(monkeypatch)
+        for _ in range(3):
+            lu.solve(b, S, slice(0, 2))
+        assert calls == {"getrf": 0, "getrs": 21}
+
+    def test_a_coupling_of_another_length_raises(self):
+        a, S, b = self._system(4, 5, 2, 8)
+        with pytest.raises(ValueError, match="zip"):
+            LU(a).solve(b, S[:3], slice(0, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_right_hand_side_before_any_getrs(self, bad, monkeypatch):
+        a, S, b = self._system(6, 4, 1, 5)
+        lu = LU(a)
+        b[5, 3] = bad  # the last block's
+        calls = count_lapack_calls(monkeypatch)
+        with pytest.raises(ValueError, match="right-hand side must not contain infs or NaNs"):
+            lu.solve(b, S, slice(0, 1))
+        assert calls["getrs"] == 0
 
 
 class TestAgainstScipy:

@@ -23,6 +23,7 @@ from bpcheb.solver import (
 from conftest import (
     EXP_K,
     EXP_TS,
+    count_lapack_calls,
     dense_reference_solve,
     dense_reference_system,
     expdecay_A,
@@ -512,6 +513,28 @@ class TestBlockMarch:
         want = linalg.PIVOT_RTOL * np.abs(D_K).sum(axis=1).max()
         assert want == pytest.approx(2 * linalg.PIVOT_RTOL, rel=1e-14, abs=0)
         assert excinfo.value.threshold == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("K", [1, 5, 64])
+    def test_one_getrs_per_block_on_every_solve(self, K, monkeypatch):
+        spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, 3.0], A=expdecay_A, B=_manufactured_B)
+        asm = assemble(spec, BasisConfig.uniform(0, 1, K, 16))
+        calls = count_lapack_calls(monkeypatch)
+        solve(asm, _decay_u)
+        assert calls == {"getrf": K, "getrs": K}
+        for u in (_decay_u, lambda t: np.array([np.sin(t)]), None):
+            solve(asm, u)
+        assert calls == {"getrf": K, "getrs": 4 * K}
+
+    def test_overflowing_block_in_a_later_chunk_is_named_before_any_getrs(self, monkeypatch):
+        # chunks of one block; every sample of A is finite, but D_2's row sums overflow
+        monkeypatch.setattr(linalg, "_CHUNK_ENTRIES", 32 * 32)
+        spec = SystemSpec(n=2, r=1, t0=0, tf=1, x0=[1.0, 1.0],
+                          A=lambda t: np.full((2, 2), 1e308 if t > 0.5 else 1.0))
+        asm = assemble(spec, BasisConfig.uniform(0, 1, 2, 16))
+        calls = count_lapack_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"infs or NaNs \(diagonal block 2\)"):
+            solve(asm, None)
+        assert calls == {"getrf": 1, "getrs": 0}
 
     @pytest.mark.parametrize("n_out,n_in,M", [(1, 1, 1), (2, 3, 5), (3, 1, 8)])
     def test_products_match_the_product_operators(self, n_out, n_in, M):
